@@ -49,6 +49,8 @@ def _load_configuration(path: str) -> ChipConfiguration:
         text = Path(path).read_text()
     except OSError as exc:
         _input_error(f"{path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        _input_error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
     try:
         if text.lstrip().startswith("{"):
             return config_from_json(text)

@@ -6,10 +6,14 @@ candidate positive supports that the anchor lemma allows, prunes with
 the sign-form and invertibility tests, and decides every survivor with
 the exact kernel criterion for fundamentality.  The sweep certifies
 that a whole degree hosts no valid outcome with a prescribed number of
-positive entries at all: a depth-first search places support points in
-descending degree order and abandons a branch as soon as some Pascal
-form can no longer cancel, then finishes the rare sign survivors with
-the invertibility criterion or the kernel itself.
+positive entries at all: the bitset engine ``hyperfield.sign_survivors``
+places support points in descending degree order, keeping as its whole
+state two bitsets of the Pascal forms that still lack a positive and a
+negative contribution, and abandons a branch as soon as some form can
+no longer cancel.  Its node count (every point tried below a parent
+with two or more free slots, plus every completion of the last slot)
+is part of each sweep certificate.  The rare sign survivors are then
+finished with the invertibility criterion or the kernel itself.
 
 Both computations are deterministic, including under a process pool:
 work is sharded by candidate ordinal and the merged results are sorted
@@ -31,7 +35,7 @@ from pathlib import Path
 
 from .criteria import invertibility_excludes
 from .grid import ChipConfiguration, Coord, config_from_json, config_to_json, grid_points
-from .hyperfield import hyperfield_excludes
+from .hyperfield import hyperfield_excludes, sign_survivors
 from .models import fundamentality
 from .pascal import all_forms, outcome_space
 
@@ -406,100 +410,26 @@ def sign_survivor_search(d: int, size: int):
     """All positive supports of the given size that every sign form allows.
 
     Equivalent to filtering all supports through the sign-form test, but
-    incremental: points are tried in descending degree order while each
-    form tracks the contribution signs it has seen.  A branch dies when
-    some form cannot reach both signs with the slots and points still
-    available, which is sound because a valid outcome of degree exactly
-    d makes every form's sign image the full hyperfield.  Returns the
-    survivor list (canonically sorted) and the number of search nodes.
+    incremental: ``hyperfield.sign_survivors`` places points in
+    descending degree order, tracking as two bitsets the Pascal forms
+    that still lack a positive and a negative contribution, and
+    abandons a branch as soon as some form cannot reach both signs with
+    the slots and points still available.  That is sound because a
+    valid outcome of degree exactly d makes every form's sign image the
+    full hyperfield.  Returns the survivor list (canonically sorted) and
+    the number of search nodes: every point tried below a parent with
+    two or more free slots, plus every completion of the last slot.
     """
     points = sorted(
         (p for p in grid_points(d) if p != (0, 0)),
         key=lambda p: (-(p[0] + p[1]), p[0]),
     )
-    count = len(points)
     forms = all_forms(d)
-    pos = []
-    neg = []
-    for form in forms:
-        origin = form.coefficient(0, 0)
-        # The origin holds the chip debt, so its contribution sign flips.
-        pos.append(1 if origin < 0 else 0)
-        neg.append(1 if origin > 0 else 0)
-    touched: list[list[tuple[int, int]]] = [[] for _ in range(count)]
-    mask_pos = [0] * len(forms)
-    mask_neg = [0] * len(forms)
-    for k, (i, j) in enumerate(points):
-        for f, form in enumerate(forms):
-            c = form.coefficient(i, j)
-            if c > 0:
-                touched[k].append((f, 1))
-                mask_pos[f] |= 1 << k
-            elif c < 0:
-                touched[k].append((f, -1))
-                mask_neg[f] |= 1 << k
-    suffix = [(1 << count) - (1 << (k + 1)) for k in range(count)]
-    full = (1 << count) - 1
-    unsatisfied = [f for f in range(len(forms)) if not (pos[f] and neg[f])]
-    survivors: list[frozenset[Coord]] = []
-    chosen: list[int] = []
-    nodes = 0
-
-    def descend(start: int, slots: int, pending: list[int]):
-        nonlocal nodes
-        if slots == 1:
-            # The one remaining point must hand every pending form its
-            # missing sign, so the candidates are a mask intersection.
-            viable = full ^ ((1 << start) - 1)
-            for f in pending:
-                if pos[f]:
-                    viable &= mask_neg[f]
-                elif neg[f]:
-                    viable &= mask_pos[f]
-                else:
-                    return
-                if not viable:
-                    return
-            base = frozenset(points[c] for c in chosen)
-            while viable:
-                low = viable & -viable
-                viable ^= low
-                nodes += 1
-                survivors.append(base | {points[low.bit_length() - 1]})
-            return
-        for k in range(start, count):
-            if count - k < slots:
-                break
-            nodes += 1
-            for f, s in touched[k]:
-                if s > 0:
-                    pos[f] += 1
-                else:
-                    neg[f] += 1
-            still = [f for f in pending if not (pos[f] and neg[f])]
-            avail = suffix[k]
-            left = slots - 1
-            viable = True
-            for f in still:
-                need = (0 if pos[f] else 1) + (0 if neg[f] else 1)
-                if (
-                    need > left
-                    or (not pos[f] and not (avail & mask_pos[f]))
-                    or (not neg[f] and not (avail & mask_neg[f]))
-                ):
-                    viable = False
-                    break
-            if viable:
-                chosen.append(k)
-                descend(k + 1, left, still)
-                chosen.pop()
-            for f, s in touched[k]:
-                if s > 0:
-                    pos[f] -= 1
-                else:
-                    neg[f] -= 1
-
-    descend(0, size, unsatisfied)
+    point_signs = [[form.coefficient(i, j) for form in forms] for i, j in points]
+    # The origin holds the chip debt, so its contribution sign flips.
+    origin_signs = [-form.coefficient(0, 0) for form in forms]
+    found, nodes = sign_survivors(point_signs, origin_signs, size)
+    survivors = [frozenset(points[k] for k in combo) for combo in found]
     survivors.sort(key=lambda s: tuple(sorted(s)))
     return survivors, nodes
 
@@ -623,12 +553,12 @@ def sweep_no_valid_outcomes(
     if beyond and not long_run:
         raise ValueError(
             f"degrees {beyond} lie beyond the desk range for width {n_plus}; "
-            "pass long_run=True for an hours-scale run"
+            "pass long_run=True to sweep them"
         )
     if beyond:
         warnings.warn(
-            f"sweeping degrees up to {ds[-1]} at width {n_plus}; "
-            "expect an hours-scale run",
+            f"sweeping degrees up to {ds[-1]} at width {n_plus}; degrees past "
+            f"{cap} take seconds each (about 4 s at degree 41 on one core)",
             RuntimeWarning,
             stacklevel=2,
         )

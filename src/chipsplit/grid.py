@@ -129,9 +129,12 @@ def _coerce(value: Value) -> Value:
 
 
 def _parse_value(token: str) -> Value:
-    if "/" in token:
-        return Fraction(token)
-    return int(token)
+    try:
+        if "/" in token:
+            return Fraction(token)
+        return int(token)
+    except ZeroDivisionError:
+        raise ValueError(f"chip count {token!r} has a zero denominator") from None
 
 
 def _format_value(value: Value) -> str:
@@ -432,13 +435,31 @@ def config_to_json(config: ChipConfiguration) -> str:
     return json.dumps(payload)
 
 
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def config_from_json(text: str) -> ChipConfiguration:
-    payload = json.loads(text)
-    if not isinstance(payload, dict) or "entries" not in payload:
+    """Read the JSON form written by config_to_json.
+
+    Malformed input of any shape raises ValueError, never another error.
+    """
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if not isinstance(payload, dict) or not isinstance(payload.get("entries"), list):
         raise ValueError("expected an object with an 'entries' list")
     entries = {}
     for item in payload["entries"]:
+        if not isinstance(item, list) or len(item) != 3:
+            raise ValueError(f"entry {item!r} is not an [i, j, count] triple")
         i, j, raw = item
-        entries[(int(i), int(j))] = _parse_value(str(raw))
+        point = (_json_int(i, "coordinate"), _json_int(j, "coordinate"))
+        entries[point] = _parse_value(str(raw))
     ambient = payload.get("ambient")
-    return ChipConfiguration(entries, ambient=None if ambient is None else int(ambient))
+    if ambient is not None:
+        ambient = _json_int(ambient, "ambient")
+    return ChipConfiguration(entries, ambient=ambient)

@@ -20,12 +20,8 @@ lists, which the case pipeline then eliminates.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cache
-from math import comb
-
-import numpy as np
 
 from .grid import ChipConfiguration, Coord, act_point, grid_points
 from .pascal import (
@@ -117,6 +113,115 @@ def hyperfield_excludes(points, d: int) -> HyperfieldVerdict:
         if eval_sign_form(form, s) != H:
             return HyperfieldVerdict(True, d, form.label())
     return HyperfieldVerdict(False, d)
+
+
+def _bits(mask: int):
+    """Indices of the set bits of a nonnegative int, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def sign_survivors(point_signs, fixed_signs, size: int):
+    """Every size-subset of points that gives every sign form both signs.
+
+    point_signs[k][f] has the sign of point k's contribution to form f,
+    and fixed_signs[f] the sign of the contribution every support
+    already carries (the origin's chip debt; 0 for none).  A
+    support survives when each form receives a positive and a negative
+    contribution, the sign-level necessary condition for the form to
+    vanish.  Returns the survivors as ascending index tuples, in
+    lexicographic order, and the number of search nodes.
+
+    The search places points in index order.  Its state is two bitsets
+    over forms: the forms still lacking a positive contribution and
+    those still lacking a negative one; placing point k clears the
+    forms k serves, so backtracking needs no undo.  A node is one point
+    tried under a parent with at least two free slots, plus each
+    completion of the last slot.  A child dies when some form still
+    lacks a sign that no point from its own index on can give, or, with
+    one slot left after it, when some form still lacks both signs.  The
+    first condition only grows with the index, so a parent's live
+    children are a prefix of its range, found by bisection; every tried
+    point counts as a node, dead or not, so a parent adds its whole
+    range to the count at once.  The last slot takes the points that
+    hold every missing sign: one intersection of per-form point masks.
+    """
+    if size < 1:
+        raise ValueError("supports need at least one point")
+    count = len(point_signs)
+    forms = len(fixed_signs)
+    gives_pos = [0] * count
+    gives_neg = [0] * count
+    points_pos = [0] * forms
+    points_neg = [0] * forms
+    for k, signs in enumerate(point_signs):
+        for f, sign in enumerate(signs):
+            if sign > 0:
+                gives_pos[k] |= 1 << f
+                points_pos[f] |= 1 << k
+            elif sign < 0:
+                gives_neg[k] |= 1 << f
+                points_neg[f] |= 1 << k
+    lack_pos = sum(1 << f for f, sign in enumerate(fixed_signs) if sign <= 0)
+    lack_neg = sum(1 << f for f, sign in enumerate(fixed_signs) if sign >= 0)
+    # missing_*[k]: the forms no point with index >= k can serve.
+    everything = (1 << forms) - 1
+    missing_pos = [everything] * (count + 1)
+    missing_neg = [everything] * (count + 1)
+    for k in range(count - 1, -1, -1):
+        missing_pos[k] = missing_pos[k + 1] & ~gives_pos[k]
+        missing_neg[k] = missing_neg[k + 1] & ~gives_neg[k]
+    touches = [p | n for p, n in zip(points_pos, points_neg)]
+    survivors: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def descend(prefix, start, slots, lack_pos, lack_neg):
+        nonlocal nodes
+        if slots == 1:
+            viable = ((1 << count) - 1) >> start << start
+            for f in _bits(lack_pos):
+                viable &= points_pos[f]
+                if not viable:
+                    return
+            for f in _bits(lack_neg):
+                viable &= points_neg[f]
+                if not viable:
+                    return
+            nodes += viable.bit_count()
+            survivors.extend(prefix + (k,) for k in _bits(viable))
+            return
+        last = count - slots
+        if last < start:
+            return
+        nodes += last + 1 - start
+        low, high = start, last + 1
+        while low < high:
+            mid = (low + high) // 2
+            if lack_pos & missing_pos[mid] or lack_neg & missing_neg[mid]:
+                high = mid
+            else:
+                low = mid + 1
+        children = range(start, low)
+        if slots == 2:
+            # Each child is the second-to-last point, so it must touch
+            # every form that still lacks both signs.
+            mask = ((1 << low) - 1) >> start << start
+            for f in _bits(lack_pos & lack_neg):
+                mask &= touches[f]
+            children = _bits(mask)
+        for k in children:
+            descend(
+                prefix + (k,),
+                k + 1,
+                slots - 1,
+                lack_pos & ~gives_pos[k],
+                lack_neg & ~gives_neg[k],
+            )
+
+    descend((), 0, size, lack_pos, lack_neg)
+    return survivors, nodes
 
 
 def permute_signs(sigma: str, s: ChipConfiguration, d: int) -> ChipConfiguration:
@@ -524,66 +629,25 @@ def contracted_forms(parity: str, reference: int | None = None) -> tuple[Contrac
 
 
 @cache
-def _support_masks(supp_size: int) -> np.ndarray:
-    """All positive supports of the given size over the 63 free coordinates,
-    encoded as uint64 bitmasks (bit index = coordinate index; bit 0, the
-    origin, is never set)."""
-    total = comb(63, supp_size)
-
-    def masks():
-        for combo in itertools.combinations(range(1, 64), supp_size):
-            m = 0
-            for b in combo:
-                m |= 1 << b
-            yield m
-
-    return np.fromiter(masks(), dtype=np.uint64, count=total)
-
-
-def _mask_survivors(forms, masks: np.ndarray) -> np.ndarray:
-    """Masks whose valid contraction point gives every form the full value H."""
-    keep = np.ones(len(masks), dtype=bool)
-    for form in forms:
-        pos_mask = neg_mask = 0
-        for idx, c in enumerate(form.coefficients):
-            if idx == 0:
-                continue
-            if c > 0:
-                pos_mask |= 1 << idx
-            elif c < 0:
-                neg_mask |= 1 << idx
-        origin = form.coefficients[0]
-        # The origin entry is -1, so its product contributes the opposite
-        # of the coefficient sign.
-        if origin != -1:
-            keep &= (masks & np.uint64(pos_mask)) != 0
-        if origin != 1:
-            keep &= (masks & np.uint64(neg_mask)) != 0
-        if not keep.any():
-            break
-    return masks[keep]
-
-
-def _point_from_mask(mask: int) -> ContractionPoint:
-    vec = [0] * 64
-    vec[0] = -1
-    for idx in range(1, 64):
-        if mask >> idx & 1:
-            vec[idx] = 1
-    return ContractionPoint.from_vector(vec)
-
-
-@cache
 def gamma_set(parity: str, supp_size: int) -> tuple[ContractionPoint, ...]:
     """All valid contraction points with the given positive support size at
     which every descended form evaluates to the full set H."""
     if not 1 <= supp_size <= 5:
         raise ValueError("supported positive support sizes are 1..5")
     forms = contracted_forms(parity)
-    survivors = _mask_survivors(forms, _support_masks(supp_size))
-    points = [_point_from_mask(int(m)) for m in survivors]
-    points.sort(key=lambda p: p.as_vector())
-    return tuple(points)
+    # The origin entry is -1, so its product contributes the opposite of
+    # the coefficient sign; the 63 free coordinates contribute +1 times it.
+    point_signs = [[f.coefficients[idx] for f in forms] for idx in range(1, 64)]
+    origin_signs = [-f.coefficients[0] for f in forms]
+    found, _ = sign_survivors(point_signs, origin_signs, supp_size)
+    vectors = []
+    for combo in found:
+        vec = [-1] + [0] * 63
+        for k in combo:
+            vec[k + 1] = 1
+        vectors.append(vec)
+    vectors.sort()
+    return tuple(ContractionPoint.from_vector(vec) for vec in vectors)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chipsplit.cli import main
 
@@ -80,6 +82,76 @@ class TestParseAndRender:
         assert result.exit_code == 2
         assert "error:" in result.stderr
         assert "expected 1" in result.stderr
+
+
+    @pytest.mark.parametrize("command", ["render", "parse"])
+    @pytest.mark.parametrize(
+        "text",
+        ['{"entries": [5]}', '{"entries": [[0, 0, "1/0"]]}', "1/0\n"],
+    )
+    def test_malformed_counts_and_entries_are_usage_errors(
+        self, runner, fixture_file, command, text
+    ):
+        result = runner.invoke(main, [command, fixture_file("bad.txt", text)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error:")
+
+    def test_undecodable_bytes_are_a_usage_error(self, runner, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe1\n")
+        result = runner.invoke(main, ["render", str(path)])
+        assert result.exit_code == 2
+        assert "UTF-8" in result.stderr
+
+
+# Input texts for the fuzz test: free text, triangles built from tokens
+# (some malformed), and JSON objects with loosely typed entries.
+_TOKENS = st.sampled_from(["1", "-2", "3/2", "1/0", "0", ".", "·", "x", "1/", "-"])
+_TRIANGLES = st.lists(
+    st.lists(_TOKENS, min_size=1, max_size=6).map(" ".join), min_size=1, max_size=6
+).map("\n".join)
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 8),
+    st.floats(allow_nan=True),
+    st.sampled_from(["1", "1/0", "-1/2", "x", ""]),
+)
+_JSON_ENTRIES = st.lists(
+    st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=4)), max_size=4
+)
+_JSON_TEXTS = st.builds(
+    lambda entries, ambient: json.dumps({"entries": entries, "ambient": ambient}),
+    st.one_of(_JSON_ENTRIES, _JSON_SCALARS),
+    _JSON_SCALARS,
+)
+
+
+# Every subcommand that reads a configuration file, with the exit codes
+# it may give: 1 is a negative verdict, 2 is bad input.
+_FILE_COMMAND_EXITS = {
+    "render": (0, 2),
+    "parse": (0, 2),
+    "is-outcome": (0, 1, 2),
+    "fundamental": (0, 1, 2),
+    "decompose": (0, 2),
+}
+
+
+@pytest.mark.parametrize("command", list(_FILE_COMMAND_EXITS))
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=st.one_of(st.text(), _TRIANGLES, _JSON_TEXTS))
+def test_arbitrary_input_exits_cleanly(tmp_path, command, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    result = CliRunner().invoke(main, [command, str(path)])
+    assert result.exit_code in _FILE_COMMAND_EXITS[command], repr(result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
 
 
 class TestIsOutcome:

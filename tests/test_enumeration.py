@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -365,10 +366,17 @@ class TestConjectureCheck:
         assert conjecture.support_violations == (rogue,)
 
 
+@cache
+def recorded_width_five_sweep():
+    path = Path(__file__).resolve().parent.parent / "results" / "sweep-5-d41.json"
+    payload = json.loads(path.read_text())
+    return {summary["degree"]: summary for summary in payload["summaries"]}
+
+
 class TestSignSurvivorSearch:
     @pytest.mark.parametrize(
         "d,size",
-        [(5, 3), (6, 4), (7, 3)],
+        [(5, 3), (6, 4), (7, 3), (6, 5), (8, 4)],
     )
     def test_agrees_with_direct_sign_test(self, d, size):
         survivors, _ = sign_survivor_search(d, size)
@@ -379,6 +387,16 @@ class TestSignSurvivorSearch:
             if not hyperfield_excludes(combo, d).excluded
         }
         assert set(survivors) == brute
+
+    @pytest.mark.parametrize("d", range(8, 26))
+    def test_matches_the_recorded_width_five_sweep(self, d):
+        # The committed sweep was produced by the per-form search that
+        # the bitset engine replaced; equal node counts show that the
+        # engine walks the same tree.
+        recorded = recorded_width_five_sweep()[d]
+        survivors, nodes = sign_survivor_search(d, 5)
+        assert len(survivors) == recorded["sign_survivors"]
+        assert nodes == recorded["nodes"]
 
     def test_survivors_come_out_sorted(self):
         survivors, nodes = sign_survivor_search(6, 4)

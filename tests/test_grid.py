@@ -187,6 +187,27 @@ def test_parse_rejects_ragged_rows():
         parse("1\nx 2")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"entries": [5]}',
+        '{"entries": 5}',
+        '{"entries": [[0, 0, "1/0"]]}',
+        '{"entries": [[0, null, 1]]}',
+        '{"entries": [[0, 0, 1]], "ambient": Infinity}',
+        pytest.param('{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}", id="deep"),
+    ],
+)
+def test_config_from_json_rejects_malformed_input_with_value_error(text):
+    with pytest.raises(ValueError):
+        config_from_json(text)
+
+
+def test_parse_rejects_a_zero_denominator():
+    with pytest.raises(ValueError, match="1/0"):
+        parse("1/0\n")
+
+
 @settings(max_examples=150, deadline=None)
 @given(configs(integral=False))
 def test_render_parse_round_trip(w):

@@ -1,8 +1,11 @@
 """Tests for sign arithmetic, the sign-form exclusion, and the contraction."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chipsplit.criteria import invertibility_excludes
 from chipsplit.grid import (
@@ -34,6 +37,7 @@ from chipsplit.hyperfield import (
     ring_cell,
     s3_on_contraction,
     sign_of,
+    sign_survivors,
 )
 from chipsplit.models import tightness_family
 from chipsplit.pascal import all_forms, left_column_form, top_edge_form
@@ -362,6 +366,92 @@ class TestContractedForms:
             contracted_forms("even", 17)
 
 
+def reference_search(point_signs, fixed_signs, size):
+    """The search the bitset engine replaced, one form at a time.
+
+    Points go in index order; a node is every point tried below a parent
+    with two or more free slots, plus every completion of the last slot.
+    A child dies when one slot would remain and some form lacks both
+    signs, or when some form lacks a sign no later point can give.
+    """
+    count, forms = len(point_signs), len(fixed_signs)
+    found = []
+    nodes = 0
+
+    def signs_of(chosen):
+        have = [{v for v in (fixed_signs[f],) if v} for f in range(forms)]
+        for k in chosen:
+            for f in range(forms):
+                if point_signs[k][f]:
+                    have[f].add(point_signs[k][f])
+        return have
+
+    def descend(chosen, start, slots):
+        nonlocal nodes
+        if slots == 1:
+            for k in range(start, count):
+                if all(len(h) == 2 for h in signs_of(chosen + (k,))):
+                    nodes += 1
+                    found.append(chosen + (k,))
+            return
+        for k in range(start, count - slots + 1):
+            nodes += 1
+            have = signs_of(chosen + (k,))
+            later = range(k + 1, count)
+            dead = False
+            for f in range(forms):
+                for sign in {-1, 1} - have[f]:
+                    if not any(point_signs[m][f] == sign for m in later):
+                        dead = True
+                if slots == 2 and not have[f]:
+                    dead = True
+            if not dead:
+                descend(chosen + (k,), k + 1, slots - 1)
+
+    descend((), 0, size)
+    return found, nodes
+
+
+@st.composite
+def sign_problems(draw):
+    count = draw(st.integers(1, 9))
+    forms = draw(st.integers(1, 5))
+    sign = st.sampled_from([-1, 0, 0, 1])
+    point_signs = draw(
+        st.lists(st.lists(sign, min_size=forms, max_size=forms), min_size=count, max_size=count)
+    )
+    fixed_signs = draw(st.lists(sign, min_size=forms, max_size=forms))
+    size = draw(st.integers(1, 4))
+    return point_signs, fixed_signs, size
+
+
+class TestSignSurvivors:
+    @settings(max_examples=300, deadline=None)
+    @given(sign_problems())
+    def test_agrees_with_the_per_form_search(self, problem):
+        point_signs, fixed_signs, size = problem
+        found, nodes = sign_survivors(point_signs, fixed_signs, size)
+        brute = [
+            combo
+            for combo in itertools.combinations(range(len(point_signs)), size)
+            if all(
+                {fixed_signs[f], *(point_signs[k][f] for k in combo)} >= {-1, 1}
+                for f in range(len(fixed_signs))
+            )
+        ]
+        assert found == brute
+        assert (found, nodes) == reference_search(point_signs, fixed_signs, size)
+
+    def test_contributions_are_read_by_sign(self):
+        # Point 0 serves the one form positively, point 1 negatively.
+        assert sign_survivors([[5], [-3], [0]], [0], 2) == ([(0, 1)], 3)
+        assert sign_survivors([[5], [-3], [0]], [-1], 1) == ([(0,)], 1)
+
+    def test_rejects_empty_supports(self):
+        with pytest.raises(ValueError):
+            sign_survivors([[1]], [0], 0)
+
+
 class TestGammaSet:
     def test_support_five_counts(self):
         assert len(gamma_set("even", 5)) == 1283
@@ -397,6 +487,32 @@ class TestGammaSet:
                     continue
                 rejected += 1
                 assert any(f.evaluate(theta) != H for f in forms)
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_membership_matches_the_form_evaluator(self, parity):
+        # Random 5-subsets of the free coordinates are almost never
+        # members, so the sample also swaps one coordinate of members
+        # for another: those near misses sit on both sides of the line.
+        rng = random.Random(f"gamma-{parity}")
+        forms = contracted_forms(parity)
+        members = {t.as_vector() for t in gamma_set(parity, 5)}
+        free = range(1, 64)
+        samples = [frozenset(rng.sample(free, 5)) for _ in range(2000)]
+        for vector in rng.sample(sorted(members), 40):
+            support = {idx for idx, v in enumerate(vector) if v > 0}
+            for _ in range(10):
+                out = rng.choice(sorted(support))
+                into = rng.choice([idx for idx in free if idx not in support])
+                samples.append(frozenset(support - {out} | {into}))
+        hits = 0
+        for support in samples:
+            theta = ContractionPoint.from_vector(
+                [-1] + [1 if idx in support else 0 for idx in free]
+            )
+            in_gamma = theta.as_vector() in members
+            hits += in_gamma
+            assert in_gamma == all(f.evaluate(theta) == H for f in forms)
+        assert 0 < hits < len(samples)
 
     def test_sorted_and_deterministic(self):
         members = gamma_set("even", 5)
