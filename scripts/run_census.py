@@ -3,12 +3,11 @@
 Typical runs:
 
     python3 scripts/run_census.py --max-degree 7 --max-support 5
-    python3 scripts/run_census.py --max-degree 9 --max-support 6 --long-run \
-        --resume --out results/census-n5-d9.json
+    python3 scripts/run_census.py --max-degree 9 --max-support 6 \
+        --out results/census-n5-d9.json
 
-The second form reproduces the committed wide-census artifact; with
---resume, finished cells are cached under ~/.cache/chipsplit (or
-$CHIPSPLIT_CACHE_DIR) so an interrupted run picks up where it stopped.
+The second form reproduces the wide census committed as
+tests/golden/census-n5-d9.json.
 """
 
 import argparse
@@ -24,9 +23,6 @@ from chipsplit.enumeration import check_conjecture, enumerate_fundamental
 class CensusRun:
     max_degree: int
     max_support: int
-    long_run: bool
-    jobs: int | None
-    resume: bool
     out: Path
 
 
@@ -35,47 +31,31 @@ def parse_args() -> CensusRun:
     parser.add_argument("--max-degree", type=int, required=True)
     parser.add_argument("--max-support", type=int, default=6,
                         help="largest positive-support size to include (default 6)")
-    parser.add_argument("--long-run", action="store_true",
-                        help="admit census cells beyond the desk-scale bound")
-    parser.add_argument("--jobs", type=int, default=None)
-    parser.add_argument("--resume", action="store_true",
-                        help="reuse and write per-cell cache files")
     parser.add_argument("--out", type=Path, default=None,
                         help="output path (default results/census-n<n>-d<d>.json)")
     args = parser.parse_args()
     out = args.out or Path("results") / (
         f"census-n{args.max_support - 1}-d{args.max_degree}.json"
     )
-    return CensusRun(
-        args.max_degree, args.max_support, args.long_run, args.jobs, args.resume, out
-    )
+    return CensusRun(args.max_degree, args.max_support, out)
 
 
 def main() -> int:
     run = parse_args()
     started = time.perf_counter()
-    report = enumerate_fundamental(
-        run.max_degree,
-        run.max_support - 1,
-        long_run=run.long_run,
-        jobs=run.jobs,
-        resume=run.resume,
-    )
+    report = enumerate_fundamental(run.max_degree, run.max_support - 1)
     elapsed = time.perf_counter() - started
 
     for n in sorted({cell[0] for cell in report.table}):
         row = {d: c for (m, d), c in report.table.items() if m == n}
         cells = "  ".join(f"d={d}: {row[d]}" for d in sorted(row))
         print(f"support {n + 1} (n={n}):  {cells}  (total {sum(row.values())})")
-    skipped = report.stats.get("skipped_cells") or []
-    if skipped:
-        print(f"skipped long-run cells: {skipped} (rerun with --long-run)")
     conjecture = check_conjecture(report)
     print(f"outcomes: {len(report.outcomes)}  degree bound holds: {conjecture.holds}")
     print(f"equality cases per support row: {conjecture.equality_counts}")
 
-    # The artifact is a pure report: rerunning the same census (any job
-    # count) reproduces it byte for byte, so wall time stays on stdout.
+    # The artifact is a pure report: rerunning the same census
+    # reproduces it byte for byte, so wall time stays on stdout.
     run.out.parent.mkdir(parents=True, exist_ok=True)
     run.out.write_text(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
     print(f"wrote {run.out} in {elapsed:.1f} s")

@@ -6,7 +6,7 @@ survivor count, how each survivor was excluded) and, with --full, the
 complete certificates including every surviving support set.
 
     python3 scripts/run_sweep.py --support 4 --max-degree 11
-    python3 scripts/run_sweep.py --support 5 --max-degree 41 --long-run
+    python3 scripts/run_sweep.py --support 5 --max-degree 41
 """
 
 import argparse
@@ -26,7 +26,6 @@ START_DEGREE = {4: 6, 5: 8}
 class SweepRun:
     support: int
     max_degree: int
-    long_run: bool
     full: bool
     out: Path
 
@@ -35,8 +34,6 @@ def parse_args() -> SweepRun:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--support", type=int, choices=(4, 5), required=True)
     parser.add_argument("--max-degree", type=int, required=True)
-    parser.add_argument("--long-run", action="store_true",
-                        help="admit degrees beyond the desk-scale cap")
     parser.add_argument("--full", action="store_true",
                         help="store complete certificates, not just summaries")
     parser.add_argument("--out", type=Path, default=None)
@@ -44,7 +41,7 @@ def parse_args() -> SweepRun:
     out = args.out or Path("results") / (
         f"sweep-{args.support}-d{args.max_degree}.json"
     )
-    return SweepRun(args.support, args.max_degree, args.long_run, args.full, out)
+    return SweepRun(args.support, args.max_degree, args.full, out)
 
 
 def main() -> int:
@@ -61,13 +58,7 @@ def main() -> int:
     started = time.perf_counter()
     for d in range(start, run.max_degree + 1):
         tick = time.perf_counter()
-        try:
-            (cert,) = sweep_no_valid_outcomes(
-                run.support, [d], long_run=run.long_run
-            )
-        except ValueError as exc:
-            print(f"degree {d}: {exc} (use --long-run)", file=sys.stderr)
-            return 2
+        (cert,) = sweep_no_valid_outcomes(run.support, [d])
         resolutions = dict(sorted(Counter(cert.resolutions).items()))
         summaries.append(
             {

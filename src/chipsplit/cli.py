@@ -181,15 +181,10 @@ def _filter_report(report: EnumerationReport, size: int) -> EnumerationReport:
 @click.option("--support", type=click.IntRange(2), default=None,
               help="Keep only outcomes with exactly this many positive entries.")
 @click.option("--json", "as_json", is_flag=True, help="Full report as JSON.")
-@click.option("--jobs", type=click.IntRange(1), default=None)
-@click.option("--resume", is_flag=True, help="Reuse per-cell cache files.")
-@click.option("--long-run", is_flag=True, help="Admit hours-scale census cells.")
-def enumerate_command(max_degree, support, as_json, jobs, resume, long_run):
+def enumerate_command(max_degree, support, as_json):
     """Census of fundamental outcomes up to a degree bound."""
     n_max = (support - 1) if support else min(5, max_degree)
-    report = enumerate_fundamental(
-        max_degree, n_max, long_run=long_run, jobs=jobs, resume=resume
-    )
+    report = enumerate_fundamental(max_degree, n_max)
     if support:
         report = _filter_report(report, support)
     if as_json:
@@ -202,10 +197,6 @@ def enumerate_command(max_degree, support, as_json, jobs, resume, long_run):
         cells = "  ".join(f"d={d}: {row[d]}" for d in sorted(row))
         click.echo(f"support {n + 1} (n={n}):  {cells}  (total {sum(row.values())})")
     click.echo(f"outcomes: {len(report.outcomes)}")
-    skipped = report.stats.get("skipped_cells") or []
-    if skipped:
-        cells = ", ".join(f"(n={n}, d={d})" for n, d in skipped)
-        click.echo(f"skipped long-run cells: {cells} (rerun with --long-run)")
     conjecture = check_conjecture(report)
     if not conjecture.holds:
         click.echo("degree bound violated!", err=True)
@@ -221,19 +212,15 @@ _SWEEP_START = {4: 6, 5: 8}
 @click.option("--max-degree", type=click.IntRange(1), required=True)
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--jobs", type=click.IntRange(1), default=None)
-@click.option("--long-run", is_flag=True, help="Admit degrees beyond the desk range.")
-def sweep_command(support, max_degree, as_json, jobs, long_run):
+def sweep_command(support, max_degree, as_json, jobs):
     """Certify degrees that host no valid outcome of a given width."""
     n_plus = int(support)
     start = _SWEEP_START[n_plus]
     if max_degree < start:
         _input_error(f"--max-degree must be at least {start} for width {n_plus}")
-    try:
-        certificates = sweep_no_valid_outcomes(
-            n_plus, range(start, max_degree + 1), long_run=long_run, jobs=jobs
-        )
-    except ValueError as exc:
-        _input_error(str(exc))
+    certificates = sweep_no_valid_outcomes(
+        n_plus, range(start, max_degree + 1), jobs=jobs
+    )
     holds = all(cert.holds for cert in certificates)
     if as_json:
         _echo_json(

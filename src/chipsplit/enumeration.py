@@ -1,52 +1,40 @@
 """Census of fundamental outcomes and empty-degree sweeps.
 
-Two exhaustive computations back the classification results.  The
-census walks, cell by cell in (positive-support size, degree), over all
-candidate positive supports that the anchor lemma allows, prunes with
-the sign-form and invertibility tests, and decides every survivor with
-the exact kernel criterion for fundamentality.  The sweep certifies
-that a whole degree hosts no valid outcome with a prescribed number of
-positive entries at all: the bitset engine ``hyperfield.sign_survivors``
-places support points in descending degree order, keeping as its whole
-state two bitsets of the Pascal forms that still lack a positive and a
+Two exhaustive computations back the classification results, and both
+start from the bitset engine ``hyperfield.sign_survivors``.  It places
+support points in descending degree order, keeping as its whole state
+two bitsets of the Pascal forms that still lack a positive and a
 negative contribution, and abandons a branch as soon as some form can
 no longer cancel.  Its node count (every point tried below a parent
 with two or more free slots, plus every completion of the last slot)
-is part of each sweep certificate.  The rare sign survivors are then
-finished with the invertibility criterion or the kernel itself.
+is part of each sweep certificate.
 
-Both computations are deterministic, including under a process pool:
-work is sharded by candidate ordinal and the merged results are sorted
-canonically, so reports serialize byte-identically run over run.  Census
-cells can be cached on disk (see ``cache_root``) and resumed.
+The census walks cell by cell in (positive-support size, degree).  The
+candidates of a cell are the supports the anchor lemma allows; they
+are counted in closed form, and the engine lists the ones whose signs
+survive.  Each survivor is then settled by the invertibility test and
+the exact kernel criterion for fundamentality.  The sweep certifies
+that a whole degree hosts no valid outcome with a prescribed number of
+positive entries at all: its rare sign survivors are finished with the
+invertibility criterion or the kernel itself.
+
+Both computations are deterministic: results are sorted canonically,
+so reports serialize byte-identically run over run, also when the
+sweep spreads its degrees over a process pool.
 """
 
 from __future__ import annotations
 
-import hashlib
-import itertools
 import json
 import math
-import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 from .criteria import invertibility_excludes
 from .grid import ChipConfiguration, Coord, config_from_json, config_to_json, grid_points
 from .hyperfield import hyperfield_excludes, sign_survivors
 from .models import fundamentality
 from .pascal import all_forms, outcome_space
-
-# Census cells and sweep degrees beyond these sizes run for hours and
-# stay behind the long_run flag.
-LONG_RUN_CELL_BOUND = 4_000_000
-SWEEP_DESK_CAP = {4: 11, 5: 20}
-
-# Minimum candidate volume before a process pool pays for itself.
-_PARALLEL_THRESHOLD = 20_000
-_SHARD_TARGET = 25_000
 
 # Stages of the candidate decision chain, in the order they run.
 PRUNE_SIGNS = "signs"
@@ -55,8 +43,6 @@ REJECT_KERNEL = "kernel"
 FOUND = "fundamental"
 _STAGES = (PRUNE_SIGNS, PRUNE_INVERTIBILITY, REJECT_KERNEL, FOUND)
 
-CACHE_VERSION = 1
-
 
 def canonical_key(config: ChipConfiguration):
     """Deterministic sort key: degree, positive-support size, entries."""
@@ -64,47 +50,62 @@ def canonical_key(config: ChipConfiguration):
     return (config.degree, len(config.positive_support), entries)
 
 
-def _axis_anchored(points) -> bool:
+def _sign_tables(d: int):
+    """Support points and their sign-form contributions at degree d.
+
+    Points come in descending degree order, which is the order the
+    engine places them in.  Returns the points, each point's sign row
+    over ``all_forms(d)``, and the origin's row.
+    """
+    points = sorted(
+        (p for p in grid_points(d) if p != (0, 0)),
+        key=lambda p: (-(p[0] + p[1]), p[0]),
+    )
+    forms = all_forms(d)
+    point_signs = [[form.coefficient(i, j) for form in forms] for i, j in points]
+    # The origin holds the chip debt, so its contribution sign flips.
+    origin_signs = [-form.coefficient(0, 0) for form in forms]
+    return points, point_signs, origin_signs
+
+
+def _anchored(points, d: int) -> bool:
+    """The anchor rule: two points on the top diagonal, one on each axis."""
+    tops = sum(1 for i, j in points if i + j == d)
     has_row = any(j == 0 and i >= 1 for i, j in points)
     has_column = any(i == 0 and j >= 1 for i, j in points)
-    return has_row and has_column
+    return tops >= 2 and has_row and has_column
 
 
-def _lower_pool(d: int) -> list[Coord]:
-    return sorted(p for p in grid_points(d - 1) if p != (0, 0))
+def candidate_count(n: int, d: int) -> int:
+    """Number of anchored candidate supports in the census cell (n, d).
 
-
-def anchored_candidates(n: int, d: int):
-    """Candidate positive supports for the census cell (n, d).
-
-    Yields frozensets of n + 1 points of maximal degree exactly d
-    satisfying the anchors every valid outcome obeys: at least two
-    points on the top diagonal and a strictly positive point on each
-    axis.  The origin never appears; it is the forced negative entry.
+    A candidate is a set of n + 1 points of the degree-d triangle, the
+    origin excluded, with at least two points on the top diagonal and a
+    point on each axis away from the origin.  Counted by
+    inclusion-exclusion over the two axis anchors, for each number t of
+    top points: the top diagonal holds d + 1 points, two of them on the
+    axes, and the points below it hold d - 1 more on each axis.
     """
-    if n < 1 or d < 1:
-        return
-    size = n + 1
-    top = [(i, d - i) for i in range(d + 1)]
-    lower = _lower_pool(d)
-    for t in range(2, min(size, d + 1) + 1):
-        for tops in itertools.combinations(top, t):
-            for rest in itertools.combinations(lower, size - t):
-                support = tops + rest
-                if _axis_anchored(support):
-                    yield frozenset(support)
-
-
-def candidate_bound(n: int, d: int) -> int:
-    """Upper bound on the cell's anchored candidates (axis filter ignored)."""
     if n < 1 or d < 1:
         return 0
     size = n + 1
     lower = d * (d + 1) // 2 - 1
     return sum(
         math.comb(d + 1, t) * math.comb(lower, size - t)
-        for t in range(2, min(size, d + 1) + 1)
+        - 2 * math.comb(d, t) * math.comb(lower - (d - 1), size - t)
+        + math.comb(d - 1, t) * math.comb(lower - 2 * (d - 1), size - t)
+        for t in range(2, size + 1)
     )
+
+
+def _finish_candidate(support: frozenset[Coord], d: int):
+    """Settle a support the sign forms allow: invertibility, then the kernel."""
+    if invertibility_excludes(support | {(0, 0)}, d).excluded:
+        return PRUNE_INVERTIBILITY, None
+    fundamental, _, generator = fundamentality(support, d)
+    if fundamental:
+        return FOUND, generator
+    return REJECT_KERNEL, None
 
 
 def classify_candidate(support: frozenset[Coord], d: int):
@@ -115,15 +116,12 @@ def classify_candidate(support: frozenset[Coord], d: int):
     one-dimensional outcome space when the verdict is ``fundamental``
     and None otherwise.  Both prunes are sound: each certifies that no
     valid outcome has exactly this positive support at this degree.
+    The census reaches the same verdicts by searching the sign
+    survivors first; this one-support form is its reference.
     """
     if hyperfield_excludes(support, d).excluded:
         return PRUNE_SIGNS, None
-    if invertibility_excludes(frozenset(support) | {(0, 0)}, d).excluded:
-        return PRUNE_INVERTIBILITY, None
-    fundamental, _, generator = fundamentality(support, d)
-    if fundamental:
-        return FOUND, generator
-    return REJECT_KERNEL, None
+    return _finish_candidate(frozenset(support), d)
 
 
 def _new_counters() -> dict[str, int]:
@@ -133,119 +131,30 @@ def _new_counters() -> dict[str, int]:
     return counters
 
 
-def _enumerate_cell(n: int, d: int):
+def _enumerate_cell(n: int, d: int, candidates: int):
+    """Census of one cell: the anchored sign survivors, each settled.
+
+    Every candidate the engine does not list fails the sign test, so the
+    signs counter is the candidate count minus the survivors kept.
+    """
     counters = _new_counters()
+    counters["candidates"] = candidates
+    points, point_signs, origin_signs = _sign_tables(d)
+    combos, _ = sign_survivors(point_signs, origin_signs, n + 1)
     found = []
-    for support in anchored_candidates(n, d):
-        counters["candidates"] += 1
-        stage, outcome = classify_candidate(support, d)
+    kept = 0
+    for combo in combos:
+        support = [points[k] for k in combo]
+        if not _anchored(support, d):
+            continue
+        kept += 1
+        stage, outcome = _finish_candidate(frozenset(support), d)
         counters[stage] += 1
         if outcome is not None:
             found.append(outcome)
+    counters[PRUNE_SIGNS] = candidates - kept
     found.sort(key=canonical_key)
     return tuple(found), counters
-
-
-def _cell_shard(task):
-    """Worker for one (tops, shard) slice of a census cell.
-
-    Lower-point combinations are enumerated in a fixed order and sliced
-    by ordinal, so the union over shards is exactly the cell and the
-    shards are pairwise disjoint whatever the pool's scheduling does.
-    """
-    n, d, tops, offset, stride = task
-    rest_size = n + 1 - len(tops)
-    lower = _lower_pool(d)
-    counters = _new_counters()
-    found = []
-    for ordinal, rest in enumerate(itertools.combinations(lower, rest_size)):
-        if (ordinal - offset) % stride:
-            continue
-        support = tops + rest
-        if not _axis_anchored(support):
-            continue
-        counters["candidates"] += 1
-        stage, outcome = classify_candidate(frozenset(support), d)
-        counters[stage] += 1
-        if outcome is not None:
-            found.append(config_to_json(outcome))
-    return found, counters
-
-
-def _cell_tasks(n: int, d: int):
-    size = n + 1
-    lower_count = d * (d + 1) // 2 - 1
-    top = [(i, d - i) for i in range(d + 1)]
-    tasks = []
-    for t in range(2, min(size, d + 1) + 1):
-        per_tops = math.comb(lower_count, size - t)
-        if per_tops == 0:
-            continue
-        shards = max(1, min(32, -(-per_tops // _SHARD_TARGET)))
-        for tops in itertools.combinations(top, t):
-            for offset in range(shards):
-                tasks.append((n, d, tops, offset, shards))
-    return tasks
-
-
-def _enumerate_cell_parallel(n: int, d: int, jobs: int):
-    counters = _new_counters()
-    found = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for shard_found, shard_counters in pool.map(
-            _cell_shard, _cell_tasks(n, d), chunksize=4
-        ):
-            for key, value in shard_counters.items():
-                counters[key] += value
-            found.extend(config_from_json(text) for text in shard_found)
-    found.sort(key=canonical_key)
-    return tuple(found), counters
-
-
-# ---------------------------------------------------------------------------
-# Cell cache.
-
-
-def cache_root() -> Path:
-    """Cache directory: $CHIPSPLIT_CACHE_DIR, or ~/.cache/chipsplit."""
-    env = os.environ.get("CHIPSPLIT_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "chipsplit"
-
-
-def _cell_cache_path(n: int, d: int) -> Path:
-    tag = hashlib.sha256(
-        f"census-v{CACHE_VERSION}:n={n}:d={d}".encode()
-    ).hexdigest()[:12]
-    return cache_root() / f"census-n{n}-d{d}-{tag}.json"
-
-
-def _cell_results(n: int, d: int, *, jobs: int | None, resume: bool):
-    path = _cell_cache_path(n, d) if resume else None
-    if path is not None and path.exists():
-        payload = json.loads(path.read_text())
-        found = tuple(
-            config_from_json(json.dumps(entry)) for entry in payload["outcomes"]
-        )
-        return found, dict(payload["counters"])
-    if jobs and jobs > 1 and candidate_bound(n, d) >= _PARALLEL_THRESHOLD:
-        found, counters = _enumerate_cell_parallel(n, d, jobs)
-    else:
-        found, counters = _enumerate_cell(n, d)
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "version": CACHE_VERSION,
-            "n": n,
-            "d": d,
-            "counters": counters,
-            "outcomes": [json.loads(config_to_json(w)) for w in found],
-        }
-        scratch = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        scratch.write_text(json.dumps(payload))
-        os.replace(scratch, path)
-    return found, counters
 
 
 # ---------------------------------------------------------------------------
@@ -304,47 +213,27 @@ class EnumerationReport:
         return cls(table, outcomes, dict(payload["stats"]))
 
 
-def enumerate_fundamental(
-    d_max: int,
-    n_max: int,
-    *,
-    long_run: bool = False,
-    jobs: int | None = None,
-    resume: bool = False,
-) -> EnumerationReport:
+def enumerate_fundamental(d_max: int, n_max: int) -> EnumerationReport:
     """Enumerate all fundamental outcomes with degree and support bounded.
 
     Every cell with positive-support size up to n_max and degree up to
-    d_max is scanned; the bound below the diagonal (support exceeding
-    degree) is not assumed, it re-emerges as empty cells.  Cells whose
-    candidate volume exceeds LONG_RUN_CELL_BOUND are skipped unless
-    long_run is set and are listed in stats["skipped_cells"]; with the
-    flag they run, but expect hours.  resume reads and writes per-cell
-    cache files under ``cache_root``.
+    d_max that has a candidate is scanned; the bound below the diagonal
+    (support exceeding degree) is not assumed, it re-emerges as empty
+    cells.  Every such cell runs, so stats["skipped_cells"] is always
+    empty; the key stays so that reports keep one format.
     """
     if d_max < 1 or n_max < 1:
         raise ValueError("the census needs d_max >= 1 and n_max >= 1")
     table: dict[tuple[int, int], int] = {}
     outcomes: list[ChipConfiguration] = []
     cells = []
-    skipped = []
     totals = _new_counters()
     for n in range(1, n_max + 1):
         for d in range(1, d_max + 1):
-            bound = candidate_bound(n, d)
-            if bound == 0:
+            candidates = candidate_count(n, d)
+            if candidates == 0:
                 continue
-            if bound > LONG_RUN_CELL_BOUND:
-                if not long_run:
-                    skipped.append([n, d])
-                    continue
-                warnings.warn(
-                    f"census cell (n={n}, d={d}) scans about {bound:,} candidates; "
-                    "expect an hours-scale run",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            found, counters = _cell_results(n, d, jobs=jobs, resume=resume)
+            found, counters = _enumerate_cell(n, d, candidates)
             for key, value in counters.items():
                 totals[key] += value
             cells.append([n, d, counters])
@@ -357,7 +246,7 @@ def enumerate_fundamental(
         "n_max": n_max,
         "totals": totals,
         "cells": cells,
-        "skipped_cells": skipped,
+        "skipped_cells": [],
     }
     return EnumerationReport(table, tuple(outcomes), stats)
 
@@ -420,14 +309,7 @@ def sign_survivor_search(d: int, size: int):
     the number of search nodes: every point tried below a parent with
     two or more free slots, plus every completion of the last slot.
     """
-    points = sorted(
-        (p for p in grid_points(d) if p != (0, 0)),
-        key=lambda p: (-(p[0] + p[1]), p[0]),
-    )
-    forms = all_forms(d)
-    point_signs = [[form.coefficient(i, j) for form in forms] for i, j in points]
-    # The origin holds the chip debt, so its contribution sign flips.
-    origin_signs = [-form.coefficient(0, 0) for form in forms]
+    points, point_signs, origin_signs = _sign_tables(d)
     found, nodes = sign_survivors(point_signs, origin_signs, size)
     survivors = [frozenset(points[k] for k in combo) for combo in found]
     survivors.sort(key=lambda s: tuple(sorted(s)))
@@ -529,39 +411,23 @@ def sweep_no_valid_outcomes(
     n_plus: int,
     degrees,
     *,
-    long_run: bool = False,
     jobs: int | None = None,
 ) -> tuple[SweepCertificate, ...]:
     """Certify degree by degree that no valid outcome has n_plus positive entries.
 
     Valid, not just fundamental: the search covers every possible
-    positive support, so a certificate rules the whole degree out.
-    Degrees beyond SWEEP_DESK_CAP[n_plus] require long_run=True.  A
+    positive support, so a certificate rules the whole degree out.  A
     genuine outcome, should one exist, lands in the certificate's
     outcomes_found rather than raising: the caller decides what a
     refutation means.  jobs parallelizes across degrees.
     """
-    if n_plus not in SWEEP_DESK_CAP:
+    if n_plus not in (4, 5):
         raise ValueError("sweeps support positive-support sizes 4 and 5")
     ds = sorted({int(d) for d in degrees})
     if not ds:
         return ()
     if ds[0] < 1:
         raise ValueError("sweep degrees must be positive")
-    cap = SWEEP_DESK_CAP[n_plus]
-    beyond = [d for d in ds if d > cap]
-    if beyond and not long_run:
-        raise ValueError(
-            f"degrees {beyond} lie beyond the desk range for width {n_plus}; "
-            "pass long_run=True to sweep them"
-        )
-    if beyond:
-        warnings.warn(
-            f"sweeping degrees up to {ds[-1]} at width {n_plus}; degrees past "
-            f"{cap} take seconds each (about 4 s at degree 41 on one core)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     tasks = [(n_plus, d) for d in ds]
     if jobs and jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -25,6 +25,10 @@ Value = int | Fraction
 
 PERMUTATIONS = ("e", "(12)", "(13)", "(23)", "(123)", "(132)")
 
+# Largest degree accepted from a JSON file, well above the degree 41 the
+# sweeps reach; it keeps a rendered triangle at a few hundred kilobytes.
+MAX_INPUT_DEGREE = 500
+
 # (sigma tau)(x) = sigma(tau(x)); table verified against the point action.
 _COMPOSE = {
     ("e", "e"): "e",
@@ -444,7 +448,8 @@ def _json_int(value, what: str) -> int:
 def config_from_json(text: str) -> ChipConfiguration:
     """Read the JSON form written by config_to_json.
 
-    Malformed input of any shape raises ValueError, never another error.
+    Malformed input of any shape raises ValueError, never another error;
+    so does a point or ambient degree beyond MAX_INPUT_DEGREE.
     """
     try:
         payload = json.loads(text)
@@ -458,8 +463,12 @@ def config_from_json(text: str) -> ChipConfiguration:
             raise ValueError(f"entry {item!r} is not an [i, j, count] triple")
         i, j, raw = item
         point = (_json_int(i, "coordinate"), _json_int(j, "coordinate"))
+        if point[0] + point[1] > MAX_INPUT_DEGREE:
+            raise ValueError(f"point {point} lies beyond degree {MAX_INPUT_DEGREE}")
         entries[point] = _parse_value(str(raw))
     ambient = payload.get("ambient")
     if ambient is not None:
         ambient = _json_int(ambient, "ambient")
+        if ambient > MAX_INPUT_DEGREE:
+            raise ValueError(f"ambient degree {ambient} exceeds {MAX_INPUT_DEGREE}")
     return ChipConfiguration(entries, ambient=ambient)

@@ -737,12 +737,3 @@ def s3_on_contraction(sigma: str, point: MergedContractionPoint) -> MergedContra
         point = _act12(point) if step == "12" else _act13(point)
     return point
 
-
-def __getattr__(name):
-    # The support-5 case pipeline lives in its own module; expose it here
-    # as well since it operates on this module's contraction points.
-    if name in ("relset_pipeline", "CaseVerdict", "pipeline_summary"):
-        from . import pipeline
-
-        return getattr(pipeline, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

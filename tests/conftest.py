@@ -1,4 +1,4 @@
-"""Shared pytest wiring for the acceptance summary block.
+"""Shared pytest wiring: the acceptance summary block and the wide census.
 
 The acceptance tests record one line per criterion; the terminal-summary
 hook prints them as a block at the end of the run so a plain ``pytest -v``
@@ -11,6 +11,14 @@ from contextlib import contextmanager
 import pytest
 
 ACCEPTANCE_LINES = []
+
+
+@pytest.fixture(scope="session")
+def wide_census():
+    """The census through six positive entries and degree nine, run once."""
+    from chipsplit.enumeration import enumerate_fundamental
+
+    return enumerate_fundamental(9, 5)
 
 
 @pytest.fixture

@@ -3,15 +3,16 @@
 Each test checks one published claim end to end and records a pass/fail
 line through the ``criterion`` fixture; the lines print as a block at
 the end of the run.  Stated time budgets are asserted where the claim
-carries one.  The wide census row (six positive entries, degrees up to
-nine) is validated from the committed long-run artifact because
-regenerating it takes minutes; everything else recomputes from scratch.
+carries one.  Every claim is recomputed from scratch, the wide census
+row (six positive entries, degrees up to nine) included; the width-5
+sweep is also compared degree by degree with its committed record.
 """
 
 import itertools
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -96,9 +97,10 @@ def desk_census() -> EnumerationReport:
 
 
 @cache
-def wide_artifact() -> EnumerationReport:
-    with open(Path(__file__).parent / "golden" / "census-n5-d9.json") as fh:
-        return EnumerationReport.from_json(json.load(fh))
+def recorded_width_five_sweep() -> dict:
+    path = Path(__file__).resolve().parent.parent / "results" / "sweep-5-d41.json"
+    payload = json.loads(path.read_text())
+    return {summary["degree"]: summary for summary in payload["summaries"]}
 
 
 def entry_dicts(outcomes):
@@ -117,8 +119,8 @@ def test_criterion_01_small_support_classification(criterion):
         assert elapsed < 1.0
 
 
-def test_criterion_02_census_table(criterion):
-    with criterion(2, "census table rows for 2..5 positive entries, wide row from artifact"):
+def test_criterion_02_census_table(criterion, wide_census):
+    with criterion(2, "census table rows for 2..6 positive entries, all recomputed"):
         start = time.perf_counter()
         report = desk_census()
         elapsed = time.perf_counter() - start
@@ -128,9 +130,8 @@ def test_criterion_02_census_table(criterion):
             totals[n] = totals.get(n, 0) + count
         assert totals == {1: 1, 2: 4, 3: 18, 4: 134}
         assert elapsed < 30 * 60
-        wide = wide_artifact()
-        assert wide.stats["skipped_cells"] == []
-        assert {d: c for (n, d), c in wide.table.items() if n == 5} == N5_ROW
+        assert wide_census.stats["skipped_cells"] == []
+        assert {d: c for (n, d), c in wide_census.table.items() if n == 5} == N5_ROW
 
 
 def test_criterion_03_gamma_cardinalities(criterion):
@@ -184,12 +185,17 @@ def test_criterion_05_contraction_pipeline(criterion):
 
 
 def test_criterion_06_support_five_sweep(criterion):
-    with criterion(6, "no width-5 valid outcome in degrees 8..20"):
-        certificates = sweep_no_valid_outcomes(5, range(8, 21))
-        assert [cert.d for cert in certificates] == list(range(8, 21))
+    with criterion(6, "no width-5 valid outcome in degrees 8..41"):
+        certificates = sweep_no_valid_outcomes(5, range(8, 42))
+        assert [cert.d for cert in certificates] == list(range(8, 42))
+        recorded = recorded_width_five_sweep()
         for cert in certificates:
             assert cert.holds
             assert cert.outcomes_found == ()
+            summary = recorded[cert.d]
+            assert len(cert.sign_survivors) == summary["sign_survivors"]
+            assert cert.nodes == summary["nodes"]
+            assert dict(Counter(cert.resolutions)) == summary["resolutions"]
 
 
 def test_criterion_07_hexagon_determinants(criterion):
@@ -395,7 +401,7 @@ def test_criterion_09_property_suites(criterion):
             assert suite() >= 500
 
 
-def test_criterion_10_exceptional_outcomes_and_degree_bound(criterion):
+def test_criterion_10_exceptional_outcomes_and_degree_bound(criterion, wide_census):
     with criterion(10, "exceptional degree-7 outcomes and the degree bound"):
         report = desk_census()
         found = entry_dicts(report.outcomes)
@@ -404,6 +410,6 @@ def test_criterion_10_exceptional_outcomes_and_degree_bound(criterion):
         conjecture = check_conjecture(report)
         assert conjecture.holds
         assert conjecture.equality_counts == {1: 1, 2: 1, 3: 2, 4: 4}
-        wide = check_conjecture(wide_artifact())
+        wide = check_conjecture(wide_census)
         assert wide.holds
         assert wide.equality_counts == {1: 1, 2: 1, 3: 2, 4: 4, 5: 2}

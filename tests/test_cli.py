@@ -87,7 +87,13 @@ class TestParseAndRender:
     @pytest.mark.parametrize("command", ["render", "parse"])
     @pytest.mark.parametrize(
         "text",
-        ['{"entries": [5]}', '{"entries": [[0, 0, "1/0"]]}', "1/0\n"],
+        [
+            '{"entries": [5]}',
+            '{"entries": [[0, 0, "1/0"]]}',
+            "1/0\n",
+            '{"entries": [[3000, 0, 1]]}',
+            '{"entries": [[0, 1000000, 1]]}',
+        ],
     )
     def test_malformed_counts_and_entries_are_usage_errors(
         self, runner, fixture_file, command, text
@@ -290,11 +296,6 @@ class TestSweep:
         result = runner.invoke(main, ["sweep", "--support", "4", "--max-degree", "5"])
         assert result.exit_code == 2
         assert "at least 6" in result.stderr
-
-    def test_desk_cap_requires_the_long_run_flag(self, runner):
-        result = runner.invoke(main, ["sweep", "--support", "5", "--max-degree", "21"])
-        assert result.exit_code == 2
-        assert "long_run" in result.stderr
 
 
 class TestGamma:

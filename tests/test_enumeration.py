@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from chipsplit.enumeration import (
     EnumerationReport,
     SweepCertificate,
-    anchored_candidates,
-    candidate_bound,
+    candidate_count,
     canonical_key,
     check_conjecture,
     classify_candidate,
@@ -22,7 +21,6 @@ from chipsplit.enumeration import (
     sign_survivor_search,
     sweep_no_valid_outcomes,
 )
-import chipsplit.enumeration as enumeration
 from chipsplit.grid import ChipConfiguration, act, grid_points
 from chipsplit.hyperfield import hyperfield_excludes
 from chipsplit.models import is_fundamental
@@ -87,39 +85,72 @@ def entry_dicts(outcomes):
     return [dict(w) for w in outcomes]
 
 
+def anchored_supports(n, d):
+    """Brute-force candidates of the census cell (n, d).
+
+    Every set of n + 1 points of the degree-d triangle, the origin
+    excluded, with at least two points on the top diagonal and a point
+    on each axis away from the origin.
+    """
+    points = [p for p in grid_points(d) if p != (0, 0)]
+    for combo in itertools.combinations(points, n + 1):
+        tops = sum(1 for i, j in combo if i + j == d)
+        row = any(j == 0 and i >= 1 for i, j in combo)
+        column = any(i == 0 and j >= 1 for i, j in combo)
+        if tops >= 2 and row and column:
+            yield frozenset(combo)
+
+
+def oracle_cell(n, d):
+    """The census cell (n, d) decided one candidate at a time."""
+    counters = dict.fromkeys(
+        ("candidates", "signs", "invertibility", "kernel", "fundamental"), 0
+    )
+    found = []
+    for support in anchored_supports(n, d):
+        counters["candidates"] += 1
+        stage, outcome = classify_candidate(support, d)
+        counters[stage] += 1
+        if outcome is not None:
+            found.append(outcome)
+    found.sort(key=canonical_key)
+    return found, counters
+
+
 class TestAnchoredCandidates:
-    @pytest.mark.parametrize("n,d", [(1, 1), (2, 3), (3, 3), (3, 4)])
+    """The census against the per-candidate oracle above."""
+
+    @pytest.mark.parametrize(
+        "n,d",
+        [(n, d) for n in range(1, 5) for d in range(1, 7)] + [(5, 5)],
+    )
     def test_matches_brute_force_filter(self, n, d):
-        points = [p for p in grid_points(d) if p != (0, 0)]
-        brute = set()
-        for combo in itertools.combinations(points, n + 1):
-            tops = sum(1 for i, j in combo if i + j == d)
-            row = any(j == 0 and i >= 1 for i, j in combo)
-            column = any(i == 0 and j >= 1 for i, j in combo)
-            if tops >= 2 and row and column:
-                brute.add(frozenset(combo))
-        assert set(anchored_candidates(n, d)) == brute
+        report = census(d, n)
+        cells = {(m, e): counters for m, e, counters in report.stats["cells"]}
+        found, counters = oracle_cell(n, d)
+        if counters["candidates"] == 0:
+            assert (n, d) not in cells
+        else:
+            assert cells[(n, d)] == counters
+        in_cell = [
+            w
+            for w in report.outcomes
+            if w.degree == d and len(w.positive_support) == n + 1
+        ]
+        assert entry_dicts(in_cell) == entry_dicts(found)
 
-    def test_candidates_are_distinct(self):
-        supports = list(anchored_candidates(3, 4))
-        assert len(supports) == len(set(supports))
-
-    @pytest.mark.parametrize("n,d", [(2, 2), (3, 4), (4, 5)])
-    def test_bound_dominates_actual_count(self, n, d):
-        actual = sum(1 for _ in anchored_candidates(n, d))
-        assert actual <= candidate_bound(n, d)
-
-    def test_every_candidate_is_anchored(self):
-        for support in anchored_candidates(3, 5):
-            assert len(support) == 4
-            assert (0, 0) not in support
-            assert sum(1 for i, j in support if i + j == 5) >= 2
-            assert any(j == 0 for i, j in support)
-            assert any(i == 0 for i, j in support)
+    def test_closed_form_count_matches_brute_force(self):
+        for n in range(6):
+            for d in range(7):
+                brute = sum(1 for _ in anchored_supports(n, d))
+                assert candidate_count(n, d) == brute, (n, d)
 
     def test_empty_cells(self):
-        assert list(anchored_candidates(0, 3)) == []
-        assert candidate_bound(1, 0) == 0
+        assert candidate_count(0, 3) == 0
+        assert candidate_count(1, 0) == 0
+        assert candidate_count(2, 1) == 0
+        listed = [(n, d) for n, d, _ in census(3, 2).stats["cells"]]
+        assert listed == [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3)]
 
 
 class TestCensusSmall:
@@ -153,7 +184,7 @@ class TestCensusSmall:
         rng = random.Random(7)
         for n, d in ((3, 5), (4, 6)):
             pruned = {"signs": [], "invertibility": []}
-            for support in anchored_candidates(n, d):
+            for support in anchored_supports(n, d):
                 stage, _ = classify_candidate(support, d)
                 if stage in pruned:
                     pruned[stage].append(support)
@@ -209,113 +240,64 @@ class TestCensusTable:
         payload = json.loads(json.dumps(census(7, 4).to_json()))
         assert payload == golden
 
-    def test_parallel_run_is_byte_identical(self):
-        serial = json.dumps(census(7, 4).to_json(), sort_keys=True)
-        parallel = json.dumps(
-            enumerate_fundamental(7, 4, jobs=2).to_json(), sort_keys=True
-        )
-        assert serial == parallel
 
-
-@cache
-def wide_census():
-    """The committed five-positive-entry census; loading revalidates it."""
-    from pathlib import Path
-
-    with open(Path(__file__).parent / "golden" / "census-n5-d9.json") as fh:
-        return EnumerationReport.from_json(json.load(fh))
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestCensusGoldenWide:
-    """Validate the committed wide census without rerunning it.
+    """The wide census, recomputed once per run and checked whole.
 
-    Regenerating the file takes minutes (the degree-nine cell alone scans
-    about eight million candidate supports), so the full run lives behind
-    the long-run flag and these checks work from the committed artifact.
+    It covers six positive entries up to degree nine, the former
+    long-run cell (5, 9) included, and takes about half a minute.
     """
 
-    def test_report_revalidates_on_load(self):
-        report = wide_census()
-        assert report.stats["d_max"] == 9
-        assert report.stats["n_max"] == 5
+    def test_matches_committed_golden(self, wide_census):
+        golden = json.loads((GOLDEN / "census-n5-d9.json").read_text())
+        assert json.loads(json.dumps(wide_census.to_json())) == golden
 
-    def test_wide_row_counts(self):
-        report = wide_census()
-        row = {d: c for (n, d), c in report.table.items() if n == 5}
+    def test_report_revalidates_on_load(self, wide_census):
+        loaded = EnumerationReport.from_json(
+            json.loads((GOLDEN / "census-n5-d9.json").read_text())
+        )
+        assert loaded.stats["d_max"] == 9
+        assert loaded.stats["n_max"] == 5
+        assert loaded.table == wide_census.table
+
+    def test_wide_row_counts(self, wide_census):
+        row = {d: c for (n, d), c in wide_census.table.items() if n == 5}
         assert row == {5: 602, 6: 254, 7: 88, 8: 24, 9: 2}
         for cell, count in CENSUS_TABLE_N4.items():
-            assert report.table[cell] == count
+            assert wide_census.table[cell] == count
 
-    def test_total_outcome_count(self):
-        report = wide_census()
-        assert len(report.outcomes) == 1127
-        assert sum(report.table.values()) == 1127
+    def test_total_outcome_count(self, wide_census):
+        assert len(wide_census.outcomes) == 1127
+        assert sum(wide_census.table.values()) == 1127
 
-    def test_conjecture_and_equality(self):
-        conjecture = check_conjecture(wide_census())
+    def test_conjecture_and_equality(self, wide_census):
+        conjecture = check_conjecture(wide_census)
         assert conjecture.holds
         assert conjecture.equality_counts == {1: 1, 2: 1, 3: 2, 4: 4, 5: 2}
 
-    def test_transposition_closure(self):
-        report = wide_census()
-        have = {frozenset(dict(w).items()) for w in report.outcomes}
-        for w in report.outcomes:
+    def test_transposition_closure(self, wide_census):
+        have = {frozenset(dict(w).items()) for w in wide_census.outcomes}
+        for w in wide_census.outcomes:
             assert frozenset(dict(act("(12)", w, w.degree)).items()) in have
 
-    def test_sampled_outcomes_are_fundamental(self):
-        report = wide_census()
+    def test_sampled_outcomes_are_fundamental(self, wide_census):
         rng = random.Random(5)
-        for w in rng.sample(report.outcomes, 12):
+        for w in rng.sample(wide_census.outcomes, 12):
             assert is_outcome(w, w.degree)
             assert is_fundamental(w.positive_support, w.degree)
 
 
 class TestLongRunGate:
-    def test_big_cells_are_skipped_without_the_flag(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "LONG_RUN_CELL_BOUND", 25)
-        report = enumerate_fundamental(3, 2)
-        assert report.stats["skipped_cells"] == [[2, 3]]
-        assert (2, 3) not in report.table
-        assert (2, 2) in report.table
-
-    def test_flag_admits_big_cells_with_a_warning(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "LONG_RUN_CELL_BOUND", 25)
-        with pytest.warns(RuntimeWarning, match="hours"):
-            report = enumerate_fundamental(3, 2, long_run=True)
-        assert report.stats["skipped_cells"] == []
-        assert report.table == {(1, 1): 1, (2, 2): 3, (2, 3): 1}
+    """The census has no long-run gate: every cell runs."""
 
     def test_bad_bounds_are_rejected(self):
         with pytest.raises(ValueError):
             enumerate_fundamental(0, 1)
         with pytest.raises(ValueError):
             enumerate_fundamental(3, 0)
-
-
-class TestCellCache:
-    def test_resume_writes_and_reads_cells(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CHIPSPLIT_CACHE_DIR", str(tmp_path))
-        first = enumerate_fundamental(3, 2, resume=True)
-        files = sorted(tmp_path.glob("census-*.json"))
-        assert files
-        # Drop one outcome from the degree-two cell on disk; a resumed
-        # run must reflect the tampered cache, proving it was read.
-        target = next(
-            f for f in files if json.loads(f.read_text())["outcomes"]
-            and json.loads(f.read_text())["d"] == 2
-        )
-        payload = json.loads(target.read_text())
-        payload["outcomes"] = payload["outcomes"][:-1]
-        target.write_text(json.dumps(payload))
-        resumed = enumerate_fundamental(3, 2, resume=True)
-        assert resumed.table[(2, 2)] == first.table[(2, 2)] - 1
-        # Without resume the cache is ignored and the census is whole.
-        fresh = enumerate_fundamental(3, 2)
-        assert fresh.table == first.table
-
-    def test_cache_root_honors_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CHIPSPLIT_CACHE_DIR", str(tmp_path / "elsewhere"))
-        assert enumeration.cache_root() == tmp_path / "elsewhere"
 
 
 class TestReportValidation:
@@ -440,8 +422,9 @@ class TestSweep:
         )
 
     def test_long_run_gate(self):
-        with pytest.raises(ValueError, match="long_run"):
-            sweep_no_valid_outcomes(5, [21])
+        # Degrees past the former desk range need no flag.
+        (cert,) = sweep_no_valid_outcomes(4, [12])
+        assert cert.holds
         with pytest.raises(ValueError, match="4 and 5"):
             sweep_no_valid_outcomes(3, [8])
 

@@ -195,6 +195,9 @@ def test_parse_rejects_ragged_rows():
         '{"entries": [[0, 0, "1/0"]]}',
         '{"entries": [[0, null, 1]]}',
         '{"entries": [[0, 0, 1]], "ambient": Infinity}',
+        '{"entries": [[3000, 0, 1]]}',
+        '{"entries": [[0, 1000000, 1]]}',
+        '{"entries": [[0, 0, 1]], "ambient": 1000000}',
         pytest.param('{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}", id="deep"),
     ],
 )
