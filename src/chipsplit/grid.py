@@ -79,11 +79,6 @@ def grid_points(d: int) -> list[Coord]:
     return [(i, e - i) for e in range(d + 1) for i in range(e + 1)]
 
 
-def in_grid(point: Coord, d: int) -> bool:
-    i, j = point
-    return i >= 0 and j >= 0 and i + j <= d
-
-
 def compose(sigma: str, tau: str) -> str:
     """The permutation doing tau first, then sigma."""
     return _COMPOSE[(sigma, tau)]
@@ -449,7 +444,8 @@ def config_from_json(text: str) -> ChipConfiguration:
     """Read the JSON form written by config_to_json.
 
     Malformed input of any shape raises ValueError, never another error;
-    so does a point or ambient degree beyond MAX_INPUT_DEGREE.
+    so does a negative ambient degree, or a point or ambient degree
+    beyond MAX_INPUT_DEGREE.
     """
     try:
         payload = json.loads(text)
@@ -469,6 +465,8 @@ def config_from_json(text: str) -> ChipConfiguration:
     ambient = payload.get("ambient")
     if ambient is not None:
         ambient = _json_int(ambient, "ambient")
+        if ambient < 0:
+            raise ValueError(f"ambient degree {ambient} is negative")
         if ambient > MAX_INPUT_DEGREE:
             raise ValueError(f"ambient degree {ambient} exceeds {MAX_INPUT_DEGREE}")
     return ChipConfiguration(entries, ambient=ambient)

@@ -11,11 +11,16 @@ possible positive supports of valid outcomes drastically.
 For large ambient degree the useful information concentrates in an outer
 ring of the triangle: three corner blocks of depth four plus summarized
 strips along the edges and the top diagonals. The contraction maps a
-sign configuration to that fixed 64-coordinate record, and the Pascal
-forms near the three corners descend to forms on the record that do not
-depend on the ambient degree (they only feel its parity). Enumerating
-the records compatible with all descended forms yields finite case
-lists, which the case pipeline then eliminates.
+sign configuration to that fixed record, and the Pascal forms near the
+three corners descend to forms on the record that do not depend on the
+ambient degree (they only feel its parity). Enumerating the records
+compatible with all descended forms yields finite case lists, which the
+case pipeline then eliminates.
+
+One type, ContractionPoint, holds a record under either of two named
+coordinate layouts: the 64 coordinates of the contraction, with the two
+parity strips of each top diagonal apart, or the 60 left once chi has
+merged them, on which the triangle symmetries act.
 """
 
 from __future__ import annotations
@@ -260,12 +265,18 @@ XI_PRIME_COORDS: tuple[str, ...] = (
 )
 
 
-def ring_cell(point: Coord, d: int) -> tuple | None:
-    """Which contraction coordinate a grid point feeds, None for the interior.
+def parse_coord(name: str) -> tuple[str, tuple[int, ...]]:
+    """Split a coordinate name such as "r[1,2]" into ("r", (1, 2))."""
+    kind, rest = name.split("[")
+    return kind, tuple(int(part) for part in rest.rstrip("]").split(","))
 
-    Cells: ("x", i, j) and the two reindexed corner blocks ("r", i, j),
-    ("t", i, j); summed strips ("alpha", i), ("beta", j); and the top
-    diagonal strips ("gamma", parity, k) where k = d - degree.
+
+def ring_cell(point: Coord, d: int) -> str | None:
+    """Name of the contraction coordinate a grid point feeds, None for the interior.
+
+    Cells: "x[i,j]" and the two reindexed corner blocks "r[i,j]",
+    "t[i,j]"; summed strips "alpha[i]", "beta[j]"; and the top diagonal
+    strips "gamma0[k]", "gamma1[k]" by the parity of i, where k = d - degree.
     """
     i, j = point
     if i < 0 or j < 0 or i + j > d:
@@ -273,207 +284,86 @@ def ring_cell(point: Coord, d: int) -> tuple | None:
     deg = i + j
     if deg >= d - 3:
         if i < 4:
-            return ("r", i, deg - (d - 3))
+            return f"r[{i},{deg - (d - 3)}]"
         if j < 4:
-            return ("t", deg - (d - 3), j)
-        return ("gamma", i % 2, d - deg)
+            return f"t[{deg - (d - 3)},{j}]"
+        return f"gamma{i % 2}[{d - deg}]"
     if i < 4 and j < 4:
-        return ("x", i, j)
+        return f"x[{i},{j}]"
     if i < 4:
-        return ("alpha", i)
+        return f"alpha[{i}]"
     if j < 4:
-        return ("beta", j)
+        return f"beta[{j}]"
     return None
 
 
-def _grid4() -> list[list[int]]:
-    return [[0] * 4 for _ in range(4)]
-
-
-def _freeze4(rows) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(row) for row in rows)
-
-
-def _check4(rows, label: str):
-    if len(rows) != 4 or any(len(row) != 4 for row in rows):
-        raise ValueError(f"{label} must be a 4x4 grid")
-    if any(v not in (-1, 0, 1) for row in rows for v in row):
-        raise ValueError(f"{label} entries must be signs")
-
-
-def _check1(row, label: str):
-    if len(row) != 4 or any(v not in (-1, 0, 1) for v in row):
-        raise ValueError(f"{label} must be four signs")
+# In both coordinate layouts the summed strips are coordinate 48 onward.
+_STRIPS = 48
 
 
 @dataclass(frozen=True)
 class ContractionPoint:
-    """The 64-coordinate outer-ring record of a sign configuration."""
+    """The outer-ring record of a sign configuration, keyed by coordinate name.
 
-    x: tuple[tuple[int, ...], ...]
-    r: tuple[tuple[int, ...], ...]
-    t: tuple[tuple[int, ...], ...]
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
-    gamma0: tuple[int, ...]
-    gamma1: tuple[int, ...]
+    coords is XI_COORDS, the 64 coordinates of the contraction, or
+    XI_PRIME_COORDS, the 60 left once chi merges the two parity strips
+    of each top diagonal; vector holds one sign per coordinate.
+    """
+
+    coords: tuple[str, ...]
+    vector: tuple[int, ...]
 
     def __post_init__(self):
-        _check4(self.x, "x")
-        _check4(self.r, "r")
-        _check4(self.t, "t")
-        _check1(self.alpha, "alpha")
-        _check1(self.beta, "beta")
-        _check1(self.gamma0, "gamma0")
-        _check1(self.gamma1, "gamma1")
+        if self.coords != XI_COORDS and self.coords != XI_PRIME_COORDS:
+            raise ValueError("coordinates must be XI_COORDS or XI_PRIME_COORDS")
+        object.__setattr__(self, "vector", tuple(self.vector))
+        if len(self.vector) != len(self.coords):
+            raise ValueError(
+                f"expected {len(self.coords)} coordinates, got {len(self.vector)}"
+            )
+        if any(v not in (-1, 0, 1) for v in self.vector):
+            raise ValueError("contraction coordinates must be signs")
 
     def as_vector(self) -> tuple[int, ...]:
-        return (
-            tuple(v for row in self.x for v in row)
-            + tuple(v for row in self.r for v in row)
-            + tuple(v for row in self.t for v in row)
-            + self.alpha
-            + self.beta
-            + self.gamma0
-            + self.gamma1
-        )
-
-    @classmethod
-    def from_vector(cls, vec) -> ContractionPoint:
-        vec = tuple(vec)
-        if len(vec) != 64:
-            raise ValueError("a contraction point has 64 coordinates")
-        return cls(
-            _freeze4([vec[4 * i : 4 * i + 4] for i in range(4)]),
-            _freeze4([vec[16 + 4 * i : 16 + 4 * i + 4] for i in range(4)]),
-            _freeze4([vec[32 + 4 * i : 32 + 4 * i + 4] for i in range(4)]),
-            vec[48:52],
-            vec[52:56],
-            vec[56:60],
-            vec[60:64],
-        )
-
-    @classmethod
-    def zero(cls) -> ContractionPoint:
-        return cls.from_vector([0] * 64)
+        """The signs in coordinate order."""
+        return self.vector
 
     def positive_support(self) -> tuple[str, ...]:
-        return tuple(
-            name for name, v in zip(XI_COORDS, self.as_vector()) if v > 0
-        )
+        return tuple(name for name, v in zip(self.coords, self.vector) if v > 0)
 
     def is_valid(self) -> bool:
-        vec = self.as_vector()
+        vec = self.vector
         if all(v == 0 for v in vec):
             return True
         return vec[0] == -1 and all(v in (0, 1) for v in vec[1:])
 
     def is_weakly_valid(self) -> bool:
-        return all(
-            v >= 0 for v in self.alpha + self.beta + self.gamma0 + self.gamma1
-        )
+        return all(v >= 0 for v in self.vector[_STRIPS:])
 
     def record(self) -> dict[str, int]:
         """Sparse JSON-friendly form keyed by coordinate names."""
-        return {
-            name: v for name, v in zip(XI_COORDS, self.as_vector()) if v != 0
-        }
+        return {name: v for name, v in zip(self.coords, self.vector) if v != 0}
 
     @classmethod
-    def from_record(cls, record: dict) -> ContractionPoint:
-        vec = [0] * 64
+    def from_record(cls, record: dict, coords: tuple[str, ...] = XI_COORDS) -> ContractionPoint:
+        vec = [0] * len(coords)
         for name, v in record.items():
-            vec[XI_INDEX[name]] = v
-        return cls.from_vector(vec)
+            if name not in coords:
+                raise ValueError(f"unknown contraction coordinate {name!r}")
+            vec[coords.index(name)] = v
+        return cls(coords, vec)
 
 
-@dataclass(frozen=True)
-class MergedContractionPoint:
-    """Contraction record after merging the two diagonal parity strips."""
-
-    x: tuple[tuple[int, ...], ...]
-    r: tuple[tuple[int, ...], ...]
-    t: tuple[tuple[int, ...], ...]
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
-    gamma: tuple[int, ...]
-
-    def __post_init__(self):
-        _check4(self.x, "x")
-        _check4(self.r, "r")
-        _check4(self.t, "t")
-        _check1(self.alpha, "alpha")
-        _check1(self.beta, "beta")
-        _check1(self.gamma, "gamma")
-
-    def as_vector(self) -> tuple[int, ...]:
-        return (
-            tuple(v for row in self.x for v in row)
-            + tuple(v for row in self.r for v in row)
-            + tuple(v for row in self.t for v in row)
-            + self.alpha
-            + self.beta
-            + self.gamma
-        )
-
-    @classmethod
-    def from_vector(cls, vec) -> MergedContractionPoint:
-        vec = tuple(vec)
-        if len(vec) != 60:
-            raise ValueError("a merged contraction point has 60 coordinates")
-        return cls(
-            _freeze4([vec[4 * i : 4 * i + 4] for i in range(4)]),
-            _freeze4([vec[16 + 4 * i : 16 + 4 * i + 4] for i in range(4)]),
-            _freeze4([vec[32 + 4 * i : 32 + 4 * i + 4] for i in range(4)]),
-            vec[48:52],
-            vec[52:56],
-            vec[56:60],
-        )
-
-    @classmethod
-    def zero(cls) -> MergedContractionPoint:
-        return cls.from_vector([0] * 60)
-
-    def positive_support(self) -> tuple[str, ...]:
-        return tuple(
-            name for name, v in zip(XI_PRIME_COORDS, self.as_vector()) if v > 0
-        )
-
-    def is_valid(self) -> bool:
-        vec = self.as_vector()
-        if all(v == 0 for v in vec):
-            return True
-        return vec[0] == -1 and all(v in (0, 1) for v in vec[1:])
-
-    def is_weakly_valid(self) -> bool:
-        return all(v >= 0 for v in self.alpha + self.beta + self.gamma)
-
-    def record(self) -> dict[str, int]:
-        return {
-            name: v
-            for name, v in zip(XI_PRIME_COORDS, self.as_vector())
-            if v != 0
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> MergedContractionPoint:
-        index = {name: idx for idx, name in enumerate(XI_PRIME_COORDS)}
-        vec = [0] * 60
-        for name, v in record.items():
-            vec[index[name]] = v
-        return cls.from_vector(vec)
-
-
-def chi(theta: ContractionPoint) -> MergedContractionPoint:
+def chi(theta: ContractionPoint) -> ContractionPoint:
     """Merge the two parity strips of each top diagonal into one sum."""
+    if theta.coords != XI_COORDS:
+        raise ValueError("chi merges the parity strips of a 64-coordinate point")
     gamma = []
-    for g0, g1 in zip(theta.gamma0, theta.gamma1):
+    for g0, g1 in zip(theta.vector[56:60], theta.vector[60:]):
         if g0 * g1 < 0:
             raise ValueError("parity strips of opposite sign merge to a multivalued sum")
         gamma.append(_sign(g0 + g1))
-    return MergedContractionPoint(
-        theta.x, theta.r, theta.t, theta.alpha, theta.beta, tuple(gamma)
-    )
+    return ContractionPoint(XI_PRIME_COORDS, theta.vector[:56] + tuple(gamma))
 
 
 def contract(s: ChipConfiguration, d: int) -> ContractionPoint:
@@ -492,31 +382,14 @@ def contract(s: ChipConfiguration, d: int) -> ContractionPoint:
         raise ValueError("contraction expects a sign configuration")
     if not s.is_weakly_valid(d):
         raise ValueError("strip sums of a non-weakly-valid configuration are multivalued")
-    x, r, t = _grid4(), _grid4(), _grid4()
-    alpha, beta, gamma0, gamma1 = [0] * 4, [0] * 4, [0] * 4, [0] * 4
+    vec = [0] * 64
     for p, v in s:
         cell = ring_cell(p, d)
         if cell is None:
             continue
-        match cell:
-            case ("x", i, j):
-                x[i][j] = v
-            case ("r", i, j):
-                r[i][j] = v
-            case ("t", i, j):
-                t[i][j] = v
-            case ("alpha", i):
-                alpha[i] = max(alpha[i], v)
-            case ("beta", j):
-                beta[j] = max(beta[j], v)
-            case ("gamma", 0, k):
-                gamma0[k] = max(gamma0[k], v)
-            case ("gamma", 1, k):
-                gamma1[k] = max(gamma1[k], v)
-    return ContractionPoint(
-        _freeze4(x), _freeze4(r), _freeze4(t),
-        tuple(alpha), tuple(beta), tuple(gamma0), tuple(gamma1),
-    )
+        idx = XI_INDEX[cell]
+        vec[idx] = max(vec[idx], v) if idx >= _STRIPS else v
+    return ContractionPoint(XI_COORDS, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +404,10 @@ class ContractedForm:
     coefficients: tuple[int, ...]
 
     def evaluate(self, theta: ContractionPoint) -> frozenset:
+        if theta.coords != XI_COORDS:
+            raise ValueError("contracted forms evaluate 64-coordinate points")
         return hyperfield_sum(
-            c * v for c, v in zip(self.coefficients, theta.as_vector()) if c and v
+            c * v for c, v in zip(self.coefficients, theta.vector) if c and v
         )
 
 
@@ -563,7 +438,7 @@ def _contract_form(form: PascalForm, d: int) -> tuple[int, ...]:
     outside the descending family fails loudly instead of silently
     producing a wrong contraction.
     """
-    per_cell: dict[tuple, set[int]] = {}
+    per_cell: dict[str, set[int]] = {}
     for p in grid_points(d):
         sg = _sign(form.coefficient(*p))
         cell = ring_cell(p, d)
@@ -580,21 +455,7 @@ def _contract_form(form: PascalForm, d: int) -> tuple[int, ...]:
             raise AssertionError(
                 f"{form.label()} has mixed coefficient signs on cell {cell}"
             )
-        (sg,) = signs
-        match cell:
-            case ("x", i, j):
-                idx = 4 * i + j
-            case ("r", i, j):
-                idx = 16 + 4 * i + j
-            case ("t", i, j):
-                idx = 32 + 4 * i + j
-            case ("alpha", i):
-                idx = 48 + i
-            case ("beta", j):
-                idx = 52 + j
-            case ("gamma", parity, k):
-                idx = 56 + 4 * parity + k
-        coeffs[idx] = sg
+        (coeffs[XI_INDEX[cell]],) = signs
     return tuple(coeffs)
 
 
@@ -647,26 +508,26 @@ def gamma_set(parity: str, supp_size: int) -> tuple[ContractionPoint, ...]:
             vec[k + 1] = 1
         vectors.append(vec)
     vectors.sort()
-    return tuple(ContractionPoint.from_vector(vec) for vec in vectors)
+    return tuple(ContractionPoint(XI_COORDS, vec) for vec in vectors)
 
 
 @dataclass(frozen=True)
 class LambdaSet:
     """Deduplicated merged images of both parity case lists."""
 
-    cases: tuple[MergedContractionPoint, ...]
-    exceptional: MergedContractionPoint
+    cases: tuple[ContractionPoint, ...]
+    exceptional: ContractionPoint
 
 
 @cache
 def lambda_set() -> LambdaSet:
     """Merge the two support-5 case lists along chi and split off the one
     element whose merged positive support drops below five."""
-    images: dict[tuple, MergedContractionPoint] = {}
+    images: dict[tuple, ContractionPoint] = {}
     for parity in ("even", "odd"):
         for theta in gamma_set(parity, 5):
             prime = chi(theta)
-            images[prime.as_vector()] = prime
+            images[prime.vector] = prime
     cases = []
     small = []
     for prime in images.values():
@@ -678,7 +539,7 @@ def lambda_set() -> LambdaSet:
         raise AssertionError(
             f"expected exactly one merged image of smaller support, found {len(small)}"
         )
-    cases.sort(key=lambda p: p.as_vector())
+    cases.sort(key=lambda p: p.vector)
     return LambdaSet(tuple(cases), small[0])
 
 
@@ -686,42 +547,50 @@ def lambda_set() -> LambdaSet:
 # The symmetry action on merged contraction points.
 
 
-def _transpose4(rows):
-    return tuple(tuple(rows[j][i] for j in range(4)) for i in range(4))
+def _image(generator: str, name: str) -> str:
+    """The merged coordinate a generator moves this coordinate's value to.
+
+    (12), the transposition of the axes, transposes every corner block,
+    swapping the two top ones, and swaps the edge strips. (13), which
+    fixes the bottom edge, reflects the top-left block in its
+    antidiagonal, swaps the origin and right corner blocks with their
+    rows reversed, and swaps the column strips with the diagonal ones.
+    """
+    kind, idx = parse_coord(name)
+    if generator == "(12)":
+        kind = {"r": "t", "t": "r", "alpha": "beta", "beta": "alpha"}.get(kind, kind)
+        idx = idx[::-1]
+    elif kind == "r":
+        idx = (3 - idx[1], 3 - idx[0])
+    else:
+        kind = {"x": "t", "t": "x", "alpha": "gamma", "gamma": "alpha"}.get(kind, kind)
+        if kind in ("x", "t"):
+            idx = (3 - idx[0], idx[1])
+    return f"{kind}[{','.join(map(str, idx))}]"
 
 
-def _act12(p: MergedContractionPoint) -> MergedContractionPoint:
-    return MergedContractionPoint(
-        _transpose4(p.x),
-        _transpose4(p.t),
-        _transpose4(p.r),
-        p.beta,
-        p.alpha,
-        p.gamma,
-    )
+def _index_permutation(generator: str) -> tuple[int, ...]:
+    """perm[k] is the coordinate whose value the generator moves to coordinate k."""
+    perm = [0] * len(XI_PRIME_COORDS)
+    for source, name in enumerate(XI_PRIME_COORDS):
+        perm[XI_PRIME_COORDS.index(_image(generator, name))] = source
+    return tuple(perm)
 
 
-def _act13(p: MergedContractionPoint) -> MergedContractionPoint:
-    return MergedContractionPoint(
-        tuple(tuple(p.t[3 - i][j] for j in range(4)) for i in range(4)),
-        tuple(tuple(p.r[3 - j][3 - i] for j in range(4)) for i in range(4)),
-        tuple(tuple(p.x[3 - i][j] for j in range(4)) for i in range(4)),
-        p.gamma,
-        p.beta,
-        p.alpha,
-    )
+_P12 = _index_permutation("(12)")
+_P13 = _index_permutation("(13)")
 
 _WORDS = {
     "e": (),
-    "(12)": ("12",),
-    "(13)": ("13",),
-    "(23)": ("12", "13", "12"),
-    "(123)": ("12", "13"),
-    "(132)": ("13", "12"),
+    "(12)": (_P12,),
+    "(13)": (_P13,),
+    "(23)": (_P12, _P13, _P12),
+    "(123)": (_P12, _P13),
+    "(132)": (_P13, _P12),
 }
 
 
-def s3_on_contraction(sigma: str, point: MergedContractionPoint) -> MergedContractionPoint:
+def s3_on_contraction(sigma: str, point: ContractionPoint) -> ContractionPoint:
     """Triangle symmetry on merged contraction points.
 
     The transposition of the two axes swaps the top corner blocks and the
@@ -733,7 +602,9 @@ def s3_on_contraction(sigma: str, point: MergedContractionPoint) -> MergedContra
     """
     if sigma not in _WORDS:
         raise ValueError(f"unknown symmetry {sigma!r}, expected one of {sorted(_WORDS)}")
-    for step in _WORDS[sigma]:
-        point = _act12(point) if step == "12" else _act13(point)
-    return point
-
+    if point.coords != XI_PRIME_COORDS:
+        raise ValueError("the symmetry acts on merged (60-coordinate) points")
+    vec = point.vector
+    for perm in _WORDS[sigma]:
+        vec = tuple(vec[k] for k in perm)
+    return ContractionPoint(XI_PRIME_COORDS, vec)

@@ -177,27 +177,6 @@ def kernel_basis(rows: Sequence[Row], ncols: int | None = None) -> list[list[int
     return basis
 
 
-def solve_unique(rows: Sequence[Row], rhs: Sequence[Scalar]) -> list[Fraction] | None:
-    """Solve A x = b when A has full column rank; None if inconsistent.
-
-    Raises if the solution is not unique (rank-deficient A), since every
-    caller in this package expects an invertible situation.
-    """
-    if not rows:
-        raise ValueError("no equations")
-    width = len(rows[0])
-    augmented = [list(row) + [b] for row, b in zip(rows, rhs)]
-    reduced, pivots = rref(augmented)
-    if width in pivots:
-        return None
-    if len(pivots) < width:
-        raise ValueError("solve_unique on a rank-deficient system")
-    sol = [Fraction(0)] * width
-    for r, pc in enumerate(pivots):
-        sol[pc] = reduced[r][width]
-    return sol
-
-
 class Poly:
     """Dense univariate polynomial with Fraction coefficients.
 

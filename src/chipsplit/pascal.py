@@ -81,14 +81,6 @@ class PascalForm:
                 table[(i, j)] = c
         return table
 
-    @property
-    def positive_part(self) -> frozenset[Coord]:
-        return frozenset(p for p, c in self.coefficients.items() if c > 0)
-
-    @property
-    def negative_part(self) -> frozenset[Coord]:
-        return frozenset(p for p, c in self.coefficients.items() if c < 0)
-
     def evaluate(self, config: ChipConfiguration) -> Value:
         if config.degree > self.d:
             raise ValueError(f"configuration of degree {config.degree} does not fit this degree-{self.d} form")

@@ -38,11 +38,7 @@ from functools import cache
 import numpy as np
 
 from .linalg import Poly, binomial, binomial_poly, integer_roots_at_or_above, poly_det
-from .hyperfield import (
-    MergedContractionPoint,
-    lambda_set,
-    s3_on_contraction,
-)
+from .hyperfield import ContractionPoint, lambda_set, parse_coord, s3_on_contraction
 
 D_FLOOR = 42
 _SIGMAS = ("(12)", "(13)", "(23)", "(123)", "(132)")
@@ -158,12 +154,6 @@ class SymPoint:
         return (self.i.key(), self.j.key())
 
 
-def _parse_cell(name: str) -> tuple[str, tuple[int, ...]]:
-    kind, rest = name.split("[")
-    idx = tuple(int(part) for part in rest.rstrip("]").split(","))
-    return kind, idx
-
-
 def cell_possibilities(name: str) -> list[SymPoint]:
     """Candidate grid positions for a support point seen in this cell.
 
@@ -171,7 +161,7 @@ def cell_possibilities(name: str) -> list[SymPoint]:
     whose variable is named after the cell, plus the near-top positions
     the variable range cannot reach.
     """
-    kind, idx = _parse_cell(name)
+    kind, idx = parse_coord(name)
     var = Sym.var("m_" + name)
     if kind == "x":
         i, j = idx
@@ -489,11 +479,6 @@ def _scenario_failures(points: list[SymPoint], first_only: bool = True):
     return failures
 
 
-def _scenario_verdict(points: list[SymPoint]) -> ScenarioFailure | None:
-    failures = _scenario_failures(points)
-    return failures[0] if failures else None
-
-
 _ATTEMPT_CACHE: dict[tuple, bool] = {}
 
 
@@ -511,22 +496,22 @@ def _shape_key(points: list[SymPoint]) -> tuple:
     return tuple(sorted((canon(p.i), canon(p.j)) for p in points))
 
 
+def _placed_scenarios(points: list[SymPoint]):
+    """The points under every placement scenario that is not vacuous."""
+    colvars = _column_variables(points)
+    for placement in _placements(len(colvars)):
+        mapping = _substitution(colvars, placement)
+        if mapping is not None:
+            yield [p.subst(mapping) for p in points]
+
+
 def _attempt_excluded(points: list[SymPoint]) -> bool:
     """True when every placement scenario certifies exclusion."""
     key = _shape_key(points)
     hit = _ATTEMPT_CACHE.get(key)
     if hit is not None:
         return hit
-    colvars = _column_variables(points)
-    result = True
-    for placement in _placements(len(colvars)):
-        mapping = _substitution(colvars, placement)
-        if mapping is None:
-            continue
-        placed = [p.subst(mapping) for p in points]
-        if _scenario_verdict(placed) is not None:
-            result = False
-            break
+    result = not any(_scenario_failures(placed) for placed in _placed_scenarios(points))
     _ATTEMPT_CACHE[key] = result
     return result
 
@@ -543,12 +528,7 @@ def _attempt_guards(points: list[SymPoint]) -> set[Sym] | None:
     the attempt certifies exclusion outright.
     """
     guards: set[Sym] = set()
-    colvars = _column_variables(points)
-    for placement in _placements(len(colvars)):
-        mapping = _substitution(colvars, placement)
-        if mapping is None:
-            continue
-        placed = [p.subst(mapping) for p in points]
+    for placed in _placed_scenarios(points):
         for failure in _scenario_failures(placed, first_only=False):
             if failure.expr is None:
                 return None
@@ -556,13 +536,9 @@ def _attempt_guards(points: list[SymPoint]) -> set[Sym] | None:
     return guards
 
 
-def _support_cells(case: MergedContractionPoint) -> list[str]:
-    return [name for name, v in case.record().items() if v != 0]
-
-
-def invertibility_eliminates(case: MergedContractionPoint) -> bool:
+def invertibility_eliminates(case: ContractionPoint) -> bool:
     """Symbolic pairing exclusion over every relative position pattern."""
-    option_lists = [cell_possibilities(name) for name in _support_cells(case)]
+    option_lists = [cell_possibilities(name) for name in case.record()]
     for combo in itertools.product(*option_lists):
         points = list(combo)
         if not (
@@ -573,7 +549,7 @@ def invertibility_eliminates(case: MergedContractionPoint) -> bool:
     return True
 
 
-def symmetry_eliminates(case: MergedContractionPoint) -> str | None:
+def symmetry_eliminates(case: ContractionPoint) -> str | None:
     """Try the pairing argument on each nontrivial symmetry image."""
     for sigma in _SIGMAS:
         image = s3_on_contraction(sigma, case)
@@ -624,7 +600,7 @@ def _strip_allowed(kind: str, idx: int, inst: str, d: int, m: np.ndarray) -> np.
     raise ValueError(f"unexpected strip kind {kind}")
 
 
-def hexagon_eliminates(case: MergedContractionPoint) -> bool:
+def hexagon_eliminates(case: ContractionPoint) -> bool:
     """Exact coverage check of the strip-variable box by hexagon instances.
 
     A compatible valid outcome has degree exactly d, but once one
@@ -634,8 +610,8 @@ def hexagon_eliminates(case: MergedContractionPoint) -> bool:
     stable, so the covering pattern repeats.
     """
     strips = [
-        _parse_cell(name)
-        for name in _support_cells(case)
+        parse_coord(name)
+        for name in case.record()
         if name.startswith(("alpha", "beta", "gamma"))
     ]
     if not strips:
@@ -668,7 +644,7 @@ def hexagon_eliminates(case: MergedContractionPoint) -> bool:
 # Special arguments and the public pipeline.
 
 
-def _special_exceptional(case: MergedContractionPoint) -> dict | None:
+def _special_exceptional(case: ContractionPoint) -> dict | None:
     """Subtraction argument for the merged record of smaller support.
 
     Its compatible supports carry positives at (0, 3), (1, 1), (3, 0)
@@ -858,7 +834,7 @@ _GUARD_KEYS = (
 )
 
 
-def _special_final(case: MergedContractionPoint) -> dict | None:
+def _special_final(case: ContractionPoint) -> dict | None:
     """Slice argument for the case the pairing eliminators leave behind.
 
     First audits the pairing failures: for every position pattern, each
@@ -867,10 +843,9 @@ def _special_final(case: MergedContractionPoint) -> dict | None:
     valid outcome therefore lives on the odd-diagonal slice, and the
     explicit slice determinants rule that out for every e >= _E_MIN.
     """
-    support = {name: v for name, v in case.record().items() if v != 0}
-    if support != _FINAL_RECORD:
+    if case.record() != _FINAL_RECORD:
         return None
-    option_lists = [cell_possibilities(name) for name in _support_cells(case)]
+    option_lists = [cell_possibilities(name) for name in case.record()]
     resistant = 0
     for combo in itertools.product(*option_lists):
         points = list(combo)
@@ -898,7 +873,7 @@ def _special_final(case: MergedContractionPoint) -> dict | None:
     }
 
 
-def special_eliminates(case: MergedContractionPoint) -> dict | None:
+def special_eliminates(case: ContractionPoint) -> dict | None:
     certificate = _special_exceptional(case)
     if certificate is None:
         certificate = _special_final(case)
@@ -909,7 +884,7 @@ def special_eliminates(case: MergedContractionPoint) -> dict | None:
 class CaseVerdict:
     """How one contraction case was ruled out, if it was."""
 
-    case: MergedContractionPoint
+    case: ContractionPoint
     eliminated_by: str | None
     detail: str = ""
 
@@ -921,7 +896,7 @@ class CaseVerdict:
         }
 
 
-def relset_pipeline(case: MergedContractionPoint) -> CaseVerdict:
+def relset_pipeline(case: ContractionPoint) -> CaseVerdict:
     """Run the eliminator chain on one merged contraction case."""
     if len(case.positive_support()) != 5:
         certificate = special_eliminates(case)

@@ -93,6 +93,7 @@ class TestParseAndRender:
             "1/0\n",
             '{"entries": [[3000, 0, 1]]}',
             '{"entries": [[0, 1000000, 1]]}',
+            '{"entries": [], "ambient": -2}',
         ],
     )
     def test_malformed_counts_and_entries_are_usage_errors(

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from chipsplit.enumeration import (
     EnumerationReport,
+    _anchored,
     SweepCertificate,
     candidate_count,
     canonical_key,
@@ -144,6 +145,14 @@ class TestAnchoredCandidates:
             for d in range(7):
                 brute = sum(1 for _ in anchored_supports(n, d))
                 assert candidate_count(n, d) == brute, (n, d)
+
+    def test_anchor_rule(self):
+        tops = {(2, 3), (4, 1)}
+        row, column, inner = (3, 0), (0, 2), (1, 1)
+        assert _anchored(tops | {row, column}, 5)
+        assert not _anchored(tops | {column, inner}, 5)
+        assert not _anchored(tops | {row, inner}, 5)
+        assert not _anchored({(2, 3), row, column, inner}, 5)
 
     def test_empty_cells(self):
         assert candidate_count(0, 3) == 0

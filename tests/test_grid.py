@@ -198,6 +198,7 @@ def test_parse_rejects_ragged_rows():
         '{"entries": [[3000, 0, 1]]}',
         '{"entries": [[0, 1000000, 1]]}',
         '{"entries": [[0, 0, 1]], "ambient": 1000000}',
+        '{"entries": [], "ambient": -2}',
         pytest.param('{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}", id="deep"),
     ],
 )

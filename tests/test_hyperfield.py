@@ -24,7 +24,6 @@ from chipsplit.hyperfield import (
     XI_PRIME_COORDS,
     ZERO,
     ContractionPoint,
-    MergedContractionPoint,
     chi,
     contract,
     contracted_forms,
@@ -33,6 +32,7 @@ from chipsplit.hyperfield import (
     hyperfield_excludes,
     hyperfield_sum,
     lambda_set,
+    parse_coord,
     permute_signs,
     ring_cell,
     s3_on_contraction,
@@ -197,8 +197,12 @@ class TestRingCell:
         kinds = {}
         for p in grid_points(14):
             cell = ring_cell(p, 14)
-            kinds[cell[0] if cell else None] = kinds.get(cell[0] if cell else None, 0) + 1
-        assert kinds == {"x": 16, "r": 16, "t": 16, "alpha": 22, "beta": 22, "gamma": 22, None: 6}
+            kind = parse_coord(cell)[0] if cell else None
+            kinds[kind] = kinds.get(kind, 0) + 1
+        assert kinds == {
+            "x": 16, "r": 16, "t": 16, "alpha": 22, "beta": 22,
+            "gamma0": 12, "gamma1": 10, None: 6,
+        }
 
     def test_corner_cells_are_distinct_points(self):
         for d in (11, 12, 13):
@@ -211,11 +215,11 @@ class TestRingCell:
             assert len(seen) == 48
 
     def test_specific_cells(self):
-        assert ring_cell((15, 0), 15) == ("t", 3, 0)
-        assert ring_cell((0, 15), 15) == ("r", 0, 3)
-        assert ring_cell((7, 1), 15) == ("beta", 1)
-        assert ring_cell((2, 6), 15) == ("alpha", 2)
-        assert ring_cell((5, 8), 15) == ("gamma", 1, 2)
+        assert ring_cell((15, 0), 15) == "t[3,0]"
+        assert ring_cell((0, 15), 15) == "r[0,3]"
+        assert ring_cell((7, 1), 15) == "beta[1]"
+        assert ring_cell((2, 6), 15) == "alpha[2]"
+        assert ring_cell((5, 8), 15) == "gamma1[2]"
         assert ring_cell((5, 5), 15) is None
 
     def test_outside_triangle_raises(self):
@@ -239,7 +243,7 @@ class TestContract:
         assert theta.is_valid() and theta.is_weakly_valid()
 
     def test_zero_contracts_to_zero(self):
-        assert contract(ChipConfiguration.zero(13), 13) == ContractionPoint.zero()
+        assert contract(ChipConfiguration.zero(13), 13) == ContractionPoint.from_record({})
 
     def test_same_relative_layout_gives_same_record(self):
         def layout(d):
@@ -269,7 +273,7 @@ class TestContract:
             cell = ring_cell(p, d)
             positives = theta.positive_support()
             if cell is None:
-                assert theta == ContractionPoint.zero()
+                assert theta == ContractionPoint.from_record({})
             else:
                 assert len(positives) == 1
 
@@ -290,7 +294,37 @@ class TestContract:
 
     def test_merged_record_round_trip(self):
         prime = chi(contract(sign_of(tightness_family(7)), 15))
-        assert MergedContractionPoint.from_record(prime.record()) == prime
+        assert ContractionPoint.from_record(prime.record(), XI_PRIME_COORDS) == prime
+
+
+class TestContractionPointGuards:
+    def test_rejects_unknown_coordinates(self):
+        with pytest.raises(ValueError):
+            ContractionPoint(XI_COORDS[:60], [0] * 60)
+        with pytest.raises(ValueError):
+            ContractionPoint.from_record({"gamma[0]": 1})
+
+    def test_rejects_a_vector_of_the_wrong_length(self):
+        with pytest.raises(ValueError):
+            ContractionPoint(XI_COORDS, [0] * 60)
+        with pytest.raises(ValueError):
+            ContractionPoint(XI_PRIME_COORDS, [0] * 64)
+
+    def test_rejects_entries_that_are_not_signs(self):
+        with pytest.raises(ValueError):
+            ContractionPoint.from_record({"alpha[0]": 2})
+        with pytest.raises(ValueError):
+            ContractionPoint.from_record({"gamma[1]": -2}, XI_PRIME_COORDS)
+
+    def test_operations_check_the_coordinate_layout(self):
+        theta = contract(sign_of(tightness_family(7)), 15)
+        prime = chi(theta)
+        with pytest.raises(ValueError):
+            chi(prime)
+        with pytest.raises(ValueError):
+            s3_on_contraction("(12)", theta)
+        with pytest.raises(ValueError):
+            contracted_forms("odd")[0].evaluate(prime)
 
 
 class TestChi:
@@ -298,15 +332,15 @@ class TestChi:
         vec = [0] * 64
         vec[0] = -1
         vec[XI_COORDS.index("gamma0[2]")] = 1
-        prime = chi(ContractionPoint.from_vector(vec))
-        assert prime.gamma == (0, 0, 1, 0)
+        prime = chi(ContractionPoint(XI_COORDS, vec))
+        assert prime.record() == {"x[0,0]": -1, "gamma[2]": 1}
 
     def test_opposite_parity_signs_raise(self):
         vec = [0] * 64
         vec[XI_COORDS.index("gamma0[1]")] = 1
         vec[XI_COORDS.index("gamma1[1]")] = -1
         with pytest.raises(ValueError):
-            chi(ContractionPoint.from_vector(vec))
+            chi(ContractionPoint(XI_COORDS, vec))
 
 
 class TestContractedForms:
@@ -506,8 +540,8 @@ class TestGammaSet:
                 samples.append(frozenset(support - {out} | {into}))
         hits = 0
         for support in samples:
-            theta = ContractionPoint.from_vector(
-                [-1] + [1 if idx in support else 0 for idx in free]
+            theta = ContractionPoint(
+                XI_COORDS, [-1] + [1 if idx in support else 0 for idx in free]
             )
             in_gamma = theta.as_vector() in members
             hits += in_gamma
@@ -534,7 +568,10 @@ class TestGammaSet:
             doubled = [
                 t
                 for t in members
-                if any(a and b for a, b in zip(t.gamma0, t.gamma1))
+                if any(
+                    f"gamma0[{k}]" in t.record() and f"gamma1[{k}]" in t.record()
+                    for k in range(4)
+                )
             ]
             assert doubled == [theta]
 

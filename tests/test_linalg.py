@@ -18,7 +18,6 @@ from chipsplit.linalg import (
     poly_det,
     primitive_integer_vector,
     rank,
-    solve_unique,
 )
 
 
@@ -102,11 +101,6 @@ def test_kernel_basis_canonical_form():
 def test_kernel_scales_fractions_to_primitive_integers():
     basis = kernel_basis([[Fraction(1, 2), Fraction(-1, 3)]])
     assert basis == [[2, 3]]
-
-
-def test_solve_unique():
-    assert solve_unique([[2, 0], [0, 4]], [6, 8]) == [3, 2]
-    assert solve_unique([[1, 0], [1, 0], [0, 1]], [1, 2, 0]) is None
 
 
 def test_binomial_guard():

@@ -13,7 +13,7 @@ from chipsplit.criteria import (
     invertibility_excludes,
     pairing_matrix,
 )
-from chipsplit.hyperfield import MergedContractionPoint, lambda_set
+from chipsplit.hyperfield import XI_PRIME_COORDS, ContractionPoint, lambda_set
 from chipsplit.linalg import binomial
 from chipsplit.pipeline import (
     D_FLOOR,
@@ -297,7 +297,7 @@ class TestFinalSlice:
 
 class TestGuardAudit:
     def generic_points(self, record):
-        case = MergedContractionPoint.from_record(record)
+        case = ContractionPoint.from_record(record, XI_PRIME_COORDS)
         return [cell_possibilities(name)[0] for name in support_names(case.record())]
 
     def test_final_case_guards_pin_the_middle_heights(self):
@@ -358,8 +358,9 @@ class TestInvertibilityStage:
                 assert invertibility_excludes(frozenset(support), d).excluded
 
     def test_symmetry_image_succeeds_where_the_original_fails(self):
-        case = MergedContractionPoint.from_record(
-            {"x[0,0]": -1, "r[1,3]": 1, "r[2,2]": 1, "t[3,0]": 1, "alpha[0]": 1, "beta[1]": 1}
+        case = ContractionPoint.from_record(
+            {"x[0,0]": -1, "r[1,3]": 1, "r[2,2]": 1, "t[3,0]": 1, "alpha[0]": 1, "beta[1]": 1},
+            XI_PRIME_COORDS,
         )
         assert not invertibility_eliminates(case)
         assert symmetry_eliminates(case) == "(13)"
@@ -378,20 +379,20 @@ class TestHexagonStage:
 
     def test_frozen_hexagon_records(self):
         for record in HEXAGON_RECORDS:
-            assert hexagon_eliminates(MergedContractionPoint.from_record(record))
+            assert hexagon_eliminates(ContractionPoint.from_record(record, XI_PRIME_COORDS))
 
     def test_final_case_is_not_covered(self):
-        assert not hexagon_eliminates(MergedContractionPoint.from_record(FINAL_RECORD))
+        assert not hexagon_eliminates(ContractionPoint.from_record(FINAL_RECORD, XI_PRIME_COORDS))
 
 
 class TestSpecialStage:
     def test_exceptional_certificate(self):
-        cert = special_eliminates(MergedContractionPoint.from_record(EXCEPTIONAL_RECORD))
+        cert = special_eliminates(ContractionPoint.from_record(EXCEPTIONAL_RECORD, XI_PRIME_COORDS))
         assert cert is not None
         assert "witness" in cert
 
     def test_final_case_certificate(self):
-        cert = special_eliminates(MergedContractionPoint.from_record(FINAL_RECORD))
+        cert = special_eliminates(ContractionPoint.from_record(FINAL_RECORD, XI_PRIME_COORDS))
         assert cert is not None
         assert cert["resistant_patterns"] == 3
         assert set(cert["determinants_in_e"]) == {
@@ -404,7 +405,7 @@ class TestSpecialStage:
         }
 
     def test_other_records_get_no_certificate(self):
-        case = MergedContractionPoint.from_record(HEXAGON_RECORDS[2])
+        case = ContractionPoint.from_record(HEXAGON_RECORDS[2], XI_PRIME_COORDS)
         assert special_eliminates(case) is None
 
 
@@ -440,5 +441,5 @@ class TestPipelineReport:
         assert len(payload["cases"]) == 2290
 
     def test_final_case_pipeline_verdict(self):
-        verdict = relset_pipeline(MergedContractionPoint.from_record(FINAL_RECORD))
+        verdict = relset_pipeline(ContractionPoint.from_record(FINAL_RECORD, XI_PRIME_COORDS))
         assert verdict.eliminated_by == "special"
