@@ -96,8 +96,9 @@ def construct_lambda(points: set[Coord] | frozenset[Coord], d: int) -> list[Lamb
     c = 0
     while c <= d:
         width = None
+        count = 0
         for lam in range(1, d + 2 - c):
-            count = sum(len(by_column.get(i, ())) for i in range(c, c + lam))
+            count += len(by_column.get(c + lam - 1, ()))
             if count == 0 or count == lam:
                 width = lam
                 break

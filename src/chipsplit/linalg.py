@@ -1,15 +1,17 @@
 """Exact linear algebra over the rationals, plus univariate polynomials.
 
-Everything in this module is deterministic and exact: integers, Fraction,
-and dense polynomials with Fraction coefficients. Matrices are plain lists
-of row lists. There is deliberately no float anywhere; the certificates
-produced by the classification machinery quote these numbers verbatim.
+Everything in this module is deterministic and exact. Matrices are plain
+lists of row lists; rational rows are scaled to integer rows first, so
+every elimination is fraction-free integer arithmetic (Bareiss). Dense
+polynomials keep Fraction coefficients. There is deliberately no float
+anywhere; the certificates produced by the classification machinery
+quote these numbers verbatim.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, gcd, isqrt
+from math import comb, factorial, gcd, isqrt, lcm
 from typing import Sequence
 
 Scalar = int | Fraction
@@ -31,25 +33,24 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def _as_fraction_rows(rows: Sequence[Row]) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def det(rows: Sequence[Row]) -> Fraction:
     """Determinant of a square matrix, as an exact Fraction.
 
-    Integer matrices go through fraction-free Bareiss elimination, which
-    keeps every intermediate value an integer; anything with a Fraction
-    entry falls back to ordinary Gaussian elimination over Fraction.
+    Each row is first multiplied by the lcm of its denominators (1 for an
+    integer row), so the elimination itself is fraction-free Bareiss on
+    integers; the scale factors are divided back out at the end.
     """
     n = len(rows)
     if n == 0:
         return Fraction(1)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    if all(isinstance(x, int) for row in rows for x in row):
-        return Fraction(_det_bareiss([[int(x) for x in row] for row in rows]))
-    return _det_gauss(_as_fraction_rows(rows))
+    m, scale = [], 1
+    for row in rows:
+        k = lcm(*(x.denominator for x in row))
+        m.append([int(x * k) for x in row])
+        scale *= k
+    return Fraction(_det_bareiss(m), scale)
 
 
 def _det_bareiss(m: list[list[int]]) -> int:
@@ -71,56 +72,41 @@ def _det_bareiss(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _det_gauss(m: list[list[Fraction]]) -> Fraction:
-    n = len(m)
-    result = Fraction(1)
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if m[r][k] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            result = -result
-        result *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                factor = m[i][k] * inv
-                for j in range(k, n):
-                    m[i][j] -= factor * m[k][j]
-    return result
+def _echelon(m: list[list[int]]) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix, in place.
 
-
-def rref(rows: Sequence[Row]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and the list of pivot column indices."""
-    m = _as_fraction_rows(rows)
-    if not m:
-        return [], []
-    ncols = len(m[0])
+    Returns the pivot columns. Every step replaces each other row by
+    (p*row - f*pivot_row) // prev, where p is the new pivot, f the row's
+    entry in the pivot column and prev the previous pivot; all entries
+    stay integer minors of the input, so each division is exact (Bareiss,
+    Math. Comp. 1968). At the end every pivot entry equals the last pivot
+    D, so row r divided by D is row r of the reduced row echelon form.
+    """
     pivots: list[int] = []
+    prev = 1
     r = 0
-    for c in range(ncols):
+    for c in range(len(m[0]) if m else 0):
         if r == len(m):
             break
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        row = m[r]
+        p = row[c]
+        for i, other in enumerate(m):
+            if i != r:
+                f = other[c]
+                m[i] = [(p * a - f * b) // prev for a, b in zip(other, row)]
+        prev = p
         pivots.append(c)
         r += 1
-    return m, pivots
+    return pivots
 
 
 def rank(rows: Sequence[Row]) -> int:
-    if not rows:
-        return 0
-    return len(rref(rows)[1])
+    """Rank over the rationals."""
+    return len(_echelon([primitive_integer_vector(row) for row in rows]))
 
 
 def primitive_integer_vector(vec: Sequence[Scalar]) -> list[int]:
@@ -129,26 +115,20 @@ def primitive_integer_vector(vec: Sequence[Scalar]) -> list[int]:
     The zero vector maps to itself. Sign is preserved, not normalized;
     callers pick their own sign convention.
     """
-    fracs = [Fraction(x) for x in vec]
-    if all(x == 0 for x in fracs):
-        return [0] * len(fracs)
-    denom_lcm = 1
-    for x in fracs:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in fracs]
-    content = 0
-    for x in ints:
-        content = gcd(content, x)
-    return [x // content for x in ints]
+    scale = lcm(*(x.denominator for x in vec))
+    ints = [int(x * scale) for x in vec]
+    content = gcd(*ints)
+    return [x // content for x in ints] if content else ints
 
 
 def kernel_basis(rows: Sequence[Row], ncols: int | None = None) -> list[list[int]]:
     """Basis of the right kernel, as primitive integer vectors.
 
-    The basis comes from the reduced row echelon form with one vector per
-    free column, ordered by free column index. Each vector is scaled to
-    integer entries with content 1 and its first nonzero entry positive,
-    so the output is canonical for a given column order.
+    The basis comes from the reduced row echelon form, computed
+    fraction-free by _echelon, with one vector per free column, ordered
+    by free column index. Each vector is scaled to integer entries with
+    content 1 and its first nonzero entry positive, so the output is
+    canonical for a given column order.
 
     An empty matrix (no rows) is the zero map; pass ncols to say how many
     columns it has.
@@ -160,13 +140,15 @@ def kernel_basis(rows: Sequence[Row], ncols: int | None = None) -> list[list[int
     width = len(rows[0])
     if ncols is not None and ncols != width:
         raise ValueError(f"ncols={ncols} disagrees with row width {width}")
-    reduced, pivots = rref(rows)
+    reduced = [primitive_integer_vector(row) for row in rows]
+    pivots = _echelon(reduced)
+    last = reduced[len(pivots) - 1][pivots[-1]] if pivots else 1  # the D of _echelon
     pivot_set = set(pivots)
     free_cols = [c for c in range(width) if c not in pivot_set]
     basis: list[list[int]] = []
     for fc in free_cols:
-        vec = [Fraction(0)] * width
-        vec[fc] = Fraction(1)
+        vec = [0] * width
+        vec[fc] = last
         for r, pc in enumerate(pivots):
             vec[pc] = -reduced[r][fc]
         ints = primitive_integer_vector(vec)

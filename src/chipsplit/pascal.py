@@ -85,8 +85,8 @@ class PascalForm:
         if config.degree > self.d:
             raise ValueError(f"configuration of degree {config.degree} does not fit this degree-{self.d} form")
         total = Fraction(0)
-        for p, v in config:
-            c = self.coefficients.get(p)
+        for (i, j), v in config:
+            c = self.coefficient(i, j)
             if c:
                 total += c * Fraction(v)
         return int(total) if total.denominator == 1 else total

@@ -22,7 +22,8 @@ eliminators and reporting which one fires:
   contains the whole support, a compatible valid outcome would have
   degree far below d, contradicting its top-degree points. The four
   instances used are the fixed small one and the three third-cut
-  variants, which is what pins the d >= 42 floor.
+  variants, which is what pins the d >= 42 floor. Coverage is exact, on
+  the bit masks of instances that allow each strip position.
 * special: ad hoc arguments for what survives, certified case by case.
 
 Verdicts carry enough detail to re-check the certificate, and the
@@ -33,9 +34,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cache
-
-import numpy as np
+from functools import cache, reduce
+from operator import and_
 
 from .linalg import Poly, binomial, binomial_poly, integer_roots_at_or_above, poly_det
 from .hyperfield import ContractionPoint, lambda_set, parse_coord, s3_on_contraction
@@ -479,23 +479,6 @@ def _scenario_failures(points: list[SymPoint], first_only: bool = True):
     return failures
 
 
-_ATTEMPT_CACHE: dict[tuple, bool] = {}
-
-
-def _shape_key(points: list[SymPoint]) -> tuple:
-    rename: dict[str, str] = {}
-
-    def canon(sym: Sym) -> tuple:
-        terms = []
-        for name, coeff in sym.terms:
-            if name not in rename:
-                rename[name] = f"v{len(rename)}"
-            terms.append((rename[name], coeff))
-        return (sym.dc, sym.c, tuple(sorted(terms)))
-
-    return tuple(sorted((canon(p.i), canon(p.j)) for p in points))
-
-
 def _placed_scenarios(points: list[SymPoint]):
     """The points under every placement scenario that is not vacuous."""
     colvars = _column_variables(points)
@@ -507,13 +490,7 @@ def _placed_scenarios(points: list[SymPoint]):
 
 def _attempt_excluded(points: list[SymPoint]) -> bool:
     """True when every placement scenario certifies exclusion."""
-    key = _shape_key(points)
-    hit = _ATTEMPT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    result = not any(_scenario_failures(placed) for placed in _placed_scenarios(points))
-    _ATTEMPT_CACHE[key] = result
-    return result
+    return not any(_scenario_failures(placed) for placed in _placed_scenarios(points))
 
 
 def _attempt_guards(points: list[SymPoint]) -> set[Sym] | None:
@@ -564,8 +541,8 @@ def symmetry_eliminates(case: ContractionPoint) -> str | None:
 _HEX_SWEEP_TOP = 123
 
 
-def _strip_allowed(kind: str, idx: int, inst: str, d: int, m: np.ndarray) -> np.ndarray:
-    """Which generic strip positions one hexagon instance contains.
+def _strip_allowed(kind: str, idx: int, inst: str, d: int, m: int) -> bool:
+    """Whether one hexagon instance contains the generic strip position m.
 
     Instances: "small" is the fixed hexagon with d' = 6 and both arms 7;
     "thirds" cuts at a third everywhere; "wide_i" widens the right arm
@@ -608,6 +585,11 @@ def hexagon_eliminates(case: ContractionPoint) -> bool:
     instance's small triangle, far below d. The check sweeps d up to a
     cap beyond which every interval comparison in the instance bounds is
     stable, so the covering pattern repeats.
+
+    For each d, a strip position m matters only through its mask, the
+    4-bit set of instances that allow it. The box of strip positions is
+    covered exactly when every choice of one occurring mask per strip
+    has a nonzero AND, that is, some instance allows all of them.
     """
     strips = [
         parse_coord(name)
@@ -619,23 +601,18 @@ def hexagon_eliminates(case: ContractionPoint) -> bool:
     if len(strips) > 3:
         raise AssertionError("more strip coordinates than a support-five case allows")
     for d in range(D_FLOOR, _HEX_SWEEP_TOP + 1):
-        m = np.arange(4, d - 6)
-        covered = np.zeros([len(m)] * len(strips), dtype=bool)
-        for inst in ("small", "thirds", "wide_i", "wide_j"):
-            axes = []
-            for kind, (idx,) in strips:
-                axes.append(_strip_allowed(kind, idx, inst, d, m))
-            inside = axes[0]
-            if len(axes) == 2:
-                inside = axes[0][:, None] & axes[1][None, :]
-            elif len(axes) == 3:
-                inside = (
-                    axes[0][:, None, None]
-                    & axes[1][None, :, None]
-                    & axes[2][None, None, :]
+        mask_sets = [
+            {
+                sum(
+                    1 << bit
+                    for bit, inst in enumerate(("small", "thirds", "wide_i", "wide_j"))
+                    if _strip_allowed(kind, idx, inst, d, m)
                 )
-            covered |= inside
-        if not covered.all():
+                for m in range(4, d - 6)
+            }
+            for kind, (idx,) in strips
+        ]
+        if not all(reduce(and_, masks) for masks in itertools.product(*mask_sets)):
             return False
     return True
 

@@ -96,11 +96,23 @@ def desk_census() -> EnumerationReport:
     return enumerate_fundamental(7, 4)
 
 
+RESULTS = Path(__file__).resolve().parent.parent / "results"
+
+
 @cache
-def recorded_width_five_sweep() -> dict:
-    path = Path(__file__).resolve().parent.parent / "results" / "sweep-5-d41.json"
-    payload = json.loads(path.read_text())
+def recorded_sweep(name: str) -> dict:
+    payload = json.loads((RESULTS / name).read_text())
     return {summary["degree"]: summary for summary in payload["summaries"]}
+
+
+def assert_matches_recorded_sweep(certificates, name):
+    recorded = recorded_sweep(name)
+    for cert in certificates:
+        summary = recorded[cert.d]
+        assert len(cert.sign_survivors) == summary["sign_survivors"]
+        assert cert.nodes == summary["nodes"]
+        assert dict(Counter(cert.resolutions)) == summary["resolutions"]
+        assert cert.holds == summary["holds"]
 
 
 def entry_dicts(outcomes):
@@ -117,6 +129,8 @@ def test_criterion_01_small_support_classification(criterion):
         for expected in SMALL_FIVE:
             assert expected in found
         assert elapsed < 1.0
+        artifact = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+        assert artifact == (RESULTS / "census-n2-d3.json").read_text()
 
 
 def test_criterion_02_census_table(criterion, wide_census):
@@ -159,6 +173,7 @@ def test_criterion_04_support_four_survivors(criterion):
             assert cert.holds
             assert all(how == "invertibility" for how in cert.resolutions)
         assert elapsed < 5 * 60
+        assert_matches_recorded_sweep(certificates, "sweep-4-d11.json")
 
 
 def test_criterion_05_contraction_pipeline(criterion):
@@ -188,14 +203,10 @@ def test_criterion_06_support_five_sweep(criterion):
     with criterion(6, "no width-5 valid outcome in degrees 8..41"):
         certificates = sweep_no_valid_outcomes(5, range(8, 42))
         assert [cert.d for cert in certificates] == list(range(8, 42))
-        recorded = recorded_width_five_sweep()
         for cert in certificates:
             assert cert.holds
             assert cert.outcomes_found == ()
-            summary = recorded[cert.d]
-            assert len(cert.sign_survivors) == summary["sign_survivors"]
-            assert cert.nodes == summary["nodes"]
-            assert dict(Counter(cert.resolutions)) == summary["resolutions"]
+        assert_matches_recorded_sweep(certificates, "sweep-5-d41.json")
 
 
 def test_criterion_07_hexagon_determinants(criterion):

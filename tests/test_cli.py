@@ -7,13 +7,20 @@ the documented triple (0 ok, 1 failed verification, 2 bad input).
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import chipsplit
 from chipsplit.cli import main
+
+SRC = str(Path(chipsplit.__file__).resolve().parent.parent)
 
 # A valid outcome whose model splits into four fundamental pieces.
 COMPOSITE_TRIANGLE = "1\n1 2\n-2 1 1\n"
@@ -171,6 +178,14 @@ class TestIsOutcome:
         result = runner.invoke(main, ["is-outcome", fixture_file("chip.txt", LONE_CHIP)])
         assert result.exit_code == 1
         assert "top-edge form at (0, 0) evaluates to 1" in result.output
+
+    def test_one_chip_at_a_large_ambient_degree(self, runner, fixture_file):
+        # The top-edge forms read only the occupied point, so this returns
+        # at once instead of tabulating 501 triangles of coefficients.
+        text = '{"entries": [[0, 0, "1/3"]], "ambient": 500}'
+        result = runner.invoke(main, ["is-outcome", fixture_file("chip.json", text)])
+        assert result.exit_code == 1
+        assert "not an outcome" in result.output
 
     def test_json_verdict(self, runner, fixture_file):
         result = runner.invoke(
@@ -378,6 +393,12 @@ class TestFamily:
         payload = json.loads(result.output)
         assert payload["ambient"] == 3
         assert [1, 1, "3"] in payload["entries"]
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    code = "import sys, chipsplit.cli; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_version_flag(runner):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,6 +90,73 @@ def test_kernel_vectors_are_killed_by_the_matrix(rows):
         assert primitive_integer_vector(vec) in (vec, [-x for x in vec])
 
 
+def rref_by_fractions(rows):
+    """Textbook Gauss-Jordan over Fraction: the RREF and its pivot columns."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(m[0])):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r:
+                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def kernel_by_fractions(rows):
+    """One primitive, leading-positive kernel vector per free column of the RREF."""
+    reduced, pivots = rref_by_fractions(rows)
+    basis = []
+    for fc in (c for c in range(len(rows[0])) if c not in pivots):
+        vec = [Fraction(0)] * len(rows[0])
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r][fc]
+        scale = 1
+        for x in vec:
+            scale = scale * x.denominator // gcd(scale, x.denominator)
+        ints = [int(x * scale) for x in vec]
+        content = reduce(gcd, ints) * (1 if next(x for x in ints if x) > 0 else -1)
+        basis.append([x // content for x in ints])
+    return basis
+
+
+def rectangular_matrix(entries):
+    """Matrices up to 6 x 7, often with repeated or combined rows (rank-deficient)."""
+
+    @st.composite
+    def build(draw):
+        nrows = draw(st.integers(min_value=1, max_value=6))
+        ncols = draw(st.integers(min_value=1, max_value=7))
+        rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+        for _ in range(draw(st.integers(min_value=0, max_value=nrows - 1))):
+            a, b, c = (draw(st.integers(min_value=0, max_value=nrows - 1)) for _ in range(3))
+            k = draw(st.integers(min_value=-3, max_value=3))
+            rows[a] = [k * x + y for x, y in zip(rows[b], rows[c])]
+        return rows
+
+    return build()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        rectangular_matrix(small_int),
+        rectangular_matrix(st.fractions(min_value=-5, max_value=5, max_denominator=6)),
+        rectangular_matrix(st.sampled_from([0, 0, 0, 1, -1, 7, -40, 120])),
+    )
+)
+def test_integer_elimination_matches_fraction_rref(rows):
+    _, pivots = rref_by_fractions(rows)
+    assert rank(rows) == len(pivots)
+    assert kernel_basis(rows) == kernel_by_fractions(rows)
+
+
 def test_kernel_basis_canonical_form():
     # One relation x0 = x1 + x2 leaves a two-dimensional kernel.
     basis = kernel_basis([[1, -1, -1]])
@@ -101,6 +170,15 @@ def test_kernel_basis_canonical_form():
 def test_kernel_scales_fractions_to_primitive_integers():
     basis = kernel_basis([[Fraction(1, 2), Fraction(-1, 3)]])
     assert basis == [[2, 3]]
+
+
+def test_primitive_integer_vector_fixed_values():
+    assert primitive_integer_vector([]) == []
+    assert primitive_integer_vector([0, 0, 0]) == [0, 0, 0]
+    assert primitive_integer_vector([4, -6, 0]) == [2, -3, 0]
+    assert primitive_integer_vector([-4, 6]) == [-2, 3]
+    assert primitive_integer_vector([Fraction(1, 2), Fraction(-1, 3), 1]) == [3, -2, 6]
+    assert primitive_integer_vector([Fraction(-4, 3), 0]) == [-1, 0]
 
 
 def test_binomial_guard():

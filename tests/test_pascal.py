@@ -18,6 +18,7 @@ from chipsplit.grid import (
 )
 from chipsplit.linalg import rank
 from chipsplit.pascal import (
+    PascalForm,
     all_forms,
     bottom_row_form,
     is_outcome,
@@ -136,6 +137,23 @@ def test_single_chip_is_not_an_outcome():
     assert not is_outcome(ChipConfiguration({(0, 0): 1}))
     assert not is_outcome(ChipConfiguration({(0, 0): -1}))
     assert is_outcome(ChipConfiguration.zero())
+
+
+def test_outcome_check_reads_only_the_occupied_coefficients(monkeypatch):
+    # One chip at ambient 200: each of the d + 1 top-edge forms needs one
+    # coefficient, not its whole triangle of them.
+    calls = 0
+    original = PascalForm.coefficient
+
+    def counting(self, i, j):
+        nonlocal calls
+        calls += 1
+        return original(self, i, j)
+
+    monkeypatch.setattr(PascalForm, "coefficient", counting)
+    config = ChipConfiguration({(0, 0): Fraction(1, 3)}, ambient=200)
+    assert not is_outcome(config)
+    assert calls <= (200 + 1) * len(config)
 
 
 def test_rational_outcomes_are_recognized():
