@@ -11,6 +11,11 @@ input files.
 Configuration files are accepted in either format: the rendered
 triangle (rows top down, ``·`` or ``.`` for empty points) or the JSON
 object emitted by ``chipsplit parse``.
+
+The committed census, sweep and pipeline artifacts are the standard
+output of ``enumerate --json``, ``sweep --summary`` and ``pipeline
+--json``; their JSON is indented and key-sorted, so equal results
+print equal bytes.
 """
 
 from __future__ import annotations
@@ -25,10 +30,11 @@ import click
 from . import __version__
 from .criteria import hexagon_determinant
 from .enumeration import (
-    EnumerationReport,
+    SWEEP_START,
     check_conjecture,
     enumerate_fundamental,
     sweep_no_valid_outcomes,
+    sweep_summary,
 )
 from .grid import ChipConfiguration, config_from_json, config_to_json
 from .grid import parse as parse_triangle
@@ -100,9 +106,10 @@ def is_outcome_command(file, as_json):
         click.echo(f"outcome: reachable at degree {degree}")
     else:
         values = top_edge_values(config)
+        level = len(values) - 1
         bad = next(a for a, v in enumerate(values) if v != 0)
         click.echo(
-            f"not an outcome: top-edge form at ({bad}, {degree - bad}) "
+            f"not an outcome: top-edge form at ({bad}, {level - bad}) "
             f"evaluates to {values[bad]}"
         )
     sys.exit(0 if verdict else 1)
@@ -165,28 +172,16 @@ def decompose_command(file, as_json):
         click.echo(f"  mu_{index} = {mu}")
 
 
-def _filter_report(report: EnumerationReport, size: int) -> EnumerationReport:
-    n = size - 1
-    table = {cell: count for cell, count in report.table.items() if cell[0] == n}
-    outcomes = tuple(
-        w for w in report.outcomes if len(w.positive_support) == size
-    )
-    stats = dict(report.stats)
-    stats["support_filter"] = size
-    return EnumerationReport(table, outcomes, stats)
-
-
 @main.command("enumerate")
 @click.option("--max-degree", type=click.IntRange(1), required=True)
-@click.option("--support", type=click.IntRange(2), default=None,
-              help="Keep only outcomes with exactly this many positive entries.")
+@click.option("--max-support", type=click.IntRange(2), default=None,
+              help="Largest number of positive entries to count "
+                   "[default: min(6, max-degree + 1)].")
 @click.option("--json", "as_json", is_flag=True, help="Full report as JSON.")
-def enumerate_command(max_degree, support, as_json):
+def enumerate_command(max_degree, max_support, as_json):
     """Census of fundamental outcomes up to a degree bound."""
-    n_max = (support - 1) if support else min(5, max_degree)
+    n_max = (max_support - 1) if max_support else min(5, max_degree)
     report = enumerate_fundamental(max_degree, n_max)
-    if support:
-        report = _filter_report(report, support)
     if as_json:
         _echo_json(report.to_json())
         return
@@ -203,26 +198,28 @@ def enumerate_command(max_degree, support, as_json):
         sys.exit(1)
 
 
-_SWEEP_START = {4: 6, 5: 8}
-
-
 @main.command("sweep")
 @click.option("--support", type=click.Choice(["4", "5"]), required=True,
               help="Number of positive entries to rule out.")
 @click.option("--max-degree", type=click.IntRange(1), required=True)
 @click.option("--json", "as_json", is_flag=True)
+@click.option("--summary", is_flag=True,
+              help="Per-degree counts and verdicts as JSON, without the survivor "
+                   "lists; takes precedence over --json.")
 @click.option("--jobs", type=click.IntRange(1), default=None)
-def sweep_command(support, max_degree, as_json, jobs):
+def sweep_command(support, max_degree, as_json, summary, jobs):
     """Certify degrees that host no valid outcome of a given width."""
     n_plus = int(support)
-    start = _SWEEP_START[n_plus]
+    start = SWEEP_START[n_plus]
     if max_degree < start:
         _input_error(f"--max-degree must be at least {start} for width {n_plus}")
     certificates = sweep_no_valid_outcomes(
         n_plus, range(start, max_degree + 1), jobs=jobs
     )
     holds = all(cert.holds for cert in certificates)
-    if as_json:
+    if summary:
+        _echo_json(sweep_summary(n_plus, certificates))
+    elif as_json:
         _echo_json(
             {
                 "holds": holds,
@@ -230,17 +227,12 @@ def sweep_command(support, max_degree, as_json, jobs):
             }
         )
     else:
-        for cert in certificates:
-            tally = Counter(cert.resolutions)
-            detail = (
-                ", ".join(f"{how}: {count}" for how, count in sorted(tally.items()))
-                if tally
-                else "none"
-            )
-            state = "holds" if cert.holds else "REFUTED"
+        for row in sweep_summary(n_plus, certificates)["summaries"]:
+            detail = ", ".join(f"{how}: {count}" for how, count in row["resolutions"].items())
+            state = "holds" if row["holds"] else "REFUTED"
             click.echo(
-                f"degree {cert.d}: {len(cert.sign_survivors)} sign survivors "
-                f"({detail}) -> {state}"
+                f"degree {row['degree']}: {row['sign_survivors']} sign survivors "
+                f"({detail or 'none'}) -> {state}"
             )
         click.echo(
             f"no valid outcome with {n_plus} positive entries in degrees "

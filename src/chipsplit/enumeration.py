@@ -16,7 +16,9 @@ survive.  Each survivor is then settled by the invertibility test and
 the exact kernel criterion for fundamentality.  The sweep certifies
 that a whole degree hosts no valid outcome with a prescribed number of
 positive entries at all: its rare sign survivors are finished with the
-invertibility criterion or the kernel itself.
+invertibility criterion or the kernel itself.  ``sweep_summary``
+digests a sweep's certificates per degree, the format of the committed
+``results/sweep-*.json`` artifacts.
 
 Both computations are deterministic: results are sorted canonically,
 so reports serialize byte-identically run over run, also when the
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -407,6 +410,11 @@ def _sweep_one(task) -> dict:
     ).to_json()
 
 
+# First degree each width's sweep covers: one past the degree bound
+# d <= 2n - 1 for n + 1 positive entries, which the census attains.
+SWEEP_START = {4: 6, 5: 8}
+
+
 def sweep_no_valid_outcomes(
     n_plus: int,
     degrees,
@@ -430,8 +438,33 @@ def sweep_no_valid_outcomes(
         raise ValueError("sweep degrees must be positive")
     tasks = [(n_plus, d) for d in ds]
     if jobs and jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # A pool starts all its workers up front; more than one per degree idles.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             payloads = list(pool.map(_sweep_one, tasks))
     else:
         payloads = [_sweep_one(task) for task in tasks]
     return tuple(SweepCertificate.from_json(payload) for payload in payloads)
+
+
+def sweep_summary(n_plus: int, certificates) -> dict:
+    """The per-degree digest of a sweep, the format of ``results/sweep-*.json``.
+
+    Keeps each degree's node count, survivor count, resolution tally and
+    verdict, and drops the survivor lists themselves.
+    """
+    summaries = [
+        {
+            "degree": cert.d,
+            "nodes": cert.nodes,
+            "sign_survivors": len(cert.sign_survivors),
+            "resolutions": dict(sorted(Counter(cert.resolutions).items())),
+            "holds": cert.holds,
+        }
+        for cert in certificates
+    ]
+    return {
+        "support": n_plus,
+        "degrees": [certificates[0].d, certificates[-1].d],
+        "holds": all(cert.holds for cert in certificates),
+        "summaries": summaries,
+    }

@@ -4,25 +4,28 @@ Each test checks one published claim end to end and records a pass/fail
 line through the ``criterion`` fixture; the lines print as a block at
 the end of the run.  Stated time budgets are asserted where the claim
 carries one.  Every claim is recomputed from scratch, the wide census
-row (six positive entries, degrees up to nine) included; the width-5
-sweep is also compared degree by degree with its committed record.
+row (six positive entries, degrees up to nine) included; the sweeps and
+the pipeline are also compared whole with their committed artifacts.
 """
 
 import itertools
 import json
 import random
 import time
-from collections import Counter
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
+from click.testing import CliRunner
+
+from chipsplit.cli import main
 from chipsplit.criteria import hexagon_determinant
 from chipsplit.enumeration import (
     EnumerationReport,
     check_conjecture,
     enumerate_fundamental,
     sweep_no_valid_outcomes,
+    sweep_summary,
 )
 from chipsplit.grid import (
     PERMUTATIONS,
@@ -99,20 +102,9 @@ def desk_census() -> EnumerationReport:
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 
-@cache
-def recorded_sweep(name: str) -> dict:
-    payload = json.loads((RESULTS / name).read_text())
-    return {summary["degree"]: summary for summary in payload["summaries"]}
-
-
-def assert_matches_recorded_sweep(certificates, name):
-    recorded = recorded_sweep(name)
-    for cert in certificates:
-        summary = recorded[cert.d]
-        assert len(cert.sign_survivors) == summary["sign_survivors"]
-        assert cert.nodes == summary["nodes"]
-        assert dict(Counter(cert.resolutions)) == summary["resolutions"]
-        assert cert.holds == summary["holds"]
+def serialized(payload) -> str:
+    """JSON as the CLI prints it and the committed artifacts store it."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def entry_dicts(outcomes):
@@ -129,8 +121,7 @@ def test_criterion_01_small_support_classification(criterion):
         for expected in SMALL_FIVE:
             assert expected in found
         assert elapsed < 1.0
-        artifact = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
-        assert artifact == (RESULTS / "census-n2-d3.json").read_text()
+        assert serialized(report.to_json()) == (RESULTS / "census-n2-d3.json").read_text()
 
 
 def test_criterion_02_census_table(criterion, wide_census):
@@ -173,7 +164,8 @@ def test_criterion_04_support_four_survivors(criterion):
             assert cert.holds
             assert all(how == "invertibility" for how in cert.resolutions)
         assert elapsed < 5 * 60
-        assert_matches_recorded_sweep(certificates, "sweep-4-d11.json")
+        summary = serialized(sweep_summary(4, certificates))
+        assert summary == (RESULTS / "sweep-4-d11.json").read_text()
 
 
 def test_criterion_05_contraction_pipeline(criterion):
@@ -197,6 +189,10 @@ def test_criterion_05_contraction_pipeline(criterion):
         assert exceptional_verdict.case == lam.exceptional
         assert exceptional_verdict.eliminated_by == "special"
         assert elapsed < 30 * 60
+        # pipeline_summary is cached, so the CLI reuses the run above.
+        result = CliRunner().invoke(main, ["pipeline", "--json"])
+        assert result.exit_code == 0
+        assert result.output == (RESULTS / "pipeline.json").read_text()
 
 
 def test_criterion_06_support_five_sweep(criterion):
@@ -206,7 +202,8 @@ def test_criterion_06_support_five_sweep(criterion):
         for cert in certificates:
             assert cert.holds
             assert cert.outcomes_found == ()
-        assert_matches_recorded_sweep(certificates, "sweep-5-d41.json")
+        summary = serialized(sweep_summary(5, certificates))
+        assert summary == (RESULTS / "sweep-5-d41.json").read_text()
 
 
 def test_criterion_07_hexagon_determinants(criterion):

@@ -8,6 +8,7 @@ the documented triple (0 ok, 1 failed verification, 2 bad input).
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,7 @@ import chipsplit
 from chipsplit.cli import main
 
 SRC = str(Path(chipsplit.__file__).resolve().parent.parent)
+ROOT = Path(__file__).resolve().parent.parent
 
 # A valid outcome whose model splits into four fundamental pieces.
 COMPOSITE_TRIANGLE = "1\n1 2\n-2 1 1\n"
@@ -174,10 +176,18 @@ class TestIsOutcome:
         assert result.exit_code == 0
         assert result.output == "outcome: reachable at degree 2\n"
 
-    def test_failure_names_a_witness_form(self, runner, fixture_file):
-        result = runner.invoke(main, ["is-outcome", fixture_file("chip.txt", LONE_CHIP)])
+    @pytest.mark.parametrize(
+        "text,witness",
+        [
+            (LONE_CHIP, "(0, 0) evaluates to 1"),
+            # The forms checked lie on the ambient diagonal, not at degree 0.
+            ('{"entries": [[0, 0, "1/3"]], "ambient": 3}', "(0, 3) evaluates to 1/3"),
+        ],
+    )
+    def test_failure_names_a_witness_form(self, runner, fixture_file, text, witness):
+        result = runner.invoke(main, ["is-outcome", fixture_file("chip.txt", text)])
         assert result.exit_code == 1
-        assert "top-edge form at (0, 0) evaluates to 1" in result.output
+        assert f"top-edge form at {witness}" in result.output
 
     def test_one_chip_at_a_large_ambient_degree(self, runner, fixture_file):
         # The top-edge forms read only the occupied point, so this returns
@@ -260,17 +270,35 @@ class TestDecompose:
         assert "error:" in result.stderr
 
 
-class TestEnumerate:
-    def test_support_three_table(self, runner):
-        result = runner.invoke(
-            main, ["enumerate", "--max-degree", "3", "--support", "3", "--json"]
-        )
-        assert result.exit_code == 0
-        payload = json.loads(result.output)
-        assert payload["table"] == [[2, 2, 3], [2, 3, 1]]
-        assert len(payload["outcomes"]) == 4
-        assert payload["stats"]["support_filter"] == 3
+@pytest.mark.parametrize(
+    "args,artifact",
+    [
+        ("enumerate --max-degree 3 --max-support 3 --json", "results/census-n2-d3.json"),
+        ("enumerate --max-degree 7 --max-support 5 --json", "tests/golden/census-n4-d7.json"),
+        ("sweep --support 4 --max-degree 11 --summary", "results/sweep-4-d11.json"),
+    ],
+)
+def test_cli_writes_the_committed_artifact(runner, args, artifact):
+    result = runner.invoke(main, args.split())
+    assert result.exit_code == 0
+    assert result.output == (ROOT / artifact).read_text()
 
+
+def test_readme_experiments_parse():
+    # make_context parses and validates a command line without running it.
+    block = (ROOT / "README.md").read_text().split("## Experiments", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("chipsplit ")]
+    assert len(lines) == 6
+    for line in lines:
+        words = shlex.split(line)
+        redirect = words.index(">")
+        assert (ROOT / words[redirect + 1]).is_file(), line
+        group = main.make_context("chipsplit", words[1:redirect])
+        name, command, rest = main.resolve_command(group, words[1:redirect])
+        command.make_context(name, rest, parent=group)
+
+
+class TestEnumerate:
     def test_human_readable_rows(self, runner):
         result = runner.invoke(main, ["enumerate", "--max-degree", "3"])
         assert result.exit_code == 0

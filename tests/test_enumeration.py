@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chipsplit import enumeration
 from chipsplit.enumeration import (
     EnumerationReport,
     _anchored,
@@ -448,6 +449,29 @@ class TestSweep:
         serial = sweep_no_valid_outcomes(4, [6, 7])
         parallel = sweep_no_valid_outcomes(4, [6, 7], jobs=2)
         assert [c.to_json() for c in serial] == [c.to_json() for c in parallel]
+
+    def test_pool_is_capped_at_one_worker_per_degree(self, monkeypatch):
+        # A real pool would fork every requested worker up front, so a fake
+        # records the size asked for and runs the tasks in this process.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", SerialPool)
+        certificates = sweep_no_valid_outcomes(4, [6, 7], jobs=5000)
+        assert sizes == [2]
+        assert [cert.d for cert in certificates] == [6, 7]
 
 
 class TestCanonicalKey:
