@@ -223,7 +223,10 @@ def enumerate_fundamental(d_max: int, n_max: int) -> EnumerationReport:
     d_max that has a candidate is scanned; the bound below the diagonal
     (support exceeding degree) is not assumed, it re-emerges as empty
     cells.  Every such cell runs, so stats["skipped_cells"] is always
-    empty; the key stays so that reports keep one format.
+    empty; the key stays so that reports keep one format.  A cell needs
+    n + 1 distinct points off the origin, and the degree-d_max triangle
+    has d_max (d_max + 3) / 2 of them, so larger n are not visited;
+    stats["n_max"] still reports the bound asked for.
     """
     if d_max < 1 or n_max < 1:
         raise ValueError("the census needs d_max >= 1 and n_max >= 1")
@@ -231,7 +234,8 @@ def enumerate_fundamental(d_max: int, n_max: int) -> EnumerationReport:
     outcomes: list[ChipConfiguration] = []
     cells = []
     totals = _new_counters()
-    for n in range(1, n_max + 1):
+    n_top = min(n_max, d_max * (d_max + 3) // 2 - 1)
+    for n in range(1, n_top + 1):
         for d in range(1, d_max + 1):
             candidates = candidate_count(n, d)
             if candidates == 0:

@@ -13,7 +13,11 @@ eliminators and reporting which one fires:
   the fixed corner clusters, and every scenario must end with invertible
   pairing blocks. Block sizes up to three use the closed forms; larger
   blocks fall back to an exact determinant that is a polynomial in one
-  symbol, checked to have no admissible integer root.
+  symbol, checked to have no admissible integer root. A block verdict
+  is a pure function of its rows and points and is cached, because a
+  full run asks for 415,278 verdicts on only 766 distinct blocks; and a
+  variable's placed value depends only on its own column and choice, so
+  it is solved once per attempt rather than once per placement.
 * symmetry: the same argument after moving the support by a triangle
   symmetry. The image pattern includes the permuted origin, and a
   successful pairing there excludes any outcome on the original support
@@ -150,6 +154,9 @@ class SymPoint:
     def subst(self, mapping: dict[str, Sym]) -> SymPoint:
         return SymPoint(self.i.subst(mapping), self.j.subst(mapping))
 
+    def variables(self) -> set[str]:
+        return {name for name, _ in self.i.terms + self.j.terms}
+
     def key(self) -> tuple:
         return (self.i.key(), self.j.key())
 
@@ -273,30 +280,27 @@ def _placements(n_vars: int):
                 yield tuple(detailed)
 
 
-def _substitution(colvars, placement) -> dict[str, Sym] | None:
-    """Solve each placed column expression for its variable.
+def _solve_column(name: str, colexpr: Sym, choice) -> Sym | None:
+    """Solve one placed column expression for its variable.
 
     Returns None when the placement forces the variable outside
-    [4, d-7], which makes the scenario vacuous.
+    [4, d-7], which makes every scenario with this choice vacuous.
     """
-    mapping = {}
-    for (name, colexpr), choice in zip(colvars, placement):
-        if choice[0] == "low":
-            col = Sym.const(choice[1])
-        elif choice[0] == "top":
-            col = Sym.dee(-choice[1])
-        else:
-            col = Sym.var(f"B{choice[1]}").shifted(choice[2])
-        coeff = dict(colexpr.terms)[name]
-        rest = colexpr - Sym(0, 0, ((name, coeff),))
-        value = (col - rest).scaled(coeff)
-        # The variable must stay in [4, d-7] somewhere on the box.
-        if _sign_for_all(value.shifted(-4)) == -1:
-            return None
-        if _sign_for_all(Sym.dee(-7) - value) == -1:
-            return None
-        mapping[name] = value
-    return mapping
+    if choice[0] == "low":
+        col = Sym.const(choice[1])
+    elif choice[0] == "top":
+        col = Sym.dee(-choice[1])
+    else:
+        col = Sym.var(f"B{choice[1]}").shifted(choice[2])
+    coeff = dict(colexpr.terms)[name]
+    rest = colexpr - Sym(0, 0, ((name, coeff),))
+    value = (col - rest).scaled(coeff)
+    # The variable must stay in [4, d-7] somewhere on the box.
+    if _sign_for_all(value.shifted(-4)) == -1:
+        return None
+    if _sign_for_all(Sym.dee(-7) - value) == -1:
+        return None
+    return value
 
 
 _TOP_WINDOW = 24
@@ -337,8 +341,9 @@ def _region_blocks(positions: dict[int, list[int]], limit: int | None):
     while c <= last:
         room = 6 if limit is None else min(6, limit - c)
         width = None
+        count = 0
         for lam in range(1, room + 1):
-            count = sum(len(positions.get(i, ())) for i in range(c, c + lam))
+            count += len(positions.get(c + lam - 1, ()))
             if count == 0 or count == lam:
                 width = lam
                 break
@@ -377,7 +382,10 @@ def _poly_entry(upper: Sym, k: int, symbol_key, u_min: int):
     return None, "mixed", 0
 
 
-def _block_verdict(rows: list[Sym], pts: list[SymPoint]) -> ScenarioFailure | None:
+@cache
+def _block_verdict(
+    rows: tuple[Sym, ...], pts: tuple[SymPoint, ...]
+) -> ScenarioFailure | None:
     """Certify one pairing block invertible for every admissible value."""
     lead = rows[0]
     shifted = []
@@ -470,8 +478,8 @@ def _scenario_failures(points: list[SymPoint], first_only: bool = True):
                 return failures
             continue
         for c_lo, width, members in blocks:
-            rows = [base_row.shifted(c_lo + w) for w in range(width)]
-            failure = _block_verdict(rows, [points[m] for m in members])
+            rows = tuple(base_row.shifted(c_lo + w) for w in range(width))
+            failure = _block_verdict(rows, tuple(points[m] for m in members))
             if failure is not None:
                 failures.append(failure)
                 if first_only:
@@ -480,12 +488,40 @@ def _scenario_failures(points: list[SymPoint], first_only: bool = True):
 
 
 def _placed_scenarios(points: list[SymPoint]):
-    """The points under every placement scenario that is not vacuous."""
+    """The points under every placement scenario that is not vacuous.
+
+    A variable's value depends only on its own column expression and its
+    own choice, and each point carries at most one variable. So each
+    (variable, choice) is solved once per attempt, together with the
+    points that carry the variable, and every placement is assembled
+    from those lookups.
+    """
+    if any(len(p.variables()) > 1 for p in points):
+        raise AssertionError("a support point carries more than one variable")
     colvars = _column_variables(points)
+    carriers = [
+        [k for k, p in enumerate(points) if name in p.variables()] for name, _ in colvars
+    ]
+    tables: list[dict] = [{} for _ in colvars]
     for placement in _placements(len(colvars)):
-        mapping = _substitution(colvars, placement)
-        if mapping is not None:
-            yield [p.subst(mapping) for p in points]
+        placed = list(points)
+        for (name, colexpr), carried, table, choice in zip(
+            colvars, carriers, tables, placement
+        ):
+            if choice not in table:
+                value = _solve_column(name, colexpr, choice)
+                table[choice] = (
+                    None
+                    if value is None
+                    else [(k, points[k].subst({name: value})) for k in carried]
+                )
+            moved = table[choice]
+            if moved is None:
+                break
+            for k, q in moved:
+                placed[k] = q
+        else:
+            yield placed
 
 
 def _attempt_excluded(points: list[SymPoint]) -> bool:

@@ -309,6 +309,24 @@ class TestLongRunGate:
         with pytest.raises(ValueError):
             enumerate_fundamental(3, 0)
 
+    def test_support_bound_stops_at_the_triangle(self, monkeypatch):
+        # The degree-3 triangle has 9 points off the origin, so no cell
+        # beyond n = 8 can hold a candidate.
+        calls = []
+
+        def counting(n, d):
+            calls.append((n, d))
+            return candidate_count(n, d)
+
+        monkeypatch.setattr(enumeration, "candidate_count", counting)
+        report = enumerate_fundamental(3, 1999)
+        assert max(n for n, _ in calls) == 8
+        assert len(calls) == 8 * 3
+        assert report.stats["n_max"] == 1999
+        capped = enumerate_fundamental(3, 8)
+        assert report.outcomes == capped.outcomes
+        assert report.stats["cells"] == capped.stats["cells"]
+
 
 class TestReportValidation:
     def build(self, entries_list, table):

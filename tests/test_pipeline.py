@@ -14,13 +14,18 @@ from chipsplit.criteria import (
     pairing_matrix,
 )
 from chipsplit.hyperfield import XI_PRIME_COORDS, ContractionPoint, lambda_set
+from chipsplit import pipeline
 from chipsplit.linalg import binomial
 from chipsplit.pipeline import (
     D_FLOOR,
     Sym,
     _attempt_excluded,
     _attempt_guards,
+    _block_verdict,
+    _column_variables,
     _final_slice_patterns,
+    _placed_scenarios,
+    _placements,
     _region_blocks,
     _sign_for_all,
     _slice_det,
@@ -207,6 +212,119 @@ class TestRegionBlocks:
     def test_right_boundary_limits_the_probe(self):
         assert _region_blocks({23: [0, 1]}, 25) == [(23, 2, [0, 1])]
         assert _region_blocks({24: [0, 1]}, 25) is None
+
+
+def reference_substitution(colvars, placement):
+    """Solve every placed column expression for its variable, from scratch.
+
+    The per-placement solve the pipeline ran before it tabled each
+    (variable, choice) once per attempt; None marks a vacuous placement.
+    """
+    mapping = {}
+    for (name, colexpr), choice in zip(colvars, placement):
+        if choice[0] == "low":
+            col = Sym.const(choice[1])
+        elif choice[0] == "top":
+            col = Sym.dee(-choice[1])
+        else:
+            col = Sym.var(f"B{choice[1]}").shifted(choice[2])
+        coeff = dict(colexpr.terms)[name]
+        rest = colexpr - Sym(0, 0, ((name, coeff),))
+        value = (col - rest).scaled(coeff)
+        if _sign_for_all(value.shifted(-4)) == -1:
+            return None
+        if _sign_for_all(Sym.dee(-7) - value) == -1:
+            return None
+        mapping[name] = value
+    return mapping
+
+
+def reference_scenarios(points):
+    colvars = _column_variables(points)
+    for placement in _placements(len(colvars)):
+        mapping = reference_substitution(colvars, placement)
+        if mapping is not None:
+            yield [p.subst(mapping) for p in points]
+
+
+class TestPlacedScenarios:
+    def generic_points(self, names):
+        return [cell_possibilities(name)[0] for name in names]
+
+    def assert_same_scenarios(self, points):
+        expected = [[p.key() for p in placed] for placed in reference_scenarios(points)]
+        got = [[p.key() for p in placed] for placed in _placed_scenarios(points)]
+        assert got == expected
+
+    def test_case_attempts_match_the_per_placement_solve(self):
+        by_width = {}
+        for case in lambda_set().cases:
+            points = self.generic_points(support_names(case.record()))
+            for attempt in (points, [p.transposed() for p in points]):
+                by_width.setdefault(len(_column_variables(attempt)), attempt)
+        # A merged record has at most one strip cell of each kind, so its
+        # attempts carry at most two column variables.
+        assert set(by_width) == {0, 1, 2}
+        for width in (1, 2):
+            self.assert_same_scenarios(by_width[width])
+            self.assert_same_scenarios([p.transposed() for p in by_width[width]])
+
+    def test_three_column_variables_match_the_per_placement_solve(self):
+        points = self.generic_points(["x[0,0]", "beta[0]", "beta[2]", "gamma[1]", "t[3,0]"])
+        assert len(_column_variables(points)) == 3
+        self.assert_same_scenarios(points)
+
+
+# A record whose pairing meets blocks beyond the closed forms, which need
+# the exact determinant.
+GENERAL_BLOCK_RECORD = {
+    "x[0,0]": -1,
+    "r[1,3]": 1,
+    "r[2,3]": 1,
+    "t[1,1]": 1,
+    "t[3,0]": 1,
+    "alpha[0]": 1,
+}
+
+
+class TestBlockVerdictCache:
+    def count_determinants(self, monkeypatch):
+        calls = []
+        real = pipeline.poly_det
+
+        def counting(grid):
+            calls.append(len(grid))
+            return real(grid)
+
+        monkeypatch.setattr(pipeline, "poly_det", counting)
+        return calls
+
+    def test_cached_verdicts_equal_fresh_ones(self, monkeypatch):
+        met = []
+
+        def recording(rows, pts):
+            met.append((rows, pts))
+            return _block_verdict(rows, pts)
+
+        monkeypatch.setattr(pipeline, "_block_verdict", recording)
+        invertibility_eliminates(
+            ContractionPoint.from_record(GENERAL_BLOCK_RECORD, XI_PRIME_COORDS)
+        )
+        monkeypatch.setattr(pipeline, "_block_verdict", _block_verdict)
+        calls = self.count_determinants(monkeypatch)
+        for rows, pts in met:
+            assert _block_verdict(rows, pts) == _block_verdict.__wrapped__(rows, pts)
+        assert calls, "no general block was met"
+
+    def test_repeat_makes_no_determinant_calls(self, monkeypatch):
+        case = ContractionPoint.from_record(GENERAL_BLOCK_RECORD, XI_PRIME_COORDS)
+        _block_verdict.cache_clear()
+        calls = self.count_determinants(monkeypatch)
+        invertibility_eliminates(case)
+        assert calls
+        calls.clear()
+        invertibility_eliminates(case)
+        assert calls == []
 
 
 class TestTriBounds:
