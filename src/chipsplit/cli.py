@@ -206,7 +206,9 @@ def enumerate_command(max_degree, max_support, as_json):
 @click.option("--summary", is_flag=True,
               help="Per-degree counts and verdicts as JSON, without the survivor "
                    "lists; takes precedence over --json.")
-@click.option("--jobs", type=click.IntRange(1), default=None)
+@click.option("--jobs", type=click.IntRange(1), default=None,
+              help="Worker processes, at most one per degree; the output "
+                   "does not depend on it.")
 def sweep_command(support, max_degree, as_json, summary, jobs):
     """Certify degrees that host no valid outcome of a given width."""
     n_plus = int(support)

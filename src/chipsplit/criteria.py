@@ -9,6 +9,12 @@ the matrix becomes block lower triangular; the conquer step knows a few
 closed-form invertible block shapes and falls back to an exact
 determinant otherwise.
 
+The invertibility criterion has two entry points with the same verdict.
+``pairing_excludes`` answers yes or no on plain integers and is what the
+census and the sweeps call. ``invertibility_excludes`` is the reference:
+it builds the blocks and their pairing matrices and returns a verdict
+whose certificate ``ExclusionVerdict.verify`` can check again.
+
 The hexagon criterion bounds the degree of a valid outcome whose
 support avoids a hexagonal middle region of the triangle: what is left
 in the bottom-left corner must itself be an outcome, and validity then
@@ -22,7 +28,7 @@ from fractions import Fraction
 from math import factorial
 
 from .grid import ChipConfiguration, Coord
-from .linalg import binomial, det
+from .linalg import _det_bareiss, binomial, det
 from .pascal import is_outcome
 
 
@@ -144,22 +150,20 @@ class ExclusionVerdict:
         return True
 
 
-def _closed_form_invertible(block: LambdaBlock, d: int) -> bool | None:
+def _closed_form(shifted: list[Coord]) -> bool | None:
     """Decide a block by the known closed forms; None means no form applies.
 
-    The shapes follow the conquer analysis after shifting the block to
-    start at column zero: a single point, two points in the first two
-    columns, three points in the leading column (a Vandermonde), or two
-    leading-column points plus one in the next column, which is
-    invertible exactly when the degree sum i + j differs from 2k + 1.
+    shifted holds the block's points moved to start at column zero, in
+    sorted order. The shapes follow the conquer analysis: a single point
+    in the leading column, two points in the first two columns, three
+    points in the leading column (a Vandermonde), or two leading-column
+    points plus one in the next column, which is invertible exactly when
+    the degree sum i + j differs from 2k + 1.
     """
-    x = block.c_lo
-    shifted = sorted((i - x, j) for i, j in block.points)
     size = len(shifted)
     if size == 1:
         # One row, one point: the entry binom(d - deg, a - i) with a = i
-        # is binom(positive, 0) = 1 when the point is in the lead column,
-        # and the shift makes it so exactly when i - x = 0.
+        # is binom(positive, 0) = 1 when the point is in the lead column.
         return True if shifted[0][0] == 0 else None
     cols = [i for i, _ in shifted]
     if size == 2:
@@ -174,11 +178,15 @@ def _closed_form_invertible(block: LambdaBlock, d: int) -> bool | None:
             return True
         if cols == [0, 0, 1]:
             (_, i), (_, j), (_, k) = shifted
-            if i > j:
-                i, j = j, i
             return i + j != 2 * k + 1
         return None
     return None
+
+
+def _closed_form_invertible(block: LambdaBlock, d: int) -> bool | None:
+    """The closed-form verdict on one block of the divide step."""
+    x = block.c_lo
+    return _closed_form(sorted((i - x, j) for i, j in block.points))
 
 
 def _blocks_invertible(blocks: list[LambdaBlock], d: int) -> tuple[bool, list[int]]:
@@ -224,6 +232,58 @@ def invertibility_excludes(points: set[Coord] | frozenset[Coord], d: int) -> Exc
                 reason="all pairing blocks invertible",
             )
     return ExclusionVerdict(False, d, reason="no greedy column composition certifies exclusion")
+
+
+def _composition_invertible(points: list[Coord], d: int) -> bool:
+    """Whether the greedy column composition exists and all its blocks are invertible.
+
+    One pass over the columns with a running point count, as in
+    ``construct_lambda``. A block starting at column c is shifted to
+    column zero, where its matrix is the degree-(d - c) pairing matrix
+    of the shifted points.
+    """
+    columns: list[list[Coord]] = [[] for _ in range(d + 1)]
+    for p in points:
+        columns[p[0]].append(p)
+    c = 0
+    while c <= d:
+        if not columns[c]:
+            c += 1
+            continue
+        block: list[Coord] = []
+        for width in range(1, d + 2 - c):
+            block += columns[c + width - 1]
+            if len(block) == width:
+                break
+        else:
+            return False
+        shifted = sorted((i - c, j) for i, j in block)
+        invertible = _closed_form(shifted)
+        if invertible is None:
+            e = d - c
+            invertible = _det_bareiss(
+                [[binomial(e - i - j, a - i) for i, j in shifted] for a in range(width)]
+            ) != 0
+        if not invertible:
+            return False
+        c += width
+    return True
+
+
+def pairing_excludes(points: set[Coord] | frozenset[Coord], d: int) -> bool:
+    """The verdict of ``invertibility_excludes(points, d).excluded``, without a certificate.
+
+    Runs the same greedy construction on the support and then on its
+    transpose, on plain integers: closed forms where they apply and a
+    fraction-free determinant otherwise.
+    """
+    if any(i < 0 or j < 0 or i + j > d for i, j in points):
+        raise ValueError(f"support must lie inside the degree-{d} triangle")
+    if not points:
+        return False
+    return _composition_invertible(list(points), d) or _composition_invertible(
+        [(j, i) for i, j in points], d
+    )
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .criteria import invertibility_excludes
+from .criteria import invertibility_excludes, pairing_excludes
 from .grid import ChipConfiguration, Coord, config_from_json, config_to_json, grid_points
 from .hyperfield import hyperfield_excludes, sign_survivors
 from .models import fundamentality
@@ -103,8 +103,13 @@ def candidate_count(n: int, d: int) -> int:
 
 def _finish_candidate(support: frozenset[Coord], d: int):
     """Settle a support the sign forms allow: invertibility, then the kernel."""
-    if invertibility_excludes(support | {(0, 0)}, d).excluded:
+    if pairing_excludes(support | {(0, 0)}, d):
         return PRUNE_INVERTIBILITY, None
+    return _kernel_verdict(support, d)
+
+
+def _kernel_verdict(support: frozenset[Coord], d: int):
+    """The last stage: a fundamental outcome with its generator, or a rejection."""
     fundamental, _, generator = fundamentality(support, d)
     if fundamental:
         return FOUND, generator
@@ -120,11 +125,16 @@ def classify_candidate(support: frozenset[Coord], d: int):
     and None otherwise.  Both prunes are sound: each certifies that no
     valid outcome has exactly this positive support at this degree.
     The census reaches the same verdicts by searching the sign
-    survivors first; this one-support form is its reference.
+    survivors first; this one-support form is its reference, and runs
+    the certificate-producing ``invertibility_excludes`` where the
+    census runs the bare ``pairing_excludes``.
     """
     if hyperfield_excludes(support, d).excluded:
         return PRUNE_SIGNS, None
-    return _finish_candidate(frozenset(support), d)
+    support = frozenset(support)
+    if invertibility_excludes(support | {(0, 0)}, d).excluded:
+        return PRUNE_INVERTIBILITY, None
+    return _kernel_verdict(support, d)
 
 
 def _new_counters() -> dict[str, int]:
@@ -325,7 +335,7 @@ def sign_survivor_search(d: int, size: int):
 
 def _resolve_survivor(support: frozenset[Coord], d: int):
     """Finish one sign survivor: certify exclusion or surface an outcome."""
-    if invertibility_excludes(support | {(0, 0)}, d).excluded:
+    if pairing_excludes(support | {(0, 0)}, d):
         return "invertibility", None
     basis = outcome_space(support | {(0, 0)}, d)
     if not basis:
@@ -399,7 +409,7 @@ class SweepCertificate:
         )
 
 
-def _sweep_one(task) -> dict:
+def _sweep_one(task) -> SweepCertificate:
     n_plus, d = task
     survivors, nodes = sign_survivor_search(d, n_plus)
     resolutions = []
@@ -411,7 +421,7 @@ def _sweep_one(task) -> dict:
             outcomes.append(outcome)
     return SweepCertificate(
         n_plus, d, nodes, tuple(survivors), tuple(resolutions), tuple(outcomes)
-    ).to_json()
+    )
 
 
 # First degree each width's sweep covers: one past the degree bound
@@ -444,10 +454,8 @@ def sweep_no_valid_outcomes(
     if jobs and jobs > 1 and len(tasks) > 1:
         # A pool starts all its workers up front; more than one per degree idles.
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            payloads = list(pool.map(_sweep_one, tasks))
-    else:
-        payloads = [_sweep_one(task) for task in tasks]
-    return tuple(SweepCertificate.from_json(payload) for payload in payloads)
+            return tuple(pool.map(_sweep_one, tasks))
+    return tuple(_sweep_one(task) for task in tasks)
 
 
 def sweep_summary(n_plus: int, certificates) -> dict:

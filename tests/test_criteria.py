@@ -5,18 +5,20 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chipsplit.criteria import (
+    _closed_form,
     construct_lambda,
     hexagon_check,
     hexagon_determinant,
     invertibility_excludes,
+    pairing_excludes,
     pairing_matrix,
 )
 from chipsplit.grid import ChipConfiguration, Game, apply_game, grid_points
-from chipsplit.linalg import binomial
+from chipsplit.linalg import _det_bareiss, binomial
 from chipsplit.models import tightness_family
 from chipsplit.pascal import is_outcome, outcome_space
 
@@ -189,6 +191,80 @@ class TestInvertibilityExcludes:
         if verdict.excluded:
             assert outcome_space(points, 6) == []
             assert verdict.verify()
+
+
+@st.composite
+def wide_cases(draw):
+    # Half the points come from a strip along one axis, so that blocks of
+    # four or more points and the transposed attempt both occur.
+    d = draw(st.integers(1, 20))
+    points = grid_points(d)
+    strips = [p for p in points if p[0] <= 2], [p for p in points if p[1] <= 2]
+    strip = draw(st.sampled_from(strips))
+    point = st.one_of(st.sampled_from(points), st.sampled_from(strip))
+    return d, draw(st.frozensets(point, min_size=1, max_size=7))
+
+
+class TestPairingExcludes:
+    def test_agrees_with_reference_on_small_supports(self):
+        # Every support of one to four points off the origin, with the
+        # origin added, as the census and the sweep query it.
+        checked = 0
+        for d in range(1, 7):
+            points = [p for p in grid_points(d) if p != (0, 0)]
+            for size in range(1, 5):
+                for subset in combinations(points, size):
+                    support = frozenset(subset) | {(0, 0)}
+                    expected = invertibility_excludes(support, d).excluded
+                    assert pairing_excludes(support, d) == expected, (sorted(support), d)
+                    checked += 1
+        assert checked == 28806
+
+    @given(wide_cases())
+    @settings(max_examples=300)
+    # A five-point block decided by a determinant, and a support only
+    # the transposed attempt excludes.
+    @example((9, frozenset({(0, 0), (0, 3), (0, 7), (1, 2), (2, 5)})))
+    @example((5, frozenset({(0, 0), (0, 5), (1, 2)})))
+    def test_agrees_with_reference_on_wide_supports(self, case):
+        d, points = case
+        assert pairing_excludes(points, d) == invertibility_excludes(points, d).excluded
+
+    def test_empty_support(self):
+        assert not pairing_excludes(frozenset(), 3)
+
+    def test_rejects_outside_triangle(self):
+        with pytest.raises(ValueError):
+            pairing_excludes({(2, 2)}, 3)
+
+
+def greedy_block_shapes(e):
+    """Every block of one to three points the greedy composition can make.
+
+    Points are shifted to start at column zero of the degree-e triangle.
+    A greedy block of width w holds more than k points in its first k
+    columns for every k < w, so two points sit in column zero, and three
+    points sit in columns zero and one with at least two in column zero.
+    """
+    lead = [(0, j) for j in range(e + 1)]
+    yield from ([p] for p in lead)
+    if e >= 1:
+        yield from (list(pair) for pair in combinations(lead, 2))
+    if e >= 2:
+        yield from (list(triple) for triple in combinations(lead, 3))
+        for pair in combinations(lead, 2):
+            yield from (list(pair) + [(1, k)] for k in range(e))
+
+
+def test_closed_form_matches_determinant_on_greedy_blocks():
+    for e in range(31):
+        for shifted in greedy_block_shapes(e):
+            matrix = [
+                [binomial(e - i - j, a - i) for i, j in shifted] for a in range(len(shifted))
+            ]
+            invertible = _closed_form(shifted)
+            assert invertible is not None, (e, shifted)
+            assert invertible == (_det_bareiss(matrix) != 0), (e, shifted)
 
 
 class TestHexagonCheck:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chipsplit import enumeration
+from chipsplit import criteria, enumeration
 from chipsplit.enumeration import (
     EnumerationReport,
     _anchored,
@@ -490,6 +490,33 @@ class TestSweep:
         certificates = sweep_no_valid_outcomes(4, [6, 7], jobs=5000)
         assert sizes == [2]
         assert [cert.d for cert in certificates] == [6, 7]
+
+
+def test_census_and_sweep_skip_the_certificate_path(monkeypatch):
+    # Both only need a yes/no invertibility verdict, so neither builds a
+    # certificate or a pairing matrix. Counted calls, not timings.
+    calls = {"matrix": 0, "reference": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(criteria, "PairingMatrix", counted("matrix", criteria.PairingMatrix))
+    monkeypatch.setattr(
+        enumeration,
+        "invertibility_excludes",
+        counted("reference", enumeration.invertibility_excludes),
+    )
+    report = enumerate_fundamental(5, 3)
+    sweep_no_valid_outcomes(5, [8, 9])
+    assert calls == {"matrix": 0, "reference": 0}
+    # The counters do see the certificate path when it runs.
+    for w in report.outcomes:
+        classify_candidate(w.positive_support, w.degree)
+    assert calls["matrix"] > 0 and calls["reference"] == len(report.outcomes)
 
 
 class TestCanonicalKey:
