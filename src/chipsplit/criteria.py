@@ -12,8 +12,13 @@ determinant otherwise.
 The invertibility criterion has two entry points with the same verdict.
 ``pairing_excludes`` answers yes or no on plain integers and is what the
 census and the sweeps call. ``invertibility_excludes`` is the reference:
-it builds the blocks and their pairing matrices and returns a verdict
-whose certificate ``ExclusionVerdict.verify`` can check again.
+it builds the blocks with ``construct_lambda`` and their pairing
+matrices and returns a verdict whose certificate
+``ExclusionVerdict.verify`` can check again. One greedy walk
+(``greedy_blocks``) and one table of closed-form block shapes
+(``block_shape``) serve both ``pairing_excludes`` and the symbolic
+contraction pipeline; ``construct_lambda`` is the reference walk that
+they are tested against.
 
 The hexagon criterion bounds the degree of a valid outcome whose
 support avoids a hexagonal middle region of the triangle: what is left
@@ -150,43 +155,63 @@ class ExclusionVerdict:
         return True
 
 
-def _closed_form(shifted: list[Coord]) -> bool | None:
-    """Decide a block by the known closed forms; None means no form applies.
+def greedy_blocks(columns: dict[int, list], stop: int | None) -> list[tuple[int, int, list]] | None:
+    """The nonempty blocks of the greedy column composition.
 
-    shifted holds the block's points moved to start at column zero, in
-    sorted order. The shapes follow the conquer analysis: a single point
-    in the leading column, two points in the first two columns, three
-    points in the leading column (a Vandermonde), or two leading-column
-    points plus one in the next column, which is invertible exactly when
-    the degree sum i + j differs from 2k + 1.
+    columns maps each nonempty column to its members. A block starts at
+    the next nonempty column and closes at the first width that equals
+    its point count; the count only changes at nonempty columns, so the
+    walk visits only those. Returns (start, width, members) triples, or
+    None when the last block cannot close by the column stop (None means
+    no right edge). ``construct_lambda`` is the reference walk.
     """
-    size = len(shifted)
-    if size == 1:
-        # One row, one point: the entry binom(d - deg, a - i) with a = i
-        # is binom(positive, 0) = 1 when the point is in the lead column.
-        return True if shifted[0][0] == 0 else None
-    cols = [i for i, _ in shifted]
-    if size == 2:
-        if cols == [0, 0]:
-            return True
-        if cols == [0, 1]:
-            # Unit lower-triangular after the shift.
-            return True
+    blocks = []
+    start, members = 0, []
+    for x in sorted(columns):
+        if members and start + len(members) <= x:
+            blocks.append((start, len(members), members))
+            members = []
+        if not members:
+            start = x
+        members = members + columns[x]
+    if members:
+        blocks.append((start, len(members), members))
+    if stop is not None and blocks and blocks[-1][0] + blocks[-1][1] > stop:
         return None
-    if size == 3:
-        if cols == [0, 0, 0]:
-            return True
-        if cols == [0, 0, 1]:
-            (_, i), (_, j), (_, k) = shifted
-            return i + j != 2 * k + 1
-        return None
+    return blocks
+
+
+def block_shape(cols: list[int]) -> str | None:
+    """The closed form of a greedy block, by its columns shifted to start at zero.
+
+    One to three points in the lead column ("unit") always give an
+    invertible block, a Vandermonde in the heights. Two lead-column
+    points at heights j1, j2 and one in the next column at height j3
+    ("two-and-one") give an invertible block exactly when j1 + j2
+    differs from 2 * j3 + 1. The greedy walk makes no other block of at
+    most three points, because a lone lead-column point closes a block
+    of width one; larger blocks need a determinant.
+    """
+    if cols in ([0], [0, 0], [0, 0, 0]):
+        return "unit"
+    if cols == [0, 0, 1]:
+        return "two-and-one"
     return None
 
 
-def _closed_form_invertible(block: LambdaBlock, d: int) -> bool | None:
-    """The closed-form verdict on one block of the divide step."""
-    x = block.c_lo
-    return _closed_form(sorted((i - x, j) for i, j in block.points))
+def _closed_form(shifted: list[Coord]) -> bool | None:
+    """Decide a block by its closed form; None means no form applies.
+
+    shifted holds the block's points moved to start at column zero, in
+    sorted order.
+    """
+    shape = block_shape([i for i, _ in shifted])
+    if shape == "unit":
+        return True
+    if shape == "two-and-one":
+        (_, i), (_, j), (_, k) = shifted
+        return i + j != 2 * k + 1
+    return None
 
 
 def _blocks_invertible(blocks: list[LambdaBlock], d: int) -> tuple[bool, list[int]]:
@@ -195,7 +220,7 @@ def _blocks_invertible(blocks: list[LambdaBlock], d: int) -> tuple[bool, list[in
         if not block.points:
             determinants.append(1)
             continue
-        closed = _closed_form_invertible(block, d)
+        closed = _closed_form(sorted((i - block.c_lo, j) for i, j in block.points))
         matrix = PairingMatrix(block.degrees, block.points, d)
         value = matrix.determinant()
         if closed is not None and closed != (value != 0):
@@ -234,40 +259,18 @@ def invertibility_excludes(points: set[Coord] | frozenset[Coord], d: int) -> Exc
     return ExclusionVerdict(False, d, reason="no greedy column composition certifies exclusion")
 
 
-def _composition_invertible(points: list[Coord], d: int) -> bool:
-    """Whether the greedy column composition exists and all its blocks are invertible.
+def _shifted_block_invertible(shifted: list[Coord], e: int) -> bool:
+    """Whether a block moved to column zero of the degree-e triangle is invertible.
 
-    One pass over the columns with a running point count, as in
-    ``construct_lambda``. A block starting at column c is shifted to
-    column zero, where its matrix is the degree-(d - c) pairing matrix
-    of the shifted points.
+    A block starting at column c of the degree-d triangle has the
+    degree-(d - c) pairing matrix of its shifted points.
     """
-    columns: list[list[Coord]] = [[] for _ in range(d + 1)]
-    for p in points:
-        columns[p[0]].append(p)
-    c = 0
-    while c <= d:
-        if not columns[c]:
-            c += 1
-            continue
-        block: list[Coord] = []
-        for width in range(1, d + 2 - c):
-            block += columns[c + width - 1]
-            if len(block) == width:
-                break
-        else:
-            return False
-        shifted = sorted((i - c, j) for i, j in block)
-        invertible = _closed_form(shifted)
-        if invertible is None:
-            e = d - c
-            invertible = _det_bareiss(
-                [[binomial(e - i - j, a - i) for i, j in shifted] for a in range(width)]
-            ) != 0
-        if not invertible:
-            return False
-        c += width
-    return True
+    invertible = _closed_form(shifted)
+    if invertible is None:
+        invertible = _det_bareiss(
+            [[binomial(e - i - j, a - i) for i, j in shifted] for a in range(len(shifted))]
+        ) != 0
+    return invertible
 
 
 def pairing_excludes(points: set[Coord] | frozenset[Coord], d: int) -> bool:
@@ -279,11 +282,17 @@ def pairing_excludes(points: set[Coord] | frozenset[Coord], d: int) -> bool:
     """
     if any(i < 0 or j < 0 or i + j > d for i, j in points):
         raise ValueError(f"support must lie inside the degree-{d} triangle")
-    if not points:
-        return False
-    return _composition_invertible(list(points), d) or _composition_invertible(
-        [(j, i) for i, j in points], d
-    )
+    for attempt in (points, [(j, i) for i, j in points]):
+        columns: dict[int, list[Coord]] = {}
+        for p in attempt:
+            columns.setdefault(p[0], []).append(p)
+        blocks = greedy_blocks(columns, d + 1)
+        if blocks and all(
+            _shifted_block_invertible(sorted((i - c, j) for i, j in block), d - c)
+            for c, _, block in blocks
+        ):
+            return True
+    return False
 
 
 @dataclass(frozen=True)

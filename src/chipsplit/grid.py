@@ -444,8 +444,8 @@ def config_from_json(text: str) -> ChipConfiguration:
     """Read the JSON form written by config_to_json.
 
     Malformed input of any shape raises ValueError, never another error;
-    so does a negative ambient degree, or a point or ambient degree
-    beyond MAX_INPUT_DEGREE.
+    so does a repeated point, a negative ambient degree, or a point or
+    ambient degree beyond MAX_INPUT_DEGREE.
     """
     try:
         payload = json.loads(text)
@@ -461,6 +461,8 @@ def config_from_json(text: str) -> ChipConfiguration:
         point = (_json_int(i, "coordinate"), _json_int(j, "coordinate"))
         if point[0] + point[1] > MAX_INPUT_DEGREE:
             raise ValueError(f"point {point} lies beyond degree {MAX_INPUT_DEGREE}")
+        if point in entries:
+            raise ValueError(f"point {point} appears more than once")
         entries[point] = _parse_value(str(raw))
     ambient = payload.get("ambient")
     if ambient is not None:

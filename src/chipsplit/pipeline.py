@@ -11,9 +11,13 @@ eliminators and reporting which one fires:
   carried out symbolically. Strip positions become bounded integer
   variables; scenarios enumerate how their columns can sit relative to
   the fixed corner clusters, and every scenario must end with invertible
-  pairing blocks. Block sizes up to three use the closed forms; larger
-  blocks fall back to an exact determinant that is a polynomial in one
-  symbol, checked to have no admissible integer root. A block verdict
+  pairing blocks. The walk that cuts a cluster into blocks
+  (``criteria.greedy_blocks``) and the closed-form block shapes
+  (``criteria.block_shape``) are the ones the census and the sweep use;
+  this module adds the sign of the two-and-one guard over all admissible
+  values, and for larger blocks an exact determinant that is a
+  polynomial in one symbol, checked to have no admissible integer
+  root. A block verdict
   is a pure function of its rows and points and is cached, because a
   full run asks for 415,278 verdicts on only 766 distinct blocks; and a
   variable's placed value depends only on its own column and choice, so
@@ -41,6 +45,7 @@ from dataclasses import dataclass, field
 from functools import cache, reduce
 from operator import and_
 
+from .criteria import block_shape, greedy_blocks
 from .linalg import Poly, binomial, binomial_poly, integer_roots_at_or_above, poly_det
 from .hyperfield import ContractionPoint, lambda_set, parse_coord, s3_on_contraction
 
@@ -324,38 +329,6 @@ def _classify_column(col: Sym):
     raise AssertionError(f"column expression out of scope: {col}")
 
 
-def _region_blocks(positions: dict[int, list[int]], limit: int | None):
-    """Greedy minimal balanced blocks over one cluster of columns.
-
-    Mirrors the concrete column composition: the shortest prefix whose
-    point count is zero or equals its width becomes the next block. With
-    at most six points a balanced width never exceeds six, so the probe
-    range is capped; a right boundary caps it further and makes the
-    construction fail exactly when the top-edge tails are too crowded.
-    """
-    if not positions:
-        return []
-    c = min(positions)
-    last = max(positions)
-    blocks = []
-    while c <= last:
-        room = 6 if limit is None else min(6, limit - c)
-        width = None
-        count = 0
-        for lam in range(1, room + 1):
-            count += len(positions.get(c + lam - 1, ()))
-            if count == 0 or count == lam:
-                width = lam
-                break
-        if width is None:
-            return None
-        members = [p for i in range(c, c + width) for p in positions.get(i, ())]
-        if members:
-            blocks.append((c, width, members))
-        c += width
-    return blocks
-
-
 @dataclass(frozen=True)
 class ScenarioFailure:
     reason: str
@@ -396,18 +369,10 @@ def _block_verdict(
         shifted.append((rel.c, p))
     shifted.sort(key=lambda t: t[0])
     cols = [c for c, _ in shifted]
-    size = len(cols)
-    if size == 1:
-        if cols != [0]:
-            raise AssertionError("singleton block point is not in its lead column")
+    shape = block_shape(cols)
+    if shape == "unit":
         return None
-    if size == 2:
-        if cols in ([0, 0], [0, 1]):
-            return None
-        raise AssertionError(f"impossible width-2 column pattern {cols}")
-    if size == 3 and cols == [0, 0, 0]:
-        return None
-    if size == 3 and cols == [0, 0, 1]:
+    if shape == "two-and-one":
         j1 = shifted[0][1].j
         j2 = shifted[1][1].j
         j3 = shifted[2][1].j
@@ -418,6 +383,8 @@ def _block_verdict(
         if sign is None:
             return ScenarioFailure("ambiguous", "two-and-one block guard can vanish", guard)
         return None
+    if len(cols) <= 2:
+        raise AssertionError(f"impossible {len(cols)}-point column pattern {cols}")
     # General block: exact determinant as a polynomial in one symbol.
     symbol = None
     u_min = 0
@@ -471,7 +438,7 @@ def _scenario_failures(points: list[SymPoint], first_only: bool = True):
         regions.append((positions, None, Sym.var(base)))
     regions.append((top, _TOP_WINDOW + 1, Sym.dee(-_TOP_WINDOW)))
     for positions, limit, base_row in regions:
-        blocks = _region_blocks(positions, limit)
+        blocks = greedy_blocks(positions, limit)
         if blocks is None:
             failures.append(ScenarioFailure("infeasible", "no balanced column composition"))
             if first_only:

@@ -103,6 +103,7 @@ class TestParseAndRender:
             '{"entries": [[3000, 0, 1]]}',
             '{"entries": [[0, 1000000, 1]]}',
             '{"entries": [], "ambient": -2}',
+            '{"entries": [[1, 1, "2"], [1, 1, "3"]]}',
         ],
     )
     def test_malformed_counts_and_entries_are_usage_errors(

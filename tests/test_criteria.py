@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from chipsplit.criteria import (
     _closed_form,
+    block_shape,
     construct_lambda,
+    greedy_blocks,
     hexagon_check,
     hexagon_determinant,
     invertibility_excludes,
@@ -117,6 +119,55 @@ class TestConstructLambda:
             for cut in range(1, width):
                 inside = sum(1 for i, _ in b.points if i < b.c_lo + cut)
                 assert inside != 0 and inside != cut
+
+
+class TestGreedyBlocks:
+    @given(
+        st.frozensets(
+            st.tuples(st.integers(0, 5), st.integers(0, 8)), min_size=1, max_size=6
+        )
+    )
+    @settings(max_examples=250, deadline=None)
+    def test_matches_concrete_column_composition(self, pts):
+        order = sorted(pts)
+        positions = {}
+        for idx, (i, _) in enumerate(order):
+            positions.setdefault(i, []).append(idx)
+        blocks = greedy_blocks(positions, None)
+        assert blocks is not None
+        nonempty = [b for b in construct_lambda(frozenset(pts), 40) if b.points]
+        assert len(blocks) == len(nonempty)
+        for (c_lo, width, members), block in zip(blocks, nonempty):
+            assert (c_lo, c_lo + width) == (block.c_lo, block.c_hi)
+            assert {order[m] for m in members} == set(block.points)
+
+    def test_right_boundary_limits_the_walk(self):
+        assert greedy_blocks({23: [0, 1]}, 25) == [(23, 2, [0, 1])]
+        assert greedy_blocks({24: [0, 1]}, 25) is None
+
+    def test_matches_construct_lambda_on_small_supports(self):
+        # Every support of one to four points at d <= 6, walked with the
+        # right edge of the degree-d triangle.
+        checked = 0
+        for d in range(7):
+            for size in range(1, 5):
+                for subset in combinations(grid_points(d), size):
+                    columns = {}
+                    for p in sorted(subset):
+                        columns.setdefault(p[0], []).append(p)
+                    blocks = greedy_blocks(columns, d + 1)
+                    reference = construct_lambda(frozenset(subset), d)
+                    if reference is None:
+                        assert blocks is None, (subset, d)
+                    else:
+                        expected = [
+                            (b.c_lo, b.c_hi - b.c_lo, sorted(b.points))
+                            for b in reference
+                            if b.points
+                        ]
+                        assert blocks == expected, (subset, d)
+                    checked += 1
+        assert checked == 34092
 
 
 class TestInvertibilityExcludes:
@@ -262,6 +313,7 @@ def test_closed_form_matches_determinant_on_greedy_blocks():
             matrix = [
                 [binomial(e - i - j, a - i) for i, j in shifted] for a in range(len(shifted))
             ]
+            assert block_shape([i for i, _ in shifted]) is not None, (e, shifted)
             invertible = _closed_form(shifted)
             assert invertible is not None, (e, shifted)
             assert invertible == (_det_bareiss(matrix) != 0), (e, shifted)

@@ -199,6 +199,7 @@ def test_parse_rejects_ragged_rows():
         '{"entries": [[0, 1000000, 1]]}',
         '{"entries": [[0, 0, 1]], "ambient": 1000000}',
         '{"entries": [], "ambient": -2}',
+        '{"entries": [[1, 1, "2"], [1, 1, "3"]]}',
         pytest.param('{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}", id="deep"),
     ],
 )

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chipsplit.criteria import (
-    construct_lambda,
+    _closed_form,
     hexagon_determinant,
     invertibility_excludes,
     pairing_matrix,
@@ -19,6 +19,7 @@ from chipsplit.linalg import binomial
 from chipsplit.pipeline import (
     D_FLOOR,
     Sym,
+    SymPoint,
     _attempt_excluded,
     _attempt_guards,
     _block_verdict,
@@ -26,7 +27,6 @@ from chipsplit.pipeline import (
     _final_slice_patterns,
     _placed_scenarios,
     _placements,
-    _region_blocks,
     _sign_for_all,
     _slice_det,
     _slice_entry,
@@ -189,31 +189,6 @@ class TestCellPossibilities:
             assert seen == {placed_point(name, d, m) for m in strip_positions(name, d)}
 
 
-class TestRegionBlocks:
-    @given(
-        st.frozensets(
-            st.tuples(st.integers(0, 5), st.integers(0, 8)), min_size=1, max_size=6
-        )
-    )
-    @settings(max_examples=250, deadline=None)
-    def test_matches_concrete_column_composition(self, pts):
-        order = sorted(pts)
-        positions = {}
-        for idx, (i, _) in enumerate(order):
-            positions.setdefault(i, []).append(idx)
-        blocks = _region_blocks(positions, None)
-        assert blocks is not None
-        nonempty = [b for b in construct_lambda(frozenset(pts), 40) if b.points]
-        assert len(blocks) == len(nonempty)
-        for (c_lo, width, members), block in zip(blocks, nonempty):
-            assert (c_lo, c_lo + width) == (block.c_lo, block.c_hi)
-            assert {order[m] for m in members} == set(block.points)
-
-    def test_right_boundary_limits_the_probe(self):
-        assert _region_blocks({23: [0, 1]}, 25) == [(23, 2, [0, 1])]
-        assert _region_blocks({24: [0, 1]}, 25) is None
-
-
 def reference_substitution(colvars, placement):
     """Solve every placed column expression for its variable, from scratch.
 
@@ -325,6 +300,25 @@ class TestBlockVerdictCache:
         calls.clear()
         invertibility_eliminates(case)
         assert calls == []
+
+
+def test_two_and_one_verdict_agrees_with_the_integer_guard():
+    # Every two-and-one block of the low region with constant heights up
+    # to 12: the pipeline's guard sign and the census's integer guard
+    # must call the same blocks singular.
+    checked = 0
+    for lead in range(3):
+        rows = tuple(Sym.const(lead + w) for w in range(3))
+        for j1, j2 in itertools.combinations(range(13), 2):
+            for j3 in range(13):
+                shifted = [(0, j1), (0, j2), (1, j3)]
+                pts = tuple(SymPoint(Sym.const(lead + i), Sym.const(j)) for i, j in shifted)
+                failure = _block_verdict(rows, pts)
+                singular = failure is not None and failure.reason == "singular"
+                assert singular == (_closed_form(shifted) is False), (lead, shifted)
+                assert failure is None or singular, failure
+                checked += 1
+    assert checked == 3 * 78 * 13
 
 
 class TestTriBounds:
