@@ -18,10 +18,15 @@ eliminators and reporting which one fires:
   values, and for larger blocks an exact determinant that is a
   polynomial in one symbol, checked to have no admissible integer
   root. A block verdict
-  is a pure function of its rows and points and is cached, because a
-  full run asks for 415,278 verdicts on only 766 distinct blocks; and a
-  variable's placed value depends only on its own column and choice, so
-  it is solved once per attempt rather than once per placement.
+  is a pure function of the region's first row, the block's start
+  column and width, and its points, and is cached under that key,
+  because a full run asks for 415,278 verdicts on only 766 distinct
+  blocks (414,512 cache hits); the block's rows are built only on a
+  miss. A variable's placed value depends only on its own column and
+  choice, so it is solved once per attempt rather than once per
+  placement, and the column kind of each placed point is worked out
+  with it: once per attempt for the fixed points and once per
+  (variable, choice) for the moved ones, never per scenario.
 * symmetry: the same argument after moving the support by a triangle
   symmetry. The image pattern includes the permuted origin, and a
   successful pairing there excludes any outcome on the original support
@@ -44,6 +49,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from operator import and_
+from typing import NamedTuple
 
 from .criteria import block_shape, greedy_blocks
 from .linalg import Poly, binomial, binomial_poly, integer_roots_at_or_above, poly_det
@@ -64,12 +70,13 @@ def _merge(terms):
     return tuple(sorted((n, c) for n, c in out.items() if c))
 
 
-@dataclass(frozen=True)
-class Sym:
+class Sym(NamedTuple):
     """Integer value of the form dc*d + c + sum of coeff*var.
 
     Variables stand for strip positions and float-group bases; they all
-    range over [4, d - 7].
+    range over [4, d - 7]. A Sym is a plain tuple underneath, so the
+    block-verdict cache hashes and compares its keys in C; ``+`` and
+    ``-`` are the symbolic operations, not tuple concatenation.
     """
 
     dc: int = 0
@@ -148,8 +155,7 @@ def _sign_for_all(expr: Sym) -> int | None:
 # can sit on the degree-d triangle.
 
 
-@dataclass(frozen=True)
-class SymPoint:
+class SymPoint(NamedTuple):
     i: Sym
     j: Sym
 
@@ -309,6 +315,9 @@ def _solve_column(name: str, colexpr: Sym, choice) -> Sym | None:
 
 
 _TOP_WINDOW = 24
+# The first row of the low region and of the top window.
+_LOW_ROW = Sym.const(0)
+_TOP_ROW = Sym.dee(-_TOP_WINDOW)
 
 
 def _classify_column(col: Sym):
@@ -336,7 +345,7 @@ class ScenarioFailure:
     expr: Sym | None = None
 
 
-def _poly_entry(upper: Sym, k: int, symbol_key, u_min: int):
+def _poly_entry(upper: Sym, k: int):
     """The pairing entry binom(upper, k) as a polynomial in one symbol.
 
     Returns (poly, symbol_key, u_min); constants keep symbol None.
@@ -357,10 +366,16 @@ def _poly_entry(upper: Sym, k: int, symbol_key, u_min: int):
 
 @cache
 def _block_verdict(
-    rows: tuple[Sym, ...], pts: tuple[SymPoint, ...]
+    base_row: Sym, c_lo: int, width: int, pts: tuple[SymPoint, ...]
 ) -> ScenarioFailure | None:
-    """Certify one pairing block invertible for every admissible value."""
-    lead = rows[0]
+    """Certify one pairing block invertible for every admissible value.
+
+    The block's rows are base_row shifted by c_lo, ..., c_lo + width - 1.
+    A verdict is a pure function of (base_row, c_lo, width, pts), and
+    base_row and c_lo fix the rows, so the cache key is exactly the
+    block; the rows themselves are built only on a miss.
+    """
+    lead = base_row.shifted(c_lo)
     shifted = []
     for p in pts:
         rel = p.i - lead
@@ -389,14 +404,15 @@ def _block_verdict(
     symbol = None
     u_min = 0
     grid = []
-    for a in rows:
+    for w in range(width):
+        a = lead.shifted(w)
         row = []
         for _, p in shifted:
             k_expr = a - p.i
             if not k_expr.is_const:
                 raise AssertionError("row index does not align with block columns")
             upper = Sym.dee() - (p.i + p.j)
-            poly, sym_key, entry_min = _poly_entry(upper, k_expr.c, symbol, u_min)
+            poly, sym_key, entry_min = _poly_entry(upper, k_expr.c)
             if sym_key == "mixed":
                 return ScenarioFailure("ambiguous", "entry mixes the degree with a base")
             if sym_key is not None:
@@ -419,24 +435,27 @@ def _block_verdict(
     return None
 
 
-def _scenario_failures(points: list[SymPoint], first_only: bool = True):
-    """Run the greedy pairing on fully placed points, reporting failures."""
+def _scenario_failures(points: list[SymPoint], kinds: list[tuple], first_only: bool = True):
+    """Run the greedy pairing on fully placed points, reporting failures.
+
+    kinds[k] is the column kind of points[k], as ``_classify_column``
+    gives it; ``_placed_scenarios`` yields the two together.
+    """
     failures = []
     low: dict[int, list[int]] = {}
     top: dict[int, list[int]] = {}
     floats: dict[str, dict[int, list[int]]] = {}
-    for idx, p in enumerate(points):
-        kind = _classify_column(p.i)
+    for idx, kind in enumerate(kinds):
         if kind[0] == "low":
             low.setdefault(kind[1], []).append(idx)
         elif kind[0] == "top":
             top.setdefault(kind[1], []).append(idx)
         else:
             floats.setdefault(kind[1], {}).setdefault(kind[2], []).append(idx)
-    regions = [(low, None, Sym.const(0))]
+    regions = [(low, None, _LOW_ROW)]
     for base, positions in sorted(floats.items()):
         regions.append((positions, None, Sym.var(base)))
-    regions.append((top, _TOP_WINDOW + 1, Sym.dee(-_TOP_WINDOW)))
+    regions.append((top, _TOP_WINDOW + 1, _TOP_ROW))
     for positions, limit, base_row in regions:
         blocks = greedy_blocks(positions, limit)
         if blocks is None:
@@ -445,8 +464,7 @@ def _scenario_failures(points: list[SymPoint], first_only: bool = True):
                 return failures
             continue
         for c_lo, width, members in blocks:
-            rows = tuple(base_row.shifted(c_lo + w) for w in range(width))
-            failure = _block_verdict(rows, tuple(points[m] for m in members))
+            failure = _block_verdict(base_row, c_lo, width, tuple(points[m] for m in members))
             if failure is not None:
                 failures.append(failure)
                 if first_only:
@@ -457,11 +475,13 @@ def _scenario_failures(points: list[SymPoint], first_only: bool = True):
 def _placed_scenarios(points: list[SymPoint]):
     """The points under every placement scenario that is not vacuous.
 
-    A variable's value depends only on its own column expression and its
-    own choice, and each point carries at most one variable. So each
-    (variable, choice) is solved once per attempt, together with the
-    points that carry the variable, and every placement is assembled
-    from those lookups.
+    Yields (placed, kinds), where kinds[k] is the column kind of
+    placed[k]. A variable's value depends only on its own column
+    expression and its own choice, and each point carries at most one
+    variable. So each (variable, choice) is solved once per attempt,
+    together with the points that carry the variable and their column
+    kinds, and every placement is assembled from those lookups. The
+    points that carry no column variable are classified once.
     """
     if any(len(p.variables()) > 1 for p in points):
         raise AssertionError("a support point carries more than one variable")
@@ -469,31 +489,39 @@ def _placed_scenarios(points: list[SymPoint]):
     carriers = [
         [k for k, p in enumerate(points) if name in p.variables()] for name, _ in colvars
     ]
+    moving = {k for carried in carriers for k in carried}
+    kinds = [None if k in moving else _classify_column(p.i) for k, p in enumerate(points)]
     tables: list[dict] = [{} for _ in colvars]
     for placement in _placements(len(colvars)):
         placed = list(points)
+        placed_kinds = list(kinds)
         for (name, colexpr), carried, table, choice in zip(
             colvars, carriers, tables, placement
         ):
             if choice not in table:
                 value = _solve_column(name, colexpr, choice)
-                table[choice] = (
-                    None
-                    if value is None
-                    else [(k, points[k].subst({name: value})) for k in carried]
-                )
+                if value is None:
+                    table[choice] = None
+                else:
+                    subst = [points[k].subst({name: value}) for k in carried]
+                    table[choice] = [
+                        (k, q, _classify_column(q.i)) for k, q in zip(carried, subst)
+                    ]
             moved = table[choice]
             if moved is None:
                 break
-            for k, q in moved:
+            for k, q, kind in moved:
                 placed[k] = q
+                placed_kinds[k] = kind
         else:
-            yield placed
+            yield placed, placed_kinds
 
 
 def _attempt_excluded(points: list[SymPoint]) -> bool:
     """True when every placement scenario certifies exclusion."""
-    return not any(_scenario_failures(placed) for placed in _placed_scenarios(points))
+    return not any(
+        _scenario_failures(placed, kinds) for placed, kinds in _placed_scenarios(points)
+    )
 
 
 def _attempt_guards(points: list[SymPoint]) -> set[Sym] | None:
@@ -508,8 +536,8 @@ def _attempt_guards(points: list[SymPoint]) -> set[Sym] | None:
     the attempt certifies exclusion outright.
     """
     guards: set[Sym] = set()
-    for placed in _placed_scenarios(points):
-        for failure in _scenario_failures(placed, first_only=False):
+    for placed, kinds in _placed_scenarios(points):
+        for failure in _scenario_failures(placed, kinds, first_only=False):
             if failure.expr is None:
                 return None
             guards.add(failure.expr)

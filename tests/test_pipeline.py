@@ -1,5 +1,6 @@
 """Tests for the symbolic elimination of the support-five contraction cases."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from chipsplit.criteria import (
     _closed_form,
+    greedy_blocks,
     hexagon_determinant,
     invertibility_excludes,
     pairing_matrix,
@@ -18,15 +20,19 @@ from chipsplit import pipeline
 from chipsplit.linalg import binomial
 from chipsplit.pipeline import (
     D_FLOOR,
+    ScenarioFailure,
     Sym,
     SymPoint,
+    _TOP_WINDOW,
     _attempt_excluded,
     _attempt_guards,
     _block_verdict,
+    _classify_column,
     _column_variables,
     _final_slice_patterns,
     _placed_scenarios,
     _placements,
+    _scenario_failures,
     _sign_for_all,
     _slice_det,
     _slice_entry,
@@ -222,21 +228,32 @@ def reference_scenarios(points):
             yield [p.subst(mapping) for p in points]
 
 
-class TestPlacedScenarios:
-    def generic_points(self, names):
-        return [cell_possibilities(name)[0] for name in names]
+def generic_points(names):
+    return [cell_possibilities(name)[0] for name in names]
 
+
+@functools.cache
+def case_attempts_by_width():
+    """One generic-position case attempt per count of column variables."""
+    by_width = {}
+    for case in lambda_set().cases:
+        points = generic_points(support_names(case.record()))
+        for attempt in (points, [p.transposed() for p in points]):
+            by_width.setdefault(len(_column_variables(attempt)), attempt)
+    return by_width
+
+
+THREE_VARIABLE_NAMES = ["x[0,0]", "beta[0]", "beta[2]", "gamma[1]", "t[3,0]"]
+
+
+class TestPlacedScenarios:
     def assert_same_scenarios(self, points):
         expected = [[p.key() for p in placed] for placed in reference_scenarios(points)]
-        got = [[p.key() for p in placed] for placed in _placed_scenarios(points)]
+        got = [[p.key() for p in placed] for placed, _ in _placed_scenarios(points)]
         assert got == expected
 
     def test_case_attempts_match_the_per_placement_solve(self):
-        by_width = {}
-        for case in lambda_set().cases:
-            points = self.generic_points(support_names(case.record()))
-            for attempt in (points, [p.transposed() for p in points]):
-                by_width.setdefault(len(_column_variables(attempt)), attempt)
+        by_width = case_attempts_by_width()
         # A merged record has at most one strip cell of each kind, so its
         # attempts carry at most two column variables.
         assert set(by_width) == {0, 1, 2}
@@ -245,9 +262,77 @@ class TestPlacedScenarios:
             self.assert_same_scenarios([p.transposed() for p in by_width[width]])
 
     def test_three_column_variables_match_the_per_placement_solve(self):
-        points = self.generic_points(["x[0,0]", "beta[0]", "beta[2]", "gamma[1]", "t[3,0]"])
+        points = generic_points(THREE_VARIABLE_NAMES)
         assert len(_column_variables(points)) == 3
         self.assert_same_scenarios(points)
+
+
+def reference_scenario_failures(points, verdict, first_only=True):
+    """The greedy pairing that classifies every point in every scenario.
+
+    The pipeline's body before the column kinds were tabled per attempt:
+    it classifies each placed point afresh and hands each block to
+    verdict as a tuple of built rows.
+    """
+    failures = []
+    low, top, floats = {}, {}, {}
+    for idx, p in enumerate(points):
+        kind = _classify_column(p.i)
+        if kind[0] == "low":
+            low.setdefault(kind[1], []).append(idx)
+        elif kind[0] == "top":
+            top.setdefault(kind[1], []).append(idx)
+        else:
+            floats.setdefault(kind[1], {}).setdefault(kind[2], []).append(idx)
+    regions = [(low, None, Sym.const(0))]
+    for base, positions in sorted(floats.items()):
+        regions.append((positions, None, Sym.var(base)))
+    regions.append((top, _TOP_WINDOW + 1, Sym.dee(-_TOP_WINDOW)))
+    for positions, limit, base_row in regions:
+        blocks = greedy_blocks(positions, limit)
+        if blocks is None:
+            failures.append(ScenarioFailure("infeasible", "no balanced column composition"))
+            if first_only:
+                return failures
+            continue
+        for c_lo, width, members in blocks:
+            rows = tuple(base_row.shifted(c_lo + w) for w in range(width))
+            failure = verdict(rows, tuple(points[m] for m in members))
+            if failure is not None:
+                failures.append(failure)
+                if first_only:
+                    return failures
+    return failures
+
+
+def test_tabled_column_kinds_match_the_per_point_pairing():
+    # The rows-keyed verdict runs the uncached body with the rows' first
+    # entry as base and no offset, so it also checks that the
+    # (base_row, c_lo, width) key names the same rows.
+    @functools.cache
+    def rows_verdict(rows, pts):
+        return _block_verdict.__wrapped__(rows[0], 0, len(rows), pts)
+
+    by_width = case_attempts_by_width()
+    final_points = generic_points(support_names(FINAL_RECORD))
+    attempts = [
+        by_width[1],
+        [p.transposed() for p in by_width[1]],
+        by_width[2],
+        [p.transposed() for p in by_width[2]],
+        generic_points(THREE_VARIABLE_NAMES),
+        final_points,
+        [p.transposed() for p in final_points],
+    ]
+    scenarios = failing = 0
+    for points in attempts:
+        for placed, kinds in _placed_scenarios(points):
+            assert kinds == [_classify_column(p.i) for p in placed]
+            got = _scenario_failures(placed, kinds, first_only=False)
+            assert got == reference_scenario_failures(placed, rows_verdict, first_only=False)
+            scenarios += 1
+            failing += bool(got)
+    assert scenarios and failing, (scenarios, failing)
 
 
 # A record whose pairing meets blocks beyond the closed forms, which need
@@ -277,9 +362,9 @@ class TestBlockVerdictCache:
     def test_cached_verdicts_equal_fresh_ones(self, monkeypatch):
         met = []
 
-        def recording(rows, pts):
-            met.append((rows, pts))
-            return _block_verdict(rows, pts)
+        def recording(*key):
+            met.append(key)
+            return _block_verdict(*key)
 
         monkeypatch.setattr(pipeline, "_block_verdict", recording)
         invertibility_eliminates(
@@ -287,8 +372,8 @@ class TestBlockVerdictCache:
         )
         monkeypatch.setattr(pipeline, "_block_verdict", _block_verdict)
         calls = self.count_determinants(monkeypatch)
-        for rows, pts in met:
-            assert _block_verdict(rows, pts) == _block_verdict.__wrapped__(rows, pts)
+        for key in met:
+            assert _block_verdict(*key) == _block_verdict.__wrapped__(*key)
         assert calls, "no general block was met"
 
     def test_repeat_makes_no_determinant_calls(self, monkeypatch):
@@ -308,12 +393,11 @@ def test_two_and_one_verdict_agrees_with_the_integer_guard():
     # must call the same blocks singular.
     checked = 0
     for lead in range(3):
-        rows = tuple(Sym.const(lead + w) for w in range(3))
         for j1, j2 in itertools.combinations(range(13), 2):
             for j3 in range(13):
                 shifted = [(0, j1), (0, j2), (1, j3)]
                 pts = tuple(SymPoint(Sym.const(lead + i), Sym.const(j)) for i, j in shifted)
-                failure = _block_verdict(rows, pts)
+                failure = _block_verdict(Sym.const(0), lead, 3, pts)
                 singular = failure is not None and failure.reason == "singular"
                 assert singular == (_closed_form(shifted) is False), (lead, shifted)
                 assert failure is None or singular, failure
