@@ -10,15 +10,30 @@ with two or more free slots, plus every completion of the last slot)
 is part of each sweep certificate.
 
 The census walks cell by cell in (positive-support size, degree).  The
-candidates of a cell are the supports the anchor lemma allows; they
-are counted in closed form, and the engine lists the ones whose signs
-survive.  Each survivor is then settled by the invertibility test and
-the exact kernel criterion for fundamentality.  The sweep certifies
-that a whole degree hosts no valid outcome with a prescribed number of
-positive entries at all: its rare sign survivors are finished with the
-invertibility criterion or the kernel itself.  ``sweep_summary``
-digests a sweep's certificates per degree, the format of the committed
-``results/sweep-*.json`` artifacts.
+candidates of a cell are the supports the anchor lemma allows: two
+points on the top diagonal and one on each axis away from the origin.
+They are counted in closed form, and the engine lists the ones whose
+signs survive.  No anchor filter runs on them, because every sign
+survivor is anchored.  The axis anchors follow from the sign forms:
+the top-edge form at a = d is nonzero only on the row j = 0, and the
+origin contributes a negative sign to it, so some point (i, 0) with
+i >= 1 must contribute a positive one; the form at a = 0 gives the
+column the same way.  That the sign forms also force two top points is
+checked, not proved: all 168,331 sign survivors of the cells n <= 5,
+d <= 9 have them, and the test suite pins that exhaustively.
+
+Each survivor is then settled by the invertibility test and the kernel
+stage, the exact kernel criterion on plain integers.  The stage reads
+each point's top-edge coefficients from a table built once per cell,
+runs the fraction-free elimination ``linalg._echelon`` on them, stops
+unless the kernel is a line, and builds a ``ChipConfiguration`` only
+for a fundamental generator.  ``classify_candidate`` decides one
+support through ``models.fundamentality`` instead and is the stage's
+reference.  The sweep certifies that a whole degree hosts no valid
+outcome with a prescribed number of positive entries at all: its rare
+sign survivors are finished by the same two stages.
+``sweep_summary`` digests a sweep's certificates per degree, the format
+of the committed ``results/sweep-*.json`` artifacts.
 
 Both computations are deterministic: results are sorted canonically,
 so reports serialize byte-identically run over run, also when the
@@ -36,8 +51,9 @@ from dataclasses import dataclass
 from .criteria import invertibility_excludes, pairing_excludes
 from .grid import ChipConfiguration, Coord, config_from_json, config_to_json, grid_points
 from .hyperfield import hyperfield_excludes, sign_survivors
+from .linalg import _echelon, _free_vector
 from .models import fundamentality
-from .pascal import all_forms, outcome_space
+from .pascal import all_forms
 
 # Stages of the candidate decision chain, in the order they run.
 PRUNE_SIGNS = "signs"
@@ -71,12 +87,52 @@ def _sign_tables(d: int):
     return points, point_signs, origin_signs
 
 
-def _anchored(points, d: int) -> bool:
-    """The anchor rule: two points on the top diagonal, one on each axis."""
-    tops = sum(1 for i, j in points if i + j == d)
-    has_row = any(j == 0 and i >= 1 for i, j in points)
-    has_column = any(i == 0 and j >= 1 for i, j in points)
-    return tops >= 2 and has_row and has_column
+def _top_edge_columns(d: int) -> dict[Coord, tuple[int, ...]]:
+    """Each point's coefficients in the top-edge forms of degree d.
+
+    The column of (i, j) holds binomial(d - i - j, a - i) for a = 0 .. d:
+    row d - i - j of Pascal's triangle, shifted down by i.
+    """
+    rows = [tuple(math.comb(m, k) for k in range(m + 1)) for m in range(d + 1)]
+    return {
+        (i, j): (0,) * i + rows[d - i - j] + (0,) * j for i, j in grid_points(d)
+    }
+
+
+def _kernel_line(points, columns):
+    """The kernel of the top-edge conditions restricted to a point list.
+
+    Returns its dimension and, when that is 1, a generator as integers in
+    point order, neither scaled nor oriented; None otherwise.
+    """
+    rows = [row for row in zip(*(columns[p] for p in points)) if any(row)]
+    pivots = _echelon(rows)
+    if len(points) - len(pivots) != 1:
+        return len(points) - len(pivots), None
+    free = next((c for c, pc in enumerate(pivots) if c != pc), len(pivots))
+    return 1, _free_vector(rows, pivots, free, len(points))
+
+
+def _kernel_stage(support, d: int, columns):
+    """The exact kernel criterion for fundamentality, on plain integers.
+
+    Returns the dimension of the outcome space on the support plus the
+    origin, and the primitive generator when that space is a line whose
+    generator, oriented so that the origin is negative, is positive on
+    every support point; None otherwise.  columns is
+    ``_top_edge_columns(d)``.
+    """
+    points = [(0, 0), *support]
+    dimension, vec = _kernel_line(points, columns)
+    if vec is None:
+        return dimension, None
+    if vec[0] > 0:
+        vec = [-v for v in vec]
+    if vec[0] == 0 or any(v <= 0 for v in vec[1:]):
+        return 1, None
+    content = math.gcd(*vec)
+    entries = {p: v // content for p, v in zip(points, vec)}
+    return 1, ChipConfiguration(entries, ambient=d)
 
 
 def candidate_count(n: int, d: int) -> int:
@@ -101,15 +157,22 @@ def candidate_count(n: int, d: int) -> int:
     )
 
 
-def _finish_candidate(support: frozenset[Coord], d: int):
-    """Settle a support the sign forms allow: invertibility, then the kernel."""
+def _finish_candidate(support: frozenset[Coord], d: int, columns):
+    """Settle a support the sign forms allow: invertibility, then the kernel.
+
+    The kernel stage gives the verdict ``_kernel_verdict`` would give,
+    with the same generator, on plain integers.
+    """
     if pairing_excludes(support | {(0, 0)}, d):
         return PRUNE_INVERTIBILITY, None
-    return _kernel_verdict(support, d)
+    _, outcome = _kernel_stage(support, d, columns)
+    if outcome is None:
+        return REJECT_KERNEL, None
+    return FOUND, outcome
 
 
 def _kernel_verdict(support: frozenset[Coord], d: int):
-    """The last stage: a fundamental outcome with its generator, or a rejection."""
+    """The reference last stage: a fundamental outcome with its generator, or a rejection."""
     fundamental, _, generator = fundamentality(support, d)
     if fundamental:
         return FOUND, generator
@@ -145,27 +208,25 @@ def _new_counters() -> dict[str, int]:
 
 
 def _enumerate_cell(n: int, d: int, candidates: int):
-    """Census of one cell: the anchored sign survivors, each settled.
+    """Census of one cell: the sign survivors, each settled.
 
-    Every candidate the engine does not list fails the sign test, so the
-    signs counter is the candidate count minus the survivors kept.
+    Every sign survivor is anchored (module docstring), so every
+    candidate the engine does not list fails the sign test, and the
+    signs counter is the candidate count minus the survivors.
     """
     counters = _new_counters()
     counters["candidates"] = candidates
     points, point_signs, origin_signs = _sign_tables(d)
     combos, _ = sign_survivors(point_signs, origin_signs, n + 1)
+    columns = _top_edge_columns(d)
     found = []
-    kept = 0
     for combo in combos:
-        support = [points[k] for k in combo]
-        if not _anchored(support, d):
-            continue
-        kept += 1
-        stage, outcome = _finish_candidate(frozenset(support), d)
+        support = frozenset(points[k] for k in combo)
+        stage, outcome = _finish_candidate(support, d, columns)
         counters[stage] += 1
         if outcome is not None:
             found.append(outcome)
-    counters[PRUNE_SIGNS] = candidates - kept
+    counters[PRUNE_SIGNS] = candidates - len(combos)
     found.sort(key=canonical_key)
     return tuple(found), counters
 
@@ -333,22 +394,19 @@ def sign_survivor_search(d: int, size: int):
     return survivors, nodes
 
 
-def _resolve_survivor(support: frozenset[Coord], d: int):
-    """Finish one sign survivor: certify exclusion or surface an outcome."""
+def _resolve_survivor(support: frozenset[Coord], d: int, columns):
+    """Finish one sign survivor: certify exclusion or surface an outcome.
+
+    The census's two stages: the pairing test, then the integer kernel
+    stage, whose dimension names the resolution.
+    """
     if pairing_excludes(support | {(0, 0)}, d):
         return "invertibility", None
-    basis = outcome_space(support | {(0, 0)}, d)
-    if not basis:
+    dimension, outcome = _kernel_stage(support, d, columns)
+    if dimension == 0:
         return "empty-kernel", None
-    if len(basis) == 1:
-        generator = basis[0]
-        if (
-            generator[(0, 0)] < 0
-            and generator.is_valid()
-            and generator.positive_support == support
-        ):
-            return "outcome", generator
-        return "kernel", None
+    if dimension == 1:
+        return ("kernel", None) if outcome is None else ("outcome", outcome)
     # A kernel of dimension two or more would need a sign-cone argument
     # this sweep does not carry; report it honestly instead of guessing.
     return "unresolved", None
@@ -412,10 +470,11 @@ class SweepCertificate:
 def _sweep_one(task) -> SweepCertificate:
     n_plus, d = task
     survivors, nodes = sign_survivor_search(d, n_plus)
+    columns = _top_edge_columns(d)
     resolutions = []
     outcomes = []
     for support in survivors:
-        resolution, outcome = _resolve_survivor(support, d)
+        resolution, outcome = _resolve_survivor(support, d, columns)
         resolutions.append(resolution)
         if outcome is not None:
             outcomes.append(outcome)

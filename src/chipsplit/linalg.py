@@ -75,7 +75,8 @@ def _det_bareiss(m: list[list[int]]) -> int:
 def _echelon(m: list[list[int]]) -> list[int]:
     """Fraction-free Gauss-Jordan elimination of an integer matrix, in place.
 
-    Returns the pivot columns. Every step replaces each other row by
+    Returns the pivot columns. Rows are replaced, never written into, so
+    they may be tuples. Every step replaces each other row by
     (p*row - f*pivot_row) // prev, where p is the new pivot, f the row's
     entry in the pivot column and prev the previous pivot; all entries
     stay integer minors of the input, so each division is exact (Bareiss,
@@ -102,6 +103,19 @@ def _echelon(m: list[list[int]]) -> list[int]:
         pivots.append(c)
         r += 1
     return pivots
+
+
+def _free_vector(reduced: list, pivots: list[int], fc: int, width: int) -> list[int]:
+    """The kernel vector of free column fc after _echelon, unscaled.
+
+    It holds D (the last pivot) at fc and minus each pivot row's entry
+    in column fc at that row's pivot column, zero elsewhere.
+    """
+    vec = [0] * width
+    vec[fc] = reduced[len(pivots) - 1][pivots[-1]] if pivots else 1
+    for r, pc in enumerate(pivots):
+        vec[pc] = -reduced[r][fc]
+    return vec
 
 
 def rank(rows: Sequence[Row]) -> int:
@@ -142,16 +156,11 @@ def kernel_basis(rows: Sequence[Row], ncols: int | None = None) -> list[list[int
         raise ValueError(f"ncols={ncols} disagrees with row width {width}")
     reduced = [primitive_integer_vector(row) for row in rows]
     pivots = _echelon(reduced)
-    last = reduced[len(pivots) - 1][pivots[-1]] if pivots else 1  # the D of _echelon
     pivot_set = set(pivots)
     free_cols = [c for c in range(width) if c not in pivot_set]
     basis: list[list[int]] = []
     for fc in free_cols:
-        vec = [0] * width
-        vec[fc] = last
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][fc]
-        ints = primitive_integer_vector(vec)
+        ints = primitive_integer_vector(_free_vector(reduced, pivots, fc, width))
         lead = next(x for x in ints if x != 0)
         if lead < 0:
             ints = [-x for x in ints]

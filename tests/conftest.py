@@ -14,11 +14,32 @@ ACCEPTANCE_LINES = []
 
 
 @pytest.fixture(scope="session")
-def wide_census():
-    """The census through six positive entries and degree nine, run once."""
-    from chipsplit.enumeration import enumerate_fundamental
+def wide_census_run():
+    """The census through six positive entries and degree nine, run once.
 
-    return enumerate_fundamental(9, 5)
+    Returns the report and, as (support, d, verdict) triples, every call
+    the census made to its kernel stage.
+    """
+    from chipsplit import enumeration
+
+    calls = []
+    stage = enumeration._kernel_stage
+
+    def recording(support, d, columns):
+        verdict = stage(support, d, columns)
+        calls.append((support, d, verdict))
+        return verdict
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumeration, "_kernel_stage", recording)
+        report = enumeration.enumerate_fundamental(9, 5)
+    return report, calls
+
+
+@pytest.fixture(scope="session")
+def wide_census(wide_census_run):
+    """The census through six positive entries and degree nine."""
+    return wide_census_run[0]
 
 
 @pytest.fixture

@@ -430,6 +430,29 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_bench_tracer_finds_every_name_it_patches(runner):
+    # bench/child.py wraps library functions by attribute name, so a
+    # renamed or dropped function would fail every traced sample. Its
+    # main() imports numpy, so this drives the tracer without it.
+    code = "\n".join([
+        "import sys",
+        "sys.path.insert(0, 'bench')",
+        "from child import Tracer",
+        "import chipsplit.cli",
+        "tracer = Tracer()",
+        "tracer.install()",
+        "chipsplit.cli.main.main(args=sys.argv[1:], prog_name='chipsplit', standalone_mode=False)",
+        "assert tracer.spans['cli.entry'][0] == 1",
+    ])
+    args = ["enumerate", "--max-degree", "3", "--json"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    traced = subprocess.run(
+        [sys.executable, "-c", code, *args], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    assert traced.returncode == 0, traced.stderr
+    assert traced.stdout == runner.invoke(main, args).output
+
+
 def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0

@@ -7,14 +7,19 @@ from functools import cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chipsplit import criteria, enumeration
 from chipsplit.enumeration import (
     EnumerationReport,
-    _anchored,
     SweepCertificate,
+    _kernel_line,
+    _kernel_stage,
+    _kernel_verdict,
+    _resolve_survivor,
+    _sign_tables,
+    _top_edge_columns,
     candidate_count,
     canonical_key,
     check_conjecture,
@@ -24,9 +29,9 @@ from chipsplit.enumeration import (
     sweep_no_valid_outcomes,
 )
 from chipsplit.grid import ChipConfiguration, act, grid_points
-from chipsplit.hyperfield import hyperfield_excludes
-from chipsplit.models import is_fundamental
-from chipsplit.pascal import is_outcome
+from chipsplit.hyperfield import hyperfield_excludes, sign_survivors
+from chipsplit.models import fundamentality, is_fundamental
+from chipsplit.pascal import is_outcome, outcome_space, top_edge_form
 
 # The published census through five positive entries: cell (n, d) counts
 # fundamental outcomes with n + 1 positive points and degree d.
@@ -87,6 +92,14 @@ def entry_dicts(outcomes):
     return [dict(w) for w in outcomes]
 
 
+def _anchored(points, d):
+    """The anchor rule: two points on the top diagonal, one on each axis."""
+    tops = sum(1 for i, j in points if i + j == d)
+    has_row = any(j == 0 and i >= 1 for i, j in points)
+    has_column = any(i == 0 and j >= 1 for i, j in points)
+    return tops >= 2 and has_row and has_column
+
+
 def anchored_supports(n, d):
     """Brute-force candidates of the census cell (n, d).
 
@@ -96,10 +109,7 @@ def anchored_supports(n, d):
     """
     points = [p for p in grid_points(d) if p != (0, 0)]
     for combo in itertools.combinations(points, n + 1):
-        tops = sum(1 for i, j in combo if i + j == d)
-        row = any(j == 0 and i >= 1 for i, j in combo)
-        column = any(i == 0 and j >= 1 for i, j in combo)
-        if tops >= 2 and row and column:
+        if _anchored(combo, d):
             yield frozenset(combo)
 
 
@@ -155,12 +165,111 @@ class TestAnchoredCandidates:
         assert not _anchored(tops | {row, inner}, 5)
         assert not _anchored({(2, 3), row, column, inner}, 5)
 
+    def test_every_tier_one_sign_survivor_is_anchored(self):
+        # The census lists sign survivors without an anchor filter; this
+        # pins, cell by cell, that none would have been dropped.
+        survivors, unanchored = 0, []
+        for d in range(1, 10):
+            points, point_signs, origin_signs = _sign_tables(d)
+            for n in range(1, 6):
+                combos, _ = sign_survivors(point_signs, origin_signs, n + 1)
+                survivors += len(combos)
+                for combo in combos:
+                    support = [points[k] for k in combo]
+                    if not _anchored(support, d):
+                        unanchored.append((support, d))
+        assert unanchored == []
+        assert survivors == 168331
+
     def test_empty_cells(self):
         assert candidate_count(0, 3) == 0
         assert candidate_count(1, 0) == 0
         assert candidate_count(2, 1) == 0
         listed = [(n, d) for n, d, _ in census(3, 2).stats["cells"]]
         assert listed == [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3)]
+
+
+class TestKernelStage:
+    """The integer kernel stage against the ``fundamentality`` reference."""
+
+    def test_matches_the_reference_on_every_census_kernel_call(self, wide_census_run):
+        # Every support the census cells n <= 5, d <= 9 hand to the stage.
+        _, calls = wide_census_run
+        assert len(calls) == 9284
+        found = 0
+        for support, d, (_, outcome) in calls:
+            stage, generator = _kernel_verdict(support, d)
+            if outcome is None:
+                assert stage == "kernel", (sorted(support), d)
+            else:
+                assert stage == "fundamental", (sorted(support), d)
+                assert outcome == generator
+                found += 1
+        assert found == 1127
+
+    @given(st.integers(1, 12).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.frozensets(
+                st.sampled_from([p for p in grid_points(d) if p != (0, 0)]),
+                min_size=1,
+                max_size=d + 4,
+            ),
+        )
+    ))
+    @settings(max_examples=300, deadline=None)
+    # Kernels of dimension 0, of dimension 1 with and without a
+    # fundamental generator, and of dimension 3.
+    @example((5, frozenset({(0, 1), (0, 5), (1, 2), (3, 1)})))
+    @example((3, frozenset({(0, 3), (1, 1), (3, 0)})))
+    @example((2, frozenset({(0, 1), (0, 2), (1, 0)})))
+    @example((2, frozenset({(0, 1), (0, 2), (1, 0), (1, 1), (2, 0)})))
+    def test_dimension_and_generator_match_outcome_space(self, case):
+        d, support = case
+        points = [(0, 0), *support]
+        dimension, vec = _kernel_line(points, _top_edge_columns(d))
+        basis = outcome_space(set(points), d)
+        assert dimension == len(basis)
+        if dimension == 1:
+            (generator,) = basis
+            k = next(k for k, v in enumerate(vec) if v)
+            assert all(
+                generator[p] * vec[k] == generator[points[k]] * v
+                for p, v in zip(points, vec)
+            )
+        else:
+            assert vec is None
+        verdict, _, expected = fundamentality(support, d)
+        _, outcome = _kernel_stage(support, d, _top_edge_columns(d))
+        assert (outcome is not None) == verdict
+        assert outcome == expected
+
+    @pytest.mark.parametrize(
+        "d,support,resolution",
+        [
+            (2, {(0, 1), (0, 2)}, "invertibility"),
+            (5, {(0, 1), (0, 5), (1, 2), (3, 1)}, "empty-kernel"),
+            (2, {(0, 1), (1, 0)}, "outcome"),
+            (2, {(0, 1), (0, 2), (1, 0)}, "kernel"),
+            (2, {(0, 1), (0, 2), (1, 0), (1, 1)}, "unresolved"),
+        ],
+    )
+    def test_sweep_resolutions(self, d, support, resolution):
+        support = frozenset(support)
+        found, outcome = _resolve_survivor(support, d, _top_edge_columns(d))
+        assert found == resolution
+        assert (outcome is not None) == (resolution == "outcome")
+        if outcome is not None:
+            assert outcome == fundamentality(support, d)[2]
+
+    def test_columns_are_the_top_edge_coefficients(self):
+        for d in range(8):
+            columns = _top_edge_columns(d)
+            assert sorted(columns) == sorted(grid_points(d))
+            for (i, j), column in columns.items():
+                assert column == tuple(
+                    top_edge_form(a, d - a, d).coefficient(i, j) for a in range(d + 1)
+                )
 
 
 class TestCensusSmall:
@@ -517,6 +626,21 @@ def test_census_and_sweep_skip_the_certificate_path(monkeypatch):
     for w in report.outcomes:
         classify_candidate(w.positive_support, w.degree)
     assert calls["matrix"] > 0 and calls["reference"] == len(report.outcomes)
+
+
+def test_census_builds_a_configuration_only_per_outcome(monkeypatch):
+    # The kernel stage decides on plain integers and builds a
+    # ChipConfiguration only for a fundamental generator.
+    built = []
+    init = ChipConfiguration.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChipConfiguration, "__init__", counting)
+    report = enumerate_fundamental(6, 4)
+    assert len(built) == len(report.outcomes) == 153
 
 
 class TestCanonicalKey:
