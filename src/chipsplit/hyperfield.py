@@ -120,14 +120,6 @@ def hyperfield_excludes(points, d: int) -> HyperfieldVerdict:
     return HyperfieldVerdict(False, d)
 
 
-def _bits(mask: int):
-    """Indices of the set bits of a nonnegative int, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def sign_survivors(point_signs, fixed_signs, size: int):
     """Every size-subset of points that gives every sign form both signs.
 
@@ -186,16 +178,23 @@ def sign_survivors(point_signs, fixed_signs, size: int):
         nonlocal nodes
         if slots == 1:
             viable = ((1 << count) - 1) >> start << start
-            for f in _bits(lack_pos):
-                viable &= points_pos[f]
+            while lack_pos:
+                bit = lack_pos & -lack_pos
+                viable &= points_pos[bit.bit_length() - 1]
                 if not viable:
                     return
-            for f in _bits(lack_neg):
-                viable &= points_neg[f]
+                lack_pos ^= bit
+            while lack_neg:
+                bit = lack_neg & -lack_neg
+                viable &= points_neg[bit.bit_length() - 1]
                 if not viable:
                     return
+                lack_neg ^= bit
             nodes += viable.bit_count()
-            survivors.extend(prefix + (k,) for k in _bits(viable))
+            while viable:
+                bit = viable & -viable
+                survivors.append(prefix + (bit.bit_length() - 1,))
+                viable ^= bit
             return
         last = count - slots
         if last < start:
@@ -208,22 +207,29 @@ def sign_survivors(point_signs, fixed_signs, size: int):
                 high = mid
             else:
                 low = mid + 1
-        children = range(start, low)
-        if slots == 2:
-            # Each child is the second-to-last point, so it must touch
-            # every form that still lacks both signs.
-            mask = ((1 << low) - 1) >> start << start
-            for f in _bits(lack_pos & lack_neg):
-                mask &= touches[f]
-            children = _bits(mask)
-        for k in children:
-            descend(
-                prefix + (k,),
-                k + 1,
-                slots - 1,
-                lack_pos & ~gives_pos[k],
-                lack_neg & ~gives_neg[k],
-            )
+        if slots > 2:
+            for k in range(start, low):
+                descend(
+                    prefix + (k,),
+                    k + 1,
+                    slots - 1,
+                    lack_pos & ~gives_pos[k],
+                    lack_neg & ~gives_neg[k],
+                )
+            return
+        # Each child is the second-to-last point, so it must touch every
+        # form that still lacks both signs.
+        children = ((1 << low) - 1) >> start << start
+        lack_both = lack_pos & lack_neg
+        while lack_both:
+            bit = lack_both & -lack_both
+            children &= touches[bit.bit_length() - 1]
+            lack_both ^= bit
+        while children:
+            bit = children & -children
+            k = bit.bit_length() - 1
+            descend(prefix + (k,), k + 1, 1, lack_pos & ~gives_pos[k], lack_neg & ~gives_neg[k])
+            children ^= bit
 
     descend((), 0, size, lack_pos, lack_neg)
     return survivors, nodes

@@ -20,13 +20,15 @@ eliminators and reporting which one fires:
   root. A block verdict
   is a pure function of the region's first row, the block's start
   column and width, and its points, and is cached under that key,
-  because a full run asks for 415,278 verdicts on only 766 distinct
-  blocks (414,512 cache hits); the block's rows are built only on a
-  miss. A variable's placed value depends only on its own column and
-  choice, so it is solved once per attempt rather than once per
-  placement, and the column kind of each placed point is worked out
-  with it: once per attempt for the fixed points and once per
-  (variable, choice) for the moved ones, never per scenario.
+  because a full run asks for 189,877 verdicts on only 766 distinct
+  blocks; the block's rows are built only on a miss. A moved point's
+  placement and column kind depend only on the point, its variable's
+  column expression and the choice, so they are cached across attempts
+  (247 distinct in a full run); the fixed points are classified once
+  per attempt. The pairing runs region by region, and a region's
+  failures depend only on the moved points in it, so each attempt
+  memoises them: a full run's 106,226 scenarios make 222,699 region
+  walks, of which 78,403 run the greedy walk and ask for verdicts.
 * symmetry: the same argument after moving the support by a triangle
   symmetry. The image pattern includes the permuted origin, and a
   successful pairing there excludes any outcome on the original support
@@ -291,33 +293,13 @@ def _placements(n_vars: int):
                 yield tuple(detailed)
 
 
-def _solve_column(name: str, colexpr: Sym, choice) -> Sym | None:
-    """Solve one placed column expression for its variable.
-
-    Returns None when the placement forces the variable outside
-    [4, d-7], which makes every scenario with this choice vacuous.
-    """
-    if choice[0] == "low":
-        col = Sym.const(choice[1])
-    elif choice[0] == "top":
-        col = Sym.dee(-choice[1])
-    else:
-        col = Sym.var(f"B{choice[1]}").shifted(choice[2])
-    coeff = dict(colexpr.terms)[name]
-    rest = colexpr - Sym(0, 0, ((name, coeff),))
-    value = (col - rest).scaled(coeff)
-    # The variable must stay in [4, d-7] somewhere on the box.
-    if _sign_for_all(value.shifted(-4)) == -1:
-        return None
-    if _sign_for_all(Sym.dee(-7) - value) == -1:
-        return None
-    return value
-
-
 _TOP_WINDOW = 24
 # The first row of the low region and of the top window.
 _LOW_ROW = Sym.const(0)
 _TOP_ROW = Sym.dee(-_TOP_WINDOW)
+# The column stop and first row of the fixed regions; a float region
+# has no stop, and its first row is its base.
+_REGION_ROWS = {"low": (None, _LOW_ROW), "top": (_TOP_WINDOW + 1, _TOP_ROW)}
 
 
 def _classify_column(col: Sym):
@@ -435,93 +417,128 @@ def _block_verdict(
     return None
 
 
-def _scenario_failures(points: list[SymPoint], kinds: list[tuple], first_only: bool = True):
-    """Run the greedy pairing on fully placed points, reporting failures.
+@cache
+def _placed_carrier(
+    point: SymPoint, name: str, colexpr: Sym, choice: tuple
+) -> tuple[SymPoint, tuple] | None:
+    """A carrier of one column variable under one choice, with its column kind.
 
-    kinds[k] is the column kind of points[k], as ``_classify_column``
-    gives it; ``_placed_scenarios`` yields the two together.
+    Solves the placed column expression for the variable and returns
+    the point with that value substituted, together with
+    ``_classify_column`` of its column. Returns None when the placement
+    forces the variable outside [4, d-7], which makes every scenario
+    with this choice vacuous. Attempts share their carriers, so a full
+    run solves only a few hundred.
     """
+    if choice[0] == "low":
+        col = Sym.const(choice[1])
+    elif choice[0] == "top":
+        col = Sym.dee(-choice[1])
+    else:
+        col = Sym.var(f"B{choice[1]}").shifted(choice[2])
+    coeff = dict(colexpr.terms)[name]
+    rest = colexpr - Sym(0, 0, ((name, coeff),))
+    value = (col - rest).scaled(coeff)
+    # The variable must stay in [4, d-7] somewhere on the box.
+    if _sign_for_all(value.shifted(-4)) == -1:
+        return None
+    if _sign_for_all(Sym.dee(-7) - value) == -1:
+        return None
+    placed = point.subst({name: value})
+    return placed, _classify_column(placed.i)
+
+
+def _region_failures(
+    entries: list[tuple[int, SymPoint, int]], limit: int | None, base_row: Sym, first_only: bool
+) -> list[ScenarioFailure]:
+    """The greedy pairing of one region, from its (index, point, column) entries.
+
+    Each column lists its points in ascending point index, so a block's
+    points reach ``_block_verdict`` in the same order whichever of them
+    moved.
+    """
+    columns: dict[int, list[SymPoint]] = {}
+    for _, p, col in sorted(entries):
+        columns.setdefault(col, []).append(p)
+    blocks = greedy_blocks(columns, limit)
+    if blocks is None:
+        return [ScenarioFailure("infeasible", "no balanced column composition")]
     failures = []
-    low: dict[int, list[int]] = {}
-    top: dict[int, list[int]] = {}
-    floats: dict[str, dict[int, list[int]]] = {}
-    for idx, kind in enumerate(kinds):
-        if kind[0] == "low":
-            low.setdefault(kind[1], []).append(idx)
-        elif kind[0] == "top":
-            top.setdefault(kind[1], []).append(idx)
-        else:
-            floats.setdefault(kind[1], {}).setdefault(kind[2], []).append(idx)
-    regions = [(low, None, _LOW_ROW)]
-    for base, positions in sorted(floats.items()):
-        regions.append((positions, None, Sym.var(base)))
-    regions.append((top, _TOP_WINDOW + 1, _TOP_ROW))
-    for positions, limit, base_row in regions:
-        blocks = greedy_blocks(positions, limit)
-        if blocks is None:
-            failures.append(ScenarioFailure("infeasible", "no balanced column composition"))
+    for c_lo, width, members in blocks:
+        failure = _block_verdict(base_row, c_lo, width, tuple(members))
+        if failure is not None:
+            failures.append(failure)
             if first_only:
-                return failures
-            continue
-        for c_lo, width, members in blocks:
-            failure = _block_verdict(base_row, c_lo, width, tuple(points[m] for m in members))
-            if failure is not None:
-                failures.append(failure)
-                if first_only:
-                    return failures
+                break
     return failures
 
 
-def _placed_scenarios(points: list[SymPoint]):
-    """The points under every placement scenario that is not vacuous.
+def _attempt_failures(points: list[SymPoint], first_only: bool = True):
+    """The pairing failures of every placement scenario that is not vacuous.
 
-    Yields (placed, kinds), where kinds[k] is the column kind of
-    placed[k]. A variable's value depends only on its own column
-    expression and its own choice, and each point carries at most one
-    variable. So each (variable, choice) is solved once per attempt,
-    together with the points that carry the variable and their column
-    kinds, and every placement is assembled from those lookups. The
-    points that carry no column variable are classified once.
+    Yields one list per scenario, in placement order. The pairing runs
+    region by region: the low region, each float base in name order,
+    then the top window, stopping at the first failing region when
+    first_only is set. The points that carry no column variable sit in
+    the same column in every scenario, so they are classified once per
+    attempt; a scenario only places the moved points. A region's
+    failures depend only on the moved points in it, so they are
+    memoised per attempt on those, and the greedy walk and the verdict
+    lookups run once per distinct region of the attempt.
     """
     if any(len(p.variables()) > 1 for p in points):
         raise AssertionError("a support point carries more than one variable")
     colvars = _column_variables(points)
-    carriers = [
-        [k for k, p in enumerate(points) if name in p.variables()] for name, _ in colvars
+    movers = [
+        (k, p, name, colexpr, v)
+        for v, (name, colexpr) in enumerate(colvars)
+        for k, p in enumerate(points)
+        if name in p.variables()
     ]
-    moving = {k for carried in carriers for k in carried}
-    kinds = [None if k in moving else _classify_column(p.i) for k, p in enumerate(points)]
-    tables: list[dict] = [{} for _ in colvars]
+    moving = {k for k, *_ in movers}
+    fixed: dict[str, list] = {"low": [], "top": []}
+    for k, p in enumerate(points):
+        if k not in moving:
+            kind = _classify_column(p.i)
+            fixed[kind[0]].append((k, p, kind[1]))
+    memo: dict[tuple, list[ScenarioFailure]] = {}
     for placement in _placements(len(colvars)):
-        placed = list(points)
-        placed_kinds = list(kinds)
-        for (name, colexpr), carried, table, choice in zip(
-            colvars, carriers, tables, placement
-        ):
-            if choice not in table:
-                value = _solve_column(name, colexpr, choice)
-                if value is None:
-                    table[choice] = None
-                else:
-                    subst = [points[k].subst({name: value}) for k in carried]
-                    table[choice] = [
-                        (k, q, _classify_column(q.i)) for k, q in zip(carried, subst)
-                    ]
-            moved = table[choice]
-            if moved is None:
+        low, top, floats = [], [], {}
+        for k, p, name, colexpr, v in movers:
+            slot = _placed_carrier(p, name, colexpr, placement[v])
+            if slot is None:
                 break
-            for k, q, kind in moved:
-                placed[k] = q
-                placed_kinds[k] = kind
+            q, kind = slot
+            if kind[0] == "low":
+                low.append((k, q, kind[1]))
+            elif kind[0] == "top":
+                top.append((k, q, kind[1]))
+            else:
+                floats.setdefault(kind[1], []).append((k, q, kind[2]))
         else:
-            yield placed, placed_kinds
+            regions = [("low", low)]
+            if floats:
+                regions += sorted(floats.items())
+            regions.append(("top", top))
+            failures = []
+            for region, entries in regions:
+                key = (region, *entries)
+                found = memo.get(key)
+                if found is None:
+                    limit, base_row = _REGION_ROWS.get(region) or (None, Sym.var(region))
+                    found = memo[key] = _region_failures(
+                        fixed.get(region, []) + entries, limit, base_row, first_only
+                    )
+                if found:
+                    failures += found
+                    if first_only:
+                        break
+            yield failures
 
 
 def _attempt_excluded(points: list[SymPoint]) -> bool:
     """True when every placement scenario certifies exclusion."""
-    return not any(
-        _scenario_failures(placed, kinds) for placed, kinds in _placed_scenarios(points)
-    )
+    return not any(_attempt_failures(points))
 
 
 def _attempt_guards(points: list[SymPoint]) -> set[Sym] | None:
@@ -536,8 +553,8 @@ def _attempt_guards(points: list[SymPoint]) -> set[Sym] | None:
     the attempt certifies exclusion outright.
     """
     guards: set[Sym] = set()
-    for placed, kinds in _placed_scenarios(points):
-        for failure in _scenario_failures(placed, kinds, first_only=False):
+    for failures in _attempt_failures(points, first_only=False):
+        for failure in failures:
             if failure.expr is None:
                 return None
             guards.add(failure.expr)

@@ -448,14 +448,23 @@ def reference_search(point_signs, fixed_signs, size):
 
 @st.composite
 def sign_problems(draw):
-    count = draw(st.integers(1, 9))
-    forms = draw(st.integers(1, 5))
+    """Sign problems of up to 12 points and 70 forms.
+
+    A form bitset then spans up to three of an int's 30-bit digits.
+    Each form copies one of a few random sign columns (fixed sign
+    first, then one sign per point). Independent columns over 70 forms
+    would leave almost no survivors, while repeated ones keep some
+    alive with their forms spread over every digit.
+    """
+    count = draw(st.integers(1, 12))
     sign = st.sampled_from([-1, 0, 0, 1])
-    point_signs = draw(
-        st.lists(st.lists(sign, min_size=forms, max_size=forms), min_size=count, max_size=count)
-    )
-    fixed_signs = draw(st.lists(sign, min_size=forms, max_size=forms))
-    size = draw(st.integers(1, 4))
+    column = st.lists(sign, min_size=count + 1, max_size=count + 1)
+    pool = draw(st.lists(column, min_size=1, max_size=8))
+    forms = draw(st.integers(1, 9) | st.integers(10, 70))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=forms, max_size=forms))
+    fixed_signs = [pool[c][0] for c in picks]
+    point_signs = [[pool[c][k + 1] for c in picks] for k in range(count)]
+    size = draw(st.integers(1, 5))
     return point_signs, fixed_signs, size
 
 

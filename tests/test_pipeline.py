@@ -23,16 +23,17 @@ from chipsplit.pipeline import (
     ScenarioFailure,
     Sym,
     SymPoint,
+    _LOW_ROW,
     _TOP_WINDOW,
     _attempt_excluded,
+    _attempt_failures,
     _attempt_guards,
     _block_verdict,
     _classify_column,
     _column_variables,
     _final_slice_patterns,
-    _placed_scenarios,
+    _placed_carrier,
     _placements,
-    _scenario_failures,
     _sign_for_all,
     _slice_det,
     _slice_entry,
@@ -198,8 +199,8 @@ class TestCellPossibilities:
 def reference_substitution(colvars, placement):
     """Solve every placed column expression for its variable, from scratch.
 
-    The per-placement solve the pipeline ran before it tabled each
-    (variable, choice) once per attempt; None marks a vacuous placement.
+    The per-placement solve, with no table or cache; None marks a
+    vacuous placement.
     """
     mapping = {}
     for (name, colexpr), choice in zip(colvars, placement):
@@ -246,33 +247,12 @@ def case_attempts_by_width():
 THREE_VARIABLE_NAMES = ["x[0,0]", "beta[0]", "beta[2]", "gamma[1]", "t[3,0]"]
 
 
-class TestPlacedScenarios:
-    def assert_same_scenarios(self, points):
-        expected = [[p.key() for p in placed] for placed in reference_scenarios(points)]
-        got = [[p.key() for p in placed] for placed, _ in _placed_scenarios(points)]
-        assert got == expected
-
-    def test_case_attempts_match_the_per_placement_solve(self):
-        by_width = case_attempts_by_width()
-        # A merged record has at most one strip cell of each kind, so its
-        # attempts carry at most two column variables.
-        assert set(by_width) == {0, 1, 2}
-        for width in (1, 2):
-            self.assert_same_scenarios(by_width[width])
-            self.assert_same_scenarios([p.transposed() for p in by_width[width]])
-
-    def test_three_column_variables_match_the_per_placement_solve(self):
-        points = generic_points(THREE_VARIABLE_NAMES)
-        assert len(_column_variables(points)) == 3
-        self.assert_same_scenarios(points)
-
-
 def reference_scenario_failures(points, verdict, first_only=True):
     """The greedy pairing that classifies every point in every scenario.
 
-    The pipeline's body before the column kinds were tabled per attempt:
-    it classifies each placed point afresh and hands each block to
-    verdict as a tuple of built rows.
+    Builds the low, top and float column maps of one placed scenario
+    from all its points, classifying each afresh, and hands each block
+    to verdict as a tuple of built rows.
     """
     failures = []
     low, top, floats = {}, {}, {}
@@ -305,14 +285,51 @@ def reference_scenario_failures(points, verdict, first_only=True):
     return failures
 
 
-def test_tabled_column_kinds_match_the_per_point_pairing():
-    # The rows-keyed verdict runs the uncached body with the rows' first
-    # entry as base and no offset, so it also checks that the
-    # (base_row, c_lo, width) key names the same rows.
-    @functools.cache
-    def rows_verdict(rows, pts):
-        return _block_verdict.__wrapped__(rows[0], 0, len(rows), pts)
+@functools.cache
+def rows_verdict(rows, pts):
+    """The uncached verdict body, keyed by the block's built rows.
 
+    It runs with the rows' first entry as base and no offset, so
+    comparing it with the pipeline also checks that the pipeline's
+    (base_row, c_lo, width) key names the same rows.
+    """
+    return _block_verdict.__wrapped__(rows[0], 0, len(rows), pts)
+
+
+@functools.cache
+def reference_placed(points):
+    return list(reference_scenarios(list(points)))
+
+
+@functools.cache
+def reference_attempt(points, first_only):
+    """The reference failures of every scenario, and the blocks they asked for."""
+    asked = set()
+
+    def verdict(rows, pts):
+        asked.add((rows, pts))
+        return rows_verdict(rows, pts)
+
+    failures = [
+        reference_scenario_failures(placed, verdict, first_only)
+        for placed in reference_placed(points)
+    ]
+    return failures, asked
+
+
+# A moved carrier (index 0) that can land in the column of a fixed point
+# with a higher index (index 1, column 4), so the order of a column's
+# members is observable in the verdict keys.
+SHARED_COLUMN_POINTS = [
+    SymPoint(Sym.var("m_a"), Sym.const(1)),
+    SymPoint(Sym.const(4), Sym.const(2)),
+    SymPoint(Sym.const(0), Sym.const(0)),
+    SymPoint(Sym.dee(-3), Sym.const(0)),
+]
+
+
+def comparison_attempts():
+    """The attempts the region-by-region pairing is checked on, as tuples."""
     by_width = case_attempts_by_width()
     final_points = generic_points(support_names(FINAL_RECORD))
     attempts = [
@@ -324,15 +341,84 @@ def test_tabled_column_kinds_match_the_per_point_pairing():
         final_points,
         [p.transposed() for p in final_points],
     ]
-    scenarios = failing = 0
-    for points in attempts:
-        for placed, kinds in _placed_scenarios(points):
-            assert kinds == [_classify_column(p.i) for p in placed]
-            got = _scenario_failures(placed, kinds, first_only=False)
-            assert got == reference_scenario_failures(placed, rows_verdict, first_only=False)
-            scenarios += 1
-            failing += bool(got)
-    assert scenarios and failing, (scenarios, failing)
+    return [tuple(points) for points in attempts]
+
+
+class TestAttemptFailures:
+    def test_attempts_cover_every_column_variable_count(self):
+        # A merged record has at most one strip cell of each kind, so its
+        # attempts carry at most two column variables; the three-variable
+        # attempt is built by hand.
+        assert set(case_attempts_by_width()) == {0, 1, 2}
+        widths = [len(_column_variables(points)) for points in comparison_attempts()]
+        assert widths == [1, 1, 2, 2, 3, 2, 2]
+
+    @pytest.mark.parametrize("first_only", [False, True])
+    def test_failures_match_the_per_scenario_pairing(self, first_only):
+        scenarios = failing = 0
+        for points in comparison_attempts():
+            expected, _ = reference_attempt(points, first_only)
+            assert list(_attempt_failures(list(points), first_only)) == expected
+            scenarios += len(expected)
+            failing += sum(1 for failures in expected if failures)
+        assert scenarios and failing, (scenarios, failing)
+
+    @pytest.mark.parametrize("first_only", [False, True])
+    def test_asks_for_the_reference_verdict_keys(self, monkeypatch, first_only):
+        def recording(base_row, c_lo, width, pts):
+            rows = tuple(base_row.shifted(c_lo + w) for w in range(width))
+            asked.add((rows, pts))
+            return _block_verdict(base_row, c_lo, width, pts)
+
+        monkeypatch.setattr(pipeline, "_block_verdict", recording)
+        for points in comparison_attempts() + [tuple(SHARED_COLUMN_POINTS)]:
+            asked = set()
+            list(_attempt_failures(list(points), first_only))
+            assert asked == reference_attempt(points, first_only)[1]
+
+    def test_shared_column_keeps_members_in_point_order(self, monkeypatch):
+        asked = []
+        monkeypatch.setattr(
+            pipeline, "_block_verdict", lambda *key: asked.append(key) or _block_verdict(*key)
+        )
+        list(_attempt_failures(SHARED_COLUMN_POINTS, first_only=False))
+        moved, fixed = SymPoint(Sym.const(4), Sym.const(1)), SHARED_COLUMN_POINTS[1]
+        assert (_LOW_ROW, 4, 2, (moved, fixed)) in asked
+        assert all(key[3] != (fixed, moved) for key in asked)
+
+
+@functools.cache
+def choices_by_position(n_vars):
+    """Every choice each variable position takes over all placements."""
+    seen = [set() for _ in range(n_vars)]
+    for placement in _placements(n_vars):
+        for v, choice in enumerate(placement):
+            seen[v].add(choice)
+    return seen
+
+
+def test_placed_carrier_matches_the_reference_substitution():
+    met = set()
+    for case in lambda_set().cases:
+        points = generic_points(support_names(case.record()))
+        for attempt in (points, [p.transposed() for p in points]):
+            colvars = _column_variables(attempt)
+            choices = choices_by_position(len(colvars))
+            for (name, colexpr), position_choices in zip(colvars, choices):
+                for p in attempt:
+                    if name in p.variables():
+                        met.update((p, name, colexpr, c) for c in position_choices)
+    vacuous = 0
+    for p, name, colexpr, choice in met:
+        mapping = reference_substitution([(name, colexpr)], [choice])
+        got = _placed_carrier(p, name, colexpr, choice)
+        if mapping is None:
+            assert got is None, (p, choice)
+            vacuous += 1
+        else:
+            q = p.subst(mapping)
+            assert got == (q, _classify_column(q.i)), (p, choice)
+    assert vacuous and len(met) > vacuous, (len(met), vacuous)
 
 
 # A record whose pairing meets blocks beyond the closed forms, which need
