@@ -31,7 +31,7 @@ for a fundamental generator.  ``classify_candidate`` decides one
 support through ``models.fundamentality`` instead and is the stage's
 reference.  The sweep certifies that a whole degree hosts no valid
 outcome with a prescribed number of positive entries at all: its rare
-sign survivors are finished by the same two stages.
+sign survivors are settled by the same step, ``_resolve_survivor``.
 ``sweep_summary`` digests a sweep's certificates per degree, the format
 of the committed ``results/sweep-*.json`` artifacts.
 
@@ -157,18 +157,24 @@ def candidate_count(n: int, d: int) -> int:
     )
 
 
-def _finish_candidate(support: frozenset[Coord], d: int, columns):
-    """Settle a support the sign forms allow: invertibility, then the kernel.
+def _resolve_survivor(support: frozenset[Coord], d: int, columns):
+    """Settle one sign survivor: certify exclusion or surface an outcome.
 
-    The kernel stage gives the verdict ``_kernel_verdict`` would give,
-    with the same generator, on plain integers.
+    The settling step of both the census and the sweep: the pairing
+    test, then the integer kernel stage, whose dimension names the
+    resolution.  The kernel stage gives the verdict ``_kernel_verdict``
+    would give, with the same generator, on plain integers.
     """
     if pairing_excludes(support | {(0, 0)}, d):
         return PRUNE_INVERTIBILITY, None
-    _, outcome = _kernel_stage(support, d, columns)
-    if outcome is None:
-        return REJECT_KERNEL, None
-    return FOUND, outcome
+    dimension, outcome = _kernel_stage(support, d, columns)
+    if dimension == 0:
+        return "empty-kernel", None
+    if dimension == 1:
+        return (REJECT_KERNEL, None) if outcome is None else ("outcome", outcome)
+    # A kernel of dimension two or more would need a sign-cone argument
+    # this sweep does not carry; report it honestly instead of guessing.
+    return "unresolved", None
 
 
 def _kernel_verdict(support: frozenset[Coord], d: int):
@@ -212,7 +218,9 @@ def _enumerate_cell(n: int, d: int, candidates: int):
 
     Every sign survivor is anchored (module docstring), so every
     candidate the engine does not list fails the sign test, and the
-    signs counter is the candidate count minus the survivors.
+    signs counter is the candidate count minus the survivors.  Each
+    survivor is settled by the sweep's step ``_resolve_survivor``, and
+    the census counts all of its kernel labels as ``kernel``.
     """
     counters = _new_counters()
     counters["candidates"] = candidates
@@ -222,10 +230,14 @@ def _enumerate_cell(n: int, d: int, candidates: int):
     found = []
     for combo in combos:
         support = frozenset(points[k] for k in combo)
-        stage, outcome = _finish_candidate(support, d, columns)
-        counters[stage] += 1
+        resolution, outcome = _resolve_survivor(support, d, columns)
         if outcome is not None:
             found.append(outcome)
+            counters[FOUND] += 1
+        elif resolution == PRUNE_INVERTIBILITY:
+            counters[PRUNE_INVERTIBILITY] += 1
+        else:
+            counters[REJECT_KERNEL] += 1
     counters[PRUNE_SIGNS] = candidates - len(combos)
     found.sort(key=canonical_key)
     return tuple(found), counters
@@ -392,24 +404,6 @@ def sign_survivor_search(d: int, size: int):
     survivors = [frozenset(points[k] for k in combo) for combo in found]
     survivors.sort(key=lambda s: tuple(sorted(s)))
     return survivors, nodes
-
-
-def _resolve_survivor(support: frozenset[Coord], d: int, columns):
-    """Finish one sign survivor: certify exclusion or surface an outcome.
-
-    The census's two stages: the pairing test, then the integer kernel
-    stage, whose dimension names the resolution.
-    """
-    if pairing_excludes(support | {(0, 0)}, d):
-        return "invertibility", None
-    dimension, outcome = _kernel_stage(support, d, columns)
-    if dimension == 0:
-        return "empty-kernel", None
-    if dimension == 1:
-        return ("kernel", None) if outcome is None else ("outcome", outcome)
-    # A kernel of dimension two or more would need a sign-cone argument
-    # this sweep does not carry; report it honestly instead of guessing.
-    return "unresolved", None
 
 
 @dataclass(frozen=True)

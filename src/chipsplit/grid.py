@@ -29,63 +29,12 @@ PERMUTATIONS = ("e", "(12)", "(13)", "(23)", "(123)", "(132)")
 # sweeps reach; it keeps a rendered triangle at a few hundred kilobytes.
 MAX_INPUT_DEGREE = 500
 
-# (sigma tau)(x) = sigma(tau(x)); table verified against the point action.
-_COMPOSE = {
-    ("e", "e"): "e",
-    ("e", "(12)"): "(12)",
-    ("e", "(13)"): "(13)",
-    ("e", "(23)"): "(23)",
-    ("e", "(123)"): "(123)",
-    ("e", "(132)"): "(132)",
-    ("(12)", "e"): "(12)",
-    ("(12)", "(12)"): "e",
-    ("(12)", "(13)"): "(132)",
-    ("(12)", "(23)"): "(123)",
-    ("(12)", "(123)"): "(23)",
-    ("(12)", "(132)"): "(13)",
-    ("(13)", "e"): "(13)",
-    ("(13)", "(12)"): "(123)",
-    ("(13)", "(13)"): "e",
-    ("(13)", "(23)"): "(132)",
-    ("(13)", "(123)"): "(12)",
-    ("(13)", "(132)"): "(23)",
-    ("(23)", "e"): "(23)",
-    ("(23)", "(12)"): "(132)",
-    ("(23)", "(13)"): "(123)",
-    ("(23)", "(23)"): "e",
-    ("(23)", "(123)"): "(13)",
-    ("(23)", "(132)"): "(12)",
-    ("(123)", "e"): "(123)",
-    ("(123)", "(12)"): "(13)",
-    ("(123)", "(13)"): "(23)",
-    ("(123)", "(23)"): "(12)",
-    ("(123)", "(123)"): "(132)",
-    ("(123)", "(132)"): "e",
-    ("(132)", "e"): "(132)",
-    ("(132)", "(12)"): "(23)",
-    ("(132)", "(13)"): "(12)",
-    ("(132)", "(23)"): "(13)",
-    ("(132)", "(123)"): "e",
-    ("(132)", "(132)"): "(123)",
-}
-
-_INVERSE = {"e": "e", "(12)": "(12)", "(13)": "(13)", "(23)": "(23)", "(123)": "(132)", "(132)": "(123)"}
-
 
 def grid_points(d: int) -> list[Coord]:
     """All points of the degree-d triangle, sorted by total degree then i."""
     if d < 0:
         return []
     return [(i, e - i) for e in range(d + 1) for i in range(e + 1)]
-
-
-def compose(sigma: str, tau: str) -> str:
-    """The permutation doing tau first, then sigma."""
-    return _COMPOSE[(sigma, tau)]
-
-
-def invert(sigma: str) -> str:
-    return _INVERSE[sigma]
 
 
 def act_point(sigma: str, point: Coord, d: int) -> Coord:
@@ -106,6 +55,21 @@ def act_point(sigma: str, point: Coord, d: int) -> Coord:
         case "(132)":
             return (j, k)
     raise ValueError(f"unknown permutation {sigma!r}")
+
+
+# The group law is read off the point action: the probe (0, 1) at degree
+# 3 has barycentric coordinates (0, 1, 2), so the six permutations send
+# it to six different points, and a product is named by the probe's image.
+_BY_PROBE_IMAGE = {act_point(sigma, (0, 1), 3): sigma for sigma in PERMUTATIONS}
+
+
+def compose(sigma: str, tau: str) -> str:
+    """The permutation doing tau first, then sigma."""
+    return _BY_PROBE_IMAGE[act_point(sigma, act_point(tau, (0, 1), 3), 3)]
+
+
+def invert(sigma: str) -> str:
+    return next(tau for tau in PERMUTATIONS if compose(sigma, tau) == "e")
 
 
 def _sign_factor(sigma: str, point: Coord, d: int) -> int:

@@ -330,10 +330,6 @@ class ContractionPoint:
         if any(v not in (-1, 0, 1) for v in self.vector):
             raise ValueError("contraction coordinates must be signs")
 
-    def as_vector(self) -> tuple[int, ...]:
-        """The signs in coordinate order."""
-        return self.vector
-
     def positive_support(self) -> tuple[str, ...]:
         return tuple(name for name, v in zip(self.coords, self.vector) if v > 0)
 

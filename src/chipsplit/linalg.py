@@ -3,7 +3,9 @@
 Everything in this module is deterministic and exact. Matrices are plain
 lists of row lists; rational rows are scaled to integer rows first, so
 every elimination is fraction-free integer arithmetic (Bareiss). Dense
-polynomials keep Fraction coefficients. There is deliberately no float
+polynomials keep Fraction coefficients, and one Bareiss routine,
+``_det_bareiss``, serves both integer and polynomial determinants: Poly
+defines ``//`` as exact division. There is deliberately no float
 anywhere; the certificates produced by the classification machinery
 quote these numbers verbatim.
 """
@@ -53,7 +55,8 @@ def det(rows: Sequence[Row]) -> Fraction:
     return Fraction(_det_bareiss(m), scale)
 
 
-def _det_bareiss(m: list[list[int]]) -> int:
+def _det_bareiss(m: list[list]) -> int | Poly:
+    """Bareiss determinant of a nonempty square matrix of ints or Polys, in place."""
     n = len(m)
     sign = 1
     prev = 1
@@ -213,9 +216,6 @@ class Poly:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __add__(self, other: Poly | Scalar) -> Poly:
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(other)
@@ -253,8 +253,10 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def exact_div(self, other: Poly) -> Poly:
-        """Exact polynomial quotient; raises if the division leaves a remainder."""
+    def __floordiv__(self, other: Poly | Scalar) -> Poly:
+        """Exact quotient; raises if a polynomial division leaves a remainder."""
+        if isinstance(other, (int, Fraction)):
+            other = Poly.constant(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
@@ -312,7 +314,8 @@ def binomial_poly(slope: int, intercept: int, k: int) -> Poly:
 def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Determinant of a matrix of polynomials, by fraction-free Bareiss.
 
-    Every division in the Bareiss recurrence is exact in the polynomial
+    The integer routine ``_det_bareiss`` runs unchanged on Poly entries:
+    every division in the Bareiss recurrence is exact in the polynomial
     ring, so the result is the true determinant with no denominators
     beyond those already in the entries.
     """
@@ -322,22 +325,8 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
     m = [list(row) for row in rows]
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    prev = Poly.constant(1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
-            if pivot is None:
-                return Poly([])
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).exact_div(prev)
-            m[i][k] = Poly([])
-        prev = m[k][k]
-    result = m[n - 1][n - 1]
-    return result if sign == 1 else -result
+    result = _det_bareiss(m)
+    return result if isinstance(result, Poly) else Poly.constant(result)
 
 
 def _divisors(n: int) -> list[int]:
@@ -354,16 +343,14 @@ def _divisors(n: int) -> list[int]:
 def integer_roots_at_or_above(p: Poly, lo: int) -> list[int]:
     """All integer roots r >= lo of a nonzero polynomial.
 
-    Clears denominators, strips any power of x (whose root 0 only matters
-    if lo <= 0), and then tests the positive divisors of the constant
-    term, which by the rational root theorem are the only candidates.
+    Scales to a primitive integer polynomial, strips any power of x
+    (whose root 0 only matters if lo <= 0), and then tests the positive
+    divisors of the constant term, which by the rational root theorem
+    are the only candidates.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial vanishes everywhere")
-    denom_lcm = 1
-    for c in p.coeffs:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in p.coeffs]
+    ints = primitive_integer_vector(p.coeffs)
     shift = 0
     while ints[0] == 0:
         ints.pop(0)

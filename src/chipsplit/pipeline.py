@@ -122,9 +122,6 @@ class Sym(NamedTuple):
                 out = out + Sym(0, 0, ((name, coeff),))
         return out
 
-    def key(self) -> tuple:
-        return (self.dc, self.c, self.terms)
-
 
 def _sign_for_all(expr: Sym) -> int | None:
     """Sign of the expression over d >= 42 and all variables in [4, d-7].
@@ -169,9 +166,6 @@ class SymPoint(NamedTuple):
 
     def variables(self) -> set[str]:
         return {name for name, _ in self.i.terms + self.j.terms}
-
-    def key(self) -> tuple:
-        return (self.i.key(), self.j.key())
 
 
 def cell_possibilities(name: str) -> list[SymPoint]:
@@ -880,7 +874,7 @@ def _special_final(case: ContractionPoint) -> dict | None:
         resistant += 1
         for pts, expected in ((points, _GUARD_KEYS[0]), (flipped, _GUARD_KEYS[1])):
             guards = _attempt_guards(pts)
-            if guards is None or any(g.key() != expected for g in guards):
+            if guards is None or any(g != expected for g in guards):
                 return None
     if resistant == 0:
         return None

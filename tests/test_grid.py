@@ -120,6 +120,64 @@ def test_point_action_formulas():
     assert act_point("(132)", (1, 0), d) == (0, 4)
 
 
+# The S3 group law as a hand-written table, (sigma, tau) -> sigma tau,
+# which the library kept before it read the law off the point action.
+OLD_COMPOSE_TABLE = {
+    ("e", "e"): "e",
+    ("e", "(12)"): "(12)",
+    ("e", "(13)"): "(13)",
+    ("e", "(23)"): "(23)",
+    ("e", "(123)"): "(123)",
+    ("e", "(132)"): "(132)",
+    ("(12)", "e"): "(12)",
+    ("(12)", "(12)"): "e",
+    ("(12)", "(13)"): "(132)",
+    ("(12)", "(23)"): "(123)",
+    ("(12)", "(123)"): "(23)",
+    ("(12)", "(132)"): "(13)",
+    ("(13)", "e"): "(13)",
+    ("(13)", "(12)"): "(123)",
+    ("(13)", "(13)"): "e",
+    ("(13)", "(23)"): "(132)",
+    ("(13)", "(123)"): "(12)",
+    ("(13)", "(132)"): "(23)",
+    ("(23)", "e"): "(23)",
+    ("(23)", "(12)"): "(132)",
+    ("(23)", "(13)"): "(123)",
+    ("(23)", "(23)"): "e",
+    ("(23)", "(123)"): "(13)",
+    ("(23)", "(132)"): "(12)",
+    ("(123)", "e"): "(123)",
+    ("(123)", "(12)"): "(13)",
+    ("(123)", "(13)"): "(23)",
+    ("(123)", "(23)"): "(12)",
+    ("(123)", "(123)"): "(132)",
+    ("(123)", "(132)"): "e",
+    ("(132)", "e"): "(132)",
+    ("(132)", "(12)"): "(23)",
+    ("(132)", "(13)"): "(12)",
+    ("(132)", "(23)"): "(13)",
+    ("(132)", "(123)"): "e",
+    ("(132)", "(132)"): "(123)",
+}
+
+OLD_INVERSE_TABLE = {
+    "e": "e",
+    "(12)": "(12)",
+    "(13)": "(13)",
+    "(23)": "(23)",
+    "(123)": "(132)",
+    "(132)": "(123)",
+}
+
+
+def test_derived_group_law_matches_the_old_table():
+    assert {
+        (sigma, tau): compose(sigma, tau) for sigma in PERMUTATIONS for tau in PERMUTATIONS
+    } == OLD_COMPOSE_TABLE
+    assert {sigma: invert(sigma) for sigma in PERMUTATIONS} == OLD_INVERSE_TABLE
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(PERMUTATIONS), st.sampled_from(PERMUTATIONS), st.sampled_from(grid_points(7)))
 def test_point_action_respects_composition(sigma, tau, p):

@@ -517,7 +517,7 @@ class TestGammaSet:
         for parity in ("even", "odd"):
             forms = contracted_forms(parity)
             members = gamma_set(parity, 5)
-            vectors = {t.as_vector() for t in members}
+            vectors = {t.vector for t in members}
             for theta in rng.sample(members, 25):
                 assert all(f.evaluate(theta) == H for f in forms)
             free = [name for name in XI_COORDS if name != "x[0,0]"]
@@ -526,7 +526,7 @@ class TestGammaSet:
                 record = {"x[0,0]": -1}
                 record.update({name: 1 for name in rng.sample(free, 5)})
                 theta = ContractionPoint.from_record(record)
-                if theta.as_vector() in vectors:
+                if theta.vector in vectors:
                     continue
                 rejected += 1
                 assert any(f.evaluate(theta) != H for f in forms)
@@ -538,7 +538,7 @@ class TestGammaSet:
         # for another: those near misses sit on both sides of the line.
         rng = random.Random(f"gamma-{parity}")
         forms = contracted_forms(parity)
-        members = {t.as_vector() for t in gamma_set(parity, 5)}
+        members = {t.vector for t in gamma_set(parity, 5)}
         free = range(1, 64)
         samples = [frozenset(rng.sample(free, 5)) for _ in range(2000)]
         for vector in rng.sample(sorted(members), 40):
@@ -552,14 +552,14 @@ class TestGammaSet:
             theta = ContractionPoint(
                 XI_COORDS, [-1] + [1 if idx in support else 0 for idx in free]
             )
-            in_gamma = theta.as_vector() in members
+            in_gamma = theta.vector in members
             hits += in_gamma
             assert in_gamma == all(f.evaluate(theta) == H for f in forms)
         assert 0 < hits < len(samples)
 
     def test_sorted_and_deterministic(self):
         members = gamma_set("even", 5)
-        assert list(members) == sorted(members, key=lambda t: t.as_vector())
+        assert list(members) == sorted(members, key=lambda t: t.vector)
 
     def test_exceptional_preimage_in_both_parities(self):
         record = {
@@ -611,7 +611,7 @@ class TestLambdaSet:
 
     def test_cases_are_deduplicated_and_sorted(self):
         lam = lambda_set()
-        vectors = [c.as_vector() for c in lam.cases]
+        vectors = [c.vector for c in lam.cases]
         assert vectors == sorted(set(vectors))
 
 
@@ -642,9 +642,9 @@ class TestSymmetryAction:
 
     def test_axis_swap_preserves_the_case_list(self):
         lam = lambda_set()
-        vectors = {c.as_vector() for c in lam.cases}
+        vectors = {c.vector for c in lam.cases}
         for case in lam.cases:
-            assert s3_on_contraction("(12)", case).as_vector() in vectors
+            assert s3_on_contraction("(12)", case).vector in vectors
         assert s3_on_contraction("(12)", lam.exceptional) == lam.exceptional
 
     def test_corner_exchange_moves_the_origin(self):

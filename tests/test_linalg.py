@@ -7,7 +7,8 @@ from functools import reduce
 from itertools import permutations
 from math import gcd
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chipsplit.linalg import (
@@ -209,7 +210,20 @@ def test_poly_ring_ops_agree_with_evaluation(a_coeffs, b_coeffs, x):
 )
 def test_poly_exact_division_inverts_multiplication(div_coeffs, quot_coeffs):
     divisor, quotient = Poly(div_coeffs), Poly(quot_coeffs)
-    assert (divisor * quotient).exact_div(divisor) == quotient
+    assert (divisor * quotient) // divisor == quotient
+
+
+def test_poly_floor_division_by_a_scalar_is_exact():
+    assert Poly([2, 0, 4]) // 2 == Poly([1, 0, 2])
+    assert Poly([1, 3]) // Fraction(1, 3) == Poly([3, 9])
+    with pytest.raises(ZeroDivisionError):
+        Poly([1]) // 0
+
+
+def test_poly_is_unhashable():
+    # Poly.constant(1) == 1, so no hash of a Poly could agree with int's.
+    with pytest.raises(TypeError):
+        hash(Poly.x())
 
 
 def test_poly_det_matches_scalar_det_after_evaluation():
@@ -223,6 +237,33 @@ def test_poly_det_matches_scalar_det_after_evaluation():
     for value in (-2, 0, 1, 7, 10):
         scalar_rows = [[entry(value) for entry in row] for row in rows]
         assert p(value) == det(scalar_rows)
+
+
+# Entries of degree at most 2, zero about half the time, so that pivots
+# vanish and the row-swap branch of the Bareiss recurrence runs.
+poly_entry = st.one_of(
+    st.just(()), st.lists(st.integers(min_value=-3, max_value=3), max_size=3)
+).map(Poly)
+
+
+@st.composite
+def poly_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    return [[draw(poly_entry) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_matrices())
+@example([[Poly([]), Poly([1])], [Poly([0, 1]), Poly([2])]])
+@example([[Poly([]), Poly([1]), Poly([])], [Poly([]), Poly([]), Poly([1])], [Poly([0, 1]), Poly([]), Poly([])]])
+def test_poly_det_matches_the_permutation_sum_at_enough_points(rows):
+    # The determinant has degree at most 2n, so 2n + 1 points fix it.
+    n = len(rows)
+    p = poly_det(rows)
+    assert p.degree <= 2 * n
+    for value in range(-n, n + 1):
+        scalar_rows = [[entry(value) for entry in row] for row in rows]
+        assert p(value) == det_by_permutation_sum(scalar_rows)
 
 
 def test_binomial_poly_agrees_with_guarded_binomial_on_valid_range():
