@@ -11,9 +11,11 @@ determinant otherwise.
 
 The invertibility criterion has two entry points with the same verdict.
 ``pairing_excludes`` answers yes or no on plain integers and is what the
-census and the sweeps call. ``invertibility_excludes`` is the reference:
-it builds the blocks with ``construct_lambda`` and their pairing
-matrices and returns a verdict whose certificate
+census and the sweeps call. It reads each block's pairing matrix off
+the degree's table of top-edge columns (``pascal.top_edge_columns``),
+which the census kernel stage reads too. ``invertibility_excludes`` is
+the reference: it builds the blocks with ``construct_lambda`` and their
+pairing matrices and returns a verdict whose certificate
 ``ExclusionVerdict.verify`` can check again. One greedy walk
 (``greedy_blocks``) and one table of closed-form block shapes
 (``block_shape``) serve both ``pairing_excludes`` and the symbolic
@@ -34,7 +36,7 @@ from math import factorial
 
 from .grid import ChipConfiguration, Coord
 from .linalg import _det_bareiss, binomial, det
-from .pascal import is_outcome
+from .pascal import is_outcome, top_edge_columns
 
 
 @dataclass(frozen=True)
@@ -259,17 +261,15 @@ def invertibility_excludes(points: set[Coord] | frozenset[Coord], d: int) -> Exc
     return ExclusionVerdict(False, d, reason="no greedy column composition certifies exclusion")
 
 
-def _shifted_block_invertible(shifted: list[Coord], e: int) -> bool:
-    """Whether a block moved to column zero of the degree-e triangle is invertible.
+def _block_invertible(block: list[Coord], c: int, columns: dict[Coord, tuple[int, ...]]) -> bool:
+    """Whether a greedy block starting at column c is invertible.
 
-    A block starting at column c of the degree-d triangle has the
-    degree-(d - c) pairing matrix of its shifted points.
+    Its pairing matrix pairs rows c .. c + w - 1 with its w points, so it
+    is the transpose of those rows of the points' top-edge columns.
     """
-    invertible = _closed_form(shifted)
+    invertible = _closed_form(sorted((i - c, j) for i, j in block))
     if invertible is None:
-        invertible = _det_bareiss(
-            [[binomial(e - i - j, a - i) for i, j in shifted] for a in range(len(shifted))]
-        ) != 0
+        invertible = _det_bareiss([list(columns[p][c:c + len(block)]) for p in block]) != 0
     return invertible
 
 
@@ -278,19 +278,18 @@ def pairing_excludes(points: set[Coord] | frozenset[Coord], d: int) -> bool:
 
     Runs the same greedy construction on the support and then on its
     transpose, on plain integers: closed forms where they apply and a
-    fraction-free determinant otherwise.
+    fraction-free determinant of entries read off ``top_edge_columns(d)``
+    otherwise.
     """
     if any(i < 0 or j < 0 or i + j > d for i, j in points):
         raise ValueError(f"support must lie inside the degree-{d} triangle")
+    table = top_edge_columns(d)
     for attempt in (points, [(j, i) for i, j in points]):
         columns: dict[int, list[Coord]] = {}
         for p in attempt:
             columns.setdefault(p[0], []).append(p)
         blocks = greedy_blocks(columns, d + 1)
-        if blocks and all(
-            _shifted_block_invertible(sorted((i - c, j) for i, j in block), d - c)
-            for c, _, block in blocks
-        ):
+        if blocks and all(_block_invertible(block, c, table) for c, _, block in blocks):
             return True
     return False
 
@@ -300,6 +299,12 @@ class HexagonReport:
     applies: bool
     restricted: ChipConfiguration
     bound: int
+
+
+def in_hexagon(point: Coord, d: int, d_small: int, ell1: int, ell2: int) -> bool:
+    """Whether a point avoids the hexagonal middle that ``hexagon_check`` describes."""
+    i, j = point
+    return i + j <= d_small or j > d - ell1 or i > d - ell2
 
 
 def hexagon_check(config: ChipConfiguration, d: int, d_small: int, ell1: int, ell2: int) -> HexagonReport:
@@ -316,9 +321,7 @@ def hexagon_check(config: ChipConfiguration, d: int, d_small: int, ell1: int, el
         raise ValueError("need ell1, ell2 >= d' >= 1 and d' + ell1 + ell2 <= d")
     if config.degree > d:
         raise ValueError(f"configuration of degree {config.degree} does not fit in degree {d}")
-    applies = all(
-        i + j <= d_small or j > d - ell1 or i > d - ell2 for i, j in config.support
-    )
+    applies = all(in_hexagon(p, d, d_small, ell1, ell2) for p in config.support)
     restricted = ChipConfiguration(
         {(i, j): v for (i, j), v in config if i + j <= d_small}, ambient=d_small
     )

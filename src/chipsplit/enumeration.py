@@ -23,13 +23,13 @@ checked, not proved: all 168,331 sign survivors of the cells n <= 5,
 d <= 9 have them, and the test suite pins that exhaustively.
 
 Each survivor is then settled by the invertibility test and the kernel
-stage, the exact kernel criterion on plain integers.  The stage reads
-each point's top-edge coefficients from a table built once per cell,
-runs the fraction-free elimination ``linalg._echelon`` on them, stops
-unless the kernel is a line, and builds a ``ChipConfiguration`` only
-for a fundamental generator.  ``classify_candidate`` decides one
-support through ``models.fundamentality`` instead and is the stage's
-reference.  The sweep certifies that a whole degree hosts no valid
+stage, the exact kernel criterion on plain integers.  Both read each
+point's top-edge coefficients from one table per degree,
+``pascal.top_edge_columns``.  The stage runs the fraction-free
+elimination ``linalg._echelon`` on them, stops unless the kernel is a
+line, and builds a ``ChipConfiguration`` only for a fundamental
+generator.  ``classify_candidate`` decides one support through
+``models.fundamentality`` instead and is the stage's reference.  The sweep certifies that a whole degree hosts no valid
 outcome with a prescribed number of positive entries at all: its rare
 sign survivors are settled by the same step, ``_resolve_survivor``.
 ``sweep_summary`` digests a sweep's certificates per degree, the format
@@ -53,7 +53,7 @@ from .grid import ChipConfiguration, Coord, config_from_json, config_to_json, gr
 from .hyperfield import hyperfield_excludes, sign_survivors
 from .linalg import _echelon, _free_vector
 from .models import fundamentality
-from .pascal import all_forms
+from .pascal import all_forms, top_edge_columns
 
 # Stages of the candidate decision chain, in the order they run.
 PRUNE_SIGNS = "signs"
@@ -87,24 +87,13 @@ def _sign_tables(d: int):
     return points, point_signs, origin_signs
 
 
-def _top_edge_columns(d: int) -> dict[Coord, tuple[int, ...]]:
-    """Each point's coefficients in the top-edge forms of degree d.
-
-    The column of (i, j) holds binomial(d - i - j, a - i) for a = 0 .. d:
-    row d - i - j of Pascal's triangle, shifted down by i.
-    """
-    rows = [tuple(math.comb(m, k) for k in range(m + 1)) for m in range(d + 1)]
-    return {
-        (i, j): (0,) * i + rows[d - i - j] + (0,) * j for i, j in grid_points(d)
-    }
-
-
-def _kernel_line(points, columns):
+def _kernel_line(points, d: int):
     """The kernel of the top-edge conditions restricted to a point list.
 
     Returns its dimension and, when that is 1, a generator as integers in
     point order, neither scaled nor oriented; None otherwise.
     """
+    columns = top_edge_columns(d)
     rows = [row for row in zip(*(columns[p] for p in points)) if any(row)]
     pivots = _echelon(rows)
     if len(points) - len(pivots) != 1:
@@ -113,17 +102,16 @@ def _kernel_line(points, columns):
     return 1, _free_vector(rows, pivots, free, len(points))
 
 
-def _kernel_stage(support, d: int, columns):
+def _kernel_stage(support, d: int):
     """The exact kernel criterion for fundamentality, on plain integers.
 
     Returns the dimension of the outcome space on the support plus the
     origin, and the primitive generator when that space is a line whose
     generator, oriented so that the origin is negative, is positive on
-    every support point; None otherwise.  columns is
-    ``_top_edge_columns(d)``.
+    every support point; None otherwise.
     """
     points = [(0, 0), *support]
-    dimension, vec = _kernel_line(points, columns)
+    dimension, vec = _kernel_line(points, d)
     if vec is None:
         return dimension, None
     if vec[0] > 0:
@@ -157,7 +145,7 @@ def candidate_count(n: int, d: int) -> int:
     )
 
 
-def _resolve_survivor(support: frozenset[Coord], d: int, columns):
+def _resolve_survivor(support: frozenset[Coord], d: int):
     """Settle one sign survivor: certify exclusion or surface an outcome.
 
     The settling step of both the census and the sweep: the pairing
@@ -167,7 +155,7 @@ def _resolve_survivor(support: frozenset[Coord], d: int, columns):
     """
     if pairing_excludes(support | {(0, 0)}, d):
         return PRUNE_INVERTIBILITY, None
-    dimension, outcome = _kernel_stage(support, d, columns)
+    dimension, outcome = _kernel_stage(support, d)
     if dimension == 0:
         return "empty-kernel", None
     if dimension == 1:
@@ -226,11 +214,10 @@ def _enumerate_cell(n: int, d: int, candidates: int):
     counters["candidates"] = candidates
     points, point_signs, origin_signs = _sign_tables(d)
     combos, _ = sign_survivors(point_signs, origin_signs, n + 1)
-    columns = _top_edge_columns(d)
     found = []
     for combo in combos:
         support = frozenset(points[k] for k in combo)
-        resolution, outcome = _resolve_survivor(support, d, columns)
+        resolution, outcome = _resolve_survivor(support, d)
         if outcome is not None:
             found.append(outcome)
             counters[FOUND] += 1
@@ -464,11 +451,10 @@ class SweepCertificate:
 def _sweep_one(task) -> SweepCertificate:
     n_plus, d = task
     survivors, nodes = sign_survivor_search(d, n_plus)
-    columns = _top_edge_columns(d)
     resolutions = []
     outcomes = []
     for support in survivors:
-        resolution, outcome = _resolve_survivor(support, d, columns)
+        resolution, outcome = _resolve_survivor(support, d)
         resolutions.append(resolution)
         if outcome is not None:
             outcomes.append(outcome)

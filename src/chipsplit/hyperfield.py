@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .grid import ChipConfiguration, Coord, act_point, grid_points
+from .grid import PERMUTATIONS, ChipConfiguration, Coord, act_point, grid_points
 from .pascal import (
     PascalForm,
     all_forms,
@@ -549,64 +549,50 @@ def lambda_set() -> LambdaSet:
 # The symmetry action on merged contraction points.
 
 
-def _image(generator: str, name: str) -> str:
-    """The merged coordinate a generator moves this coordinate's value to.
+def _merged_cell(point: Coord, d: int) -> str | None:
+    """The ``ring_cell`` of a grid point, with the parity strips joined as chi joins them."""
+    cell = ring_cell(point, d)
+    if cell is not None and cell.startswith("gamma"):
+        return "gamma" + cell[6:]  # gamma0[k] and gamma1[k] are both gamma[k]
+    return cell
 
-    (12), the transposition of the axes, transposes every corner block,
-    swapping the two top ones, and swaps the edge strips. (13), which
-    fixes the bottom edge, reflects the top-left block in its
-    antidiagonal, swaps the origin and right corner blocks with their
-    rows reversed, and swaps the column strips with the diagonal ones.
+
+@cache
+def _contraction_permutation(sigma: str, d: int = MIN_CONTRACTION_DEGREE) -> tuple[int, ...]:
+    """perm[k] is the merged coordinate whose value sigma moves to coordinate k.
+
+    Read off the point action at degree d: every grid point of the ring
+    carries its merged coordinate to that of its ``act_point`` image.
+    Raises when one coordinate would go to two images.
     """
-    kind, idx = parse_coord(name)
-    if generator == "(12)":
-        kind = {"r": "t", "t": "r", "alpha": "beta", "beta": "alpha"}.get(kind, kind)
-        idx = idx[::-1]
-    elif kind == "r":
-        idx = (3 - idx[1], 3 - idx[0])
-    else:
-        kind = {"x": "t", "t": "x", "alpha": "gamma", "gamma": "alpha"}.get(kind, kind)
-        if kind in ("x", "t"):
-            idx = (3 - idx[0], idx[1])
-    return f"{kind}[{','.join(map(str, idx))}]"
-
-
-def _index_permutation(generator: str) -> tuple[int, ...]:
-    """perm[k] is the coordinate whose value the generator moves to coordinate k."""
+    if d < MIN_CONTRACTION_DEGREE:
+        raise ValueError(f"contraction needs ambient degree at least {MIN_CONTRACTION_DEGREE}")
+    target_of: dict[str, str] = {}
+    for p in grid_points(d):
+        source = _merged_cell(p, d)
+        if source is not None:
+            target = _merged_cell(act_point(sigma, p, d), d)
+            if target_of.setdefault(source, target) != target:
+                raise AssertionError(f"{sigma} sends {source} to both {target_of[source]} and {target}")
     perm = [0] * len(XI_PRIME_COORDS)
-    for source, name in enumerate(XI_PRIME_COORDS):
-        perm[XI_PRIME_COORDS.index(_image(generator, name))] = source
+    for source, target in target_of.items():
+        perm[XI_PRIME_COORDS.index(target)] = XI_PRIME_COORDS.index(source)
     return tuple(perm)
-
-
-_P12 = _index_permutation("(12)")
-_P13 = _index_permutation("(13)")
-
-_WORDS = {
-    "e": (),
-    "(12)": (_P12,),
-    "(13)": (_P13,),
-    "(23)": (_P12, _P13, _P12),
-    "(123)": (_P12, _P13),
-    "(132)": (_P13, _P12),
-}
 
 
 def s3_on_contraction(sigma: str, point: ContractionPoint) -> ContractionPoint:
     """Triangle symmetry on merged contraction points.
 
-    The transposition of the two axes swaps the top corner blocks and the
-    edge strips; the symmetry fixing the bottom edge exchanges the origin
-    corner with the right corner and the column strips with the diagonal
-    ones. Merging the parity strips first is what makes the latter
-    well defined. Words in the two generators cover the other elements,
-    applied first-to-last.
+    The symmetry permutes the merged coordinates as ``act_point`` moves
+    the grid points feeding them, read off at the least degree the
+    contraction accepts (``_contraction_permutation``). Merging the
+    parity strips first is what makes this well defined: the symmetry
+    fixing the bottom edge sends each column strip onto top-diagonal
+    points of both column parities.
     """
-    if sigma not in _WORDS:
-        raise ValueError(f"unknown symmetry {sigma!r}, expected one of {sorted(_WORDS)}")
+    if sigma not in PERMUTATIONS:
+        raise ValueError(f"unknown symmetry {sigma!r}, expected one of {sorted(PERMUTATIONS)}")
     if point.coords != XI_PRIME_COORDS:
         raise ValueError("the symmetry acts on merged (60-coordinate) points")
     vec = point.vector
-    for perm in _WORDS[sigma]:
-        vec = tuple(vec[k] for k in perm)
-    return ContractionPoint(XI_PRIME_COORDS, vec)
+    return ContractionPoint(XI_PRIME_COORDS, [vec[k] for k in _contraction_permutation(sigma)])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .grid import ChipConfiguration, Coord
+from .grid import MAX_INPUT_DEGREE, ChipConfiguration, Coord, _json_int
 from .linalg import binomial
 from .pascal import is_outcome, outcome_space
 
@@ -404,11 +404,19 @@ def model_to_json(model: ParametricModel) -> str:
 
 
 def model_from_json(text: str) -> ParametricModel:
-    payload = json.loads(text)
-    if not isinstance(payload, dict) or "terms" not in payload:
+    """Read the JSON form written by model_to_json; malformed input raises ValueError."""
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if not isinstance(payload, dict) or not isinstance(payload.get("terms"), list):
         raise ValueError("expected an object with a 'terms' list")
     terms = []
     for item in payload["terms"]:
-        num, den, i, j = item
-        terms.append((Fraction(int(num), int(den)), int(i), int(j)))
+        if not isinstance(item, list) or len(item) != 4:
+            raise ValueError(f"term {item!r} is not a [numerator, denominator, i, j] list")
+        num, den, i, j = (_json_int(v, "term entry") for v in item)
+        if den == 0 or i + j > MAX_INPUT_DEGREE:
+            raise ValueError(f"term {item!r} has a zero denominator or degree above {MAX_INPUT_DEGREE}")
+        terms.append((Fraction(num, den), i, j))
     return ParametricModel(terms)

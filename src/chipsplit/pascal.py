@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .grid import ChipConfiguration, Coord, Game, Value, grid_points
 from .linalg import binomial, kernel_basis
@@ -117,6 +117,18 @@ def all_forms(d: int) -> list[PascalForm]:
     forms += [bottom_row_form(k, d) for k in range(d + 1)]
     forms += [top_edge_form(a, d - a, d) for a in range(d + 1)]
     return forms
+
+
+# Both settling stages walk one degree at a time, so one table is kept.
+@lru_cache(maxsize=1)
+def top_edge_columns(d: int) -> dict[Coord, tuple[int, ...]]:
+    """Each point's coefficients in the top-edge forms of degree d.
+
+    The column of (i, j) holds binomial(d - i - j, a - i) for a = 0 .. d:
+    row d - i - j of Pascal's triangle, shifted down by i.
+    """
+    rows = [tuple(binomial(m, k) for k in range(m + 1)) for m in range(d + 1)]
+    return {(i, j): (0,) * i + rows[d - i - j] + (0,) * j for i, j in grid_points(d)}
 
 
 def top_edge_values(config: ChipConfiguration, d: int | None = None) -> list[Value]:

@@ -36,9 +36,12 @@ eliminators and reporting which one fires:
 * hexagon: if for every admissible strip position some hexagon instance
   contains the whole support, a compatible valid outcome would have
   degree far below d, contradicting its top-degree points. The four
-  instances used are the fixed small one and the three third-cut
-  variants, which is what pins the d >= 42 floor. Coverage is exact, on
-  the bit masks of instances that allow each strip position.
+  instances are (d', ell1, ell2) hexagons of ``criteria.in_hexagon``:
+  small (6, 7, 7), thirds (t, t, t), wide_i (6, 7, d - t + 1) and
+  wide_j (6, d - t + 1, 7), with t = d // 3. The wide ones are
+  admissible (d' + ell1 + ell2 <= d) from d = 42 on, the pipeline's
+  floor. Coverage is exact, on the bit masks of instances that contain
+  each strip position.
 * special: ad hoc arguments for what survives, certified case by case.
 
 Verdicts carry enough detail to re-check the certificate, and the
@@ -53,12 +56,12 @@ from functools import cache, reduce
 from operator import and_
 from typing import NamedTuple
 
-from .criteria import block_shape, greedy_blocks
+from .criteria import block_shape, greedy_blocks, in_hexagon
+from .grid import PERMUTATIONS
 from .linalg import Poly, binomial, binomial_poly, integer_roots_at_or_above, poly_det
 from .hyperfield import ContractionPoint, lambda_set, parse_coord, s3_on_contraction
 
 D_FLOOR = 42
-_SIGMAS = ("(12)", "(13)", "(23)", "(123)", "(132)")
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +572,8 @@ def invertibility_eliminates(case: ContractionPoint) -> bool:
 
 
 def symmetry_eliminates(case: ContractionPoint) -> str | None:
-    """Try the pairing argument on each nontrivial symmetry image."""
-    for sigma in _SIGMAS:
+    """Try the pairing argument on each nontrivial symmetry image, in the order of PERMUTATIONS."""
+    for sigma in PERMUTATIONS[1:]:
         image = s3_on_contraction(sigma, case)
         if invertibility_eliminates(image):
             return sigma
@@ -583,40 +586,27 @@ def symmetry_eliminates(case: ContractionPoint) -> str | None:
 _HEX_SWEEP_TOP = 123
 
 
-def _strip_allowed(kind: str, idx: int, inst: str, d: int, m: int) -> bool:
-    """Whether one hexagon instance contains the generic strip position m.
-
-    Instances: "small" is the fixed hexagon with d' = 6 and both arms 7;
-    "thirds" cuts at a third everywhere; "wide_i" widens the right arm
-    so columns from the third cut upward are allowed; "wide_j" is its
-    mirror. Corner cells and explicit near-top strip positions are
-    inside every instance, so only generic strip variables constrain.
-    """
+def _hexagon_instances(d: int) -> tuple[tuple[int, int, int], ...]:
+    """The hexagons (d', ell1, ell2) small, thirds, wide_i, wide_j in mask-bit order."""
     t = d // 3
-    if kind == "alpha":
-        small = m <= 6 - idx
-        if inst == "small" or inst == "wide_i":
-            return small
-        if inst == "thirds":
-            return (m + idx <= t) | (m >= d - t + 1)
-        return small | (m >= t)
-    if kind == "beta":
-        small = m <= 6 - idx
-        if inst == "small" or inst == "wide_j":
-            return small
-        if inst == "thirds":
-            return (m + idx <= t) | (m >= d - t + 1)
-        return small | (m >= t)
-    if kind == "gamma":
-        small = m <= 6 - idx
-        if inst == "small":
-            return small
-        if inst == "thirds":
-            return (m <= t - idx - 1) | (m >= d - t + 1)
-        if inst == "wide_i":
-            return small | (m >= t)
-        return small | (m <= d - idx - t)
-    raise ValueError(f"unexpected strip kind {kind}")
+    return ((6, 7, 7), (t, t, t), (6, 7, d - t + 1), (6, d - t + 1, 7))
+
+
+@cache
+def _strip_masks(kind: str, idx: int, d: int) -> frozenset[int]:
+    """The masks of instances containing each generic position m of one strip.
+
+    Position m of alpha[idx], beta[idx] or gamma[idx] is the grid point
+    (idx, m), (m, idx) or (m, d - idx - m). Corner cells and explicit
+    near-top strip positions are inside every instance, so only generic
+    strip variables constrain.
+    """
+    instances = _hexagon_instances(d)
+    masks = set()
+    for m in range(4, d - 6):
+        point = {"alpha": (idx, m), "beta": (m, idx), "gamma": (m, d - idx - m)}[kind]
+        masks.add(sum(1 << bit for bit, inst in enumerate(instances) if in_hexagon(point, d, *inst)))
+    return frozenset(masks)
 
 
 def hexagon_eliminates(case: ContractionPoint) -> bool:
@@ -643,17 +633,7 @@ def hexagon_eliminates(case: ContractionPoint) -> bool:
     if len(strips) > 3:
         raise AssertionError("more strip coordinates than a support-five case allows")
     for d in range(D_FLOOR, _HEX_SWEEP_TOP + 1):
-        mask_sets = [
-            {
-                sum(
-                    1 << bit
-                    for bit, inst in enumerate(("small", "thirds", "wide_i", "wide_j"))
-                    if _strip_allowed(kind, idx, inst, d, m)
-                )
-                for m in range(4, d - 6)
-            }
-            for kind, (idx,) in strips
-        ]
+        mask_sets = [_strip_masks(kind, idx, d) for kind, (idx,) in strips]
         if not all(reduce(and_, masks) for masks in itertools.product(*mask_sets)):
             return False
     return True

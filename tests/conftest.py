@@ -25,8 +25,8 @@ def wide_census_run():
     calls = []
     stage = enumeration._kernel_stage
 
-    def recording(support, d, columns):
-        verdict = stage(support, d, columns)
+    def recording(support, d):
+        verdict = stage(support, d)
         calls.append((support, d, verdict))
         return verdict
 

@@ -19,7 +19,6 @@ from chipsplit.enumeration import (
     _kernel_verdict,
     _resolve_survivor,
     _sign_tables,
-    _top_edge_columns,
     candidate_count,
     canonical_key,
     check_conjecture,
@@ -31,7 +30,7 @@ from chipsplit.enumeration import (
 from chipsplit.grid import ChipConfiguration, act, grid_points
 from chipsplit.hyperfield import hyperfield_excludes, sign_survivors
 from chipsplit.models import fundamentality, is_fundamental
-from chipsplit.pascal import is_outcome, outcome_space, top_edge_form
+from chipsplit.pascal import is_outcome, outcome_space, top_edge_columns, top_edge_form
 
 # The published census through five positive entries: cell (n, d) counts
 # fundamental outcomes with n + 1 positive points and degree d.
@@ -227,7 +226,7 @@ class TestKernelStage:
     def test_dimension_and_generator_match_outcome_space(self, case):
         d, support = case
         points = [(0, 0), *support]
-        dimension, vec = _kernel_line(points, _top_edge_columns(d))
+        dimension, vec = _kernel_line(points, d)
         basis = outcome_space(set(points), d)
         assert dimension == len(basis)
         if dimension == 1:
@@ -240,7 +239,7 @@ class TestKernelStage:
         else:
             assert vec is None
         verdict, _, expected = fundamentality(support, d)
-        _, outcome = _kernel_stage(support, d, _top_edge_columns(d))
+        _, outcome = _kernel_stage(support, d)
         assert (outcome is not None) == verdict
         assert outcome == expected
 
@@ -256,7 +255,7 @@ class TestKernelStage:
     )
     def test_sweep_resolutions(self, d, support, resolution):
         support = frozenset(support)
-        found, outcome = _resolve_survivor(support, d, _top_edge_columns(d))
+        found, outcome = _resolve_survivor(support, d)
         assert found == resolution
         assert (outcome is not None) == (resolution == "outcome")
         if outcome is not None:
@@ -264,7 +263,7 @@ class TestKernelStage:
 
     def test_columns_are_the_top_edge_coefficients(self):
         for d in range(8):
-            columns = _top_edge_columns(d)
+            columns = top_edge_columns(d)
             assert sorted(columns) == sorted(grid_points(d))
             for (i, j), column in columns.items():
                 assert column == tuple(

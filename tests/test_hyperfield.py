@@ -16,8 +16,10 @@ from chipsplit.grid import (
     compose,
     grid_points,
 )
+from chipsplit import hyperfield
 from chipsplit.hyperfield import (
     H,
+    MIN_CONTRACTION_DEGREE,
     NEGATIVE,
     POSITIVE,
     XI_COORDS,
@@ -615,7 +617,74 @@ class TestLambdaSet:
         assert vectors == sorted(set(vectors))
 
 
+def hand_image(generator: str, name: str) -> str:
+    """The merged coordinate a generator moves a coordinate's value to, by hand.
+
+    (12), the transposition of the axes, transposes every corner block,
+    swapping the two top ones, and swaps the edge strips. (13), which
+    fixes the bottom edge, reflects the top-left block in its
+    antidiagonal, swaps the origin and right corner blocks with their
+    rows reversed, and swaps the column strips with the diagonal ones.
+    These are the rules the library wrote out before it read the action
+    off ``act_point``.
+    """
+    kind, idx = parse_coord(name)
+    if generator == "(12)":
+        kind = {"r": "t", "t": "r", "alpha": "beta", "beta": "alpha"}.get(kind, kind)
+        idx = idx[::-1]
+    elif kind == "r":
+        idx = (3 - idx[1], 3 - idx[0])
+    else:
+        kind = {"x": "t", "t": "x", "alpha": "gamma", "gamma": "alpha"}.get(kind, kind)
+        if kind in ("x", "t"):
+            idx = (3 - idx[0], idx[1])
+    return f"{kind}[{','.join(map(str, idx))}]"
+
+
+# Each element as a word in the two generators, applied first to last.
+HAND_WORDS = {
+    "e": (),
+    "(12)": ("(12)",),
+    "(13)": ("(13)",),
+    "(23)": ("(12)", "(13)", "(12)"),
+    "(123)": ("(12)", "(13)"),
+    "(132)": ("(13)", "(12)"),
+}
+
+
+def hand_permutation(sigma: str) -> tuple[int, ...]:
+    """perm[k] is the coordinate whose value the hand word moves to coordinate k."""
+    perm = tuple(range(len(XI_PRIME_COORDS)))
+    for generator in HAND_WORDS[sigma]:
+        step = [0] * len(XI_PRIME_COORDS)
+        for source, name in enumerate(XI_PRIME_COORDS):
+            step[XI_PRIME_COORDS.index(hand_image(generator, name))] = source
+        perm = tuple(perm[k] for k in step)
+    return perm
+
+
 class TestSymmetryAction:
+    @pytest.mark.parametrize("d", [11, 12, 22, 23])
+    def test_derived_permutations_match_the_hand_rules(self, d):
+        for sigma in PERMUTATIONS:
+            assert hyperfield._contraction_permutation(sigma, d) == hand_permutation(sigma)
+
+    def test_reference_degree_invariance(self):
+        for sigma in PERMUTATIONS:
+            table = hyperfield._contraction_permutation(sigma)
+            assert hyperfield._contraction_permutation(sigma, 40) == table
+            assert hyperfield._contraction_permutation(sigma, 41) == table
+
+    def test_degree_below_the_contraction_raises(self):
+        with pytest.raises(ValueError):
+            hyperfield._contraction_permutation("(12)", MIN_CONTRACTION_DEGREE - 1)
+
+    def test_unmerged_parity_strips_make_two_images(self, monkeypatch):
+        # Without chi's merge, (13) sends each column strip to both parity strips.
+        monkeypatch.setattr(hyperfield, "_merged_cell", ring_cell)
+        with pytest.raises(AssertionError, match="to both"):
+            hyperfield._contraction_permutation.__wrapped__("(13)", 13)
+
     def test_generators_are_involutions(self):
         lam = lambda_set()
         for case in lam.cases[::101]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -278,3 +279,56 @@ def test_json_round_trip():
     assert model_from_json(text) == BINOMIAL
     with pytest.raises(ValueError):
         model_from_json("{}")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"terms": 5}',
+        '{"terms": [5]}',
+        '{"terms": [[1, 1, 1, 0, 0]]}',
+        '{"terms": [[1, 0, 1, 0], [1, 1, 0, 1]]}',
+        '{"terms": [[1, 1, 1.5, 0], [1, 1, 0, 1]]}',
+        '{"terms": [[1, 1, true, 0], [1, 1, 0, 1]]}',
+        '{"terms": [[1, 1, 1, 0], [1, 1, 0, Infinity]]}',
+        '{"terms": [[1, 1, 0, 1000000]]}',
+        pytest.param('{"terms": ' + "[" * 100_000 + "]" * 100_000 + "}", id="deep"),
+    ],
+)
+def test_model_from_json_rejects_malformed_input_with_value_error(text):
+    with pytest.raises(ValueError):
+        model_from_json(text)
+
+
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-1000, 1000)
+    | st.floats()
+    | st.text(max_size=3)
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+term_lists = st.lists(
+    st.lists(st.integers(-3, 3) | json_leaves, min_size=4, max_size=4), max_size=3
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        json_values,
+        json_values.map(lambda v: {"terms": v}),
+        term_lists.map(lambda t: {"terms": t}),
+    )
+)
+def test_model_from_json_raises_only_value_error(payload):
+    try:
+        model = model_from_json(json.dumps(payload))
+    except ValueError:
+        return
+    assert all(type(v) is int for term in payload["terms"] for v in term)
+    assert model_from_json(model_to_json(model)) == model

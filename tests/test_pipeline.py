@@ -11,15 +11,19 @@ from hypothesis import strategies as st
 from chipsplit.criteria import (
     _closed_form,
     greedy_blocks,
+    hexagon_check,
     hexagon_determinant,
+    in_hexagon,
     invertibility_excludes,
     pairing_matrix,
 )
+from chipsplit.grid import ChipConfiguration
 from chipsplit.hyperfield import XI_PRIME_COORDS, ContractionPoint, lambda_set
 from chipsplit import pipeline
 from chipsplit.linalg import binomial
 from chipsplit.pipeline import (
     D_FLOOR,
+    _HEX_SWEEP_TOP,
     ScenarioFailure,
     Sym,
     SymPoint,
@@ -32,11 +36,13 @@ from chipsplit.pipeline import (
     _classify_column,
     _column_variables,
     _final_slice_patterns,
+    _hexagon_instances,
     _placed_carrier,
     _placements,
     _sign_for_all,
     _slice_det,
     _slice_entry,
+    _strip_masks,
     _tri_max,
     _tri_min,
     cell_possibilities,
@@ -648,7 +654,80 @@ class TestInvertibilityStage:
         assert symmetry_eliminates(case) == "(13)"
 
 
+HEXAGON_NAMES = ("small", "thirds", "wide_i", "wide_j")
+
+
+def hand_strip_allowed(kind: str, idx: int, inst: str, d: int, m: int) -> bool:
+    """Whether one hexagon instance contains the generic strip position m, by hand.
+
+    The case analysis the pipeline wrote out before it read the instances
+    off their (d', ell1, ell2) triples, kept verbatim as the oracle.
+    """
+    t = d // 3
+    if kind == "alpha":
+        small = m <= 6 - idx
+        if inst == "small" or inst == "wide_i":
+            return small
+        if inst == "thirds":
+            return (m + idx <= t) | (m >= d - t + 1)
+        return small | (m >= t)
+    if kind == "beta":
+        small = m <= 6 - idx
+        if inst == "small" or inst == "wide_j":
+            return small
+        if inst == "thirds":
+            return (m + idx <= t) | (m >= d - t + 1)
+        return small | (m >= t)
+    if kind == "gamma":
+        small = m <= 6 - idx
+        if inst == "small":
+            return small
+        if inst == "thirds":
+            return (m <= t - idx - 1) | (m >= d - t + 1)
+        if inst == "wide_i":
+            return small | (m >= t)
+        return small | (m <= d - idx - t)
+    raise ValueError(f"unexpected strip kind {kind}")
+
+
 class TestHexagonStage:
+    def test_derived_masks_match_the_hand_cases(self):
+        for d in range(D_FLOOR, _HEX_SWEEP_TOP + 1):
+            instances = dict(zip(HEXAGON_NAMES, _hexagon_instances(d)))
+            for kind in STRIP_KINDS:
+                for idx in range(4):
+                    hand_masks = set()
+                    for m in range(4, d - 6):
+                        point = {"alpha": (idx, m), "beta": (m, idx), "gamma": (m, d - idx - m)}[kind]
+                        mask = 0
+                        for bit, name in enumerate(HEXAGON_NAMES):
+                            allowed = hand_strip_allowed(kind, idx, name, d, m)
+                            assert in_hexagon(point, d, *instances[name]) == allowed
+                            mask |= allowed << bit
+                        hand_masks.add(mask)
+                    assert _strip_masks(kind, idx, d) == hand_masks
+
+    def test_instances_are_admissible_exactly_from_the_floor(self):
+        # hexagon_check raises ValueError on an inadmissible (d', ell1, ell2).
+        empty = ChipConfiguration({})
+        for d in range(D_FLOOR, _HEX_SWEEP_TOP + 1):
+            for inst in _hexagon_instances(d):
+                hexagon_check(empty, d, *inst)
+        small, thirds, wide_i, wide_j = _hexagon_instances(D_FLOOR - 1)
+        for inst in (small, thirds):
+            hexagon_check(empty, D_FLOOR - 1, *inst)
+        for inst in (wide_i, wide_j):
+            with pytest.raises(ValueError):
+                hexagon_check(empty, D_FLOOR - 1, *inst)
+
+    def test_strip_masks_repeat_past_the_sweep_cap(self):
+        # The cap is safe because no strip's mask set changes with d.
+        for kind in STRIP_KINDS:
+            for idx in range(4):
+                first = _strip_masks(kind, idx, D_FLOOR)
+                for d in range(D_FLOOR + 1, 2 * _HEX_SWEEP_TOP + 1):
+                    assert _strip_masks.__wrapped__(kind, idx, d) == first
+
     def test_backing_determinants_are_nonzero(self):
         for d, d_small, ell1 in [
             (42, 6, 7),
