@@ -462,20 +462,18 @@ def _contract_form(form: PascalForm, d: int) -> tuple[int, ...]:
 
 
 @cache
-def contracted_forms(parity: str, reference: int | None = None) -> tuple[ContractedForm, ...]:
+def contracted_forms(parity: str) -> tuple[ContractedForm, ...]:
     """The 20 descended forms for the given ambient-degree parity.
 
-    Derived by instantiating each Pascal form at a reference degree of
-    the right parity and reading coefficients off the ring cells; the
-    derivation is repeated at reference + 2 and must agree, which is the
-    degree-independence property that makes contraction useful.
+    Derived by instantiating each Pascal form at the reference degree
+    16 or 17 of the right parity and reading coefficients off the ring
+    cells; the derivation is repeated at reference + 2 and must agree,
+    which is the degree-independence property that makes contraction
+    useful.
     """
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
-    if reference is None:
-        reference = 16 if parity == "even" else 17
-    if reference % 2 != (0 if parity == "even" else 1) or reference < 14:
-        raise ValueError(f"reference degree {reference} unsuitable for {parity} parity")
+    reference = 16 if parity == "even" else 17
     out = []
     for (name, form), (again_name, again) in zip(
         _form_specs(reference), _form_specs(reference + 2)

@@ -41,7 +41,8 @@ eliminators and reporting which one fires:
   wide_j (6, d - t + 1, 7), with t = d // 3. The wide ones are
   admissible (d' + ell1 + ell2 <= d) from d = 42 on, the pipeline's
   floor. Coverage is exact, on the bit masks of instances that contain
-  each strip position.
+  each strip position, and decided at d = 42: ``hexagon_eliminates``
+  proves the masks are the same at every d >= 42.
 * special: ad hoc arguments for what survives, certified case by case.
 
 Verdicts carry enough detail to re-check the certificate, and the
@@ -558,17 +559,18 @@ def _attempt_guards(points: list[SymPoint]) -> set[Sym] | None:
     return guards
 
 
+def _resistant_patterns(case: ContractionPoint):
+    """Yield (points, flipped) for each position pattern neither pairing attempt excludes."""
+    for combo in itertools.product(*(cell_possibilities(name) for name in case.record())):
+        points = list(combo)
+        flipped = [p.transposed() for p in points]
+        if not (_attempt_excluded(points) or _attempt_excluded(flipped)):
+            yield points, flipped
+
+
 def invertibility_eliminates(case: ContractionPoint) -> bool:
     """Symbolic pairing exclusion over every relative position pattern."""
-    option_lists = [cell_possibilities(name) for name in case.record()]
-    for combo in itertools.product(*option_lists):
-        points = list(combo)
-        if not (
-            _attempt_excluded(points)
-            or _attempt_excluded([p.transposed() for p in points])
-        ):
-            return False
-    return True
+    return next(_resistant_patterns(case), None) is None
 
 
 def symmetry_eliminates(case: ContractionPoint) -> str | None:
@@ -583,8 +585,6 @@ def symmetry_eliminates(case: ContractionPoint) -> str | None:
 # ---------------------------------------------------------------------------
 # Hexagon coverage.
 
-_HEX_SWEEP_TOP = 123
-
 
 def _hexagon_instances(d: int) -> tuple[tuple[int, int, int], ...]:
     """The hexagons (d', ell1, ell2) small, thirds, wide_i, wide_j in mask-bit order."""
@@ -593,14 +593,15 @@ def _hexagon_instances(d: int) -> tuple[tuple[int, int, int], ...]:
 
 
 @cache
-def _strip_masks(kind: str, idx: int, d: int) -> frozenset[int]:
+def _strip_masks(kind: str, idx: int) -> frozenset[int]:
     """The masks of instances containing each generic position m of one strip.
 
     Position m of alpha[idx], beta[idx] or gamma[idx] is the grid point
-    (idx, m), (m, idx) or (m, d - idx - m). Corner cells and explicit
-    near-top strip positions are inside every instance, so only generic
-    strip variables constrain.
+    (idx, m), (m, idx) or (m, d - idx - m), here at d = D_FLOOR. Corner
+    cells and explicit near-top strip positions are inside every
+    instance, so only generic strip variables constrain.
     """
+    d = D_FLOOR
     instances = _hexagon_instances(d)
     masks = set()
     for m in range(4, d - 6):
@@ -614,29 +615,32 @@ def hexagon_eliminates(case: ContractionPoint) -> bool:
 
     A compatible valid outcome has degree exactly d, but once one
     instance contains the entire support its degree is at most the
-    instance's small triangle, far below d. The check sweeps d up to a
-    cap beyond which every interval comparison in the instance bounds is
-    stable, so the covering pattern repeats.
+    instance's small triangle, far below d. A strip position matters
+    only through its mask, so the box is covered exactly when every
+    choice of one occurring mask per strip has a nonzero AND.
 
-    For each d, a strip position m matters only through its mask, the
-    4-bit set of instances that allow it. The box of strip positions is
-    covered exactly when every choice of one occurring mask per strip
-    has a nonzero AND, that is, some instance allows all of them.
+    The masks read at D_FLOOR decide every d >= D_FLOOR. With t = d // 3
+    >= 14, idx <= 3 and m in [4, d - 7], ``in_hexagon`` reduces to:
+    alpha (idx, m) is in small and wide_i iff m <= 6 - idx, in thirds iff
+    m <= t - idx or m > d - t, in wide_j iff m <= 6 - idx or m >= t (beta
+    swaps wide_i and wide_j); gamma (m, d - idx - m) is in small iff
+    m <= 6 - idx, in thirds iff m < t - idx or m > d - t, in wide_i iff
+    m <= 6 - idx or m >= t, in wide_j iff m <= d - idx - t. The mask thus
+    changes only past 6 - idx < t - idx - 1 <= {t - idx, t - 1} <
+    d - idx - t <= d - t < d - 7, an order that holds at every d, and the
+    gaps between them hold 3 - idx, |1 - idx| or idx positions, or at
+    least t - 7 > 0. So a strip's set of masks depends on its kind and
+    idx alone.
     """
     strips = [
         parse_coord(name)
         for name in case.record()
         if name.startswith(("alpha", "beta", "gamma"))
     ]
-    if not strips:
-        return True
     if len(strips) > 3:
         raise AssertionError("more strip coordinates than a support-five case allows")
-    for d in range(D_FLOOR, _HEX_SWEEP_TOP + 1):
-        mask_sets = [_strip_masks(kind, idx, d) for kind, (idx,) in strips]
-        if not all(reduce(and_, masks) for masks in itertools.product(*mask_sets)):
-            return False
-    return True
+    mask_sets = [_strip_masks(kind, idx) for kind, (idx,) in strips]
+    return all(reduce(and_, masks, 0b1111) for masks in itertools.product(*mask_sets))
 
 
 # ---------------------------------------------------------------------------
@@ -844,13 +848,8 @@ def _special_final(case: ContractionPoint) -> dict | None:
     """
     if case.record() != _FINAL_RECORD:
         return None
-    option_lists = [cell_possibilities(name) for name in case.record()]
     resistant = 0
-    for combo in itertools.product(*option_lists):
-        points = list(combo)
-        flipped = [p.transposed() for p in points]
-        if _attempt_excluded(points) or _attempt_excluded(flipped):
-            continue
+    for points, flipped in _resistant_patterns(case):
         resistant += 1
         for pts, expected in ((points, _GUARD_KEYS[0]), (flipped, _GUARD_KEYS[1])):
             guards = _attempt_guards(pts)

@@ -25,6 +25,7 @@ from chipsplit.hyperfield import (
     XI_COORDS,
     XI_PRIME_COORDS,
     ZERO,
+    ContractedForm,
     ContractionPoint,
     chi,
     contract,
@@ -360,8 +361,14 @@ class TestContractedForms:
                 assert odd[name] == form
 
     def test_reference_degree_invariance(self):
-        assert contracted_forms("even", 18) == contracted_forms("even")
-        assert contracted_forms("odd", 19) == contracted_forms("odd")
+        for parity, start in (("even", 14), ("odd", 15)):
+            forms = contracted_forms(parity)
+            for d in range(start, 61, 2):
+                derived = tuple(
+                    ContractedForm(name, hyperfield._contract_form(form, d))
+                    for name, form in hyperfield._form_specs(d)
+                )
+                assert derived == forms
 
     def test_top_edge_contraction_by_hand(self):
         phi3 = next(f for f in contracted_forms("even") if f.name == "phi[3,d-3]")
@@ -395,11 +402,9 @@ class TestContractedForms:
         single = ContractionPoint.from_record({"x[1,0]": 1})
         assert forms["psi[1]"].evaluate(single) == NEGATIVE
 
-    def test_bad_parity_and_reference(self):
+    def test_bad_parity(self):
         with pytest.raises(ValueError):
             contracted_forms("both")
-        with pytest.raises(ValueError):
-            contracted_forms("even", 17)
 
 
 def reference_search(point_signs, fixed_signs, size):

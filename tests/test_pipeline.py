@@ -1,5 +1,6 @@
 """Tests for the symbolic elimination of the support-five contraction cases."""
 
+import collections
 import functools
 import itertools
 from fractions import Fraction
@@ -15,15 +16,16 @@ from chipsplit.criteria import (
     hexagon_determinant,
     in_hexagon,
     invertibility_excludes,
+    pairing_excludes,
     pairing_matrix,
 )
-from chipsplit.grid import ChipConfiguration
-from chipsplit.hyperfield import XI_PRIME_COORDS, ContractionPoint, lambda_set
+from chipsplit.enumeration import _resolve_survivor, sign_survivor_search
+from chipsplit.grid import ChipConfiguration, act_point
+from chipsplit.hyperfield import XI_PRIME_COORDS, ContractionPoint, chi, contract, lambda_set
 from chipsplit import pipeline
 from chipsplit.linalg import binomial
 from chipsplit.pipeline import (
     D_FLOOR,
-    _HEX_SWEEP_TOP,
     ScenarioFailure,
     Sym,
     SymPoint,
@@ -692,7 +694,9 @@ def hand_strip_allowed(kind: str, idx: int, inst: str, d: int, m: int) -> bool:
 
 class TestHexagonStage:
     def test_derived_masks_match_the_hand_cases(self):
-        for d in range(D_FLOOR, _HEX_SWEEP_TOP + 1):
+        # The strip masks are read at D_FLOOR only; the hand cases show
+        # they are the same at every d past it.
+        for d in range(D_FLOOR, 247):
             instances = dict(zip(HEXAGON_NAMES, _hexagon_instances(d)))
             for kind in STRIP_KINDS:
                 for idx in range(4):
@@ -705,12 +709,12 @@ class TestHexagonStage:
                             assert in_hexagon(point, d, *instances[name]) == allowed
                             mask |= allowed << bit
                         hand_masks.add(mask)
-                    assert _strip_masks(kind, idx, d) == hand_masks
+                    assert _strip_masks(kind, idx) == hand_masks
 
     def test_instances_are_admissible_exactly_from_the_floor(self):
         # hexagon_check raises ValueError on an inadmissible (d', ell1, ell2).
         empty = ChipConfiguration({})
-        for d in range(D_FLOOR, _HEX_SWEEP_TOP + 1):
+        for d in range(D_FLOOR, 247):
             for inst in _hexagon_instances(d):
                 hexagon_check(empty, d, *inst)
         small, thirds, wide_i, wide_j = _hexagon_instances(D_FLOOR - 1)
@@ -719,14 +723,6 @@ class TestHexagonStage:
         for inst in (wide_i, wide_j):
             with pytest.raises(ValueError):
                 hexagon_check(empty, D_FLOOR - 1, *inst)
-
-    def test_strip_masks_repeat_past_the_sweep_cap(self):
-        # The cap is safe because no strip's mask set changes with d.
-        for kind in STRIP_KINDS:
-            for idx in range(4):
-                first = _strip_masks(kind, idx, D_FLOOR)
-                for d in range(D_FLOOR + 1, 2 * _HEX_SWEEP_TOP + 1):
-                    assert _strip_masks.__wrapped__(kind, idx, d) == first
 
     def test_backing_determinants_are_nonzero(self):
         for d, d_small, ell1 in [
@@ -804,3 +800,51 @@ class TestPipelineReport:
     def test_final_case_pipeline_verdict(self):
         verdict = relset_pipeline(ContractionPoint.from_record(FINAL_RECORD, XI_PRIME_COORDS))
         assert verdict.eliminated_by == "special"
+
+
+# How the width-5 sweep survivors at d = 42 and 43 fall, by the stage
+# of their contraction case and, for special cases, by how
+# ``_resolve_survivor`` settles them.
+SEAM_TALLIES = {
+    42: {("invertibility", None): 2351, ("symmetry", None): 1062},
+    43: {
+        ("invertibility", None): 3194,
+        ("symmetry", None): 14,
+        ("special", "invertibility"): 468,
+        ("special", "empty-kernel"): 3,
+    },
+}
+
+
+class TestSeamWithTheSweep:
+    @pytest.mark.parametrize("d", sorted(SEAM_TALLIES))
+    def test_sweep_survivors_fall_to_their_case_verdict(self, d):
+        """Each concrete survivor at the pipeline floor falls as its case does.
+
+        Every width-5 sign survivor contracts to a pipeline case, and the
+        concrete form of that case's verdict excludes it: the pairing on
+        the support, the pairing on the recorded symmetry image, or the
+        survivor-settling step for a special case. No survivor lands in a
+        hexagon case.
+        """
+        verdicts = {v.case.vector: v for v in pipeline_summary().verdicts}
+        survivors, _ = sign_survivor_search(d, 5)
+        tally = collections.Counter()
+        for support in survivors:
+            points = support | {(0, 0)}
+            config = ChipConfiguration({(0, 0): -1, **dict.fromkeys(support, 1)})
+            image = chi(contract(config, d)).vector
+            assert image in verdicts
+            verdict = verdicts[image]
+            resolution = None
+            if verdict.eliminated_by == "invertibility":
+                assert pairing_excludes(points, d)
+            elif verdict.eliminated_by == "symmetry":
+                sigma = verdict.detail.split()[-2]
+                assert pairing_excludes({act_point(sigma, p, d) for p in points}, d)
+            else:
+                assert verdict.eliminated_by == "special"
+                resolution, _ = _resolve_survivor(support, d)
+                assert resolution not in ("outcome", "unresolved")
+            tally[verdict.eliminated_by, resolution] += 1
+        assert tally == SEAM_TALLIES[d]
