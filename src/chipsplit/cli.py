@@ -16,6 +16,14 @@ The committed census, sweep and pipeline artifacts are the standard
 output of ``enumerate --json``, ``sweep --summary`` and ``pipeline
 --json``; their JSON is indented and key-sorted, so equal results
 print equal bytes.
+
+Every ``--json`` and ``--summary`` report goes through one writer,
+``_echo_json``. Its bytes are exactly those of ``json.dumps`` with
+``indent=2`` and ``sort_keys=True``, plus a newline, but it renders with
+the C string escaper and writes to standard output piece by piece, and
+it rejects any float.  ``sweep --json`` streams per certificate: each
+certificate's JSON is built and rendered only when it is written, so
+the report never sits in memory whole.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from __future__ import annotations
 import json
 import sys
 from collections import Counter
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import click
@@ -31,6 +40,7 @@ from . import __version__
 from .criteria import hexagon_determinant
 from .enumeration import (
     SWEEP_START,
+    SweepCertificate,
     check_conjecture,
     enumerate_fundamental,
     sweep_no_valid_outcomes,
@@ -65,8 +75,73 @@ def _load_configuration(path: str) -> ChipConfiguration:
         _input_error(f"{path}: {exc}")
 
 
+# How each JSON leaf renders, by exact type: bool is kept apart from
+# int, and a float, a Fraction or any other type has no entry.
+_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _key(key) -> str:
+    if type(key) is not str:
+        raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+    return encode_basestring_ascii(key)
+
+
+def _render(value, pad: str = "\n") -> str:
+    """value as ``json.dumps`` renders it with ``indent=2`` and ``sort_keys=True``.
+
+    pad is the newline and indentation of the line value starts on.
+    Raises TypeError on any leaf outside ``_LEAVES``, so no float can
+    reach a report.
+    """
+    leaf = _LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_key(k) + ": " + _render(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_render(v, inner) for v in value]) + pad + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _echo_json(payload):
-    click.echo(json.dumps(payload, indent=2, sort_keys=True))
+    """Write payload to standard output as ``_render`` renders it, plus a newline.
+
+    A top-level object is written one member at a time, and a list,
+    tuple or map among its values one element at a time, so a map
+    renders each element only when it is written. The bytes are those
+    ``json.dumps`` gives with ``indent=2`` and ``sort_keys=True``, plus
+    a newline.
+    """
+    out = sys.stdout
+    if not isinstance(payload, dict) or not payload:
+        out.write(_render(payload) + "\n")
+        out.flush()
+        return
+    opening = "{\n  "
+    for key, value in sorted(payload.items()):
+        out.write(opening + _key(key) + ": ")
+        opening = ",\n  "
+        if not isinstance(value, (list, tuple, map)):
+            out.write(_render(value, "\n  "))
+            continue
+        separator = "[\n    "
+        for element in value:
+            out.write(separator + _render(element, "\n    "))
+            separator = ",\n    "
+        out.write("[]" if separator == "[\n    " else "\n  ]")
+    out.write("\n}\n")
+    out.flush()
 
 
 @click.group()
@@ -225,7 +300,7 @@ def sweep_command(support, max_degree, as_json, summary, jobs):
         _echo_json(
             {
                 "holds": holds,
-                "certificates": [cert.to_json() for cert in certificates],
+                "certificates": map(SweepCertificate.to_json, certificates),
             }
         )
     else:

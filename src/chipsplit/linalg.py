@@ -3,11 +3,12 @@
 Everything in this module is deterministic and exact. Matrices are plain
 lists of row lists; rational rows are scaled to integer rows first, so
 every elimination is fraction-free integer arithmetic (Bareiss). Dense
-polynomials keep Fraction coefficients, and one Bareiss routine,
-``_det_bareiss``, serves both integer and polynomial determinants: Poly
-defines ``//`` as exact division. There is deliberately no float
-anywhere; the certificates produced by the classification machinery
-quote these numbers verbatim.
+polynomials keep the int or Fraction coefficients they are built from,
+and one Bareiss routine, ``_det_bareiss``, serves both integer and
+polynomial determinants: Poly defines ``//`` as exact division, which
+stays in the integers on integer polynomials. There is deliberately no
+float anywhere; the certificates produced by the classification
+machinery quote these numbers verbatim.
 """
 
 from __future__ import annotations
@@ -172,9 +173,11 @@ def kernel_basis(rows: Sequence[Row], ncols: int | None = None) -> list[list[int
 
 
 class Poly:
-    """Dense univariate polynomial with Fraction coefficients.
+    """Dense univariate polynomial with int or Fraction coefficients.
 
-    Coefficient order is ascending: Poly([1, 2]) is 1 + 2x. Supports just
+    Coefficient order is ascending: Poly([1, 2]) is 1 + 2x. Coefficients
+    are kept as given, so integer polynomials never touch Fraction; a
+    Fraction appears only where one is put in. Supports just
     enough arithmetic for symbolic determinants in one indeterminate
     (the grid degree d): ring operations, exact division, evaluation,
     and an integer-root exclusion test.
@@ -183,10 +186,10 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Scalar]):
-        cs = [Fraction(c) for c in coeffs]
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple[Scalar, ...] = tuple(cs)
 
     @classmethod
     def constant(cls, c: Scalar) -> Poly:
@@ -233,7 +236,7 @@ class Poly:
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other: Poly | Scalar) -> Poly:
-        return self + (-other if isinstance(other, Poly) else Poly.constant(-Fraction(other)))
+        return self + (-other)
 
     def __rsub__(self, other: Scalar) -> Poly:
         return Poly.constant(other) + (-self)
@@ -243,7 +246,7 @@ class Poly:
             other = Poly.constant(other)
         if self.is_zero() or other.is_zero():
             return Poly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -254,7 +257,12 @@ class Poly:
     __rmul__ = __mul__
 
     def __floordiv__(self, other: Poly | Scalar) -> Poly:
-        """Exact quotient; raises if a polynomial division leaves a remainder."""
+        """Exact quotient; raises if a polynomial division leaves a remainder.
+
+        On integer coefficients each quotient coefficient is an exact
+        integer division, so an integer quotient stays integer, and a
+        quotient that is not integral raises like a remainder does.
+        """
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(other)
         if other.is_zero():
@@ -262,9 +270,15 @@ class Poly:
         rem = list(self.coeffs)
         lead = other.coeffs[-1]
         dn = other.degree
-        quot = [Fraction(0)] * max(len(rem) - dn, 0)
+        quot = [0] * max(len(rem) - dn, 0)
         for i in range(len(rem) - dn - 1, -1, -1):
-            c = rem[i + dn] / lead
+            top = rem[i + dn]
+            if isinstance(top, int) and isinstance(lead, int):
+                c, r = divmod(top, lead)
+                if r:
+                    raise ValueError("polynomial division was not exact")
+            else:
+                c = top / lead
             quot[i] = c
             if c != 0:
                 for j, b in enumerate(other.coeffs):
@@ -273,8 +287,8 @@ class Poly:
             raise ValueError("polynomial division was not exact")
         return Poly(quot)
 
-    def __call__(self, value: Scalar) -> Fraction:
-        acc = Fraction(0)
+    def __call__(self, value: Scalar) -> Scalar:
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * value + c
         return acc
@@ -295,6 +309,21 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
+def falling_poly(slope: int, intercept: int, k: int) -> Poly:
+    """The falling factorial (slope*d + intercept)^(k), an integer polynomial in d.
+
+    That is k! * binomial(slope*d + intercept, k); the zero polynomial
+    for k < 0.
+    """
+    if k < 0:
+        return Poly([])
+    arg = Poly.linear(slope, intercept)
+    out = Poly.constant(1)
+    for t in range(k):
+        out = out * (arg - t)
+    return out
+
+
 def binomial_poly(slope: int, intercept: int, k: int) -> Poly:
     """binomial(slope*d + intercept, k) as a polynomial in d.
 
@@ -304,11 +333,7 @@ def binomial_poly(slope: int, intercept: int, k: int) -> Poly:
     """
     if k < 0:
         return Poly([])
-    arg = Poly.linear(slope, intercept)
-    out = Poly.constant(1)
-    for t in range(k):
-        out = out * (arg - t)
-    return out * Fraction(1, factorial(k))
+    return falling_poly(slope, intercept, k) * Fraction(1, factorial(k))
 
 
 def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:

@@ -15,9 +15,9 @@ eliminators and reporting which one fires:
   (``criteria.greedy_blocks``) and the closed-form block shapes
   (``criteria.block_shape``) are the ones the census and the sweep use;
   this module adds the sign of the two-and-one guard over all admissible
-  values, and for larger blocks an exact determinant that is a
-  polynomial in one symbol, checked to have no admissible integer
-  root. A block verdict
+  values, and for larger blocks an exact determinant that is an
+  integer polynomial in one symbol once each row is scaled, checked to
+  have no admissible integer root. A block verdict
   is a pure function of the region's first row, the block's start
   column and width, and its points, and is cached under that key,
   because a full run asks for 189,877 verdicts on only 766 distinct
@@ -54,12 +54,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cache, reduce
+from math import factorial
 from operator import and_
 from typing import NamedTuple
 
 from .criteria import block_shape, greedy_blocks, in_hexagon
 from .grid import PERMUTATIONS
-from .linalg import Poly, binomial, binomial_poly, integer_roots_at_or_above, poly_det
+from .linalg import Poly, binomial, binomial_poly, falling_poly, integer_roots_at_or_above, poly_det
 from .hyperfield import ContractionPoint, lambda_set, parse_coord, s3_on_contraction
 
 D_FLOOR = 42
@@ -325,23 +326,28 @@ class ScenarioFailure:
     expr: Sym | None = None
 
 
-def _poly_entry(upper: Sym, k: int):
-    """The pairing entry binom(upper, k) as a polynomial in one symbol.
+def _poly_entry(upper: Sym, k: int, top: int):
+    """The pairing entry binom(upper, k), times top!, as a polynomial in one symbol.
 
-    Returns (poly, symbol_key, u_min); constants keep symbol None.
+    For 0 <= k <= top that is (top!/k!) times the falling factorial
+    (upper)(upper - 1)...(upper - k + 1), so the polynomial has integer
+    coefficients. Returns (poly, symbol_key, u_min); constants keep
+    symbol None.
     """
     if k < 0:
         return Poly.constant(0), None, 0
     if upper.is_const:
         if upper.c < 0:
             raise AssertionError("pairing entry above the triangle")
-        return Poly.constant(binomial(upper.c, k)), None, 0
+        return Poly.constant(binomial(upper.c, k) * factorial(top)), None, 0
     if upper.dc == 1 and not upper.terms:
-        return binomial_poly(1, upper.c, k), ("d",), D_FLOOR
-    if upper.dc == 1 and len(upper.terms) == 1 and upper.terms[0][1] == -1:
+        symbol, u_min = ("d",), D_FLOOR
+    elif upper.dc == 1 and len(upper.terms) == 1 and upper.terms[0][1] == -1:
         # A function of u = d - base with the base at most d - 7.
-        return binomial_poly(1, upper.c, k), ("u", upper.terms[0][0]), 7
-    return None, "mixed", 0
+        symbol, u_min = ("u", upper.terms[0][0]), 7
+    else:
+        return None, "mixed", 0
+    return falling_poly(1, upper.c, k) * (factorial(top) // factorial(k)), symbol, u_min
 
 
 @cache
@@ -380,19 +386,23 @@ def _block_verdict(
         return None
     if len(cols) <= 2:
         raise AssertionError(f"impossible {len(cols)}-point column pattern {cols}")
-    # General block: exact determinant as a polynomial in one symbol.
+    # General block: exact determinant as a polynomial in one symbol. Row
+    # w is scaled by K_w!, K_w its largest lower index, which makes every
+    # entry an integer polynomial; a nonzero row factor changes neither
+    # whether the determinant vanishes identically nor its roots.
     symbol = None
     u_min = 0
     grid = []
     for w in range(width):
         a = lead.shifted(w)
+        ks = [a - p.i for _, p in shifted]
+        if not all(k.is_const for k in ks):
+            raise AssertionError("row index does not align with block columns")
+        top = max(max(k.c for k in ks), 0)
         row = []
-        for _, p in shifted:
-            k_expr = a - p.i
-            if not k_expr.is_const:
-                raise AssertionError("row index does not align with block columns")
+        for k, (_, p) in zip(ks, shifted):
             upper = Sym.dee() - (p.i + p.j)
-            poly, sym_key, entry_min = _poly_entry(upper, k_expr.c)
+            poly, sym_key, entry_min = _poly_entry(upper, k.c, top)
             if sym_key == "mixed":
                 return ScenarioFailure("ambiguous", "entry mixes the degree with a base")
             if sym_key is not None:
@@ -880,11 +890,17 @@ def special_eliminates(case: ContractionPoint) -> dict | None:
 
 @dataclass(frozen=True)
 class CaseVerdict:
-    """How one contraction case was ruled out, if it was."""
+    """How one contraction case was ruled out, if it was.
+
+    sigma names the S3 element whose image the pairing succeeds on, for
+    a symmetry verdict only; it stays out of the JSON form, whose detail
+    already quotes it.
+    """
 
     case: ContractionPoint
     eliminated_by: str | None
     detail: str = ""
+    sigma: str | None = None
 
     def to_json(self) -> dict:
         return {
@@ -905,7 +921,7 @@ def relset_pipeline(case: ContractionPoint) -> CaseVerdict:
         return CaseVerdict(case, "invertibility", "all pairing scenarios invertible")
     sigma = symmetry_eliminates(case)
     if sigma is not None:
-        return CaseVerdict(case, "symmetry", f"pairing succeeds on the {sigma} image")
+        return CaseVerdict(case, "symmetry", f"pairing succeeds on the {sigma} image", sigma)
     if hexagon_eliminates(case):
         return CaseVerdict(case, "hexagon", "hexagon instances cover the strip box")
     certificate = special_eliminates(case)

@@ -6,11 +6,14 @@ family member, and a deliberately broken triangle.  Exit codes follow
 the documented triple (0 ok, 1 failed verification, 2 bad input).
 """
 
+import contextlib
+import functools
 import json
 import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,7 +22,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import chipsplit
-from chipsplit.cli import main
+from chipsplit.cli import _echo_json, _render, main
+from chipsplit.enumeration import SWEEP_START, sweep_no_valid_outcomes
 
 SRC = str(Path(chipsplit.__file__).resolve().parent.parent)
 ROOT = Path(__file__).resolve().parent.parent
@@ -341,6 +345,116 @@ class TestSweep:
         result = runner.invoke(main, ["sweep", "--support", "4", "--max-degree", "5"])
         assert result.exit_code == 2
         assert "at least 6" in result.stderr
+
+
+def old_rendering(payload) -> str:
+    """The oracle: the bytes every --json report had before the streaming writer."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class Recorder:
+    """A standard output that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def written(payload) -> str:
+    out = Recorder()
+    with contextlib.redirect_stdout(out):
+        _echo_json(payload)
+    return "".join(out.writes)
+
+
+json_text = st.text(st.sampled_from('az"\\/\n\t\x00\x1f\x7fé€\u2028😀') | st.characters(), max_size=6)
+json_leaf = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-100, max_value=100)
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | json_text
+)
+json_payload = st.recursive(
+    json_leaf,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(json_payload)
+    def test_writer_matches_json_dumps(self, payload):
+        assert _render(payload) + "\n" == old_rendering(payload)
+        assert written(payload) == old_rendering(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [1.5, 0.0, Fraction(1, 2), {"a": [1, 2.5]}, {"a": (Fraction(3),)}, [{"b": {"c": -0.25}}]],
+    )
+    def test_floats_and_fractions_are_refused(self, payload):
+        with pytest.raises(TypeError):
+            _render(payload)
+        with pytest.raises(TypeError):
+            written(payload)
+
+    def test_keys_must_be_text(self):
+        # json.dumps would turn the key 1 into "1"; no report has such a key.
+        with pytest.raises(TypeError):
+            _render({1: "a"})
+
+    def test_a_map_value_streams_like_a_list(self):
+        payload = {"z": 0, "items": [[1, [2]], {"k": None}], "empty": []}
+        lazy = {**payload, "items": map(lambda x: x, payload["items"]), "empty": map(str, [])}
+        assert written(lazy) == old_rendering(payload)
+
+
+@functools.cache
+def sweep_payload(n_plus, max_degree):
+    certificates = sweep_no_valid_outcomes(n_plus, range(SWEEP_START[n_plus], max_degree + 1))
+    return {"holds": True, "certificates": [c.to_json() for c in certificates]}
+
+
+class TestSweepReport:
+    @pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]])
+    def test_width_five_report_is_the_old_rendering(self, runner, jobs):
+        result = runner.invoke(main, ["sweep", "--support", "5", "--max-degree", "10", "--json", *jobs])
+        assert result.exit_code == 0
+        payload = sweep_payload(5, 10)
+        assert [len(c["sign_survivors"]) for c in payload["certificates"]] == [792, 882, 950]
+        assert result.output == old_rendering(payload)
+
+    def test_width_four_report_with_empty_survivor_lists(self, runner):
+        result = runner.invoke(main, ["sweep", "--support", "4", "--max-degree", "9", "--json"])
+        assert result.exit_code == 0
+        payload = sweep_payload(4, 9)
+        assert [c["sign_survivors"] for c in payload["certificates"][-2:]] == [[], []]
+        assert result.output == old_rendering(payload)
+
+    def test_report_is_written_one_certificate_at_a_time(self, monkeypatch):
+        # No write holds more than one certificate, so the report is never
+        # rendered whole; the bound needs no timing or memory threshold.
+        out = Recorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        args = ["sweep", "--support", "5", "--max-degree", "10", "--json"]
+        with pytest.raises(SystemExit) as exit_info:
+            main.main(args=args, prog_name="chipsplit", standalone_mode=False)
+        assert exit_info.value.code == 0
+        certificates = sweep_payload(5, 10)["certificates"]
+        assert "".join(out.writes) == old_rendering(sweep_payload(5, 10))
+        assert len(out.writes) >= len(certificates)
+        separator = ",\n    "
+        longest = max(len(_render(c, "\n    ")) for c in certificates) + len(separator)
+        assert max(len(w) for w in out.writes) <= longest
 
 
 class TestGamma:

@@ -3,6 +3,7 @@
 import collections
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from chipsplit.enumeration import _resolve_survivor, sign_survivor_search
 from chipsplit.grid import ChipConfiguration, act_point
 from chipsplit.hyperfield import XI_PRIME_COORDS, ContractionPoint, chi, contract, lambda_set
 from chipsplit import pipeline
-from chipsplit.linalg import binomial
+from chipsplit.linalg import Poly, binomial, binomial_poly, poly_det
 from chipsplit.pipeline import (
     D_FLOOR,
     ScenarioFailure,
@@ -481,6 +482,62 @@ class TestBlockVerdictCache:
         assert calls == []
 
 
+def fraction_block_det(base_row, c_lo, width, pts):
+    """The oracle: a block's determinant on binomial_poly's Fraction entries.
+
+    Also returns the product of the row factors K_w! the pipeline scales
+    row w by, K_w being the row's largest lower index.
+    """
+    lead = base_row.shifted(c_lo)
+    columns = sorted(pts, key=lambda p: (p.i - lead).c)
+    grid, factor = [], 1
+    for w in range(width):
+        ks = [(lead.shifted(w) - p.i).c for p in columns]
+        factor *= math.factorial(max(max(ks), 0))
+        row = []
+        for k, p in zip(ks, columns):
+            upper = Sym.dee() - (p.i + p.j)
+            if upper.is_const:
+                row.append(Poly.constant(Fraction(binomial(upper.c, k)) if k >= 0 else 0))
+            else:
+                row.append(binomial_poly(1, upper.c, k))
+        grid.append(row)
+    return poly_det(grid), factor
+
+
+def test_block_determinants_are_scaled_integer_fraction_determinants(monkeypatch):
+    # A full run from a cold cache: every distinct block is decided once,
+    # and each general block's determinant has int coefficients and is
+    # the Fraction determinant times the product of its row factors.
+    asked, current, determinants = set(), [None], {}
+    real_det = pipeline.poly_det
+
+    def recording_det(grid):
+        det = real_det(grid)
+        if current[0] is not None:
+            determinants[current[0]] = det
+        return det
+
+    def recording_verdict(*key):
+        asked.add(key)
+        current[0] = key
+        try:
+            return _block_verdict(*key)
+        finally:
+            current[0] = None
+
+    _block_verdict.cache_clear()
+    monkeypatch.setattr(pipeline, "poly_det", recording_det)
+    monkeypatch.setattr(pipeline, "_block_verdict", recording_verdict)
+    pipeline_summary.__wrapped__()
+    assert len(asked) == 766
+    assert determinants
+    for key, det in determinants.items():
+        assert all(type(c) is int for c in det.coeffs), key
+        reference, factor = fraction_block_det(*key)
+        assert det == reference * factor, key
+
+
 def test_two_and_one_verdict_agrees_with_the_integer_guard():
     # Every two-and-one block of the low region with constant heights up
     # to 12: the pipeline's guard sign and the census's integer guard
@@ -791,6 +848,18 @@ class TestPipelineReport:
         }
         assert details == {"pairing succeeds on the (13) image"}
 
+    def test_symmetry_verdicts_carry_the_sigma_their_detail_quotes(self):
+        symmetric = 0
+        for verdict in pipeline_summary().verdicts:
+            if verdict.eliminated_by != "symmetry":
+                assert verdict.sigma is None
+                continue
+            symmetric += 1
+            assert verdict.detail == f"pairing succeeds on the {verdict.sigma} image"
+            # The JSON form keeps its three fields, so the artifact keeps its bytes.
+            assert set(verdict.to_json()) == {"case", "eliminated_by", "detail"}
+        assert symmetric == STAGE_COUNTS["symmetry"]
+
     def test_verdicts_serialize(self):
         report = pipeline_summary()
         payload = report.to_json()
@@ -840,8 +909,7 @@ class TestSeamWithTheSweep:
             if verdict.eliminated_by == "invertibility":
                 assert pairing_excludes(points, d)
             elif verdict.eliminated_by == "symmetry":
-                sigma = verdict.detail.split()[-2]
-                assert pairing_excludes({act_point(sigma, p, d) for p in points}, d)
+                assert pairing_excludes({act_point(verdict.sigma, p, d) for p in points}, d)
             else:
                 assert verdict.eliminated_by == "special"
                 resolution, _ = _resolve_survivor(support, d)
