@@ -46,7 +46,7 @@ from .enumeration import (
     sweep_no_valid_outcomes,
     sweep_summary,
 )
-from .grid import ChipConfiguration, config_from_json, config_to_json
+from .grid import ChipConfiguration, config_from_json, config_record, config_to_json
 from .grid import parse as parse_triangle
 from .grid import render as render_triangle
 from .hyperfield import gamma_set
@@ -413,7 +413,7 @@ def family_command(k, do_render, as_json):
         click.echo("family member failed the outcome check", err=True)
         sys.exit(1)
     if as_json:
-        _echo_json(json.loads(config_to_json(outcome)))
+        _echo_json(config_record(outcome))
         return
     if do_render:
         lines = render_triangle(outcome).splitlines()

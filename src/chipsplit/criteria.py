@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
+from typing import Collection
 
 from .grid import ChipConfiguration, Coord
 from .linalg import _det_bareiss, binomial, det
@@ -273,13 +274,14 @@ def _block_invertible(block: list[Coord], c: int, columns: dict[Coord, tuple[int
     return invertible
 
 
-def pairing_excludes(points: set[Coord] | frozenset[Coord], d: int) -> bool:
+def pairing_excludes(points: Collection[Coord], d: int) -> bool:
     """The verdict of ``invertibility_excludes(points, d).excluded``, without a certificate.
 
     Runs the same greedy construction on the support and then on its
     transpose, on plain integers: closed forms where they apply and a
     fraction-free determinant of entries read off ``top_edge_columns(d)``
-    otherwise.
+    otherwise.  The points may come in any order: within a block they
+    only permute the determinant's rows.
     """
     if any(i < 0 or j < 0 or i + j > d for i, j in points):
         raise ValueError(f"support must lie inside the degree-{d} triangle")

@@ -1,37 +1,43 @@
 """Census of fundamental outcomes and empty-degree sweeps.
 
 Two exhaustive computations back the classification results, and both
-start from the bitset engine ``hyperfield.sign_survivors``.  It places
-support points in descending degree order, keeping as its whole state
-two bitsets of the Pascal forms that still lack a positive and a
-negative contribution, and abandons a branch as soon as some form can
-no longer cancel.  Its node count (every point tried below a parent
+are one routine, ``_settle_degree``, run per (positive-support size,
+degree).  It lists every support whose sign forms all cancel, settles
+each one with ``_resolve_survivor`` and returns a ``SweepCertificate``.
+
+The listing starts from the bitset engine ``hyperfield.sign_survivors``.
+It places support points in descending degree order, keeping as its
+whole state two bitsets of the Pascal forms that still lack a positive
+and a negative contribution, and abandons a branch as soon as some form
+can no longer cancel.  Its node count (every point tried below a parent
 with two or more free slots, plus every completion of the last slot)
-is part of each sweep certificate.
+is part of each certificate.  A support is stored as its sorted point
+tuple, and the list of them is sorted.
 
-The census walks cell by cell in (positive-support size, degree).  The
-candidates of a cell are the supports the anchor lemma allows: two
-points on the top diagonal and one on each axis away from the origin.
-They are counted in closed form, and the engine lists the ones whose
-signs survive.  No anchor filter runs on them, because every sign
-survivor is anchored.  The axis anchors follow from the sign forms:
-the top-edge form at a = d is nonzero only on the row j = 0, and the
-origin contributes a negative sign to it, so some point (i, 0) with
-i >= 1 must contribute a positive one; the form at a = 0 gives the
-column the same way.  That the sign forms also force two top points is
-checked, not proved: all 168,331 sign survivors of the cells n <= 5,
-d <= 9 have them, and the test suite pins that exhaustively.
+The sweep certifies that a whole degree hosts no valid outcome with a
+prescribed number of positive entries at all.  The census walks cell by
+cell in (positive-support size, degree) and tallies each cell's
+certificate into its stages.  The candidates of a cell are the supports
+the anchor lemma allows: two points on the top diagonal and one on each
+axis away from the origin.  They are counted in closed form, and every
+candidate the engine does not list fails the sign test.  No anchor
+filter runs on the survivors, because every sign survivor is anchored.
+The axis anchors follow from the sign forms: the top-edge form at a = d
+is nonzero only on the row j = 0, and the origin contributes a negative
+sign to it, so some point (i, 0) with i >= 1 must contribute a positive
+one; the form at a = 0 gives the column the same way.  That the sign
+forms also force two top points is checked, not proved: all 168,331
+sign survivors of the cells n <= 5, d <= 9 have them, and the test
+suite pins that exhaustively.
 
-Each survivor is then settled by the invertibility test and the kernel
+Each survivor is settled by the invertibility test and the kernel
 stage, the exact kernel criterion on plain integers.  Both read each
 point's top-edge coefficients from one table per degree,
 ``pascal.top_edge_columns``.  The stage runs the fraction-free
 elimination ``linalg._echelon`` on them, stops unless the kernel is a
 line, and builds a ``ChipConfiguration`` only for a fundamental
 generator.  ``classify_candidate`` decides one support through
-``models.fundamentality`` instead and is the stage's reference.  The sweep certifies that a whole degree hosts no valid
-outcome with a prescribed number of positive entries at all: its rare
-sign survivors are settled by the same step, ``_resolve_survivor``.
+``models.fundamentality`` instead and is the stage's reference.
 ``sweep_summary`` digests a sweep's certificates per degree, the format
 of the committed ``results/sweep-*.json`` artifacts.
 
@@ -47,9 +53,10 @@ import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Collection
 
 from .criteria import invertibility_excludes, pairing_excludes
-from .grid import ChipConfiguration, Coord, config_from_json, config_to_json, grid_points
+from .grid import ChipConfiguration, Coord, config_from_json, config_record, grid_points
 from .hyperfield import hyperfield_excludes, sign_survivors
 from .linalg import _echelon, _free_vector
 from .models import fundamentality
@@ -60,7 +67,6 @@ PRUNE_SIGNS = "signs"
 PRUNE_INVERTIBILITY = "invertibility"
 REJECT_KERNEL = "kernel"
 FOUND = "fundamental"
-_STAGES = (PRUNE_SIGNS, PRUNE_INVERTIBILITY, REJECT_KERNEL, FOUND)
 
 
 def canonical_key(config: ChipConfiguration):
@@ -145,15 +151,19 @@ def candidate_count(n: int, d: int) -> int:
     )
 
 
-def _resolve_survivor(support: frozenset[Coord], d: int):
+def _resolve_survivor(support: Collection[Coord], d: int):
     """Settle one sign survivor: certify exclusion or surface an outcome.
 
-    The settling step of both the census and the sweep: the pairing
-    test, then the integer kernel stage, whose dimension names the
-    resolution.  The kernel stage gives the verdict ``_kernel_verdict``
-    would give, with the same generator, on plain integers.
+    The settling step of ``_settle_degree``: the pairing test, then the
+    integer kernel stage, whose dimension names the resolution.  The
+    kernel stage gives the verdict ``_kernel_verdict`` would give, with
+    the same generator, on plain integers.  The support may come in any
+    point order, and the resolution and outcome do not depend on it: a
+    pairing block's points only permute its rows, which flips at most
+    the determinant's sign, and the kernel generator is oriented, made
+    primitive and keyed by point.
     """
-    if pairing_excludes(support | {(0, 0)}, d):
+    if pairing_excludes(((0, 0), *support), d):
         return PRUNE_INVERTIBILITY, None
     dimension, outcome = _kernel_stage(support, d)
     if dimension == 0:
@@ -194,44 +204,29 @@ def classify_candidate(support: frozenset[Coord], d: int):
     return _kernel_verdict(support, d)
 
 
-def _new_counters() -> dict[str, int]:
-    counters = {"candidates": 0}
-    for stage in _STAGES:
-        counters[stage] = 0
-    return counters
-
-
-def _enumerate_cell(n: int, d: int, candidates: int):
-    """Census of one cell: the sign survivors, each settled.
-
-    Every sign survivor is anchored (module docstring), so every
-    candidate the engine does not list fails the sign test, and the
-    signs counter is the candidate count minus the survivors.  Each
-    survivor is settled by the sweep's step ``_resolve_survivor``, and
-    the census counts all of its kernel labels as ``kernel``.
-    """
-    counters = _new_counters()
-    counters["candidates"] = candidates
-    points, point_signs, origin_signs = _sign_tables(d)
-    combos, _ = sign_survivors(point_signs, origin_signs, n + 1)
-    found = []
-    for combo in combos:
-        support = frozenset(points[k] for k in combo)
-        resolution, outcome = _resolve_survivor(support, d)
-        if outcome is not None:
-            found.append(outcome)
-            counters[FOUND] += 1
-        elif resolution == PRUNE_INVERTIBILITY:
-            counters[PRUNE_INVERTIBILITY] += 1
-        else:
-            counters[REJECT_KERNEL] += 1
-    counters[PRUNE_SIGNS] = candidates - len(combos)
-    found.sort(key=canonical_key)
-    return tuple(found), counters
-
-
 # ---------------------------------------------------------------------------
 # The census.
+
+
+def _census_cell(n: int, d: int, candidates: int):
+    """Census of one cell: its fundamental outcomes and its stage counters.
+
+    The cell is the certificate ``_settle_degree`` gives for n + 1
+    positives at degree d, tallied.  Every candidate the engine does not
+    list fails the sign test, and the census counts all of the kernel
+    labels as ``kernel``.
+    """
+    cert = _settle_degree((n + 1, d))
+    tally = Counter(cert.resolutions)
+    settled = len(cert.resolutions)
+    counters = {
+        "candidates": candidates,
+        PRUNE_SIGNS: candidates - settled,
+        PRUNE_INVERTIBILITY: tally[PRUNE_INVERTIBILITY],
+        REJECT_KERNEL: settled - tally[PRUNE_INVERTIBILITY] - tally["outcome"],
+        FOUND: tally["outcome"],
+    }
+    return cert.outcomes_found, counters
 
 
 @dataclass(frozen=True)
@@ -273,7 +268,7 @@ class EnumerationReport:
     def to_json(self) -> dict:
         return {
             "table": [[n, d, count] for (n, d), count in sorted(self.table.items())],
-            "outcomes": [json.loads(config_to_json(w)) for w in self.outcomes],
+            "outcomes": [config_record(w) for w in self.outcomes],
             "stats": self.stats,
         }
 
@@ -303,21 +298,19 @@ def enumerate_fundamental(d_max: int, n_max: int) -> EnumerationReport:
     table: dict[tuple[int, int], int] = {}
     outcomes: list[ChipConfiguration] = []
     cells = []
-    totals = _new_counters()
     n_top = min(n_max, d_max * (d_max + 3) // 2 - 1)
     for n in range(1, n_top + 1):
         for d in range(1, d_max + 1):
             candidates = candidate_count(n, d)
             if candidates == 0:
                 continue
-            found, counters = _enumerate_cell(n, d, candidates)
-            for key, value in counters.items():
-                totals[key] += value
+            found, counters = _census_cell(n, d, candidates)
             cells.append([n, d, counters])
             if found:
                 table[(n, d)] = len(found)
                 outcomes.extend(found)
     outcomes.sort(key=canonical_key)
+    totals = {key: sum(counters[key] for _, _, counters in cells) for key in cells[0][2]}
     stats = {
         "d_max": d_max,
         "n_max": n_max,
@@ -382,14 +375,17 @@ def sign_survivor_search(d: int, size: int):
     abandons a branch as soon as some form cannot reach both signs with
     the slots and points still available.  That is sound because a
     valid outcome of degree exactly d makes every form's sign image the
-    full hyperfield.  Returns the survivor list (canonically sorted) and
-    the number of search nodes: every point tried below a parent with
-    two or more free slots, plus every completion of the last slot.
+    full hyperfield.  Returns the survivor list and the number of search
+    nodes: every point tried below a parent with two or more free slots,
+    plus every completion of the last slot.  Each survivor is the tuple
+    of its points in sorted order, and the list is sorted.  The engine's
+    index tuples are replaced in place, so only one list is ever held.
     """
     points, point_signs, origin_signs = _sign_tables(d)
-    found, nodes = sign_survivors(point_signs, origin_signs, size)
-    survivors = [frozenset(points[k] for k in combo) for combo in found]
-    survivors.sort(key=lambda s: tuple(sorted(s)))
+    survivors, nodes = sign_survivors(point_signs, origin_signs, size)
+    for k, combo in enumerate(survivors):
+        survivors[k] = tuple(sorted([points[m] for m in combo]))
+    survivors.sort()
     return survivors, nodes
 
 
@@ -398,9 +394,12 @@ class SweepCertificate:
     """Evidence that one degree hosts no valid outcome of a given width.
 
     sign_survivors lists the supports the sign forms could not rule out,
-    resolutions how each one fell ("invertibility", "empty-kernel" or
-    "kernel", with "unresolved" marking a survivor the follow-up could
-    not settle), and outcomes_found any genuine valid outcomes uncovered.
+    each as its sorted point tuple and in sorted order, as
+    ``sign_survivor_search`` returns them; resolutions how each one fell
+    ("invertibility", "empty-kernel" or "kernel", with "unresolved"
+    marking a survivor the follow-up could not settle), and
+    outcomes_found any genuine valid outcomes uncovered, in survivor
+    order.
     Either an unresolved survivor or a found outcome voids the claim, so
     holds is False in both cases.
     """
@@ -408,7 +407,7 @@ class SweepCertificate:
     n_plus: int
     d: int
     nodes: int
-    sign_survivors: tuple[frozenset[Coord], ...]
+    sign_survivors: tuple[tuple[Coord, ...], ...]
     resolutions: tuple[str, ...]
     outcomes_found: tuple[ChipConfiguration, ...]
 
@@ -421,13 +420,9 @@ class SweepCertificate:
             "n_plus": self.n_plus,
             "d": self.d,
             "nodes": self.nodes,
-            "sign_survivors": [
-                [list(p) for p in sorted(s)] for s in self.sign_survivors
-            ],
+            "sign_survivors": [[list(p) for p in s] for s in self.sign_survivors],
             "resolutions": list(self.resolutions),
-            "outcomes_found": [
-                json.loads(config_to_json(w)) for w in self.outcomes_found
-            ],
+            "outcomes_found": [config_record(w) for w in self.outcomes_found],
         }
 
     @classmethod
@@ -437,8 +432,7 @@ class SweepCertificate:
             payload["d"],
             payload["nodes"],
             tuple(
-                frozenset((i, j) for i, j in entry)
-                for entry in payload["sign_survivors"]
+                tuple((i, j) for i, j in entry) for entry in payload["sign_survivors"]
             ),
             tuple(payload["resolutions"]),
             tuple(
@@ -448,7 +442,13 @@ class SweepCertificate:
         )
 
 
-def _sweep_one(task) -> SweepCertificate:
+def _settle_degree(task) -> SweepCertificate:
+    """The certificate of one (positive-support size, degree) pair.
+
+    Lists the sign survivors and settles each with ``_resolve_survivor``;
+    the sweep keeps the certificate and the census tallies it.  Takes
+    one tuple so that a process pool can map it.
+    """
     n_plus, d = task
     survivors, nodes = sign_survivor_search(d, n_plus)
     resolutions = []
@@ -493,8 +493,8 @@ def sweep_no_valid_outcomes(
     if jobs and jobs > 1 and len(tasks) > 1:
         # A pool starts all its workers up front; more than one per degree idles.
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            return tuple(pool.map(_sweep_one, tasks))
-    return tuple(_sweep_one(task) for task in tasks)
+            return tuple(pool.map(_settle_degree, tasks))
+    return tuple(_settle_degree(task) for task in tasks)
 
 
 def sweep_summary(n_plus: int, certificates) -> dict:

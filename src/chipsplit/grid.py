@@ -25,8 +25,9 @@ Value = int | Fraction
 
 PERMUTATIONS = ("e", "(12)", "(13)", "(23)", "(123)", "(132)")
 
-# Largest degree accepted from a JSON file, well above the degree 41 the
-# sweeps reach; it keeps a rendered triangle at a few hundred kilobytes.
+# Largest degree accepted from a JSON file or a triangle, well above the
+# degree 41 the sweeps reach; it keeps a rendered triangle at a few
+# hundred kilobytes.
 MAX_INPUT_DEGREE = 500
 
 
@@ -98,10 +99,6 @@ def _parse_value(token: str) -> Value:
         return int(token)
     except ZeroDivisionError:
         raise ValueError(f"chip count {token!r} has a zero denominator") from None
-
-
-def _format_value(value: Value) -> str:
-    return str(value)
 
 
 class ChipConfiguration:
@@ -356,7 +353,7 @@ def render(config: ChipConfiguration, d: int | None = None, empty: str = "·") -
         tokens = []
         for i in range(d - j + 1):
             v = config[(i, j)]
-            tokens.append(_format_value(v) if v != 0 else empty)
+            tokens.append(str(v) if v != 0 else empty)
         lines.append(" ".join(tokens))
     return "\n".join(lines)
 
@@ -365,12 +362,15 @@ def parse(text: str) -> ChipConfiguration:
     """Read a triangle back from its rendered form.
 
     Accepts either the middle dot or a period for empty points, integers,
-    and fractions like 3/2. The number of lines fixes the ambient degree.
+    and fractions like 3/2. The number of lines fixes the ambient degree,
+    which may not exceed MAX_INPUT_DEGREE.
     """
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("no triangle rows to parse")
     d = len(lines) - 1
+    if d > MAX_INPUT_DEGREE:
+        raise ValueError(f"{len(lines)} rows give degree {d}, which exceeds {MAX_INPUT_DEGREE}")
     entries: dict[Coord, Value] = {}
     for row_index, line in enumerate(lines):
         j = d - row_index
@@ -390,12 +390,16 @@ def parse(text: str) -> ChipConfiguration:
     return ChipConfiguration(entries, ambient=d)
 
 
-def config_to_json(config: ChipConfiguration) -> str:
-    payload = {
+def config_record(config: ChipConfiguration) -> dict:
+    """The JSON object of a configuration, with each chip count as a string."""
+    return {
         "ambient": config.ambient,
-        "entries": [[i, j, _format_value(v)] for (i, j), v in config],
+        "entries": [[i, j, str(v)] for (i, j), v in config],
     }
-    return json.dumps(payload)
+
+
+def config_to_json(config: ChipConfiguration) -> str:
+    return json.dumps(config_record(config))
 
 
 def _json_int(value, what: str) -> int:

@@ -75,16 +75,16 @@ N5_ROW = {5: 602, 6: 254, 7: 88, 8: 24, 9: 2}
 
 # Width-four sign survivors at degrees six and seven.
 D6_SETS = {
-    frozenset({(0, 3), (1, 5), (4, 1), (6, 0)}),
-    frozenset({(0, 5), (1, 1), (3, 3), (6, 0)}),
-    frozenset({(0, 6), (1, 1), (3, 3), (5, 0)}),
-    frozenset({(0, 6), (1, 1), (3, 3), (6, 0)}),
-    frozenset({(0, 6), (1, 4), (3, 0), (5, 1)}),
+    ((0, 3), (1, 5), (4, 1), (6, 0)),
+    ((0, 5), (1, 1), (3, 3), (6, 0)),
+    ((0, 6), (1, 1), (3, 3), (5, 0)),
+    ((0, 6), (1, 1), (3, 3), (6, 0)),
+    ((0, 6), (1, 4), (3, 0), (5, 1)),
 }
 D7_SETS = {
-    frozenset({(0, 7), (1, 1), (3, 3), (7, 0)}),
-    frozenset({(0, 7), (1, 3), (5, 1), (7, 0)}),
-    frozenset({(0, 7), (1, 5), (3, 1), (7, 0)}),
+    ((0, 7), (1, 1), (3, 3), (7, 0)),
+    ((0, 7), (1, 3), (5, 1), (7, 0)),
+    ((0, 7), (1, 5), (3, 1), (7, 0)),
 }
 
 # The two degree-seven outcomes beyond the regular families.

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 import chipsplit
 from chipsplit.cli import _echo_json, _render, main
 from chipsplit.enumeration import SWEEP_START, sweep_no_valid_outcomes
+from chipsplit.grid import MAX_INPUT_DEGREE
 
 SRC = str(Path(chipsplit.__file__).resolve().parent.parent)
 ROOT = Path(__file__).resolve().parent.parent
@@ -116,6 +117,21 @@ class TestParseAndRender:
         result = runner.invoke(main, [command, fixture_file("bad.txt", text)])
         assert result.exit_code == 2
         assert result.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["render", "is-outcome"])
+    def test_triangle_and_json_share_the_degree_cap(self, runner, fixture_file, command):
+        def dots(rows):
+            return "\n".join(" ".join(["."] * (k + 1)) for k in range(rows)) + "\n"
+
+        accepted = runner.invoke(main, [command, fixture_file("top.txt", dots(MAX_INPUT_DEGREE + 1))])
+        assert accepted.exit_code == 0
+        for text in (
+            dots(MAX_INPUT_DEGREE + 2),
+            json.dumps({"ambient": MAX_INPUT_DEGREE + 1, "entries": []}),
+        ):
+            refused = runner.invoke(main, [command, fixture_file("past.txt", text)])
+            assert refused.exit_code == 2
+            assert refused.stderr.startswith("error:")
 
     def test_undecodable_bytes_are_a_usage_error(self, runner, tmp_path):
         path = tmp_path / "bad.txt"

@@ -66,16 +66,16 @@ EXCEPTIONAL_SEVEN = [
 # Supports the sign test cannot rule out, per degree, for four positive
 # entries; the invertibility criterion finishes each of them.
 SIGN_SURVIVORS_D6 = [
-    frozenset({(0, 3), (1, 5), (4, 1), (6, 0)}),
-    frozenset({(0, 5), (1, 1), (3, 3), (6, 0)}),
-    frozenset({(0, 6), (1, 1), (3, 3), (5, 0)}),
-    frozenset({(0, 6), (1, 1), (3, 3), (6, 0)}),
-    frozenset({(0, 6), (1, 4), (3, 0), (5, 1)}),
+    ((0, 3), (1, 5), (4, 1), (6, 0)),
+    ((0, 5), (1, 1), (3, 3), (6, 0)),
+    ((0, 6), (1, 1), (3, 3), (5, 0)),
+    ((0, 6), (1, 1), (3, 3), (6, 0)),
+    ((0, 6), (1, 4), (3, 0), (5, 1)),
 ]
 SIGN_SURVIVORS_D7 = [
-    frozenset({(0, 7), (1, 1), (3, 3), (7, 0)}),
-    frozenset({(0, 7), (1, 3), (5, 1), (7, 0)}),
-    frozenset({(0, 7), (1, 5), (3, 1), (7, 0)}),
+    ((0, 7), (1, 1), (3, 3), (7, 0)),
+    ((0, 7), (1, 3), (5, 1), (7, 0)),
+    ((0, 7), (1, 5), (3, 1), (7, 0)),
 ]
 
 # Sign-survivor counts for five positive entries on the first swept degrees.
@@ -260,6 +260,19 @@ class TestKernelStage:
         assert (outcome is not None) == (resolution == "outcome")
         if outcome is not None:
             assert outcome == fundamentality(support, d)[2]
+
+    @pytest.mark.parametrize(
+        "size,d",
+        [(size, d) for size in (4, 5, 6) for d in range(1, 7)] + [(5, 8)],
+    )
+    def test_settling_ignores_point_order(self, size, d):
+        # Survivors are stored as sorted tuples; settling must not read
+        # anything into that order.
+        survivors, _ = sign_survivor_search(d, size)
+        for support in survivors:
+            expected = _resolve_survivor(support, d)
+            assert _resolve_survivor(support[::-1], d) == expected
+            assert _resolve_survivor(frozenset(support), d) == expected
 
     def test_columns_are_the_top_edge_coefficients(self):
         for d in range(8):
@@ -499,12 +512,12 @@ class TestSignSurvivorSearch:
     def test_agrees_with_direct_sign_test(self, d, size):
         survivors, _ = sign_survivor_search(d, size)
         points = [p for p in grid_points(d) if p != (0, 0)]
-        brute = {
-            frozenset(combo)
-            for combo in itertools.combinations(points, size)
+        brute = [
+            combo
+            for combo in itertools.combinations(sorted(points), size)
             if not hyperfield_excludes(combo, d).excluded
-        }
-        assert set(survivors) == brute
+        ]
+        assert survivors == brute
 
     @pytest.mark.parametrize("d", range(8, 26))
     def test_matches_the_recorded_width_five_sweep(self, d):

@@ -900,7 +900,7 @@ class TestSeamWithTheSweep:
         survivors, _ = sign_survivor_search(d, 5)
         tally = collections.Counter()
         for support in survivors:
-            points = support | {(0, 0)}
+            points = {(0, 0), *support}
             config = ChipConfiguration({(0, 0): -1, **dict.fromkeys(support, 1)})
             image = chi(contract(config, d)).vector
             assert image in verdicts
