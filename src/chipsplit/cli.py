@@ -28,7 +28,6 @@ the report never sits in memory whole.
 
 from __future__ import annotations
 
-import json
 import sys
 from collections import Counter
 from json.encoder import encode_basestring_ascii
@@ -50,7 +49,7 @@ from .grid import ChipConfiguration, config_from_json, config_record, config_to_
 from .grid import parse as parse_triangle
 from .grid import render as render_triangle
 from .hyperfield import gamma_set
-from .models import decompose, is_fundamental, model_to_json, outcome_to_model, tightness_family
+from .models import decompose, is_fundamental, model_record, outcome_to_model, tightness_family
 from .pascal import is_outcome, top_edge_values
 from .pipeline import pipeline_summary
 
@@ -234,7 +233,7 @@ def decompose_command(file, as_json):
     if as_json:
         _echo_json(
             {
-                "models": [json.loads(model_to_json(m)) for m in chain.models],
+                "models": [model_record(m) for m in chain.models],
                 "mus": [str(mu) for mu in chain.mus],
             }
         )
@@ -274,7 +273,7 @@ def enumerate_command(max_degree, max_support, as_json):
 
 
 @main.command("sweep")
-@click.option("--support", type=click.Choice(["4", "5"]), required=True,
+@click.option("--support", type=click.Choice([str(n) for n in SWEEP_START]), required=True,
               help="Number of positive entries to rule out.")
 @click.option("--max-degree", type=click.IntRange(1), required=True)
 @click.option("--json", "as_json", is_flag=True)

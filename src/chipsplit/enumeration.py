@@ -48,7 +48,6 @@ sweep spreads its degrees over a process pool.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -56,7 +55,7 @@ from dataclasses import dataclass
 from typing import Collection
 
 from .criteria import invertibility_excludes, pairing_excludes
-from .grid import ChipConfiguration, Coord, config_from_json, config_record, grid_points
+from .grid import ChipConfiguration, Coord, config_from_record, config_record, grid_points
 from .hyperfield import hyperfield_excludes, sign_survivors
 from .linalg import _echelon, _free_vector
 from .models import fundamentality
@@ -275,9 +274,7 @@ class EnumerationReport:
     @classmethod
     def from_json(cls, payload: dict) -> EnumerationReport:
         table = {(n, d): count for n, d, count in payload["table"]}
-        outcomes = tuple(
-            config_from_json(json.dumps(entry)) for entry in payload["outcomes"]
-        )
+        outcomes = tuple(config_from_record(entry) for entry in payload["outcomes"])
         return cls(table, outcomes, dict(payload["stats"]))
 
 
@@ -435,10 +432,7 @@ class SweepCertificate:
                 tuple((i, j) for i, j in entry) for entry in payload["sign_survivors"]
             ),
             tuple(payload["resolutions"]),
-            tuple(
-                config_from_json(json.dumps(entry))
-                for entry in payload["outcomes_found"]
-            ),
+            tuple(config_from_record(entry) for entry in payload["outcomes_found"]),
         )
 
 
@@ -463,8 +457,9 @@ def _settle_degree(task) -> SweepCertificate:
     )
 
 
-# First degree each width's sweep covers: one past the degree bound
-# d <= 2n - 1 for n + 1 positive entries, which the census attains.
+# The widths a sweep supports, each with the first degree it covers: one
+# past the degree bound d <= 2n - 1 for n + 1 positive entries, which the
+# census attains.
 SWEEP_START = {4: 6, 5: 8}
 
 
@@ -482,8 +477,9 @@ def sweep_no_valid_outcomes(
     outcomes_found rather than raising: the caller decides what a
     refutation means.  jobs parallelizes across degrees.
     """
-    if n_plus not in (4, 5):
-        raise ValueError("sweeps support positive-support sizes 4 and 5")
+    if n_plus not in SWEEP_START:
+        widths = " and ".join(map(str, SWEEP_START))
+        raise ValueError(f"sweeps support positive-support sizes {widths}")
     ds = sorted({int(d) for d in degrees})
     if not ds:
         return ()

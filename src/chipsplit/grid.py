@@ -409,16 +409,21 @@ def _json_int(value, what: str) -> int:
 
 
 def config_from_json(text: str) -> ChipConfiguration:
-    """Read the JSON form written by config_to_json.
+    """Read the JSON form written by config_to_json; see config_from_record."""
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    return config_from_record(payload)
+
+
+def config_from_record(payload) -> ChipConfiguration:
+    """Read the JSON object built by config_record.
 
     Malformed input of any shape raises ValueError, never another error;
     so does a repeated point, a negative ambient degree, or a point or
     ambient degree beyond MAX_INPUT_DEGREE.
     """
-    try:
-        payload = json.loads(text)
-    except RecursionError:
-        raise ValueError("JSON nested too deeply") from None
     if not isinstance(payload, dict) or not isinstance(payload.get("entries"), list):
         raise ValueError("expected an object with an 'entries' list")
     entries = {}

@@ -142,8 +142,13 @@ def sign_survivors(point_signs, fixed_signs, size: int):
     first condition only grows with the index, so a parent's live
     children are a prefix of its range, found by bisection; every tried
     point counts as a node, dead or not, so a parent adds its whole
-    range to the count at once.  The last slot takes the points that
-    hold every missing sign: one intersection of per-form point masks.
+    range to the count at once.  One loop walks the live prefix as a
+    bitmask; under a parent with two free slots the mask first drops
+    every point that touches no form still lacking both signs.  The last
+    slot takes the points that hold every missing sign: one intersection
+    of per-form point masks.  The recursive closure refers to itself, so
+    it is deleted before the engine returns; otherwise that cycle would
+    hold the survivor list until the cyclic collector runs.
     """
     if size < 1:
         raise ValueError("supports need at least one point")
@@ -207,31 +212,30 @@ def sign_survivors(point_signs, fixed_signs, size: int):
                 high = mid
             else:
                 low = mid + 1
-        if slots > 2:
-            for k in range(start, low):
-                descend(
-                    prefix + (k,),
-                    k + 1,
-                    slots - 1,
-                    lack_pos & ~gives_pos[k],
-                    lack_neg & ~gives_neg[k],
-                )
-            return
-        # Each child is the second-to-last point, so it must touch every
-        # form that still lacks both signs.
         children = ((1 << low) - 1) >> start << start
-        lack_both = lack_pos & lack_neg
-        while lack_both:
-            bit = lack_both & -lack_both
-            children &= touches[bit.bit_length() - 1]
-            lack_both ^= bit
+        if slots == 2:
+            # Each child is the second-to-last point, so it must touch every
+            # form that still lacks both signs.
+            lack_both = lack_pos & lack_neg
+            while lack_both:
+                bit = lack_both & -lack_both
+                children &= touches[bit.bit_length() - 1]
+                lack_both ^= bit
         while children:
             bit = children & -children
             k = bit.bit_length() - 1
-            descend(prefix + (k,), k + 1, 1, lack_pos & ~gives_pos[k], lack_neg & ~gives_neg[k])
+            descend(
+                prefix + (k,),
+                k + 1,
+                slots - 1,
+                lack_pos & ~gives_pos[k],
+                lack_neg & ~gives_neg[k],
+            )
             children ^= bit
 
     descend((), 0, size, lack_pos, lack_neg)
+    # descend refers to itself; without this the cycle keeps survivors alive until gc runs.
+    del descend
     return survivors, nodes
 
 

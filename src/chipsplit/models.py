@@ -349,6 +349,8 @@ def decompose(model: ParametricModel) -> Decomposition:
         recurse(m2, coefficient * (1 - mu))
 
     recurse(model, Fraction(1))
+    # recurse refers to itself; without this the cycle keeps the leaves alive until gc runs.
+    del recurse
     merged: dict[ParametricModel, Fraction] = {}
     order: list[ParametricModel] = []
     for leaf, coefficient in leaves:
@@ -399,8 +401,13 @@ def family_summand(k: int, i: int) -> list[Fraction]:
     return polynomial_coefficients([(coefficient, k - i, 2 * i + 1)])
 
 
+def model_record(model: ParametricModel) -> dict:
+    """The JSON object of a model, each weight as a numerator and a denominator."""
+    return {"terms": [[w.numerator, w.denominator, i, j] for w, i, j in model.terms]}
+
+
 def model_to_json(model: ParametricModel) -> str:
-    return json.dumps({"terms": [[w.numerator, w.denominator, i, j] for w, i, j in model.terms]})
+    return json.dumps(model_record(model))
 
 
 def model_from_json(text: str) -> ParametricModel:

@@ -1,8 +1,10 @@
 """Tests for the fundamental-outcome census and the empty-degree sweeps."""
 
+import gc
 import itertools
 import json
 import random
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -29,7 +31,7 @@ from chipsplit.enumeration import (
 )
 from chipsplit.grid import ChipConfiguration, act, grid_points
 from chipsplit.hyperfield import hyperfield_excludes, sign_survivors
-from chipsplit.models import fundamentality, is_fundamental
+from chipsplit.models import composite, decompose, fundamentality, is_fundamental, outcome_to_model
 from chipsplit.pascal import is_outcome, outcome_space, top_edge_columns, top_edge_form
 
 # The published census through five positive entries: cell (n, d) counts
@@ -654,6 +656,28 @@ def test_census_builds_a_configuration_only_per_outcome(monkeypatch):
     report = enumerate_fundamental(6, 4)
     assert len(built) == len(report.outcomes) == 153
 
+
+def test_results_are_freed_without_the_cyclic_collector():
+    # No recursive closure is left holding a result in a reference
+    # cycle, so dropping it frees it without gc.collect().
+    a, b, c = (outcome_to_model(w) for w in enumerate_fundamental(3, 3).outcomes[:3])
+    mixture = composite(a, composite(b, c, Fraction(1, 2)), Fraction(1, 3))
+    runs = {
+        "search": lambda: sign_survivor_search(6, 6),
+        "census": lambda: enumerate_fundamental(5, 4),
+        "sweep": lambda: sweep_no_valid_outcomes(5, [8, 9]),
+        "decompose": lambda: decompose(mixture),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        left = {}
+        for name, run in runs.items():
+            run()
+            left[name] = gc.collect()
+    finally:
+        gc.enable()
+    assert left == dict.fromkeys(runs, 0)
 
 class TestCanonicalKey:
     @given(

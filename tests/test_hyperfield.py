@@ -455,7 +455,9 @@ def reference_search(point_signs, fixed_signs, size):
 
 @st.composite
 def sign_problems(draw):
-    """Sign problems of up to 12 points and 70 forms.
+    """Sign problems of up to 12 points and 70 forms, with supports of 1 to 7.
+
+    Seven points covers the census's six (n = 5) and the next width.
 
     A form bitset then spans up to three of an int's 30-bit digits.
     Each form copies one of a few random sign columns (fixed sign
@@ -471,7 +473,7 @@ def sign_problems(draw):
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=forms, max_size=forms))
     fixed_signs = [pool[c][0] for c in picks]
     point_signs = [[pool[c][k + 1] for c in picks] for k in range(count)]
-    size = draw(st.integers(1, 5))
+    size = draw(st.integers(1, 7))
     return point_signs, fixed_signs, size
 
 
