@@ -160,7 +160,12 @@ def _resolve_survivor(support: Collection[Coord], d: int):
     point order, and the resolution and outcome do not depend on it: a
     pairing block's points only permute its rows, which flips at most
     the determinant's sign, and the kernel generator is oriented, made
-    primitive and keyed by point.
+    primitive and keyed by point.  Nor do they change under the mirror
+    (i, j) -> (j, i), which mirrors a found outcome with the support:
+    ``pairing_excludes`` tries a support and its transpose alike, and
+    the top-edge conditions of the kernel stage, read off
+    F_P(x) = sum of w_p x^i (1 + x)^(d - i - j) over the points
+    p = (i, j), satisfy x^d F_P(1/x) = F of the mirrored support.
     """
     if pairing_excludes(((0, 0), *support), d):
         return PRUNE_INVERTIBILITY, None

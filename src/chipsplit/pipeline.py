@@ -25,10 +25,15 @@ eliminators and reporting which one fires:
   placement and column kind depend only on the point, its variable's
   column expression and the choice, so they are cached across attempts
   (247 distinct in a full run); the fixed points are classified once
-  per attempt. The pairing runs region by region, and a region's
-  failures depend only on the moved points in it, so each attempt
-  memoises them: a full run's 106,226 scenarios make 222,699 region
-  walks, of which 78,403 run the greedy walk and ask for verdicts.
+  per attempt. A scenario fails exactly when one of its regions does,
+  and a region's failures depend only on the points in it, so an
+  attempt is decided region by region: each region's possible contents
+  are enumerated once per structure, never the scenarios they combine
+  into, and memoised per attempt. A full run's 7,091 attempts make
+  91,412 region probes, of which 78,403 run the greedy walk and ask for
+  verdicts. Every point an attempt sees is one shared object, from
+  ``cell_possibilities``, ``_transposed`` or ``_placed_carrier``, so
+  the cache probes compare points by identity.
 * symmetry: the same argument after moving the support by a triangle
   symmetry. The image pattern includes the permuted origin, and a
   successful pairing there excludes any outcome on the original support
@@ -173,40 +178,47 @@ class SymPoint(NamedTuple):
         return {name for name, _ in self.i.terms + self.j.terms}
 
 
-def cell_possibilities(name: str) -> list[SymPoint]:
+@cache
+def cell_possibilities(name: str) -> tuple[SymPoint, ...]:
     """Candidate grid positions for a support point seen in this cell.
 
     Corner cells pin one point. Strip cells offer a generic position,
     whose variable is named after the cell, plus the near-top positions
-    the variable range cannot reach.
+    the variable range cannot reach. Cached, so that every attempt sees
+    one shared object per point and the caches below compare points by
+    identity.
     """
     kind, idx = parse_coord(name)
     var = Sym.var("m_" + name)
     if kind == "x":
         i, j = idx
-        return [SymPoint(Sym.const(i), Sym.const(j))]
+        return (SymPoint(Sym.const(i), Sym.const(j)),)
     if kind == "r":
         i, j = idx
-        return [SymPoint(Sym.const(i), Sym.dee(-(3 + i - j)))]
+        return (SymPoint(Sym.const(i), Sym.dee(-(3 + i - j))),)
     if kind == "t":
         i, j = idx
-        return [SymPoint(Sym.dee(-(3 + j - i)), Sym.const(j))]
+        return (SymPoint(Sym.dee(-(3 + j - i)), Sym.const(j)),)
     if kind == "alpha":
         (i,) = idx
         out = [SymPoint(Sym.const(i), var)]
         out += [SymPoint(Sym.const(i), Sym.dee(-e)) for e in range(4 + i, 7)]
-        return out
+        return tuple(out)
     if kind == "beta":
         (j,) = idx
         out = [SymPoint(var, Sym.const(j))]
         out += [SymPoint(Sym.dee(-e), Sym.const(j)) for e in range(4 + j, 7)]
-        return out
+        return tuple(out)
     if kind == "gamma":
         (k,) = idx
         out = [SymPoint(var, Sym.dee(-k) - var)]
         out += [SymPoint(Sym.dee(-e), Sym.const(e - k)) for e in range(4 + k, 7)]
-        return out
+        return tuple(out)
     raise ValueError(f"unknown cell {name!r}")
+
+
+# The transposed points of the second pairing attempt, shared the same way.
+_transposed = cache(SymPoint.transposed)
 
 
 # ---------------------------------------------------------------------------
@@ -259,46 +271,42 @@ def _group_offsets(size: int):
                     yield (0, o2, o3)
 
 
-def _placements(n_vars: int):
-    """All ways the variable columns can sit relative to the fixed clusters.
+@cache
+def _structures(n_vars: int) -> tuple:
+    """Every way to assign the column variables to regions.
 
-    Each variable is either attached to the low cluster at an explicit
-    column, attached to the top cluster at an explicit distance from d,
-    or floating; floating variables are grouped into chains with
-    explicit internal offsets and an unconstrained common base. Chains
-    of interaction steps of length at most five bound the explicit
-    ranges, so the enumeration covers every concrete configuration.
+    A placement scenario attaches each variable to the low cluster at an
+    explicit column in [4, 3 + 5n], to the top cluster at an explicit
+    distance in [7, 6 + 5n] from d, or lets it float; floating variables
+    are grouped into chains with explicit internal offsets
+    (``_group_offsets``) and an unconstrained common base. Chains of
+    interaction steps of length at most five bound the explicit ranges,
+    so the scenarios cover every concrete configuration. A structure is
+    what a scenario leaves once its explicit columns and offsets are
+    dropped: the variables that go low, those that go top, and the float
+    groups in ``_partitions`` order, group g on base B{g}.
     """
-    low_hi = 3 + 5 * n_vars
-    top_hi = 6 + 5 * n_vars
-    base = (
-        [("low", v) for v in range(4, low_hi + 1)]
-        + [("top", o) for o in range(7, top_hi + 1)]
-        + [("float",)]
-    )
-    for combo in itertools.product(base, repeat=n_vars):
-        floats = [k for k, choice in enumerate(combo) if choice == ("float",)]
-        if not floats:
-            yield combo
-            continue
-        for grouping in _partitions(floats):
-            for offsets in itertools.product(
-                *(_group_offsets(len(group)) for group in grouping)
-            ):
-                detailed = list(combo)
-                for g, (group, offs) in enumerate(zip(grouping, offsets)):
-                    for member, off in zip(group, offs):
-                        detailed[member] = ("float", g, off)
-                yield tuple(detailed)
+    out = []
+    for combo in itertools.product(("low", "top", "float"), repeat=n_vars):
+        low, top, floats = (
+            tuple(v for v, c in enumerate(combo) if c == kind) for kind in ("low", "top", "float")
+        )
+        out += [(low, top, tuple(map(tuple, groups))) for groups in _partitions(list(floats))]
+    return tuple(out)
 
 
 _TOP_WINDOW = 24
 # The first row of the low region and of the top window.
 _LOW_ROW = Sym.const(0)
 _TOP_ROW = Sym.dee(-_TOP_WINDOW)
-# The column stop and first row of the fixed regions; a float region
-# has no stop, and its first row is its base.
-_REGION_ROWS = {"low": (None, _LOW_ROW), "top": (_TOP_WINDOW + 1, _TOP_ROW)}
+# The column stop and first row of each region; a float region has no
+# stop, and its first row is its base, one for each of at most three
+# float groups.
+_REGION_ROWS = {
+    "low": (None, _LOW_ROW),
+    "top": (_TOP_WINDOW + 1, _TOP_ROW),
+    **{f"B{g}": (None, Sym.var(f"B{g}")) for g in range(3)},
+}
 
 
 def _classify_column(col: Sym):
@@ -481,87 +489,100 @@ def _region_failures(
     return failures
 
 
-def _attempt_failures(points: list[SymPoint], first_only: bool = True):
-    """The pairing failures of every placement scenario that is not vacuous.
+def _attempt_regions(points: list[SymPoint], first_only: bool):
+    """The pairing failures of every region content a scenario realises.
 
-    Yields one list per scenario, in placement order. The pairing runs
-    region by region: the low region, each float base in name order,
-    then the top window, stopping at the first failing region when
-    first_only is set. The points that carry no column variable sit in
-    the same column in every scenario, so they are classified once per
-    attempt; a scenario only places the moved points. A region's
-    failures depend only on the moved points in it, so they are
-    memoised per attempt on those, and the greedy walk and the verdict
-    lookups run once per distinct region of the attempt.
+    A placement scenario fails exactly when one of its regions fails,
+    and a region's failures depend only on the fixed points and the
+    moved points placed in it. Each column variable is carried by one
+    point, so within a structure of ``_structures`` the regions choose
+    their contents independently: the low region's are the product of
+    its carriers' non-vacuous columns, the top window's the product of
+    their offsets, and a float group's its non-vacuous offset chains.
+    When some region has no content, every scenario of the structure is
+    vacuous; otherwise each content is realised by a non-vacuous
+    scenario. So this yields one failure list per (structure, region
+    content), with the low region, each float base in name order, then
+    the top window, and never walks the scenarios themselves.
+
+    The points that carry no column variable sit in the same column in
+    every scenario, so they are classified once per attempt. A region's
+    failures are memoised per attempt on its moved points, so the
+    greedy walk and the verdict lookups run once per distinct region of
+    the attempt; with first_only set, each stops at its first failing
+    block.
     """
     if any(len(p.variables()) > 1 for p in points):
         raise AssertionError("a support point carries more than one variable")
-    colvars = _column_variables(points)
-    movers = [
-        (k, p, name, colexpr, v)
-        for v, (name, colexpr) in enumerate(colvars)
-        for k, p in enumerate(points)
-        if name in p.variables()
-    ]
-    moving = {k for k, *_ in movers}
+    carriers = []
+    for name, colexpr in _column_variables(points):
+        carried = [k for k, p in enumerate(points) if name in p.variables()]
+        if len(carried) != 1:
+            raise AssertionError(f"{name} is carried by {len(carried)} support points")
+        carriers.append((carried[0], points[carried[0]], name, colexpr))
+    moving = {k for k, *_ in carriers}
     fixed: dict[str, list] = {"low": [], "top": []}
     for k, p in enumerate(points):
         if k not in moving:
             kind = _classify_column(p.i)
             fixed[kind[0]].append((k, p, kind[1]))
+
+    def entry(v, choice):
+        """The region entry of carrier v under one choice, None if vacuous."""
+        k, p, name, colexpr = carriers[v]
+        slot = _placed_carrier(p, name, colexpr, choice)
+        return None if slot is None else (k, slot[0], slot[1][-1])
+
+    n = len(carriers)
+    low = [[e for c in range(4, 4 + 5 * n) if (e := entry(v, ("low", c))) is not None] for v in range(n)]
+    top = [[e for o in range(7, 7 + 5 * n) if (e := entry(v, ("top", o))) is not None] for v in range(n)]
     memo: dict[tuple, list[ScenarioFailure]] = {}
-    for placement in _placements(len(colvars)):
-        low, top, floats = [], [], {}
-        for k, p, name, colexpr, v in movers:
-            slot = _placed_carrier(p, name, colexpr, placement[v])
-            if slot is None:
-                break
-            q, kind = slot
-            if kind[0] == "low":
-                low.append((k, q, kind[1]))
-            elif kind[0] == "top":
-                top.append((k, q, kind[1]))
-            else:
-                floats.setdefault(kind[1], []).append((k, q, kind[2]))
-        else:
-            regions = [("low", low)]
-            if floats:
-                regions += sorted(floats.items())
-            regions.append(("top", top))
-            failures = []
-            for region, entries in regions:
-                key = (region, *entries)
+    for low_vars, top_vars, groups in _structures(n):
+        regions = [("low", list(itertools.product(*(low[v] for v in low_vars))))]
+        for g, group in enumerate(groups):
+            chains = (
+                tuple(entry(v, ("float", g, off)) for v, off in zip(group, offs))
+                for offs in _group_offsets(len(group))
+            )
+            regions.append((f"B{g}", [chain for chain in chains if None not in chain]))
+        regions.append(("top", list(itertools.product(*(top[v] for v in top_vars)))))
+        if not all(contents for _, contents in regions):
+            continue
+        for region, contents in regions:
+            limit, base_row = _REGION_ROWS[region]
+            for content in contents:
+                key = (region, *content)
                 found = memo.get(key)
                 if found is None:
-                    limit, base_row = _REGION_ROWS.get(region) or (None, Sym.var(region))
                     found = memo[key] = _region_failures(
-                        fixed.get(region, []) + entries, limit, base_row, first_only
+                        fixed.get(region, []) + list(content), limit, base_row, first_only
                     )
-                if found:
-                    failures += found
-                    if first_only:
-                        break
-            yield failures
+                yield found
 
 
 def _attempt_excluded(points: list[SymPoint]) -> bool:
-    """True when every placement scenario certifies exclusion."""
-    return not any(_attempt_failures(points))
+    """True when every placement scenario certifies exclusion.
+
+    That is when every region content some scenario realises passes, so
+    the walk stops at the first failing one.
+    """
+    return not any(_attempt_regions(points, first_only=True))
 
 
 def _attempt_guards(points: list[SymPoint]) -> set[Sym] | None:
     """Expressions whose vanishing is the only way this attempt can fail.
 
-    Walks every placement scenario and collects the guard expression of
-    each failing block. Blocks of the two-and-one shape are invertible at
-    a parameter point exactly when their guard is nonzero there, so when
-    every failure carries a guard, the set of parameters the attempt does
-    not exclude lies inside the union of the guards' zero sets. Returns
-    None when some failure has no guard to blame, and an empty set when
-    the attempt certifies exclusion outright.
+    Collects the guard expression of each failing block over every
+    region content a placement scenario realises, which is the union
+    over the scenarios themselves. Blocks of the two-and-one shape are
+    invertible at a parameter point exactly when their guard is nonzero
+    there, so when every failure carries a guard, the set of parameters
+    the attempt does not exclude lies inside the union of the guards'
+    zero sets. Returns None when some failure has no guard to blame, and
+    an empty set when the attempt certifies exclusion outright.
     """
     guards: set[Sym] = set()
-    for failures in _attempt_failures(points, first_only=False):
+    for failures in _attempt_regions(points, first_only=False):
         for failure in failures:
             if failure.expr is None:
                 return None
@@ -573,7 +594,7 @@ def _resistant_patterns(case: ContractionPoint):
     """Yield (points, flipped) for each position pattern neither pairing attempt excludes."""
     for combo in itertools.product(*(cell_possibilities(name) for name in case.record())):
         points = list(combo)
-        flipped = [p.transposed() for p in points]
+        flipped = [_transposed(p) for p in points]
         if not (_attempt_excluded(points) or _attempt_excluded(flipped)):
             yield points, flipped
 

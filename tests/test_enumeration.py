@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chipsplit import criteria, enumeration
+from chipsplit.cli import _echo_json
 from chipsplit.enumeration import (
     EnumerationReport,
     SweepCertificate,
@@ -276,6 +277,30 @@ class TestKernelStage:
             assert _resolve_survivor(support[::-1], d) == expected
             assert _resolve_survivor(frozenset(support), d) == expected
 
+    def test_settling_is_symmetric_under_transposition(self):
+        # Over the census cells n <= 5, d <= 5 and the width-5 sweep at
+        # d = 8 and 9, the mirror (i, j) -> (j, i) of every sign survivor
+        # is a survivor, and it settles the same way with the outcome
+        # mirrored.
+        cells = [(d, n + 1) for n in range(1, 6) for d in range(1, 6)] + [(8, 5), (9, 5)]
+        pairs = found = 0
+        for d, size in cells:
+            survivors, _ = sign_survivor_search(d, size)
+            listed = set(survivors)
+            for support in survivors:
+                mirror = tuple(sorted((j, i) for i, j in support))
+                assert mirror in listed, (d, support)
+                if mirror <= support:
+                    continue
+                pairs += 1
+                resolution, outcome = _resolve_survivor(support, d)
+                expected = None
+                if outcome is not None:
+                    expected = ChipConfiguration({(j, i): v for (i, j), v in outcome}, ambient=d)
+                    found += 1
+                assert _resolve_survivor(mirror, d) == (resolution, expected), (d, support)
+        assert pairs == 3578 and found, (pairs, found)
+
     def test_columns_are_the_top_edge_coefficients(self):
         for d in range(8):
             columns = top_edge_columns(d)
@@ -387,6 +412,11 @@ class TestCensusGoldenWide:
     def test_matches_committed_golden(self, wide_census):
         golden = json.loads((GOLDEN / "census-n5-d9.json").read_text())
         assert json.loads(json.dumps(wide_census.to_json())) == golden
+
+    def test_renders_the_committed_golden_bytes(self, wide_census, capsys):
+        # What `enumerate --max-degree 9 --json` writes, compared in bytes.
+        _echo_json(wide_census.to_json())
+        assert capsys.readouterr().out.encode() == (GOLDEN / "census-n5-d9.json").read_bytes()
 
     def test_report_revalidates_on_load(self, wide_census):
         loaded = EnumerationReport.from_json(

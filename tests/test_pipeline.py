@@ -31,21 +31,25 @@ from chipsplit.pipeline import (
     Sym,
     SymPoint,
     _LOW_ROW,
+    _REGION_ROWS,
     _TOP_WINDOW,
     _attempt_excluded,
-    _attempt_failures,
     _attempt_guards,
+    _attempt_regions,
     _block_verdict,
     _classify_column,
     _column_variables,
     _final_slice_patterns,
+    _group_offsets,
     _hexagon_instances,
+    _partitions,
     _placed_carrier,
-    _placements,
+    _region_failures,
     _sign_for_all,
     _slice_det,
     _slice_entry,
     _strip_masks,
+    _transposed,
     _tri_max,
     _tri_min,
     cell_possibilities,
@@ -187,6 +191,15 @@ class TestCellPossibilities:
         (p,) = cell_possibilities("t[2,3]")
         assert (evaluate(p.i, d), evaluate(p.j, d)) == (d - 4, 3)
 
+    def test_points_are_shared_objects(self):
+        # Every attempt sees one object per point, so that the caches it
+        # probes compare points by identity.
+        for name in ("x[2,1]", "r[0,3]", "alpha[0]", "beta[2]", "gamma[1]"):
+            assert cell_possibilities(name) is cell_possibilities(name)
+            for p in cell_possibilities(name):
+                assert _transposed(p) is _transposed(p)
+                assert _transposed(p) == p.transposed()
+
     @pytest.mark.parametrize("idx", range(4))
     def test_strip_options_tile_the_whole_strip(self, idx):
         d = 45
@@ -203,6 +216,111 @@ class TestCellPossibilities:
                 else:
                     seen.add((evaluate(p.i, d), evaluate(p.j, d)))
             assert seen == {placed_point(name, d, m) for m in strip_positions(name, d)}
+
+
+def placements(n_vars):
+    """All ways the variable columns can sit relative to the fixed clusters.
+
+    Each variable is either attached to the low cluster at an explicit
+    column, attached to the top cluster at an explicit distance from d,
+    or floating; floating variables are grouped into chains with
+    explicit internal offsets and an unconstrained common base. The
+    scenario oracle: the pipeline enumerates each region's contents
+    instead.
+    """
+    low_hi = 3 + 5 * n_vars
+    top_hi = 6 + 5 * n_vars
+    base = (
+        [("low", v) for v in range(4, low_hi + 1)]
+        + [("top", o) for o in range(7, top_hi + 1)]
+        + [("float",)]
+    )
+    for combo in itertools.product(base, repeat=n_vars):
+        floats = [k for k, choice in enumerate(combo) if choice == ("float",)]
+        if not floats:
+            yield combo
+            continue
+        for grouping in _partitions(floats):
+            for offsets in itertools.product(
+                *(_group_offsets(len(group)) for group in grouping)
+            ):
+                detailed = list(combo)
+                for g, (group, offs) in enumerate(zip(grouping, offsets)):
+                    for member, off in zip(group, offs):
+                        detailed[member] = ("float", g, off)
+                yield tuple(detailed)
+
+
+def attempt_failures(points, first_only=True):
+    """The pairing failures of every placement scenario that is not vacuous.
+
+    The scenario oracle of the region-first walk. Yields one list per
+    scenario, in placement order. The pairing runs region by region:
+    the low region, each float base in name order, then the top window,
+    stopping at the first failing region when first_only is set. A
+    region's failures are memoised per attempt on its moved points.
+    """
+    if any(len(p.variables()) > 1 for p in points):
+        raise AssertionError("a support point carries more than one variable")
+    colvars = _column_variables(points)
+    movers = [
+        (k, p, name, colexpr, v)
+        for v, (name, colexpr) in enumerate(colvars)
+        for k, p in enumerate(points)
+        if name in p.variables()
+    ]
+    moving = {k for k, *_ in movers}
+    fixed = {"low": [], "top": []}
+    for k, p in enumerate(points):
+        if k not in moving:
+            kind = _classify_column(p.i)
+            fixed[kind[0]].append((k, p, kind[1]))
+    memo = {}
+    for placement in placements(len(colvars)):
+        low, top, floats = [], [], {}
+        for k, p, name, colexpr, v in movers:
+            slot = _placed_carrier(p, name, colexpr, placement[v])
+            if slot is None:
+                break
+            q, kind = slot
+            if kind[0] == "low":
+                low.append((k, q, kind[1]))
+            elif kind[0] == "top":
+                top.append((k, q, kind[1]))
+            else:
+                floats.setdefault(kind[1], []).append((k, q, kind[2]))
+        else:
+            regions = [("low", low)]
+            if floats:
+                regions += sorted(floats.items())
+            regions.append(("top", top))
+            failures = []
+            for region, entries in regions:
+                key = (region, *entries)
+                found = memo.get(key)
+                if found is None:
+                    limit, base_row = (
+                        (None, Sym.var(region)) if region.startswith("B") else _REGION_ROWS[region]
+                    )
+                    found = memo[key] = _region_failures(
+                        fixed.get(region, []) + entries, limit, base_row, first_only
+                    )
+                if found:
+                    failures += found
+                    if first_only:
+                        break
+            yield failures
+
+
+def scenario_guards(points):
+    """The guards of every failing block over every scenario, None if one has none."""
+    guards = set()
+    for failures in attempt_failures(points, first_only=False):
+        for failure in failures:
+            if failure.expr is None:
+                return None
+            guards.add(failure.expr)
+    return guards
 
 
 def reference_substitution(colvars, placement):
@@ -232,7 +350,7 @@ def reference_substitution(colvars, placement):
 
 def reference_scenarios(points):
     colvars = _column_variables(points)
-    for placement in _placements(len(colvars)):
+    for placement in placements(len(colvars)):
         mapping = reference_substitution(colvars, placement)
         if mapping is not None:
             yield [p.subst(mapping) for p in points]
@@ -353,6 +471,34 @@ def comparison_attempts():
     return [tuple(points) for points in attempts]
 
 
+@functools.cache
+def full_run_attempts():
+    """Every pairing attempt a full pipeline run decides, in order, as tuples."""
+    attempts = []
+    real = pipeline._attempt_excluded
+
+    def recording(points):
+        attempts.append(tuple(points))
+        return real(points)
+
+    pipeline._attempt_excluded = recording
+    try:
+        pipeline_summary.__wrapped__()
+    finally:
+        pipeline._attempt_excluded = real
+    return attempts
+
+
+def special_case_attempts():
+    """Both attempts of every position pattern of the two special cases."""
+    attempts = []
+    for record in (FINAL_RECORD, EXCEPTIONAL_RECORD):
+        case = ContractionPoint.from_record(record, XI_PRIME_COORDS)
+        for combo in itertools.product(*(cell_possibilities(name) for name in case.record())):
+            attempts += [list(combo), [p.transposed() for p in combo]]
+    return attempts
+
+
 class TestAttemptFailures:
     def test_attempts_cover_every_column_variable_count(self):
         # A merged record has at most one strip cell of each kind, so its
@@ -364,13 +510,49 @@ class TestAttemptFailures:
 
     @pytest.mark.parametrize("first_only", [False, True])
     def test_failures_match_the_per_scenario_pairing(self, first_only):
+        # The scenario oracle's region memo agrees with the pairing that
+        # classifies every point of every scenario afresh.
         scenarios = failing = 0
         for points in comparison_attempts():
             expected, _ = reference_attempt(points, first_only)
-            assert list(_attempt_failures(list(points), first_only)) == expected
+            assert list(attempt_failures(list(points), first_only)) == expected
             scenarios += len(expected)
             failing += sum(1 for failures in expected if failures)
         assert scenarios and failing, (scenarios, failing)
+
+    def test_excluded_matches_the_scenario_walk_on_every_attempt(self):
+        attempts = full_run_attempts()
+        assert len(attempts) == 7091
+        distinct = set(attempts)
+        excluded = 0
+        for points in distinct:
+            expected = not any(attempt_failures(list(points)))
+            assert _attempt_excluded(list(points)) == expected, points
+            excluded += expected
+        assert 0 < excluded < len(distinct), (excluded, len(distinct))
+
+    def test_guards_match_the_scenario_walk(self):
+        # The comparison attempts, both attempts of every pattern of the two
+        # special cases, and every attempt of a full run that moves a point.
+        attempts = [list(points) for points in comparison_attempts()] + special_case_attempts()
+        attempts += [list(points) for points in set(full_run_attempts()) if _column_variables(points)]
+        kinds = collections.Counter()
+        for points in attempts:
+            expected = scenario_guards(points)
+            assert _attempt_guards(points) == expected, points
+            kinds["none" if expected is None else "guarded" if expected else "excluded"] += 1
+        assert set(kinds) == {"none", "guarded", "excluded"}, kinds
+
+    def test_attempt_without_a_realisable_scenario_is_excluded(self):
+        # The fixed points fail on their own, but the moved point's column
+        # d + m is past the triangle under every choice, so every scenario
+        # is vacuous and no region content is realised.
+        fixed = [SymPoint(Sym.const(i), Sym.const(j)) for i, j in [(0, 0), (0, 3), (1, 1), (3, 0)]]
+        points = fixed + [SymPoint(Sym.dee() + Sym.var("m_a"), Sym.const(0))]
+        assert not _attempt_excluded(fixed)
+        assert list(attempt_failures(points)) == []
+        assert _attempt_excluded(points)
+        assert _attempt_guards(points) == set()
 
     @pytest.mark.parametrize("first_only", [False, True])
     def test_asks_for_the_reference_verdict_keys(self, monkeypatch, first_only):
@@ -380,17 +562,27 @@ class TestAttemptFailures:
             return _block_verdict(base_row, c_lo, width, pts)
 
         monkeypatch.setattr(pipeline, "_block_verdict", recording)
+        walks = collections.Counter()
         for points in comparison_attempts() + [tuple(SHARED_COLUMN_POINTS)]:
             asked = set()
-            list(_attempt_failures(list(points), first_only))
-            assert asked == reference_attempt(points, first_only)[1]
+            expected = reference_attempt(points, first_only)[1]
+            if first_only and not _attempt_excluded(list(points)):
+                # A failing attempt stops at its first failing region
+                # content, before regions the scenario walk still visits.
+                assert asked <= expected
+                walks["stopped"] += 1
+            else:
+                list(_attempt_regions(list(points), first_only))
+                assert asked == expected
+                walks["whole"] += 1
+        assert set(walks) == ({"stopped", "whole"} if first_only else {"whole"}), walks
 
     def test_shared_column_keeps_members_in_point_order(self, monkeypatch):
         asked = []
         monkeypatch.setattr(
             pipeline, "_block_verdict", lambda *key: asked.append(key) or _block_verdict(*key)
         )
-        list(_attempt_failures(SHARED_COLUMN_POINTS, first_only=False))
+        list(_attempt_regions(SHARED_COLUMN_POINTS, first_only=False))
         moved, fixed = SymPoint(Sym.const(4), Sym.const(1)), SHARED_COLUMN_POINTS[1]
         assert (_LOW_ROW, 4, 2, (moved, fixed)) in asked
         assert all(key[3] != (fixed, moved) for key in asked)
@@ -400,7 +592,7 @@ class TestAttemptFailures:
 def choices_by_position(n_vars):
     """Every choice each variable position takes over all placements."""
     seen = [set() for _ in range(n_vars)]
-    for placement in _placements(n_vars):
+    for placement in placements(n_vars):
         for v, choice in enumerate(placement):
             seen[v].add(choice)
     return seen
