@@ -62,7 +62,7 @@ class PairingMatrix:
         object.__setattr__(self, "entries", rows)
 
     def determinant(self) -> int:
-        return int(det([list(row) for row in self.entries]))
+        return det(self.entries)
 
 
 def pairing_matrix(degrees: set[int] | tuple[int, ...], points: set[Coord] | tuple[Coord, ...], d: int) -> PairingMatrix:
@@ -377,7 +377,7 @@ def hexagon_determinant(d: int, d_small: int, ell1: int) -> HexagonDeterminant:
         raise ValueError("need ell1 >= d' >= 0 and d - d' - ell1 >= d'")
     size = d_small + 1
     rows = [[binomial(d - d_small, ell1 + k - a) for a in range(size)] for k in range(size)]
-    direct = int(det(rows))
+    direct = det(rows)
 
     def closed_form(h) -> Fraction:
         numerator = h(ell1) * h(d - d_small - ell1) * h(d_small + 1) * h(d + 1)

@@ -33,10 +33,11 @@ suite pins that exhaustively.
 Each survivor is settled by the invertibility test and the kernel
 stage, the exact kernel criterion on plain integers.  Both read each
 point's top-edge coefficients from one table per degree,
-``pascal.top_edge_columns``.  The stage runs the fraction-free
-elimination ``linalg._echelon`` on them, stops unless the kernel is a
-line, and builds a ``ChipConfiguration`` only for a fundamental
-generator.  ``classify_candidate`` decides one support through
+``pascal.top_edge_columns``.  The stage takes ``linalg.kernel_basis``
+of them, the fraction-free elimination ``pascal.outcome_space`` runs
+too, stops unless the kernel is a line, and builds a
+``ChipConfiguration`` only for a fundamental generator.
+``classify_candidate`` decides one support through
 ``models.fundamentality`` instead and is the stage's reference.
 ``sweep_summary`` digests a sweep's certificates per degree, the format
 of the committed ``results/sweep-*.json`` artifacts.
@@ -57,7 +58,7 @@ from typing import Collection
 from .criteria import invertibility_excludes, pairing_excludes
 from .grid import ChipConfiguration, Coord, config_from_record, config_record, grid_points
 from .hyperfield import hyperfield_excludes, sign_survivors
-from .linalg import _echelon, _free_vector
+from .linalg import kernel_basis
 from .models import fundamentality
 from .pascal import all_forms, top_edge_columns
 
@@ -92,21 +93,6 @@ def _sign_tables(d: int):
     return points, point_signs, origin_signs
 
 
-def _kernel_line(points, d: int):
-    """The kernel of the top-edge conditions restricted to a point list.
-
-    Returns its dimension and, when that is 1, a generator as integers in
-    point order, neither scaled nor oriented; None otherwise.
-    """
-    columns = top_edge_columns(d)
-    rows = [row for row in zip(*(columns[p] for p in points)) if any(row)]
-    pivots = _echelon(rows)
-    if len(points) - len(pivots) != 1:
-        return len(points) - len(pivots), None
-    free = next((c for c, pc in enumerate(pivots) if c != pc), len(pivots))
-    return 1, _free_vector(rows, pivots, free, len(points))
-
-
 def _kernel_stage(support, d: int):
     """The exact kernel criterion for fundamentality, on plain integers.
 
@@ -116,16 +102,17 @@ def _kernel_stage(support, d: int):
     every support point; None otherwise.
     """
     points = [(0, 0), *support]
-    dimension, vec = _kernel_line(points, d)
-    if vec is None:
-        return dimension, None
-    if vec[0] > 0:
-        vec = [-v for v in vec]
-    if vec[0] == 0 or any(v <= 0 for v in vec[1:]):
+    columns = top_edge_columns(d)
+    basis = kernel_basis(list(zip(*(columns[p] for p in points))))
+    if len(basis) != 1:
+        return len(basis), None
+    (vec,) = basis
+    # The origin comes first and the vector's first nonzero entry is
+    # positive, so the generator is -vec exactly when every other entry
+    # is negative; that also rules out a zero origin entry.
+    if any(v >= 0 for v in vec[1:]):
         return 1, None
-    content = math.gcd(*vec)
-    entries = {p: v // content for p, v in zip(points, vec)}
-    return 1, ChipConfiguration(entries, ambient=d)
+    return 1, ChipConfiguration({p: -v for p, v in zip(points, vec)}, ambient=d)
 
 
 def candidate_count(n: int, d: int) -> int:

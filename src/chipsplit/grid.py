@@ -210,20 +210,6 @@ class ChipConfiguration:
     def is_integral(self) -> bool:
         return all(isinstance(v, int) for v in self._entries.values())
 
-    def primitive(self) -> ChipConfiguration:
-        """Scale to integer entries with content 1, preserving signs."""
-        if not self._entries:
-            return self
-        points = sorted(self._entries)
-        from .linalg import primitive_integer_vector
-
-        ints = primitive_integer_vector([self._entries[p] for p in points])
-        scaled = ChipConfiguration(dict(zip(points, ints)), self._ambient)
-        sample = points[0]
-        if Fraction(self._entries[sample]) * scaled[sample] < 0:
-            scaled = -scaled
-        return scaled
-
     def is_valid(self) -> bool:
         """No chips in debt except possibly at the origin."""
         return all(p == (0, 0) for p in self.negative_support)
@@ -276,9 +262,6 @@ class Game:
             if m != 0:
                 cleaned[(i, j)] = cleaned.get((i, j), 0) + m
         object.__setattr__(self, "moves", tuple(sorted(cleaned.items())))
-
-    def multiplicity(self, point: Coord) -> int:
-        return dict(self.moves).get(point, 0)
 
     @property
     def support(self) -> frozenset[Coord]:

@@ -253,7 +253,6 @@ def permute_signs(sigma: str, s: ChipConfiguration, d: int) -> ChipConfiguration
 # ---------------------------------------------------------------------------
 # The outer ring and its contraction.
 
-RING_DEPTH = 4
 MIN_CONTRACTION_DEGREE = 11
 
 XI_COORDS: tuple[str, ...] = (

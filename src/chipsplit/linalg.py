@@ -1,24 +1,25 @@
-"""Exact linear algebra over the rationals, plus univariate polynomials.
+"""Exact integer linear algebra, plus univariate polynomials.
 
 Everything in this module is deterministic and exact. Matrices are plain
-lists of row lists; rational rows are scaled to integer rows first, so
-every elimination is fraction-free integer arithmetic (Bareiss). Dense
-polynomials keep the int or Fraction coefficients they are built from,
-and one Bareiss routine, ``_det_bareiss``, serves both integer and
-polynomial determinants: Poly defines ``//`` as exact division, which
-stays in the integers on integer polynomials. There is deliberately no
-float anywhere; the certificates produced by the classification
-machinery quote these numbers verbatim.
+lists of integer row lists, and every elimination is fraction-free
+integer arithmetic (Bareiss). Dense polynomials keep the int or Fraction
+coefficients they are built from; ``Poly`` is the one place a Fraction
+may enter, for the test oracles that build binomials as polynomials
+(``binomial_poly``). One Bareiss routine, ``_det_bareiss``, serves both
+integer and polynomial determinants: Poly defines ``//`` as exact
+division, which stays in the integers on integer polynomials. There is
+deliberately no float anywhere; the certificates produced by the
+classification machinery quote these numbers verbatim.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, gcd, isqrt, lcm
+from math import comb, factorial, gcd, isqrt
 from typing import Sequence
 
 Scalar = int | Fraction
-Row = Sequence[Scalar]
+Row = Sequence[int]
 
 
 def binomial(n: int, k: int) -> int:
@@ -36,24 +37,14 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def det(rows: Sequence[Row]) -> Fraction:
-    """Determinant of a square matrix, as an exact Fraction.
-
-    Each row is first multiplied by the lcm of its denominators (1 for an
-    integer row), so the elimination itself is fraction-free Bareiss on
-    integers; the scale factors are divided back out at the end.
-    """
+def det(rows: Sequence[Row]) -> int:
+    """Determinant of a square integer matrix, by fraction-free Bareiss."""
     n = len(rows)
     if n == 0:
-        return Fraction(1)
+        return 1
     if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    m, scale = [], 1
-    for row in rows:
-        k = lcm(*(x.denominator for x in row))
-        m.append([int(x * k) for x in row])
-        scale *= k
-    return Fraction(_det_bareiss(m), scale)
+    return _det_bareiss([list(row) for row in rows])
 
 
 def _det_bareiss(m: list[list]) -> int | Poly:
@@ -109,66 +100,48 @@ def _echelon(m: list[list[int]]) -> list[int]:
     return pivots
 
 
-def _free_vector(reduced: list, pivots: list[int], fc: int, width: int) -> list[int]:
-    """The kernel vector of free column fc after _echelon, unscaled.
-
-    It holds D (the last pivot) at fc and minus each pivot row's entry
-    in column fc at that row's pivot column, zero elsewhere.
-    """
-    vec = [0] * width
-    vec[fc] = reduced[len(pivots) - 1][pivots[-1]] if pivots else 1
-    for r, pc in enumerate(pivots):
-        vec[pc] = -reduced[r][fc]
-    return vec
-
-
 def rank(rows: Sequence[Row]) -> int:
-    """Rank over the rationals."""
-    return len(_echelon([primitive_integer_vector(row) for row in rows]))
+    """Rank of an integer matrix."""
+    return len(_echelon(list(rows)))
 
 
-def primitive_integer_vector(vec: Sequence[Scalar]) -> list[int]:
-    """Scale a rational vector to integers with content 1, keeping direction.
+def primitive_integer_vector(vec: Sequence[int]) -> list[int]:
+    """Divide an integer vector by its content, keeping direction.
 
     The zero vector maps to itself. Sign is preserved, not normalized;
     callers pick their own sign convention.
     """
-    scale = lcm(*(x.denominator for x in vec))
-    ints = [int(x * scale) for x in vec]
-    content = gcd(*ints)
-    return [x // content for x in ints] if content else ints
+    content = gcd(*vec)
+    return [x // content for x in vec] if content else list(vec)
 
 
-def kernel_basis(rows: Sequence[Row], ncols: int | None = None) -> list[list[int]]:
-    """Basis of the right kernel, as primitive integer vectors.
+def kernel_basis(rows: Sequence[Row]) -> list[list[int]]:
+    """Basis of the right kernel of a nonempty integer matrix, as primitive vectors.
 
     The basis comes from the reduced row echelon form, computed
-    fraction-free by _echelon, with one vector per free column, ordered
-    by free column index. Each vector is scaled to integer entries with
-    content 1 and its first nonzero entry positive, so the output is
-    canonical for a given column order.
-
-    An empty matrix (no rows) is the zero map; pass ncols to say how many
-    columns it has.
+    fraction-free by _echelon after the all-zero rows are dropped, with
+    one vector per free column, ordered by free column index. The vector
+    of free column fc holds D (the last pivot) at fc and minus each pivot
+    row's entry in column fc at that row's pivot column; it is divided
+    by its content and its first nonzero entry made positive, so the
+    output is canonical for a given column order.
     """
-    if not rows:
-        if ncols is None:
-            raise ValueError("kernel of an empty matrix needs an explicit ncols")
-        return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
     width = len(rows[0])
-    if ncols is not None and ncols != width:
-        raise ValueError(f"ncols={ncols} disagrees with row width {width}")
-    reduced = [primitive_integer_vector(row) for row in rows]
+    reduced = [row for row in rows if any(row)]
     pivots = _echelon(reduced)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(width) if c not in pivot_set]
+    lead = reduced[len(pivots) - 1][pivots[-1]] if pivots else 1
     basis: list[list[int]] = []
-    for fc in free_cols:
-        ints = primitive_integer_vector(_free_vector(reduced, pivots, fc, width))
-        lead = next(x for x in ints if x != 0)
-        if lead < 0:
-            ints = [-x for x in ints]
-        basis.append(ints)
+    for fc in range(width):
+        if fc in pivots:
+            continue
+        vec = [0] * width
+        vec[fc] = lead
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r][fc]
+        content = gcd(*vec)
+        if next(x for x in vec if x) < 0:
+            content = -content
+        basis.append([x // content for x in vec])
     return basis
 
 
@@ -366,9 +339,9 @@ def _divisors(n: int) -> list[int]:
 
 
 def integer_roots_at_or_above(p: Poly, lo: int) -> list[int]:
-    """All integer roots r >= lo of a nonzero polynomial.
+    """All integer roots r >= lo of a nonzero integer polynomial.
 
-    Scales to a primitive integer polynomial, strips any power of x
+    Divides out the content of the coefficients, strips any power of x
     (whose root 0 only matters if lo <= 0), and then tests the positive
     divisors of the constant term, which by the rational root theorem
     are the only candidates.

@@ -24,8 +24,6 @@ from functools import cached_property, lru_cache
 from .grid import ChipConfiguration, Coord, Game, Value, grid_points
 from .linalg import binomial, kernel_basis
 
-FAMILIES = ("left-column", "bottom-row", "top-edge")
-
 
 @dataclass(frozen=True)
 class PascalForm:
@@ -119,10 +117,12 @@ def all_forms(d: int) -> list[PascalForm]:
     return forms
 
 
-# One table is kept.  The sweep walks one degree at a time, so it builds
-# each table once; the census walks cells support size first, so it
-# rebuilds the table at every cell, which takes under a millisecond at
-# the degrees a census reaches.
+# One table is kept, and three readers share it: the pairing test, the
+# kernel stage and ``outcome_space``.  The sweep walks one degree at a
+# time, so it builds each table once; the census walks cells support
+# size first, so it rebuilds the table at every cell, and ``decompose``
+# rebuilds it each time its degree falls.  A table takes under a
+# millisecond at the degrees a census reaches.
 @lru_cache(maxsize=1)
 def top_edge_columns(d: int) -> dict[Coord, tuple[int, ...]]:
     """Each point's coefficients in the top-edge forms of degree d.
@@ -221,8 +221,8 @@ def outcome_space(support: frozenset[Coord] | set[Coord], d: int) -> list[ChipCo
         raise ValueError(f"support must lie inside the degree-{d} triangle")
     if not points:
         return []
-    forms = [top_edge_form(a, d - a, d) for a in range(d + 1)]
-    rows = [[form.coefficient(i, j) for (i, j) in points] for form in forms]
+    columns = top_edge_columns(d)
+    rows = list(zip(*(columns[p] for p in points)))
     basis = []
     for vec in kernel_basis(rows):
         entries = {p: v for p, v in zip(points, vec) if v != 0}

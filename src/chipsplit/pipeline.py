@@ -65,7 +65,7 @@ from typing import NamedTuple
 
 from .criteria import block_shape, greedy_blocks, in_hexagon
 from .grid import PERMUTATIONS
-from .linalg import Poly, binomial, binomial_poly, falling_poly, integer_roots_at_or_above, poly_det
+from .linalg import Poly, binomial, falling_poly, integer_roots_at_or_above, poly_det
 from .hyperfield import ContractionPoint, lambda_set, parse_coord, s3_on_contraction
 
 D_FLOOR = 42
@@ -748,29 +748,34 @@ def _tri_max(tri: _Tri, box: _Box) -> int | None:
     return slope * _E_MIN + const
 
 
-def _slice_entry(upper: _Pair, k: _Tri, box: _Box) -> Poly | None:
-    """One pairing entry binomial(upper, k) on the slice, as a polynomial in e.
+def _slice_entry(upper: _Pair, k: _Tri, box: _Box) -> tuple[int, Poly] | None:
+    """One pairing entry binomial(upper, k) on the slice, scaled by kappa!.
 
-    The upper argument is one of the slice supports' complementary
-    degrees, all nonnegative for e >= _E_MIN, so the entry vanishes
-    whenever k is negative or exceeds the upper argument everywhere on
-    the box. A k without g and with the same e-slope as the upper reduces
-    through the symmetry binomial(n, k) = binomial(n, n - k). Entries
-    depending on e or g in an essentially exponential way return None;
-    the determinant expansion must drop their rows before evaluating.
+    Returns (kappa, falling_poly(upper, kappa)), the lower index kappa
+    and the entry times kappa! as an integer polynomial in e; a zero
+    entry is (0, zero polynomial). The upper argument is one of the
+    slice supports' complementary degrees, all nonnegative for
+    e >= _E_MIN, so the entry vanishes whenever k is negative or exceeds
+    the upper argument everywhere on the box. A k without g and with the
+    same e-slope as the upper reduces through the symmetry
+    binomial(n, k) = binomial(n, n - k). Entries depending on e or g in
+    an essentially exponential way return None; the determinant
+    expansion must drop their rows before evaluating.
     """
     kmax = _tri_max(k, box)
     if kmax is not None and kmax < 0:
-        return Poly([])
+        return 0, Poly([])
     over = (k[0] - upper[0], k[1] - upper[1], k[2])
     overmin = _tri_min(over, box)
     if overmin is not None and overmin >= 1:
-        return Poly([])
+        return 0, Poly([])
     if k[0] == 0 and k[2] == 0:
-        return binomial_poly(upper[0], upper[1], k[1])
-    if k[0] == upper[0] and k[2] == 0:
-        return binomial_poly(upper[0], upper[1], upper[1] - k[1])
-    return None
+        kappa = k[1]
+    elif k[0] == upper[0] and k[2] == 0:
+        kappa = upper[1] - k[1]
+    else:
+        return None
+    return kappa, falling_poly(upper[0], upper[1], kappa)
 
 
 def _expand(grid: list[list[Poly | None]]) -> Poly:
@@ -812,13 +817,23 @@ def _expand(grid: list[list[Poly | None]]) -> Poly:
 
 
 def _slice_det(rows: list[_Tri], points: list[tuple[_Tri, _Pair]], box: _Box) -> Poly:
+    """The slice's pairing determinant with row r scaled by K_r!.
+
+    K_r is the row's largest lower index, as in ``_block_verdict``, so
+    every entry is an integer polynomial; a nonzero row factor changes
+    neither whether the determinant vanishes identically nor its roots.
+    """
     grid: list[list[Poly | None]] = []
     for row in rows:
         entries = []
         for i_form, upper in points:
             k = (row[0] - i_form[0], row[1] - i_form[1], row[2] - i_form[2])
             entries.append(_slice_entry(upper, k, box))
-        grid.append(entries)
+        top = max(entry[0] for entry in entries if entry is not None)
+        grid.append([
+            None if entry is None else entry[1] * (factorial(top) // factorial(entry[0]))
+            for entry in entries
+        ])
     return _expand(grid)
 
 

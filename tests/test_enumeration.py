@@ -17,7 +17,6 @@ from chipsplit.cli import _echo_json
 from chipsplit.enumeration import (
     EnumerationReport,
     SweepCertificate,
-    _kernel_line,
     _kernel_stage,
     _kernel_verdict,
     _resolve_survivor,
@@ -199,7 +198,8 @@ class TestKernelStage:
         _, calls = wide_census_run
         assert len(calls) == 9284
         found = 0
-        for support, d, (_, outcome) in calls:
+        for support, d, (dimension, outcome) in calls:
+            assert dimension == len(outcome_space({(0, 0), *support}, d)), (sorted(support), d)
             stage, generator = _kernel_verdict(support, d)
             if outcome is None:
                 assert stage == "kernel", (sorted(support), d)
@@ -228,21 +228,12 @@ class TestKernelStage:
     @example((2, frozenset({(0, 1), (0, 2), (1, 0), (1, 1), (2, 0)})))
     def test_dimension_and_generator_match_outcome_space(self, case):
         d, support = case
-        points = [(0, 0), *support]
-        dimension, vec = _kernel_line(points, d)
-        basis = outcome_space(set(points), d)
+        dimension, outcome = _kernel_stage(support, d)
+        basis = outcome_space({(0, 0), *support}, d)
         assert dimension == len(basis)
-        if dimension == 1:
-            (generator,) = basis
-            k = next(k for k, v in enumerate(vec) if v)
-            assert all(
-                generator[p] * vec[k] == generator[points[k]] * v
-                for p, v in zip(points, vec)
-            )
-        else:
-            assert vec is None
+        if outcome is not None:
+            assert basis == [outcome]
         verdict, _, expected = fundamentality(support, d)
-        _, outcome = _kernel_stage(support, d)
         assert (outcome is not None) == verdict
         assert outcome == expected
 

@@ -104,12 +104,6 @@ def test_validity_notions():
     assert not ChipConfiguration({(4, 7): -1}, ambient=14).is_weakly_valid()
 
 
-def test_primitive_scaling():
-    w = ChipConfiguration({(0, 0): Fraction(-1, 2), (1, 0): Fraction(3, 2)})
-    assert w.primitive() == ChipConfiguration({(0, 0): -1, (1, 0): 3})
-    assert ChipConfiguration({(0, 0): -4, (1, 1): 6}).primitive() == ChipConfiguration({(0, 0): -2, (1, 1): 3})
-
-
 def test_point_action_formulas():
     d = 5
     assert act_point("(12)", (2, 1), d) == (1, 2)

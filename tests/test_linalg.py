@@ -22,6 +22,7 @@ from chipsplit.linalg import (
     primitive_integer_vector,
     rank,
 )
+from chipsplit.pascal import top_edge_columns
 
 
 def det_by_permutation_sum(rows):
@@ -55,26 +56,11 @@ def test_det_matches_permutation_expansion(rows):
     assert det(rows) == det_by_permutation_sum(rows)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=3).flatmap(
-        lambda n: st.lists(
-            st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=n, max_size=n),
-            min_size=n,
-            max_size=n,
-        )
-    )
-)
-def test_det_on_fractions_matches_permutation_expansion(rows):
-    assert det(rows) == det_by_permutation_sum(rows)
-
-
 def test_det_fixed_values():
     assert det([]) == 1
     assert det([[7]]) == 7
     assert det([[1, 2], [3, 4]]) == -2
     assert det([[6, 4, 1], [4, 6, 4], [1, 4, 6]]) == 50
-    assert det([[2, 0], [0, Fraction(1, 2)]]) == 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -148,7 +134,6 @@ def rectangular_matrix(entries):
 @given(
     st.one_of(
         rectangular_matrix(small_int),
-        rectangular_matrix(st.fractions(min_value=-5, max_value=5, max_denominator=6)),
         rectangular_matrix(st.sampled_from([0, 0, 0, 1, -1, 7, -40, 120])),
     )
 )
@@ -158,19 +143,27 @@ def test_integer_elimination_matches_fraction_rref(rows):
     assert kernel_basis(rows) == kernel_by_fractions(rows)
 
 
+def test_kernel_matches_fraction_rref_on_census_kernel_matrices(wide_census_run):
+    # The top-edge rows of every tenth support the census cells n <= 5,
+    # d <= 6 hand to the kernel stage, as the stage builds them.
+    _, calls = wide_census_run
+    supports = [(support, d) for support, d, _ in calls if d <= 6]
+    assert len(supports) == 6875
+    for support, d in supports[::10]:
+        columns = top_edge_columns(d)
+        rows = [list(row) for row in zip(*(columns[p] for p in [(0, 0), *support]))]
+        assert kernel_basis(rows) == kernel_by_fractions(rows), (support, d)
+
+
 def test_kernel_basis_canonical_form():
     # One relation x0 = x1 + x2 leaves a two-dimensional kernel.
     basis = kernel_basis([[1, -1, -1]])
     assert basis == [[1, 1, 0], [1, 0, 1]]
     # Full-rank square matrix has a trivial kernel.
     assert kernel_basis([[1, 0], [0, 1]]) == []
-    # The zero map needs an explicit width.
-    assert kernel_basis([], ncols=2) == [[1, 0], [0, 1]]
-
-
-def test_kernel_scales_fractions_to_primitive_integers():
-    basis = kernel_basis([[Fraction(1, 2), Fraction(-1, 3)]])
-    assert basis == [[2, 3]]
+    # Zero rows drop out, and the zero map keeps every column free.
+    assert kernel_basis([[0, 0, 0], [1, -1, -1], [0, 0, 0]]) == basis
+    assert kernel_basis([[0, 0]]) == [[1, 0], [0, 1]]
 
 
 def test_primitive_integer_vector_fixed_values():
@@ -178,8 +171,6 @@ def test_primitive_integer_vector_fixed_values():
     assert primitive_integer_vector([0, 0, 0]) == [0, 0, 0]
     assert primitive_integer_vector([4, -6, 0]) == [2, -3, 0]
     assert primitive_integer_vector([-4, 6]) == [-2, 3]
-    assert primitive_integer_vector([Fraction(1, 2), Fraction(-1, 3), 1]) == [3, -2, 6]
-    assert primitive_integer_vector([Fraction(-4, 3), 0]) == [-1, 0]
 
 
 def test_binomial_guard():

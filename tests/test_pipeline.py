@@ -791,6 +791,24 @@ def sample_gs(box, e):
     return sorted({lo, (lo + hi) // 2, hi})
 
 
+def slice_row_factor(rows, points, box):
+    """The product of the row factors K_r! the slice scales row r by.
+
+    K_r is the largest lower index among the row's evaluated entries,
+    which ``test_entry_classification_is_sound`` checks against the
+    guarded binomial.
+    """
+    factor = 1
+    for row in rows:
+        kappas = []
+        for i_form, upper in points:
+            entry = _slice_entry(upper, tuple(row[t] - i_form[t] for t in range(3)), box)
+            if entry is not None:
+                kappas.append(entry[0])
+        factor *= math.factorial(max(kappas))
+    return factor
+
+
 class TestFinalSlice:
     def test_entry_classification_is_sound(self):
         for _, points, rows, box in _final_slice_patterns():
@@ -802,9 +820,13 @@ class TestFinalSlice:
                             entry = _slice_entry(upper, k, box)
                             if entry is None:
                                 continue
+                            kappa, poly = entry
                             uv = upper[0] * e + upper[1]
                             kv = k[0] * e + k[1] + k[2] * g
-                            assert entry(e) == binomial(uv, kv), (upper, k, e, g)
+                            scale = math.factorial(kappa)
+                            assert poly(e) == binomial(uv, kv) * scale, (upper, k, e, g)
+                            if not poly.is_zero():
+                                assert poly == binomial_poly(upper[0], upper[1], kappa) * scale
 
     def test_determinants_match_the_cubic(self):
         def anchor(e):
@@ -812,19 +834,22 @@ class TestFinalSlice:
 
         for name, points, rows, box in _final_slice_patterns():
             det = _slice_det(rows, points, box)
+            factor = slice_row_factor(rows, points, box)
+            assert all(isinstance(c, int) for c in det.coeffs), name
             for e in (21, 30):
                 expected = anchor(e) * ((e - 1) if name == "at-strip" else 1)
-                assert abs(det(e)) == expected, name
+                assert abs(det(e)) == expected * factor, name
 
     @pytest.mark.parametrize("e", [21, 25])
     def test_determinants_match_concrete_pairing_matrices(self, e):
         for name, points, rows, box in _final_slice_patterns():
             det = _slice_det(rows, points, box)
+            factor = slice_row_factor(rows, points, box)
             for g in sample_gs(box, e):
                 d, E, S = concrete_slice_instance(points, rows, e, g)
                 assert len(set(E)) == len(set(S)) == 6
                 concrete = pairing_matrix(set(E), set(S), d).determinant()
-                assert abs(concrete) == abs(det(e)), (name, g)
+                assert abs(concrete) * factor == abs(det(e)), (name, g)
 
     def test_concrete_pairing_stalls_exactly_on_the_slice(self):
         d, e = 43, 21
