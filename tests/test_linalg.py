@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +16,7 @@ from chipsplit.linalg import (
     binomial,
     binomial_poly,
     det,
+    falling_poly,
     integer_roots_at_or_above,
     kernel_basis,
     poly_det,
@@ -166,6 +167,17 @@ def test_kernel_basis_canonical_form():
     assert kernel_basis([[0, 0]]) == [[1, 0], [0, 1]]
 
 
+def test_det_and_rank_stay_in_the_integers():
+    # A zero leading pivot forces a row swap, and the exact Bareiss
+    # divisions must still hand back a plain int.
+    value = det([[0, 2, 1], [3, 0, 4], [5, 6, 0]])
+    assert type(value) is int and value == 58
+    assert type(det([[1, 2], [2, 4]])) is int and det([[1, 2], [2, 4]]) == 0
+    assert rank([[0, 0], [0, 0]]) == 0
+    assert rank([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == 2
+    assert rank([(1, 0), (0, 1)]) == 2
+
+
 def test_primitive_integer_vector_fixed_values():
     assert primitive_integer_vector([]) == []
     assert primitive_integer_vector([0, 0, 0]) == [0, 0, 0]
@@ -263,6 +275,18 @@ def test_binomial_poly_agrees_with_guarded_binomial_on_valid_range():
     for d in range(7, 30):
         assert p(d) == binomial(d - 4, 3)
     assert binomial_poly(1, 0, 0)(5) == 1
+
+
+@pytest.mark.parametrize("slope, intercept", [(1, 0), (1, -4), (2, 3), (3, -1)])
+def test_falling_poly_is_k_factorial_times_the_binomial(slope, intercept):
+    for k in range(6):
+        p = falling_poly(slope, intercept, k)
+        assert all(type(c) is int for c in p.coeffs), (k, p)
+        assert p.degree == k
+        assert p == binomial_poly(slope, intercept, k) * factorial(k)
+        for d in range(max(0, -intercept) + k, 25):
+            assert p(d) == factorial(k) * binomial(slope * d + intercept, k), (k, d)
+    assert falling_poly(slope, intercept, -1).is_zero()
 
 
 def test_integer_root_exclusion():

@@ -221,6 +221,22 @@ def test_outcome_space_dimension_counts():
     assert all(is_outcome(w, d) for w in basis)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_outcome_space_is_the_kernel_of_the_top_edge_forms(d):
+    # outcome_space reads the cached top-edge table; check it against
+    # the forms built one at a time, on a spread of supports.
+    forms = [top_edge_form(a, d - a, d) for a in range(d + 1)]
+    points = sorted(grid_points(d))
+    for start in range(len(points)):
+        support = {(0, 0), *points[start::3], *points[start::5]}
+        basis = outcome_space(support, d)
+        rows = [[form.coefficient(i, j) for (i, j) in sorted(support)] for form in forms]
+        assert len(basis) == len(support) - rank(rows), (sorted(support), d)
+        for w in basis:
+            assert w.support <= frozenset(support)
+            assert all(form.evaluate(w) == 0 for form in forms), (sorted(support), d)
+
+
 def test_outcome_space_rejects_points_outside_the_triangle():
     with pytest.raises(ValueError):
         outcome_space({(0, 0), (3, 0)}, 2)
