@@ -119,15 +119,15 @@ def kernel_basis(rows: Sequence[Row]) -> list[list[int]]:
     """Basis of the right kernel of a nonempty integer matrix, as primitive vectors.
 
     The basis comes from the reduced row echelon form, computed
-    fraction-free by _echelon after the all-zero rows are dropped, with
-    one vector per free column, ordered by free column index. The vector
-    of free column fc holds D (the last pivot) at fc and minus each pivot
-    row's entry in column fc at that row's pivot column; it is divided
-    by its content and its first nonzero entry made positive, so the
-    output is canonical for a given column order.
+    fraction-free by _echelon on a copy of the rows, with one vector per
+    free column, ordered by free column index. The vector of free column
+    fc holds D (the last pivot) at fc and minus each pivot row's entry in
+    column fc at that row's pivot column; it is divided by its content
+    and its first nonzero entry made positive, so the output is
+    canonical for a given column order.
     """
     width = len(rows[0])
-    reduced = [row for row in rows if any(row)]
+    reduced = list(rows)
     pivots = _echelon(reduced)
     lead = reduced[len(pivots) - 1][pivots[-1]] if pivots else 1
     basis: list[list[int]] = []
@@ -290,11 +290,11 @@ def falling_poly(slope: int, intercept: int, k: int) -> Poly:
     """
     if k < 0:
         return Poly([])
-    arg = Poly.linear(slope, intercept)
-    out = Poly.constant(1)
+    coeffs = [1]
     for t in range(k):
-        out = out * (arg - t)
-    return out
+        # Multiply by slope*d + (intercept - t).
+        coeffs = [a * (intercept - t) + slope * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return Poly(coeffs)
 
 
 def binomial_poly(slope: int, intercept: int, k: int) -> Poly:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .grid import ChipConfiguration, Coord, Game, Value, grid_points
 from .linalg import binomial, kernel_basis
@@ -68,16 +68,6 @@ class PascalForm:
             return -c if (k + i) % 2 else c
         a, _ = self.index
         return binomial(self.d - i - j, a - i)
-
-    @cached_property
-    def coefficients(self) -> dict[Coord, int]:
-        """All nonzero coefficients, as a point -> value map."""
-        table = {}
-        for i, j in grid_points(self.d):
-            c = self.coefficient(i, j)
-            if c != 0:
-                table[(i, j)] = c
-        return table
 
     def evaluate(self, config: ChipConfiguration) -> Value:
         if config.degree > self.d:

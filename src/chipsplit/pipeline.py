@@ -17,7 +17,10 @@ eliminators and reporting which one fires:
   this module adds the sign of the two-and-one guard over all admissible
   values, and for larger blocks an exact determinant that is an
   integer polynomial in one symbol once each row is scaled, checked to
-  have no admissible integer root. A block verdict
+  have no admissible integer root. These blocks and the special stage's
+  slice share one symbolic toolkit: exact bounds of a linear ``Sym``
+  over a box (``_extremes``), pairing entries as falling factorials
+  (``_entry``) and the row scaling (``_scaled_row``). A block verdict
   is a pure function of the region's first row, the block's start
   column and width, and its points, and is cached under that key,
   because a full run asks for 189,877 verdicts on only 766 distinct
@@ -65,7 +68,7 @@ from typing import NamedTuple
 
 from .criteria import block_shape, greedy_blocks, in_hexagon
 from .grid import PERMUTATIONS
-from .linalg import Poly, binomial, falling_poly, integer_roots_at_or_above, poly_det
+from .linalg import Poly, falling_poly, integer_roots_at_or_above, poly_det
 from .hyperfield import ContractionPoint, lambda_set, parse_coord, s3_on_contraction
 
 D_FLOOR = 42
@@ -85,10 +88,12 @@ def _merge(terms):
 class Sym(NamedTuple):
     """Integer value of the form dc*d + c + sum of coeff*var.
 
-    Variables stand for strip positions and float-group bases; they all
-    range over [4, d - 7]. A Sym is a plain tuple underneath, so the
-    block-verdict cache hashes and compares its keys in C; ``+`` and
-    ``-`` are the symbolic operations, not tuple concatenation.
+    In the pairing attempts, variables stand for strip positions and
+    float-group bases, which all range over [4, d - 7]; the special
+    slice puts its own symbol e in the degree slot. A Sym is a plain
+    tuple underneath, so the block-verdict cache hashes and compares its
+    keys in C; ``+`` and ``-`` are the symbolic operations, not tuple
+    concatenation.
     """
 
     dc: int = 0
@@ -108,7 +113,12 @@ class Sym(NamedTuple):
         return Sym(0, 0, ((name, 1),))
 
     def __add__(self, other: Sym) -> Sym:
-        return Sym(self.dc + other.dc, self.c + other.c, _merge(self.terms + other.terms))
+        # Terms are kept merged, so a side without terms needs no merge.
+        if self.terms and other.terms:
+            terms = _merge(self.terms + other.terms)
+        else:
+            terms = self.terms or other.terms
+        return Sym(self.dc + other.dc, self.c + other.c, terms)
 
     def __sub__(self, other: Sym) -> Sym:
         return self + other.scaled(-1)
@@ -133,24 +143,43 @@ class Sym(NamedTuple):
         return out
 
 
+def _extremes(expr: Sym, floor: int, box: tuple[Sym, Sym]) -> tuple[int | None, int | None]:
+    """Exact (min, max) of the expression over symbol >= floor and every variable in the box.
+
+    The symbol is the one a Sym counts in ``dc``; the box's two ends are
+    Syms in that symbol alone, with the low end at most the high one at
+    every admissible symbol value. Substituting each variable's minimising
+    (maximising) end leaves a linear form in the symbol, whose minimum
+    (maximum) sits at the floor or is unbounded, reported as None. This
+    is exact because the expression is linear and its variables range
+    independently.
+    """
+    low_slope = high_slope = expr.dc
+    low = high = expr.c
+    for _, coeff in expr.terms:
+        low_end, high_end = box if coeff > 0 else box[::-1]
+        low_slope += coeff * low_end.dc
+        low += coeff * low_end.c
+        high_slope += coeff * high_end.dc
+        high += coeff * high_end.c
+    return (
+        low_slope * floor + low if low_slope >= 0 else None,
+        high_slope * floor + high if high_slope <= 0 else None,
+    )
+
+
+# Every strip position and float base ranges over [4, d - 7].
+_STRIP_BOX = (Sym.const(4), Sym.dee(-7))
+
+
 def _sign_for_all(expr: Sym) -> int | None:
     """Sign of the expression over d >= 42 and all variables in [4, d-7].
 
     Returns -1, 0, or +1 when the sign is constant on the whole box and
-    None when it can change; the bounds substitute each variable's
-    extreme values, which is exact because the expression is linear.
+    None when it can change, from the exact ``_extremes`` on the box.
     """
-    lo_slope = expr.dc + sum(c for _, c in expr.terms if c < 0)
-    lo_const = expr.c + sum(
-        4 * c if c > 0 else -7 * c for _, c in expr.terms
-    )
-    hi_slope = expr.dc + sum(c for _, c in expr.terms if c > 0)
-    hi_const = expr.c + sum(
-        4 * c if c < 0 else -7 * c for _, c in expr.terms
-    )
-    lo = lo_slope * D_FLOOR + lo_const if lo_slope >= 0 else None
-    hi = hi_slope * D_FLOOR + hi_const if hi_slope <= 0 else None
-    if lo is not None and hi is not None and lo == hi == 0:
+    lo, hi = _extremes(expr, D_FLOOR, _STRIP_BOX)
+    if lo == hi == 0:
         return 0
     if lo is not None and lo > 0:
         return 1
@@ -334,28 +363,50 @@ class ScenarioFailure:
     expr: Sym | None = None
 
 
-def _poly_entry(upper: Sym, k: int, top: int):
-    """The pairing entry binom(upper, k), times top!, as a polynomial in one symbol.
+def _entry(upper: Sym, k: Sym, floor: int, box: tuple[Sym, Sym]) -> tuple[int, Poly] | None:
+    """One pairing entry binomial(upper, k) as (kappa, the entry times kappa!).
 
-    For 0 <= k <= top that is (top!/k!) times the falling factorial
-    (upper)(upper - 1)...(upper - k + 1), so the polynomial has integer
-    coefficients. Returns (poly, symbol_key, u_min); constants keep
-    symbol None.
+    upper is a point's complementary degree, nonnegative wherever the
+    point exists, and the bounds are ``_extremes`` over symbol >= floor
+    and the box. The entry is (0, zero polynomial) when k is negative or
+    exceeds upper everywhere. Otherwise kappa is k, or upper - k by
+    symmetry, whichever is a constant, and the entry times kappa! is the
+    falling factorial ``falling_poly(upper.dc, upper.c, kappa)``, an
+    integer polynomial in the symbol; upper's variable terms are the
+    caller's to read (the block verdict's d - base + c is u + c in the
+    symbol u = d - base). None marks an entry that is essentially
+    exponential in the symbol or the variables.
     """
-    if k < 0:
-        return Poly.constant(0), None, 0
-    if upper.is_const:
-        if upper.c < 0:
-            raise AssertionError("pairing entry above the triangle")
-        return Poly.constant(binomial(upper.c, k) * factorial(top)), None, 0
-    if upper.dc == 1 and not upper.terms:
-        symbol, u_min = ("d",), D_FLOOR
-    elif upper.dc == 1 and len(upper.terms) == 1 and upper.terms[0][1] == -1:
-        # A function of u = d - base with the base at most d - 7.
-        symbol, u_min = ("u", upper.terms[0][0]), 7
+    kmax = _extremes(k, floor, box)[1]
+    if kmax is not None and kmax < 0:
+        return 0, Poly([])
+    if upper.is_const and upper.c < 0:
+        raise AssertionError("pairing entry above the triangle")
+    over = k - upper
+    overmin = _extremes(over, floor, box)[0]
+    if overmin is not None and overmin >= 1:
+        return 0, Poly([])
+    if k.is_const:
+        kappa = k.c
+    elif over.is_const:
+        kappa = -over.c
     else:
-        return None, "mixed", 0
-    return falling_poly(1, upper.c, k) * (factorial(top) // factorial(k)), symbol, u_min
+        return None
+    return kappa, falling_poly(upper.dc, upper.c, kappa)
+
+
+def _scaled_row(entries: list[tuple[int, Poly] | None]) -> list[Poly | None]:
+    """One pairing row of ``_entry`` results, scaled by K!, K its largest lower index.
+
+    Each entry becomes an integer polynomial, and a nonzero row factor
+    changes neither whether the determinant vanishes identically nor its
+    roots. Unevaluated (None) entries stay None.
+    """
+    top = max(entry[0] for entry in entries if entry is not None)
+    return [
+        None if entry is None else entry[1] * (factorial(top) // factorial(entry[0]))
+        for entry in entries
+    ]
 
 
 @cache
@@ -394,10 +445,9 @@ def _block_verdict(
         return None
     if len(cols) <= 2:
         raise AssertionError(f"impossible {len(cols)}-point column pattern {cols}")
-    # General block: exact determinant as a polynomial in one symbol. Row
-    # w is scaled by K_w!, K_w its largest lower index, which makes every
-    # entry an integer polynomial; a nonzero row factor changes neither
-    # whether the determinant vanishes identically nor its roots.
+    # General block: exact determinant as a polynomial in one symbol, on
+    # rows of ``_entry`` results scaled by ``_scaled_row``. An entry with
+    # k < 0 is zero whatever its upper argument, so it names no symbol.
     symbol = None
     u_min = 0
     grid = []
@@ -406,20 +456,23 @@ def _block_verdict(
         ks = [a - p.i for _, p in shifted]
         if not all(k.is_const for k in ks):
             raise AssertionError("row index does not align with block columns")
-        top = max(max(k.c for k in ks), 0)
         row = []
         for k, (_, p) in zip(ks, shifted):
             upper = Sym.dee() - (p.i + p.j)
-            poly, sym_key, entry_min = _poly_entry(upper, k.c, top)
-            if sym_key == "mixed":
-                return ScenarioFailure("ambiguous", "entry mixes the degree with a base")
-            if sym_key is not None:
+            if k.c >= 0 and not upper.is_const:
+                if upper.dc == 1 and not upper.terms:
+                    key, key_min = ("d",), D_FLOOR
+                elif upper.dc == 1 and len(upper.terms) == 1 and upper.terms[0][1] == -1:
+                    # A function of u = d - base with the base at most d - 7.
+                    key, key_min = ("u", upper.terms[0][0]), 7
+                else:
+                    return ScenarioFailure("ambiguous", "entry mixes the degree with a base")
                 if symbol is None:
-                    symbol, u_min = sym_key, entry_min
-                elif symbol != sym_key:
+                    symbol, u_min = key, key_min
+                elif symbol != key:
                     return ScenarioFailure("ambiguous", "block mixes two symbols")
-            row.append(poly)
-        grid.append(row)
+            row.append(_entry(upper, k, D_FLOOR, _STRIP_BOX))
+        grid.append(_scaled_row(row))
     det = poly_det(grid)
     if det.is_zero():
         return ScenarioFailure("singular", "identically singular block")
@@ -712,70 +765,11 @@ def _special_exceptional(case: ContractionPoint) -> dict | None:
 # range the pipeline covers. On that slice the support is pinned down to
 # six explicit points (one of them carrying the free diagonal position g),
 # and a hand-picked set of six pairing degrees has nonsingular pairing
-# matrix for every e >= 21, which excludes the slice as well.
+# matrix for every e >= 21, which excludes the slice as well. The slice
+# is written in Sym with e as the symbol (the ``dc`` slot) and g as the
+# only variable, in a box whose ends are Syms in e.
 
 _E_MIN = 21
-
-# Linear forms in (e, g) are triples (ce, c0, cg) meaning ce*e + c0 + cg*g,
-# with g confined to a box [glo(e), ghi(e)] whose bounds are pairs (ce, c0).
-
-_Tri = tuple[int, int, int]
-_Pair = tuple[int, int]
-_Box = tuple[_Pair, _Pair]
-
-
-def _tri_sub(tri: _Tri, bound: _Pair) -> _Pair:
-    """Substitute g = bound into the triple, leaving a form in e alone."""
-    ce, c0, cg = tri
-    return (ce + cg * bound[0], c0 + cg * bound[1])
-
-
-def _tri_min(tri: _Tri, box: _Box) -> int | None:
-    """Exact minimum over e >= _E_MIN and g in the box, None if unbounded."""
-    glo, ghi = box
-    slope, const = _tri_sub(tri, glo if tri[2] >= 0 else ghi)
-    if slope < 0:
-        return None
-    return slope * _E_MIN + const
-
-
-def _tri_max(tri: _Tri, box: _Box) -> int | None:
-    """Exact maximum over e >= _E_MIN and g in the box, None if unbounded."""
-    glo, ghi = box
-    slope, const = _tri_sub(tri, ghi if tri[2] >= 0 else glo)
-    if slope > 0:
-        return None
-    return slope * _E_MIN + const
-
-
-def _slice_entry(upper: _Pair, k: _Tri, box: _Box) -> tuple[int, Poly] | None:
-    """One pairing entry binomial(upper, k) on the slice, scaled by kappa!.
-
-    Returns (kappa, falling_poly(upper, kappa)), the lower index kappa
-    and the entry times kappa! as an integer polynomial in e; a zero
-    entry is (0, zero polynomial). The upper argument is one of the
-    slice supports' complementary degrees, all nonnegative for
-    e >= _E_MIN, so the entry vanishes whenever k is negative or exceeds
-    the upper argument everywhere on the box. A k without g and with the
-    same e-slope as the upper reduces through the symmetry
-    binomial(n, k) = binomial(n, n - k). Entries depending on e or g in
-    an essentially exponential way return None; the determinant
-    expansion must drop their rows before evaluating.
-    """
-    kmax = _tri_max(k, box)
-    if kmax is not None and kmax < 0:
-        return 0, Poly([])
-    over = (k[0] - upper[0], k[1] - upper[1], k[2])
-    overmin = _tri_min(over, box)
-    if overmin is not None and overmin >= 1:
-        return 0, Poly([])
-    if k[0] == 0 and k[2] == 0:
-        kappa = k[1]
-    elif k[0] == upper[0] and k[2] == 0:
-        kappa = upper[1] - k[1]
-    else:
-        return None
-    return kappa, falling_poly(upper[0], upper[1], kappa)
 
 
 def _expand(grid: list[list[Poly | None]]) -> Poly:
@@ -816,28 +810,20 @@ def _expand(grid: list[list[Poly | None]]) -> Poly:
     return det
 
 
-def _slice_det(rows: list[_Tri], points: list[tuple[_Tri, _Pair]], box: _Box) -> Poly:
-    """The slice's pairing determinant with row r scaled by K_r!.
+def _slice_det(rows: list[Sym], points: list[tuple[Sym, Sym]], box: tuple[Sym, Sym]) -> Poly:
+    """The slice's pairing determinant, with each row scaled by ``_scaled_row``.
 
-    K_r is the row's largest lower index, as in ``_block_verdict``, so
-    every entry is an integer polynomial; a nonzero row factor changes
-    neither whether the determinant vanishes identically nor its roots.
+    Each point is (column, upper argument); the entry of row a at a point
+    is binomial(upper, a - column).
     """
-    grid: list[list[Poly | None]] = []
-    for row in rows:
-        entries = []
-        for i_form, upper in points:
-            k = (row[0] - i_form[0], row[1] - i_form[1], row[2] - i_form[2])
-            entries.append(_slice_entry(upper, k, box))
-        top = max(entry[0] for entry in entries if entry is not None)
-        grid.append([
-            None if entry is None else entry[1] * (factorial(top) // factorial(entry[0]))
-            for entry in entries
-        ])
+    grid = [
+        _scaled_row([_entry(upper, row - i, _E_MIN, box) for i, upper in points])
+        for row in rows
+    ]
     return _expand(grid)
 
 
-def _final_slice_patterns() -> list[tuple[str, list[tuple[_Tri, _Pair]], list[_Tri], _Box]]:
+def _final_slice_patterns() -> list[tuple[str, list[tuple[Sym, Sym]], list[Sym], tuple[Sym, Sym]]]:
     """Support patterns of the final case on the odd-diagonal slice.
 
     Fixed points: the origin debt, the two far corners, and the two
@@ -845,26 +831,26 @@ def _final_slice_patterns() -> list[tuple[str, list[tuple[_Tri, _Pair]], list[_T
     top diagonal at column g; the six patterns split its range so that
     a single degree set works uniformly across each piece.
     """
-    origin = ((0, 0, 0), (2, 1))
-    far_j = ((0, 0, 0), (0, 0))
-    far_i = ((2, 1, 0), (0, 0))
-    strip_a = ((0, 1, 0), (1, 0))
-    strip_b = ((1, 0, 0), (1, 0))
-    base_rows = [(0, 0, 0), (0, 1, 0), (0, 3, 0), (1, 0, 0)]
-    top_row = (2, 1, 0)
-    no_g: _Box = ((0, 0), (0, 0))
+    e, g, d = Sym(1), Sym.var("g"), Sym(2, 1)
+    origin = (Sym(), d)
+    far_j = (Sym(), Sym())
+    far_i = (d, Sym())
+    strip_a = (Sym.const(1), e)
+    strip_b = (e, e)
+    base_rows = [Sym(), Sym.const(1), Sym.const(3), e]
+    no_g = (Sym(), Sym())
 
-    def pattern(name, g_form, extra_rows, box=no_g):
-        points = [origin, far_j, far_i, strip_a, strip_b, (g_form, (0, 1))]
-        return (name, points, base_rows + extra_rows + [top_row], box)
+    def pattern(name, g_form, extra_row, box=no_g):
+        points = [origin, far_j, far_i, strip_a, strip_b, (g_form, Sym.const(1))]
+        return (name, points, base_rows + [extra_row, d], box)
 
     return [
-        pattern("low", (0, 0, 1), [(0, 1, 1)], ((0, 4), (1, -2))),
-        pattern("below-strip", (1, -1, 0), [(1, -1, 0)]),
-        pattern("at-strip", (1, 0, 0), [(1, 1, 0)]),
-        pattern("high", (0, 0, 1), [(0, 1, 1)], ((1, 1), (2, -6))),
-        pattern("near-top", (2, -5, 0), [(2, -4, 0)]),
-        pattern("nearer-top", (2, -4, 0), [(2, -3, 0)]),
+        pattern("low", g, g.shifted(1), (Sym.const(4), e.shifted(-2))),
+        pattern("below-strip", e.shifted(-1), e.shifted(-1)),
+        pattern("at-strip", e, e.shifted(1)),
+        pattern("high", g, g.shifted(1), (e.shifted(1), Sym(2, -6))),
+        pattern("near-top", Sym(2, -5), Sym(2, -4)),
+        pattern("nearer-top", Sym(2, -4), Sym(2, -3)),
     ]
 
 

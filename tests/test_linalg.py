@@ -162,7 +162,7 @@ def test_kernel_basis_canonical_form():
     assert basis == [[1, 1, 0], [1, 0, 1]]
     # Full-rank square matrix has a trivial kernel.
     assert kernel_basis([[1, 0], [0, 1]]) == []
-    # Zero rows drop out, and the zero map keeps every column free.
+    # Zero rows change nothing, and the zero map keeps every column free.
     assert kernel_basis([[0, 0, 0], [1, -1, -1], [0, 0, 0]]) == basis
     assert kernel_basis([[0, 0]]) == [[1, 0], [0, 1]]
 

@@ -30,6 +30,7 @@ from chipsplit.pipeline import (
     ScenarioFailure,
     Sym,
     SymPoint,
+    _E_MIN,
     _LOW_ROW,
     _REGION_ROWS,
     _TOP_WINDOW,
@@ -39,6 +40,8 @@ from chipsplit.pipeline import (
     _block_verdict,
     _classify_column,
     _column_variables,
+    _entry,
+    _extremes,
     _final_slice_patterns,
     _group_offsets,
     _hexagon_instances,
@@ -47,11 +50,8 @@ from chipsplit.pipeline import (
     _region_failures,
     _sign_for_all,
     _slice_det,
-    _slice_entry,
     _strip_masks,
     _transposed,
-    _tri_max,
-    _tri_min,
     cell_possibilities,
     hexagon_eliminates,
     invertibility_eliminates,
@@ -748,28 +748,36 @@ def test_two_and_one_verdict_agrees_with_the_integer_guard():
     assert checked == 3 * 78 * 13
 
 
-class TestTriBounds:
-    BOXES = [((0, 4), (1, -2)), ((1, 1), (2, -6)), ((0, 0), (0, 0))]
+class TestExtremes:
+    # The three slice boxes for g over e >= _E_MIN, and the strip box
+    # over d >= D_FLOOR; the symbol is the Sym's degree slot either way.
+    BOXES = [
+        (_E_MIN, (Sym.const(4), Sym(1, -2))),
+        (_E_MIN, (Sym(1, 1), Sym(2, -6))),
+        (_E_MIN, (Sym(), Sym())),
+        (D_FLOOR, (Sym.const(4), Sym.dee(-7))),
+    ]
 
-    def brute(self, tri, box, e_top):
-        (gse, gsc), (ghe, ghc) = box
+    def brute(self, expr, floor, box, top):
+        lo, hi = box
         return [
-            tri[0] * e + tri[1] + tri[2] * g
-            for e in range(21, e_top + 1)
-            for g in range(gse * e + gsc, ghe * e + ghc + 1)
+            evaluate(expr, s, {"g": g})
+            for s in range(floor, top + 1)
+            for g in range(evaluate(lo, s), evaluate(hi, s) + 1)
         ]
 
     def test_bounds_match_brute_force(self):
-        for box in self.BOXES:
-            for tri in itertools.product((-2, -1, 0, 1, 2), repeat=3):
-                lo, hi = _tri_min(tri, box), _tri_max(tri, box)
-                near = self.brute(tri, box, 40)
+        for floor, box in self.BOXES:
+            for ce, c0, cg in itertools.product((-2, -1, 0, 1, 2), repeat=3):
+                expr = Sym(ce, c0, (("g", cg),) if cg else ())
+                lo, hi = _extremes(expr, floor, box)
+                near = self.brute(expr, floor, box, floor + 19)
                 if lo is None:
-                    assert min(self.brute(tri, box, 80)) < min(near)
+                    assert min(self.brute(expr, floor, box, floor + 59)) < min(near)
                 else:
                     assert lo == min(near)
                 if hi is None:
-                    assert max(self.brute(tri, box, 80)) > max(near)
+                    assert max(self.brute(expr, floor, box, floor + 59)) > max(near)
                 else:
                     assert hi == max(near)
 
@@ -777,17 +785,15 @@ class TestTriBounds:
 def concrete_slice_instance(points, rows, e, g):
     d = 2 * e + 1
     S = []
-    for (ce, c0, cg), (ue, u0) in points:
-        i = ce * e + c0 + cg * g
-        upper = ue * e + u0
-        S.append((i, d - i - upper))
-    E = [ce * e + c0 + cg * g for ce, c0, cg in rows]
+    for i_form, upper in points:
+        i = evaluate(i_form, e, {"g": g})
+        S.append((i, d - i - evaluate(upper, e)))
+    E = [evaluate(row, e, {"g": g}) for row in rows]
     return d, E, S
 
 
 def sample_gs(box, e):
-    (gse, gsc), (ghe, ghc) = box
-    lo, hi = gse * e + gsc, ghe * e + ghc
+    lo, hi = evaluate(box[0], e), evaluate(box[1], e)
     return sorted({lo, (lo + hi) // 2, hi})
 
 
@@ -802,7 +808,7 @@ def slice_row_factor(rows, points, box):
     for row in rows:
         kappas = []
         for i_form, upper in points:
-            entry = _slice_entry(upper, tuple(row[t] - i_form[t] for t in range(3)), box)
+            entry = _entry(upper, row - i_form, _E_MIN, box)
             if entry is not None:
                 kappas.append(entry[0])
         factor *= math.factorial(max(kappas))
@@ -816,17 +822,17 @@ class TestFinalSlice:
                 for g in sample_gs(box, e):
                     for row in rows:
                         for i_form, upper in points:
-                            k = tuple(row[t] - i_form[t] for t in range(3))
-                            entry = _slice_entry(upper, k, box)
+                            k = row - i_form
+                            entry = _entry(upper, k, _E_MIN, box)
                             if entry is None:
                                 continue
                             kappa, poly = entry
-                            uv = upper[0] * e + upper[1]
-                            kv = k[0] * e + k[1] + k[2] * g
+                            uv = evaluate(upper, e)
+                            kv = evaluate(k, e, {"g": g})
                             scale = math.factorial(kappa)
                             assert poly(e) == binomial(uv, kv) * scale, (upper, k, e, g)
                             if not poly.is_zero():
-                                assert poly == binomial_poly(upper[0], upper[1], kappa) * scale
+                                assert poly == binomial_poly(upper.dc, upper.c, kappa) * scale
 
     def test_determinants_match_the_cubic(self):
         def anchor(e):
@@ -1033,6 +1039,20 @@ class TestSpecialStage:
             "high",
             "near-top",
             "nearer-top",
+        }
+
+    def test_final_case_slice_determinants_are_pinned(self):
+        # The certificate's determinants reach no committed artifact, so
+        # their coefficients (ascending in e) are pinned here.
+        cert = special_eliminates(ContractionPoint.from_record(FINAL_RECORD, XI_PRIME_COORDS))
+        assert cert["resistant_patterns"] == 3
+        assert cert["determinants_in_e"] == {
+            "low": ["0", "-1", "-3", "-2"],
+            "below-strip": ["0", "-2", "-6", "-4"],
+            "at-strip": ["0", "-1", "-2", "1", "2"],
+            "high": ["0", "-1", "-3", "-2"],
+            "near-top": ["0", "-120", "-360", "-240"],
+            "nearer-top": ["0", "-24", "-72", "-48"],
         }
 
     def test_other_records_get_no_certificate(self):
