@@ -1,9 +1,14 @@
 """Census of fundamental outcomes and empty-degree sweeps.
 
 Two exhaustive computations back the classification results, and both
-are one routine, ``_settle_degree``, run per (positive-support size,
-degree).  It lists every support whose sign forms all cancel, settles
-each one with ``_resolve_survivor`` and returns a ``SweepCertificate``.
+run per (positive-support size, degree) on one listing of every support
+whose sign forms all cancel and one settling step,
+``_resolve_survivor``.  The sweep's ``_settle_degree`` settles every
+survivor and returns a ``SweepCertificate`` that lists each with its
+label.  The census's ``_census_cell`` only tallies, so it settles one
+of each mirror pair (i, j) -> (j, i) of survivors, counts it for both
+and lists a found outcome with its mirror; the survivors are
+mirror-closed because the sign forms are closed under transposition.
 
 The listing starts from the bitset engine ``hyperfield.sign_survivors``.
 It places support points in descending degree order, keeping as its
@@ -17,18 +22,18 @@ tuple, and the list of them is sorted.
 The sweep certifies that a whole degree hosts no valid outcome with a
 prescribed number of positive entries at all.  The census walks cell by
 cell in (positive-support size, degree) and tallies each cell's
-certificate into its stages.  The candidates of a cell are the supports
-the anchor lemma allows: two points on the top diagonal and one on each
-axis away from the origin.  They are counted in closed form, and every
-candidate the engine does not list fails the sign test.  No anchor
-filter runs on the survivors, because every sign survivor is anchored.
-The axis anchors follow from the sign forms: the top-edge form at a = d
-is nonzero only on the row j = 0, and the origin contributes a negative
-sign to it, so some point (i, 0) with i >= 1 must contribute a positive
-one; the form at a = 0 gives the column the same way.  That the sign
-forms also force two top points is checked, not proved: all 168,331
-sign survivors of the cells n <= 5, d <= 9 have them, and the test
-suite pins that exhaustively.
+settled survivors into its stages.  The candidates of a cell are the
+supports the anchor lemma allows: two points on the top diagonal and
+one on each axis away from the origin.  They are counted in closed
+form, and every candidate the engine does not list fails the sign test.
+No anchor filter runs on the survivors, because every sign survivor is
+anchored.  The axis anchors follow from the sign forms: the top-edge
+form at a = d is nonzero only on the row j = 0, and the origin
+contributes a negative sign to it, so some point (i, 0) with i >= 1
+must contribute a positive one; the form at a = 0 gives the column the
+same way.  That the sign forms also force two top points is checked,
+not proved: all 168,331 sign survivors of the cells n <= 5, d <= 9
+have them, and the test suite pins that exhaustively.
 
 Each survivor is settled by the invertibility test and the kernel
 stage, the exact kernel criterion on plain integers.  Both read each
@@ -50,6 +55,7 @@ sweep spreads its degrees over a process pool.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -140,8 +146,9 @@ def candidate_count(n: int, d: int) -> int:
 def _resolve_survivor(support: Collection[Coord], d: int):
     """Settle one sign survivor: certify exclusion or surface an outcome.
 
-    The settling step of ``_settle_degree``: the pairing test, then the
-    integer kernel stage, whose dimension names the resolution.  The
+    The settling step of ``_settle_degree`` and ``_census_cell``: the
+    pairing test, then the integer kernel stage, whose dimension names
+    the resolution.  The
     kernel stage gives the verdict ``_kernel_verdict`` would give, with
     the same generator, on plain integers.  The support may come in any
     point order, and the resolution and outcome do not depend on it: a
@@ -153,6 +160,9 @@ def _resolve_survivor(support: Collection[Coord], d: int):
     the top-edge conditions of the kernel stage, read off
     F_P(x) = sum of w_p x^i (1 + x)^(d - i - j) over the points
     p = (i, j), satisfy x^d F_P(1/x) = F of the mirrored support.
+    That is why the census settles only one of each mirror pair: the
+    sign forms are closed under transposition, so the mirror of a
+    survivor is a survivor, and it settles the same way.
     """
     if pairing_excludes(((0, 0), *support), d):
         return PRUNE_INVERTIBILITY, None
@@ -202,14 +212,41 @@ def classify_candidate(support: frozenset[Coord], d: int):
 def _census_cell(n: int, d: int, candidates: int):
     """Census of one cell: its fundamental outcomes and its stage counters.
 
-    The cell is the certificate ``_settle_degree`` gives for n + 1
-    positives at degree d, tallied.  Every candidate the engine does not
-    list fails the sign test, and the census counts all of the kernel
-    labels as ``kernel``.
+    Lists the sign survivors for n + 1 positives at degree d and settles
+    one representative of each mirror pair, the support whose sorted
+    mirror (i, j) -> (j, i) is not smaller than itself, with
+    ``_resolve_survivor``.  The survivors are mirror-closed because the
+    sign forms are closed under transposition: read at the mirrored
+    points, the left-column and bottom-row forms of index k swap and
+    the top-edge form at (a, b) becomes the one at (b, a).  A
+    representative counts twice, or once if it is its own mirror, and a
+    found outcome is listed with its mirror.  Every survivor's mirror is
+    looked up in the sorted list, so the weighting never rests on an
+    unchecked closure.  Every candidate the engine does not list fails
+    the sign test, and the census counts all of the kernel labels as
+    ``kernel``.  ``_settle_degree``, which settles every survivor, is
+    its test oracle.
     """
-    cert = _settle_degree((n + 1, d))
-    tally = Counter(cert.resolutions)
-    settled = len(cert.resolutions)
+    survivors, _ = sign_survivor_search(d, n + 1)
+    tally = Counter()
+    found = []
+    for support in survivors:
+        mirror = tuple(sorted([(j, i) for i, j in support]))
+        weight = 1
+        if mirror != support:
+            k = bisect_left(survivors, mirror)
+            if k == len(survivors) or survivors[k] != mirror:
+                raise AssertionError(f"the mirror of sign survivor {support} at d = {d} is not listed")
+            if mirror < support:
+                continue
+            weight = 2
+        resolution, outcome = _resolve_survivor(support, d)
+        tally[resolution] += weight
+        if outcome is not None:
+            found.append(outcome)
+            if weight == 2:
+                found.append(ChipConfiguration({(j, i): v for (i, j), v in outcome}, ambient=d))
+    settled = len(survivors)
     counters = {
         "candidates": candidates,
         PRUNE_SIGNS: candidates - settled,
@@ -217,7 +254,7 @@ def _census_cell(n: int, d: int, candidates: int):
         REJECT_KERNEL: settled - tally[PRUNE_INVERTIBILITY] - tally["outcome"],
         FOUND: tally["outcome"],
     }
-    return cert.outcomes_found, counters
+    return found, counters
 
 
 @dataclass(frozen=True)
@@ -431,9 +468,10 @@ class SweepCertificate:
 def _settle_degree(task) -> SweepCertificate:
     """The certificate of one (positive-support size, degree) pair.
 
-    Lists the sign survivors and settles each with ``_resolve_survivor``;
-    the sweep keeps the certificate and the census tallies it.  Takes
-    one tuple so that a process pool can map it.
+    Lists the sign survivors and settles each with ``_resolve_survivor``,
+    so the certificate labels every survivor; the census, which needs
+    only the tally, settles one of each mirror pair instead.  Takes one
+    tuple so that a process pool can map it.
     """
     n_plus, d = task
     survivors, nodes = sign_survivor_search(d, n_plus)

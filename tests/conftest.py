@@ -18,7 +18,10 @@ def wide_census_run():
     """The census through six positive entries and degree nine, run once.
 
     Returns the report and, as (support, d, verdict) triples, every call
-    the census made to its kernel stage.
+    the census made to its kernel stage.  The census settles one of each
+    mirror pair of sign survivors, so each called support's mirror is
+    recorded too, with the verdict of the real stage on it: the triples
+    cover every survivor that reaches the stage.
     """
     from chipsplit import enumeration
 
@@ -28,6 +31,9 @@ def wide_census_run():
     def recording(support, d):
         verdict = stage(support, d)
         calls.append((support, d, verdict))
+        mirror = tuple(sorted((j, i) for i, j in support))
+        if mirror != tuple(sorted(support)):
+            calls.append((mirror, d, stage(mirror, d)))
         return verdict
 
     with pytest.MonkeyPatch.context() as patch:

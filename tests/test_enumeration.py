@@ -4,6 +4,7 @@ import gc
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -130,6 +131,11 @@ def oracle_cell(n, d):
     return found, counters
 
 
+def mirror_of(support):
+    """The sorted point tuple of a support's transpose (i, j) -> (j, i)."""
+    return tuple(sorted((j, i) for i, j in support))
+
+
 class TestAnchoredCandidates:
     """The census against the per-candidate oracle above."""
 
@@ -194,9 +200,11 @@ class TestKernelStage:
     """The integer kernel stage against the ``fundamentality`` reference."""
 
     def test_matches_the_reference_on_every_census_kernel_call(self, wide_census_run):
-        # Every support the census cells n <= 5, d <= 9 hand to the stage.
+        # Every support the census cells n <= 5, d <= 9 hand to the
+        # stage, with the mirrors of the ones it settles.
         _, calls = wide_census_run
         assert len(calls) == 9284
+        assert len({(tuple(sorted(support)), d) for support, d, _ in calls}) == 9284
         found = 0
         for support, d, (dimension, outcome) in calls:
             assert dimension == len(outcome_space({(0, 0), *support}, d)), (sorted(support), d)
@@ -279,7 +287,7 @@ class TestKernelStage:
             survivors, _ = sign_survivor_search(d, size)
             listed = set(survivors)
             for support in survivors:
-                mirror = tuple(sorted((j, i) for i, j in support))
+                mirror = mirror_of(support)
                 assert mirror in listed, (d, support)
                 if mirror <= support:
                     continue
@@ -300,6 +308,56 @@ class TestKernelStage:
                 assert column == tuple(
                     top_edge_form(a, d - a, d).coefficient(i, j) for a in range(d + 1)
                 )
+
+
+class TestCensusMirrorPairs:
+    """The census settles one of each mirror pair; the sweep's routine is its oracle."""
+
+    def test_matches_settling_every_survivor(self):
+        # Every census cell n <= 5, d <= 7 against the certificate of
+        # ``_settle_degree``, which settles both members of each pair.
+        self_mirrors = mirrored_pairs = 0
+        for n in range(1, 6):
+            for d in range(1, 8):
+                candidates = candidate_count(n, d)
+                if candidates == 0:
+                    continue
+                found, counters = enumeration._census_cell(n, d, candidates)
+                cert = enumeration._settle_degree((n + 1, d))
+                tally = Counter(cert.resolutions)
+                settled = len(cert.resolutions)
+                assert counters == {
+                    "candidates": candidates,
+                    "signs": candidates - settled,
+                    "invertibility": tally["invertibility"],
+                    "kernel": settled - tally["invertibility"] - tally["outcome"],
+                    "fundamental": tally["outcome"],
+                }, (n, d)
+                have = {frozenset(w) for w in found}
+                assert len(have) == len(found) == len(cert.outcomes_found), (n, d)
+                assert have == {frozenset(w) for w in cert.outcomes_found}, (n, d)
+                self_mirrors += sum(1 for s in cert.sign_survivors if mirror_of(s) == s)
+                for w in found:
+                    mirrored = frozenset(((j, i), v) for (i, j), v in w)
+                    if mirrored != frozenset(w):
+                        assert mirrored in have, (n, d)
+                        mirrored_pairs += 1
+        assert self_mirrors > 0
+        assert mirrored_pairs > 0
+
+    def test_a_survivor_without_its_listed_mirror_is_caught(self, monkeypatch):
+        # Drop one survivor whose mirror sorts before it: its mirror is
+        # then a representative that would count it unseen.
+        search = enumeration.sign_survivor_search
+
+        def dropping(d, size):
+            survivors, nodes = search(d, size)
+            victim = next(s for s in survivors if mirror_of(s) < s)
+            return [s for s in survivors if s != victim], nodes
+
+        monkeypatch.setattr(enumeration, "sign_survivor_search", dropping)
+        with pytest.raises(AssertionError, match="mirror"):
+            enumeration._census_cell(4, 5, candidate_count(4, 5))
 
 
 class TestCensusSmall:
