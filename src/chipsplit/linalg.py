@@ -2,23 +2,19 @@
 
 Everything in this module is deterministic and exact. Matrices are plain
 lists of integer row lists, and every elimination is fraction-free
-integer arithmetic (Bareiss). Dense polynomials keep the int or Fraction
-coefficients they are built from; ``Poly`` is the one place a Fraction
-may enter, for the test oracles that build binomials as polynomials
-(``binomial_poly``). One Bareiss routine, ``_det_bareiss``, serves both
+integer arithmetic (Bareiss). Dense polynomials have integer
+coefficients too. One Bareiss routine, ``_det_bareiss``, serves both
 integer and polynomial determinants: Poly defines ``//`` as exact
-division, which stays in the integers on integer polynomials. There is
-deliberately no float anywhere; the certificates produced by the
-classification machinery quote these numbers verbatim.
+division, which raises where a quotient would leave the integers. There is
+deliberately no float or Fraction anywhere; the certificates produced
+by the classification machinery quote these numbers verbatim.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, factorial, gcd, isqrt
+from math import comb, gcd, isqrt
 from typing import Sequence
 
-Scalar = int | Fraction
 Row = Sequence[int]
 
 
@@ -146,11 +142,9 @@ def kernel_basis(rows: Sequence[Row]) -> list[list[int]]:
 
 
 class Poly:
-    """Dense univariate polynomial with int or Fraction coefficients.
+    """Dense univariate polynomial with integer coefficients.
 
-    Coefficient order is ascending: Poly([1, 2]) is 1 + 2x. Coefficients
-    are kept as given, so integer polynomials never touch Fraction; a
-    Fraction appears only where one is put in. Supports just
+    Coefficient order is ascending: Poly([1, 2]) is 1 + 2x. Supports just
     enough arithmetic for symbolic determinants in one indeterminate
     (the grid degree d): ring operations, exact division, evaluation,
     and an integer-root exclusion test.
@@ -158,24 +152,19 @@ class Poly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence[Scalar]):
+    def __init__(self, coeffs: Sequence[int]):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Scalar, ...] = tuple(cs)
+        self.coeffs: tuple[int, ...] = tuple(cs)
 
     @classmethod
-    def constant(cls, c: Scalar) -> Poly:
+    def constant(cls, c: int) -> Poly:
         return cls([c])
 
     @classmethod
     def x(cls) -> Poly:
         return cls([0, 1])
-
-    @classmethod
-    def linear(cls, slope: Scalar, intercept: Scalar) -> Poly:
-        """The polynomial slope*x + intercept."""
-        return cls([intercept, slope])
 
     @property
     def degree(self) -> int:
@@ -186,14 +175,14 @@ class Poly:
         return not self.coeffs
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = Poly.constant(other)
         if not isinstance(other, Poly):
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __add__(self, other: Poly | Scalar) -> Poly:
-        if isinstance(other, (int, Fraction)):
+    def __add__(self, other: Poly | int) -> Poly:
+        if isinstance(other, int):
             other = Poly.constant(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -208,14 +197,14 @@ class Poly:
     def __neg__(self) -> Poly:
         return Poly([-c for c in self.coeffs])
 
-    def __sub__(self, other: Poly | Scalar) -> Poly:
+    def __sub__(self, other: Poly | int) -> Poly:
         return self + (-other)
 
-    def __rsub__(self, other: Scalar) -> Poly:
+    def __rsub__(self, other: int) -> Poly:
         return Poly.constant(other) + (-self)
 
-    def __mul__(self, other: Poly | Scalar) -> Poly:
-        if isinstance(other, (int, Fraction)):
+    def __mul__(self, other: Poly | int) -> Poly:
+        if isinstance(other, int):
             other = Poly.constant(other)
         if self.is_zero() or other.is_zero():
             return Poly([])
@@ -229,14 +218,13 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __floordiv__(self, other: Poly | Scalar) -> Poly:
-        """Exact quotient; raises if a polynomial division leaves a remainder.
+    def __floordiv__(self, other: Poly | int) -> Poly:
+        """Exact quotient; raises if the division leaves a remainder.
 
-        On integer coefficients each quotient coefficient is an exact
-        integer division, so an integer quotient stays integer, and a
+        Each quotient coefficient is an exact integer division, so a
         quotient that is not integral raises like a remainder does.
         """
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = Poly.constant(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -245,13 +233,9 @@ class Poly:
         dn = other.degree
         quot = [0] * max(len(rem) - dn, 0)
         for i in range(len(rem) - dn - 1, -1, -1):
-            top = rem[i + dn]
-            if isinstance(top, int) and isinstance(lead, int):
-                c, r = divmod(top, lead)
-                if r:
-                    raise ValueError("polynomial division was not exact")
-            else:
-                c = top / lead
+            c, r = divmod(rem[i + dn], lead)
+            if r:
+                raise ValueError("polynomial division was not exact")
             quot[i] = c
             if c != 0:
                 for j, b in enumerate(other.coeffs):
@@ -260,7 +244,7 @@ class Poly:
             raise ValueError("polynomial division was not exact")
         return Poly(quot)
 
-    def __call__(self, value: Scalar) -> Scalar:
+    def __call__(self, value: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * value + c
@@ -297,25 +281,13 @@ def falling_poly(slope: int, intercept: int, k: int) -> Poly:
     return Poly(coeffs)
 
 
-def binomial_poly(slope: int, intercept: int, k: int) -> Poly:
-    """binomial(slope*d + intercept, k) as a polynomial in d.
-
-    Uses the falling-factorial form; it agrees with the guarded binomial
-    whenever slope*d + intercept >= k, which every call site guarantees
-    on its degree range.
-    """
-    if k < 0:
-        return Poly([])
-    return falling_poly(slope, intercept, k) * Fraction(1, factorial(k))
-
-
 def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Determinant of a matrix of polynomials, by fraction-free Bareiss.
 
     The integer routine ``_det_bareiss`` runs unchanged on Poly entries:
     every division in the Bareiss recurrence is exact in the polynomial
-    ring, so the result is the true determinant with no denominators
-    beyond those already in the entries.
+    ring, so the result is the true determinant, with integer
+    coefficients.
     """
     n = len(rows)
     if n == 0:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .grid import ChipConfiguration, Coord, Game, Value, grid_points
+from .grid import ChipConfiguration, Coord, Game, Value
 from .linalg import binomial, kernel_basis
 
 
@@ -107,21 +107,38 @@ def all_forms(d: int) -> list[PascalForm]:
     return forms
 
 
-# One table is kept, and three readers share it: the pairing test, the
-# kernel stage and ``outcome_space``.  The sweep walks one degree at a
-# time, so it builds each table once; the census walks cells support
-# size first, so it rebuilds the table at every cell, and ``decompose``
-# rebuilds it each time its degree falls.  A table takes under a
-# millisecond at the degrees a census reaches.
-@lru_cache(maxsize=1)
-def top_edge_columns(d: int) -> dict[Coord, tuple[int, ...]]:
-    """Each point's coefficients in the top-edge forms of degree d.
+class _TopEdgeTable(dict):
+    """The top-edge columns of one degree, each built on its first lookup.
 
     The column of (i, j) holds binomial(d - i - j, a - i) for a = 0 .. d:
-    row d - i - j of Pascal's triangle, shifted down by i.
+    row d - i - j of Pascal's triangle, shifted down by i. A point off
+    the triangle raises KeyError.
     """
-    rows = [tuple(binomial(m, k) for k in range(m + 1)) for m in range(d + 1)]
-    return {(i, j): (0,) * i + rows[d - i - j] + (0,) * j for i, j in grid_points(d)}
+
+    def __init__(self, d: int):
+        super().__init__()
+        self.d = d
+
+    def __missing__(self, point: Coord) -> tuple[int, ...]:
+        i, j = point
+        m = self.d - i - j
+        if i < 0 or j < 0 or m < 0:
+            raise KeyError(point)
+        column = self[point] = (0,) * i + tuple(binomial(m, k) for k in range(m + 1)) + (0,) * j
+        return column
+
+
+# One table is kept, and three readers share it: the pairing test, the
+# kernel stage and ``outcome_space``.  Each reads the columns of the
+# points it is given, so a column is built only when first read: a
+# degree-499 outcome reads 252 of the table's 125,250 columns.  The
+# sweep walks one degree at a time, so it starts each table once; the
+# census walks cells support size first, so it starts a table at every
+# cell, and ``decompose`` starts one each time its degree falls.
+@lru_cache(maxsize=1)
+def top_edge_columns(d: int) -> dict[Coord, tuple[int, ...]]:
+    """Each point's coefficients in the top-edge forms of degree d, built on demand."""
+    return _TopEdgeTable(d)
 
 
 def top_edge_values(config: ChipConfiguration, d: int | None = None) -> list[Value]:

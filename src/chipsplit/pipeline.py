@@ -23,7 +23,7 @@ eliminators and reporting which one fires:
   (``_entry``) and the row scaling (``_scaled_row``). A block verdict
   is a pure function of the region's first row, the block's start
   column and width, and its points, and is cached under that key,
-  because a full run asks for 189,877 verdicts on only 766 distinct
+  because a full run asks for 190,240 verdicts on only 768 distinct
   blocks; the block's rows are built only on a miss. A moved point's
   placement and column kind depend only on the point, its variable's
   column expression and the choice, so they are cached across attempts
@@ -70,6 +70,8 @@ from .criteria import block_shape, greedy_blocks, in_hexagon
 from .grid import PERMUTATIONS
 from .linalg import Poly, falling_poly, integer_roots_at_or_above, poly_det
 from .hyperfield import ContractionPoint, lambda_set, parse_coord, s3_on_contraction
+from .models import tightness_family
+from .pascal import is_outcome
 
 D_FLOOR = 42
 
@@ -518,13 +520,14 @@ def _placed_carrier(
 
 
 def _region_failures(
-    entries: list[tuple[int, SymPoint, int]], limit: int | None, base_row: Sym, first_only: bool
+    entries: list[tuple[int, SymPoint, int]], limit: int | None, base_row: Sym
 ) -> list[ScenarioFailure]:
     """The greedy pairing of one region, from its (index, point, column) entries.
 
-    Each column lists its points in ascending point index, so a block's
-    points reach ``_block_verdict`` in the same order whichever of them
-    moved.
+    Returns the failure of every block that fails, or the one
+    infeasible failure when the columns admit no blocks. Each column
+    lists its points in ascending point index, so a block's points
+    reach ``_block_verdict`` in the same order whichever of them moved.
     """
     columns: dict[int, list[SymPoint]] = {}
     for _, p, col in sorted(entries):
@@ -537,12 +540,10 @@ def _region_failures(
         failure = _block_verdict(base_row, c_lo, width, tuple(members))
         if failure is not None:
             failures.append(failure)
-            if first_only:
-                break
     return failures
 
 
-def _attempt_regions(points: list[SymPoint], first_only: bool):
+def _attempt_regions(points: list[SymPoint]):
     """The pairing failures of every region content a scenario realises.
 
     A placement scenario fails exactly when one of its regions fails,
@@ -562,8 +563,8 @@ def _attempt_regions(points: list[SymPoint], first_only: bool):
     every scenario, so they are classified once per attempt. A region's
     failures are memoised per attempt on its moved points, so the
     greedy walk and the verdict lookups run once per distinct region of
-    the attempt; with first_only set, each stops at its first failing
-    block.
+    the attempt. The walk is lazy: a caller that stops reading stops it
+    at the region content it last read.
     """
     if any(len(p.variables()) > 1 for p in points):
         raise AssertionError("a support point carries more than one variable")
@@ -608,7 +609,7 @@ def _attempt_regions(points: list[SymPoint], first_only: bool):
                 found = memo.get(key)
                 if found is None:
                     found = memo[key] = _region_failures(
-                        fixed.get(region, []) + list(content), limit, base_row, first_only
+                        fixed.get(region, []) + list(content), limit, base_row
                     )
                 yield found
 
@@ -619,7 +620,7 @@ def _attempt_excluded(points: list[SymPoint]) -> bool:
     That is when every region content some scenario realises passes, so
     the walk stops at the first failing one.
     """
-    return not any(_attempt_regions(points, first_only=True))
+    return not any(_attempt_regions(points))
 
 
 def _attempt_guards(points: list[SymPoint]) -> set[Sym] | None:
@@ -635,7 +636,7 @@ def _attempt_guards(points: list[SymPoint]) -> set[Sym] | None:
     an empty set when the attempt certifies exclusion outright.
     """
     guards: set[Sym] = set()
-    for failures in _attempt_regions(points, first_only=False):
+    for failures in _attempt_regions(points):
         for failure in failures:
             if failure.expr is None:
                 return None
@@ -746,9 +747,6 @@ def _special_exceptional(case: ContractionPoint) -> dict | None:
     expected = ("x[0,3]", "x[1,1]", "x[3,0]", "gamma[0]")
     if case.positive_support() != expected:
         return None
-    from .models import tightness_family
-    from .pascal import is_outcome
-
     u = tightness_family(1)
     if not is_outcome(u):
         raise AssertionError("the subtraction witness stopped being an outcome")

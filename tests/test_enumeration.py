@@ -303,11 +303,21 @@ class TestKernelStage:
     def test_columns_are_the_top_edge_coefficients(self):
         for d in range(8):
             columns = top_edge_columns(d)
+            for p in grid_points(d):
+                columns[p]
             assert sorted(columns) == sorted(grid_points(d))
             for (i, j), column in columns.items():
                 assert column == tuple(
                     top_edge_form(a, d - a, d).coefficient(i, j) for a in range(d + 1)
                 )
+            for off in [(-1, 0), (0, -1), (d + 1, 0), (d, 1)]:
+                with pytest.raises(KeyError):
+                    columns[off]
+
+    def test_outcome_space_builds_only_its_support_columns(self):
+        top_edge_columns.cache_clear()
+        outcome_space({(0, 0), (499, 0), (0, 499)}, 499)
+        assert len(top_edge_columns(499)) == 3
 
 
 class TestCensusMirrorPairs:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from chipsplit.linalg import (
     Poly,
     binomial,
-    binomial_poly,
     det,
     falling_poly,
     integer_roots_at_or_above,
@@ -219,9 +218,16 @@ def test_poly_exact_division_inverts_multiplication(div_coeffs, quot_coeffs):
 
 def test_poly_floor_division_by_a_scalar_is_exact():
     assert Poly([2, 0, 4]) // 2 == Poly([1, 0, 2])
-    assert Poly([1, 3]) // Fraction(1, 3) == Poly([3, 9])
     with pytest.raises(ZeroDivisionError):
         Poly([1]) // 0
+
+
+def test_poly_floor_division_rejects_a_quotient_that_is_not_integral():
+    # (1 + 3x) / 3 and (1 + x^2) / 2x have no integer quotient.
+    with pytest.raises(ValueError):
+        Poly([1, 3]) // 3
+    with pytest.raises(ValueError):
+        Poly([1, 0, 1]) // Poly([0, 2])
 
 
 def test_poly_is_unhashable():
@@ -270,21 +276,12 @@ def test_poly_det_matches_the_permutation_sum_at_enough_points(rows):
         assert p(value) == det_by_permutation_sum(scalar_rows)
 
 
-def test_binomial_poly_agrees_with_guarded_binomial_on_valid_range():
-    # binomial(d - 4, 3) for d >= 7, where the guard never fires.
-    p = binomial_poly(1, -4, 3)
-    for d in range(7, 30):
-        assert p(d) == binomial(d - 4, 3)
-    assert binomial_poly(1, 0, 0)(5) == 1
-
-
 @pytest.mark.parametrize("slope, intercept", [(1, 0), (1, -4), (2, 3), (3, -1)])
 def test_falling_poly_is_k_factorial_times_the_binomial(slope, intercept):
     for k in range(6):
         p = falling_poly(slope, intercept, k)
         assert all(type(c) is int for c in p.coeffs), (k, p)
         assert p.degree == k
-        assert p == binomial_poly(slope, intercept, k) * factorial(k)
         for d in range(max(0, -intercept) + k, 25):
             assert p(d) == factorial(k) * binomial(slope * d + intercept, k), (k, d)
     assert falling_poly(slope, intercept, -1).is_zero()

@@ -4,7 +4,6 @@ import collections
 import functools
 import itertools
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +23,7 @@ from chipsplit.enumeration import _resolve_survivor, sign_survivor_search
 from chipsplit.grid import ChipConfiguration, act_point
 from chipsplit.hyperfield import XI_PRIME_COORDS, ContractionPoint, chi, contract, lambda_set
 from chipsplit import pipeline
-from chipsplit.linalg import Poly, binomial, binomial_poly, poly_det
+from chipsplit.linalg import binomial
 from chipsplit.pipeline import (
     D_FLOOR,
     ScenarioFailure,
@@ -251,14 +250,13 @@ def placements(n_vars):
                 yield tuple(detailed)
 
 
-def attempt_failures(points, first_only=True):
+def attempt_failures(points):
     """The pairing failures of every placement scenario that is not vacuous.
 
     The scenario oracle of the region-first walk. Yields one list per
     scenario, in placement order. The pairing runs region by region:
-    the low region, each float base in name order, then the top window,
-    stopping at the first failing region when first_only is set. A
-    region's failures are memoised per attempt on its moved points.
+    the low region, each float base in name order, then the top window.
+    A region's failures are memoised per attempt on its moved points.
     """
     if any(len(p.variables()) > 1 for p in points):
         raise AssertionError("a support point carries more than one variable")
@@ -303,19 +301,16 @@ def attempt_failures(points, first_only=True):
                         (None, Sym.var(region)) if region.startswith("B") else _REGION_ROWS[region]
                     )
                     found = memo[key] = _region_failures(
-                        fixed.get(region, []) + entries, limit, base_row, first_only
+                        fixed.get(region, []) + entries, limit, base_row
                     )
-                if found:
-                    failures += found
-                    if first_only:
-                        break
+                failures += found
             yield failures
 
 
 def scenario_guards(points):
     """The guards of every failing block over every scenario, None if one has none."""
     guards = set()
-    for failures in attempt_failures(points, first_only=False):
+    for failures in attempt_failures(points):
         for failure in failures:
             if failure.expr is None:
                 return None
@@ -374,7 +369,7 @@ def case_attempts_by_width():
 THREE_VARIABLE_NAMES = ["x[0,0]", "beta[0]", "beta[2]", "gamma[1]", "t[3,0]"]
 
 
-def reference_scenario_failures(points, verdict, first_only=True):
+def reference_scenario_failures(points, verdict):
     """The greedy pairing that classifies every point in every scenario.
 
     Builds the low, top and float column maps of one placed scenario
@@ -399,16 +394,12 @@ def reference_scenario_failures(points, verdict, first_only=True):
         blocks = greedy_blocks(positions, limit)
         if blocks is None:
             failures.append(ScenarioFailure("infeasible", "no balanced column composition"))
-            if first_only:
-                return failures
             continue
         for c_lo, width, members in blocks:
             rows = tuple(base_row.shifted(c_lo + w) for w in range(width))
             failure = verdict(rows, tuple(points[m] for m in members))
             if failure is not None:
                 failures.append(failure)
-                if first_only:
-                    return failures
     return failures
 
 
@@ -429,7 +420,7 @@ def reference_placed(points):
 
 
 @functools.cache
-def reference_attempt(points, first_only):
+def reference_attempt(points):
     """The reference failures of every scenario, and the blocks they asked for."""
     asked = set()
 
@@ -438,7 +429,7 @@ def reference_attempt(points, first_only):
         return rows_verdict(rows, pts)
 
     failures = [
-        reference_scenario_failures(placed, verdict, first_only)
+        reference_scenario_failures(placed, verdict)
         for placed in reference_placed(points)
     ]
     return failures, asked
@@ -508,14 +499,13 @@ class TestAttemptFailures:
         widths = [len(_column_variables(points)) for points in comparison_attempts()]
         assert widths == [1, 1, 2, 2, 3, 2, 2]
 
-    @pytest.mark.parametrize("first_only", [False, True])
-    def test_failures_match_the_per_scenario_pairing(self, first_only):
+    def test_failures_match_the_per_scenario_pairing(self):
         # The scenario oracle's region memo agrees with the pairing that
         # classifies every point of every scenario afresh.
         scenarios = failing = 0
         for points in comparison_attempts():
-            expected, _ = reference_attempt(points, first_only)
-            assert list(attempt_failures(list(points), first_only)) == expected
+            expected, _ = reference_attempt(points)
+            assert list(attempt_failures(list(points))) == expected
             scenarios += len(expected)
             failing += sum(1 for failures in expected if failures)
         assert scenarios and failing, (scenarios, failing)
@@ -554,8 +544,12 @@ class TestAttemptFailures:
         assert _attempt_excluded(points)
         assert _attempt_guards(points) == set()
 
-    @pytest.mark.parametrize("first_only", [False, True])
-    def test_asks_for_the_reference_verdict_keys(self, monkeypatch, first_only):
+    @pytest.mark.parametrize("entry_point", ["regions", "excluded"])
+    def test_asks_for_the_reference_verdict_keys(self, monkeypatch, entry_point):
+        # The whole region walk asks for exactly the blocks of every
+        # scenario. _attempt_excluded asks for the same when it excludes
+        # the attempt; when it fails, it stops at its first failing region
+        # content, before regions the scenario walk still visits.
         def recording(base_row, c_lo, width, pts):
             rows = tuple(base_row.shifted(c_lo + w) for w in range(width))
             asked.add((rows, pts))
@@ -565,24 +559,23 @@ class TestAttemptFailures:
         walks = collections.Counter()
         for points in comparison_attempts() + [tuple(SHARED_COLUMN_POINTS)]:
             asked = set()
-            expected = reference_attempt(points, first_only)[1]
-            if first_only and not _attempt_excluded(list(points)):
-                # A failing attempt stops at its first failing region
-                # content, before regions the scenario walk still visits.
+            expected = reference_attempt(points)[1]
+            if entry_point == "regions":
+                list(_attempt_regions(list(points)))
+            elif not _attempt_excluded(list(points)):
                 assert asked <= expected
                 walks["stopped"] += 1
-            else:
-                list(_attempt_regions(list(points), first_only))
-                assert asked == expected
-                walks["whole"] += 1
-        assert set(walks) == ({"stopped", "whole"} if first_only else {"whole"}), walks
+                continue
+            assert asked == expected
+            walks["whole"] += 1
+        assert set(walks) == ({"whole"} if entry_point == "regions" else {"stopped", "whole"}), walks
 
     def test_shared_column_keeps_members_in_point_order(self, monkeypatch):
         asked = []
         monkeypatch.setattr(
             pipeline, "_block_verdict", lambda *key: asked.append(key) or _block_verdict(*key)
         )
-        list(_attempt_regions(SHARED_COLUMN_POINTS, first_only=False))
+        list(_attempt_regions(SHARED_COLUMN_POINTS))
         moved, fixed = SymPoint(Sym.const(4), Sym.const(1)), SHARED_COLUMN_POINTS[1]
         assert (_LOW_ROW, 4, 2, (moved, fixed)) in asked
         assert all(key[3] != (fixed, moved) for key in asked)
@@ -674,33 +667,49 @@ class TestBlockVerdictCache:
         assert calls == []
 
 
-def fraction_block_det(base_row, c_lo, width, pts):
-    """The oracle: a block's determinant on binomial_poly's Fraction entries.
+def permutation_sum_det(rows):
+    """Leibniz expansion of an integer determinant."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = -1 if inversions % 2 else 1
+        for r, c in enumerate(perm):
+            term *= rows[r][c]
+        total += term
+    return total
 
-    Also returns the product of the row factors K_w! the pipeline scales
-    row w by, K_w being the row's largest lower index.
+
+def concrete_block_dets(base_row, c_lo, width, pts):
+    """The oracle: a block's determinant at concrete values of its symbol.
+
+    The symbol is d, with floor D_FLOOR, when some upper argument reads
+    d + c, and u = d - base, with floor 7, otherwise. Returns the product
+    of the row factors K_w! the pipeline scales row w by, K_w being the
+    row's largest lower index, and a map from sum K_w + 1 symbol values,
+    at or above the floor and where every upper argument is
+    nonnegative, to the permutation-sum determinant of the guarded
+    binomial entries there. Both the scaled determinant and this one
+    have degree at most sum K_w, so these values fix them.
     """
     lead = base_row.shifted(c_lo)
     columns = sorted(pts, key=lambda p: (p.i - lead).c)
-    grid, factor = [], 1
-    for w in range(width):
-        ks = [(lead.shifted(w) - p.i).c for p in columns]
-        factor *= math.factorial(max(max(ks), 0))
-        row = []
-        for k, p in zip(ks, columns):
-            upper = Sym.dee() - (p.i + p.j)
-            if upper.is_const:
-                row.append(Poly.constant(Fraction(binomial(upper.c, k)) if k >= 0 else 0))
-            else:
-                row.append(binomial_poly(1, upper.c, k))
-        grid.append(row)
-    return poly_det(grid), factor
+    uppers = [Sym.dee() - (p.i + p.j) for p in columns]
+    ks = [[(lead.shifted(w) - p.i).c for p in columns] for w in range(width)]
+    tops = [max(max(row), 0) for row in ks]
+    floor = D_FLOOR if any(not (upper.is_const or upper.terms) for upper in uppers) else 7
+    start = max([floor] + [-upper.c for upper in uppers if not upper.is_const])
+    values = {}
+    for s in range(start, start + sum(tops) + 1):
+        args = [upper.c if upper.is_const else s + upper.c for upper in uppers]
+        values[s] = permutation_sum_det([[binomial(n, k) for n, k in zip(args, row)] for row in ks])
+    return math.prod(math.factorial(top) for top in tops), values
 
 
 def test_block_determinants_are_scaled_integer_fraction_determinants(monkeypatch):
     # A full run from a cold cache: every distinct block is decided once,
     # and each general block's determinant has int coefficients and is
-    # the Fraction determinant times the product of its row factors.
+    # the product of its row factors times the permutation-sum
+    # determinant of its binomial entries, at enough symbol values.
     asked, current, determinants = set(), [None], {}
     real_det = pipeline.poly_det
 
@@ -722,12 +731,14 @@ def test_block_determinants_are_scaled_integer_fraction_determinants(monkeypatch
     monkeypatch.setattr(pipeline, "poly_det", recording_det)
     monkeypatch.setattr(pipeline, "_block_verdict", recording_verdict)
     pipeline_summary.__wrapped__()
-    assert len(asked) == 766
+    assert len(asked) == 768
     assert determinants
     for key, det in determinants.items():
         assert all(type(c) is int for c in det.coeffs), key
-        reference, factor = fraction_block_det(*key)
-        assert det == reference * factor, key
+        factor, values = concrete_block_dets(*key)
+        assert det.degree < len(values), key
+        for s, value in values.items():
+            assert det(s) == factor * value, (key, s)
 
 
 def test_two_and_one_verdict_agrees_with_the_integer_guard():
@@ -831,12 +842,18 @@ class TestFinalSlice:
                             kv = evaluate(k, e, {"g": g})
                             scale = math.factorial(kappa)
                             assert poly(e) == binomial(uv, kv) * scale, (upper, k, e, g)
-                            if not poly.is_zero():
-                                assert poly == binomial_poly(upper.dc, upper.c, kappa) * scale
+                            if poly.is_zero():
+                                continue
+                            # The entry has degree at most kappa, so
+                            # kappa + 1 values of e fix it for every e.
+                            assert poly.degree <= kappa
+                            for v in range(_E_MIN, _E_MIN + kappa + 1):
+                                value = binomial(evaluate(upper, v), kappa) * scale
+                                assert poly(v) == value, (upper, k, v)
 
     def test_determinants_match_the_cubic(self):
         def anchor(e):
-            return Fraction(e * (e + 1) * (2 * e + 1), 6)
+            return e * (e + 1) * (2 * e + 1) // 6
 
         for name, points, rows, box in _final_slice_patterns():
             det = _slice_det(rows, points, box)
