@@ -5,10 +5,12 @@ run per (positive-support size, degree) on one listing of every support
 whose sign forms all cancel and one settling step,
 ``_resolve_survivor``.  The sweep's ``_settle_degree`` settles every
 survivor and returns a ``SweepCertificate`` that lists each with its
-label.  The census's ``_census_cell`` only tallies, so it settles one
-of each mirror pair (i, j) -> (j, i) of survivors, counts it for both
-and lists a found outcome with its mirror; the survivors are
-mirror-closed because the sign forms are closed under transposition.
+label.  The census's ``_census_cell`` only tallies, so the engine lists
+it one member of each mirror pair (i, j) -> (j, i) of survivors, plus
+both members of each pair whose top-diagonal points have
+i_min + i_max = d; it counts a member for both and lists a found
+outcome with its mirror.  The survivors are mirror-closed because the
+sign forms are closed under transposition.
 
 The listing starts from the bitset engine ``hyperfield.sign_survivors``.
 It places support points in descending degree order, keeping as its
@@ -16,8 +18,8 @@ whole state two bitsets of the Pascal forms that still lack a positive
 and a negative contribution, and abandons a branch as soon as some form
 can no longer cancel.  Its node count (every point tried below a parent
 with two or more free slots, plus every completion of the last slot)
-is part of each certificate.  A support is stored as its sorted point
-tuple, and the list of them is sorted.
+is part of each sweep certificate.  A sweep stores a support as its
+sorted point tuple, and the list of them is sorted.
 
 The sweep certifies that a whole degree hosts no valid outcome with a
 prescribed number of positive entries at all.  The census walks cell by
@@ -25,7 +27,7 @@ cell in (positive-support size, degree) and tallies each cell's
 settled survivors into its stages.  The candidates of a cell are the
 supports the anchor lemma allows: two points on the top diagonal and
 one on each axis away from the origin.  They are counted in closed
-form, and every candidate the engine does not list fails the sign test.
+form, and every candidate that is not a sign survivor fails the sign test.
 No anchor filter runs on the survivors, because every sign survivor is
 anchored.  The axis anchors follow from the sign forms: the top-edge
 form at a = d is nonzero only on the row j = 0, and the origin
@@ -39,9 +41,9 @@ Each survivor is settled by the invertibility test and the kernel
 stage, the exact kernel criterion on plain integers.  Both read each
 point's top-edge coefficients from one table per degree,
 ``pascal.top_edge_columns``.  The stage takes ``linalg.kernel_basis``
-of them, the fraction-free elimination ``pascal.outcome_space`` runs
-too, stops unless the kernel is a line, and builds a
-``ChipConfiguration`` only for a fundamental generator.
+of them, the forward elimination and back substitution
+``pascal.outcome_space`` runs too, stops unless the kernel is a line,
+and builds a ``ChipConfiguration`` only for a fundamental generator.
 ``classify_candidate`` decides one support through
 ``models.fundamentality`` instead and is the stage's reference.
 ``sweep_summary`` digests a sweep's certificates per degree, the format
@@ -55,9 +57,7 @@ sweep spreads its degrees over a process pool.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Collection
 
@@ -209,36 +209,69 @@ def classify_candidate(support: frozenset[Coord], d: int):
 # The census.
 
 
+def _mirror_representatives(d: int, size: int):
+    """The sign survivors with i_min + i_max <= d, over their top-diagonal points.
+
+    Runs ``hyperfield.sign_survivors`` with one mask per first point.
+    The engine places the top diagonal first, (k, d - k) at index k, so
+    the first point of a support with a top point is (i_min, d - i_min).
+    After it the mask drops the top points with i > d - i_min, and every
+    point if 2 i_min > d, which leaves exactly the supports with
+    i_min + i_max <= d, and those with no top point.  The mirror
+    (i, j) -> (j, i) maps i_min + i_max to 2d - (i_min + i_max), so a
+    listed support with i_min + i_max < d has its mirror outside the
+    list, while a tie (i_min + i_max = d) and a support with no top
+    point have theirs in it.  Returns the points in engine order and
+    the listed engine index tuples.
+    """
+    points, point_signs, origin_signs = _sign_tables(d)
+    everyone = (1 << len(points)) - 1
+    top = (1 << (d + 1)) - 1
+    after = [everyone] * len(points)
+    for k in range(d + 1):
+        after[k] = 0 if 2 * k > d else everyone ^ top ^ ((1 << (d - k + 1)) - 1)
+    survivors, _ = sign_survivors(point_signs, origin_signs, size, after)
+    return points, survivors
+
+
 def _census_cell(n: int, d: int, candidates: int):
     """Census of one cell: its fundamental outcomes and its stage counters.
 
-    Lists the sign survivors for n + 1 positives at degree d and settles
-    one representative of each mirror pair, the support whose sorted
-    mirror (i, j) -> (j, i) is not smaller than itself, with
+    Settles one of each mirror pair (i, j) -> (j, i) of the sign
+    survivors for n + 1 positives at degree d with
     ``_resolve_survivor``.  The survivors are mirror-closed because the
     sign forms are closed under transposition: read at the mirrored
     points, the left-column and bottom-row forms of index k swap and
-    the top-edge form at (a, b) becomes the one at (b, a).  A
-    representative counts twice, or once if it is its own mirror, and a
-    found outcome is listed with its mirror.  Every survivor's mirror is
-    looked up in the sorted list, so the weighting never rests on an
-    unchecked closure.  Every candidate the engine does not list fails
-    the sign test, and the census counts all of the kernel labels as
-    ``kernel``.  ``_settle_degree``, which settles every survivor, is
-    its test oracle.
+    the top-edge form at (a, b) becomes the one at (b, a).
+    ``_mirror_representatives`` lists the survivors whose top points
+    have i_min + i_max <= d.  A listed support with i_min + i_max < d
+    has its mirror outside the list, so it counts twice with no lookup.
+    A tie (i_min + i_max = d) is listed with its mirror; it counts once
+    if it is its own mirror, is settled only if its sorted mirror is
+    not smaller, and is skipped otherwise.  A found outcome is listed
+    with its mirror.  A candidate that is neither listed nor the mirror
+    of a listed support fails the sign test, and the census counts all
+    of the kernel labels as ``kernel``.  ``_settle_degree``, which
+    settles every survivor, is its test oracle, and the tests check the
+    listing's mirror closure against ``sign_survivor_search``.
     """
-    survivors, _ = sign_survivor_search(d, n + 1)
+    points, listed = _mirror_representatives(d, n + 1)
     tally = Counter()
     found = []
-    for support in survivors:
-        mirror = tuple(sorted([(j, i) for i, j in support]))
-        weight = 1
-        if mirror != support:
-            k = bisect_left(survivors, mirror)
-            if k == len(survivors) or survivors[k] != mirror:
-                raise AssertionError(f"the mirror of sign survivor {support} at d = {d} is not listed")
+    settled = 0
+    for combo in listed:
+        support = [points[m] for m in combo]
+        first = combo[0]
+        if first > d or d - first in combo:
+            # A tie, or no top point: the mirror is listed too.
+            settled += 1
+            support.sort()
+            mirror = sorted([(j, i) for i, j in support])
             if mirror < support:
                 continue
+            weight = 1 if mirror == support else 2
+        else:
+            settled += 2
             weight = 2
         resolution, outcome = _resolve_survivor(support, d)
         tally[resolution] += weight
@@ -246,7 +279,6 @@ def _census_cell(n: int, d: int, candidates: int):
             found.append(outcome)
             if weight == 2:
                 found.append(ChipConfiguration({(j, i): v for (i, j), v in outcome}, ambient=d))
-    settled = len(survivors)
     counters = {
         "candidates": candidates,
         PRUNE_SIGNS: candidates - settled,
@@ -517,6 +549,9 @@ def sweep_no_valid_outcomes(
         raise ValueError("sweep degrees must be positive")
     tasks = [(n_plus, d) for d in ds]
     if jobs and jobs > 1 and len(tasks) > 1:
+        # Imported here: multiprocessing is about 10 ms of every CLI start.
+        from concurrent.futures import ProcessPoolExecutor
+
         # A pool starts all its workers up front; more than one per degree idles.
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             return tuple(pool.map(_settle_degree, tasks))

@@ -120,7 +120,7 @@ def hyperfield_excludes(points, d: int) -> HyperfieldVerdict:
     return HyperfieldVerdict(False, d)
 
 
-def sign_survivors(point_signs, fixed_signs, size: int):
+def sign_survivors(point_signs, fixed_signs, size: int, after=None):
     """Every size-subset of points that gives every sign form both signs.
 
     point_signs[k][f] has the sign of point k's contribution to form f,
@@ -149,6 +149,12 @@ def sign_survivors(point_signs, fixed_signs, size: int):
     of per-form point masks.  The recursive closure refers to itself, so
     it is deleted before the engine returns; otherwise that cycle would
     hold the survivor list until the cyclic collector runs.
+
+    after, when given, holds for each point k the bitmask of the points
+    a support whose first point is k may use after it; the engine then
+    lists only the survivors that keep to it.  The pruning stays sound,
+    since it reasons about a superset of the allowed points, and a
+    parent still adds its whole range to the node count.
     """
     if size < 1:
         raise ValueError("supports need at least one point")
@@ -176,13 +182,16 @@ def sign_survivors(point_signs, fixed_signs, size: int):
         missing_pos[k] = missing_pos[k + 1] & ~gives_pos[k]
         missing_neg[k] = missing_neg[k + 1] & ~gives_neg[k]
     touches = [p | n for p, n in zip(points_pos, points_neg)]
+    everyone = (1 << count) - 1
+    if after is None:
+        after = [everyone] * count
     survivors: list[tuple[int, ...]] = []
     nodes = 0
 
-    def descend(prefix, start, slots, lack_pos, lack_neg):
+    def descend(prefix, start, slots, lack_pos, lack_neg, allowed):
         nonlocal nodes
         if slots == 1:
-            viable = ((1 << count) - 1) >> start << start
+            viable = allowed >> start << start
             while lack_pos:
                 bit = lack_pos & -lack_pos
                 viable &= points_pos[bit.bit_length() - 1]
@@ -212,7 +221,7 @@ def sign_survivors(point_signs, fixed_signs, size: int):
                 high = mid
             else:
                 low = mid + 1
-        children = ((1 << low) - 1) >> start << start
+        children = ((1 << low) - 1) & (allowed >> start << start)
         if slots == 2:
             # Each child is the second-to-last point, so it must touch every
             # form that still lacks both signs.
@@ -230,10 +239,11 @@ def sign_survivors(point_signs, fixed_signs, size: int):
                 slots - 1,
                 lack_pos & ~gives_pos[k],
                 lack_neg & ~gives_neg[k],
+                allowed if prefix else after[k],
             )
             children ^= bit
 
-    descend((), 0, size, lack_pos, lack_neg)
+    descend((), 0, size, lack_pos, lack_neg, everyone)
     # descend refers to itself; without this the cycle keeps survivors alive until gc runs.
     del descend
     return survivors, nodes

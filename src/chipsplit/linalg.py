@@ -64,15 +64,15 @@ def _det_bareiss(m: list[list]) -> int | Poly:
 
 
 def _echelon(m: list[list[int]]) -> list[int]:
-    """Fraction-free Gauss-Jordan elimination of an integer matrix, in place.
+    """Fraction-free forward elimination of an integer matrix, in place.
 
-    Returns the pivot columns. Rows are replaced, never written into, so
-    they may be tuples. Every step replaces each other row by
-    (p*row - f*pivot_row) // prev, where p is the new pivot, f the row's
-    entry in the pivot column and prev the previous pivot; all entries
-    stay integer minors of the input, so each division is exact (Bareiss,
-    Math. Comp. 1968). At the end every pivot entry equals the last pivot
-    D, so row r divided by D is row r of the reduced row echelon form.
+    Returns the pivot columns; row r of the result is the pivot row of
+    the r-th pivot, and the rows below the last pivot are zero. Rows are
+    replaced, never written into, so they may be tuples. Every step
+    replaces each row below the pivot row by (p*row - f*pivot_row) //
+    prev, where p is the new pivot, f the row's entry in the pivot
+    column and prev the previous pivot; all entries stay integer minors
+    of the input, so each division is exact (Bareiss, Math. Comp. 1968).
     """
     pivots: list[int] = []
     prev = 1
@@ -86,10 +86,10 @@ def _echelon(m: list[list[int]]) -> list[int]:
         m[r], m[pivot] = m[pivot], m[r]
         row = m[r]
         p = row[c]
-        for i, other in enumerate(m):
-            if i != r:
-                f = other[c]
-                m[i] = [(p * a - f * b) // prev for a, b in zip(other, row)]
+        for i in range(r + 1, len(m)):
+            other = m[i]
+            f = other[c]
+            m[i] = [(p * a - f * b) // prev for a, b in zip(other, row)]
         prev = p
         pivots.append(c)
         r += 1
@@ -114,26 +114,38 @@ def primitive_integer_vector(vec: Sequence[int]) -> list[int]:
 def kernel_basis(rows: Sequence[Row]) -> list[list[int]]:
     """Basis of the right kernel of a nonempty integer matrix, as primitive vectors.
 
-    The basis comes from the reduced row echelon form, computed
-    fraction-free by _echelon on a copy of the rows, with one vector per
-    free column, ordered by free column index. The vector of free column
-    fc holds D (the last pivot) at fc and minus each pivot row's entry in
-    column fc at that row's pivot column; it is divided by its content
-    and its first nonzero entry made positive, so the output is
-    canonical for a given column order.
+    One vector per free column of the echelon form _echelon computes on
+    a copy of the rows, ordered by free column index. The vector of
+    free column fc is 1 at fc and 0 at the other free columns, and back
+    substitution solves the pivot rows for the rest, last row first, on
+    integers: where a pivot p does not divide the row's sum s over the
+    solved columns, the vector is first scaled by p / gcd(p, s). It is
+    then divided by its content and its first nonzero entry made
+    positive. That is the vector of fc in the reduced row echelon form,
+    made primitive, so the output is canonical for a given column order.
     """
     width = len(rows[0])
-    reduced = list(rows)
-    pivots = _echelon(reduced)
-    lead = reduced[len(pivots) - 1][pivots[-1]] if pivots else 1
+    echelon = list(rows)
+    pivots = _echelon(echelon)
     basis: list[list[int]] = []
+    # The number of pivots left of fc; the pivot rows right of it solve to zero.
+    left = 0
     for fc in range(width):
-        if fc in pivots:
+        if left < len(pivots) and pivots[left] == fc:
+            left += 1
             continue
         vec = [0] * width
-        vec[fc] = lead
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][fc]
+        vec[fc] = 1
+        for r in range(left - 1, -1, -1):
+            row, pc = echelon[r], pivots[r]
+            total = sum(a * b for a, b in zip(row[pc + 1 : fc + 1], vec[pc + 1 : fc + 1]))
+            if not total:
+                continue
+            g = gcd(row[pc], total)
+            scale = row[pc] // g
+            if scale != 1:
+                vec = [x * scale for x in vec]
+            vec[pc] = -total // g
         content = gcd(*vec)
         if next(x for x in vec if x) < 0:
             content = -content

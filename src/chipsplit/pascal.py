@@ -128,13 +128,14 @@ class _TopEdgeTable(dict):
         return column
 
 
-# One table is kept, and three readers share it: the pairing test, the
-# kernel stage and ``outcome_space``.  Each reads the columns of the
-# points it is given, so a column is built only when first read: a
-# degree-499 outcome reads 252 of the table's 125,250 columns.  The
-# sweep walks one degree at a time, so it starts each table once; the
-# census walks cells support size first, so it starts a table at every
-# cell, and ``decompose`` starts one each time its degree falls.
+# One table is kept, and four readers share it: the pairing test, the
+# kernel stage, ``outcome_space`` and ``top_edge_values`` (so
+# ``is_outcome``).  Each reads the columns of the points it is given,
+# so a column is built only when first read: a degree-499 outcome
+# reads 252 of the table's 125,250 columns.  The sweep walks one
+# degree at a time, so it starts each table once; the census walks
+# cells support size first, so it starts a table at every cell, and
+# ``decompose`` starts one each time its degree falls.
 @lru_cache(maxsize=1)
 def top_edge_columns(d: int) -> dict[Coord, tuple[int, ...]]:
     """Each point's coefficients in the top-edge forms of degree d, built on demand."""
@@ -142,10 +143,22 @@ def top_edge_columns(d: int) -> dict[Coord, tuple[int, ...]]:
 
 
 def top_edge_values(config: ChipConfiguration, d: int | None = None) -> list[Value]:
-    """Evaluate all top-edge forms of the degree-d triangle, a = 0 .. d."""
+    """Evaluate all top-edge forms of the degree-d triangle, a = 0 .. d.
+
+    Adds each entry times its point's column of ``top_edge_columns(d)``,
+    whose nonzero coefficients are those of a = i .. d - j; int and
+    Fraction entries take the same path, and an integral total is an int.
+    """
     if d is None:
         d = config.ambient if config.ambient is not None else max(config.degree, 0)
-    return [top_edge_form(a, d - a, d).evaluate(config) for a in range(d + 1)]
+    if config.degree > d:
+        raise ValueError(f"configuration of degree {config.degree} does not fit the degree-{d} triangle")
+    columns = top_edge_columns(d)
+    totals: list[Value] = [0] * (d + 1)
+    for (i, j), v in config:
+        for a, c in enumerate(columns[(i, j)][i : d - j + 1], i):
+            totals[a] += c * v
+    return [int(t) if t.denominator == 1 else t for t in totals]
 
 
 def retract(config: ChipConfiguration) -> tuple[ChipConfiguration, Game]:

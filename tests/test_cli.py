@@ -560,6 +560,13 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # Only a sweep with --jobs above one starts a process pool.
+    code = "import sys, chipsplit.cli; sys.exit('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_bench_tracer_finds_every_name_it_patches(runner):
     # bench/child.py wraps library functions by attribute name, so a
     # renamed or dropped function would fail every traced sample. Its

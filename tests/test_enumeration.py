@@ -1,5 +1,6 @@
 """Tests for the fundamental-outcome census and the empty-degree sweeps."""
 
+import concurrent.futures
 import gc
 import itertools
 import json
@@ -134,6 +135,33 @@ def oracle_cell(n, d):
 def mirror_of(support):
     """The sorted point tuple of a support's transpose (i, j) -> (j, i)."""
     return tuple(sorted((j, i) for i, j in support))
+
+
+def top_sum(support, d):
+    """i_min + i_max over a support's points on the top diagonal."""
+    tops = [i for i, j in support if i + j == d]
+    return min(tops) + max(tops)
+
+
+def pruned_listing(d, size):
+    """The census's listing of the sign survivors, as sorted point tuples."""
+    points, listed = enumeration._mirror_representatives(d, size)
+    return [tuple(sorted(points[m] for m in combo)) for combo in listed]
+
+
+def check_pruned_listing(listed, d, size):
+    """The listing holds one of each mirror pair with i_min + i_max < d, and every tie.
+
+    That is what ``_census_cell`` needs to count each survivor once: it
+    counts a strict support twice and settles a tie against its mirror.
+    """
+    kept = set(listed)
+    assert len(kept) == len(listed), "a support is listed twice"
+    assert all(top_sum(s, d) <= d for s in kept), "a support with i_min + i_max > d is listed"
+    survivors, _ = sign_survivor_search(d, size)
+    assert kept | {mirror_of(s) for s in kept} == set(survivors), "the mirror closure misses a survivor"
+    ties = {s for s in kept if top_sum(s, d) == d}
+    assert {mirror_of(s) for s in ties} == ties, "a tie is listed without its mirror"
 
 
 class TestAnchoredCandidates:
@@ -355,19 +383,30 @@ class TestCensusMirrorPairs:
         assert self_mirrors > 0
         assert mirrored_pairs > 0
 
-    def test_a_survivor_without_its_listed_mirror_is_caught(self, monkeypatch):
-        # Drop one survivor whose mirror sorts before it: its mirror is
-        # then a representative that would count it unseen.
-        search = enumeration.sign_survivor_search
+    @pytest.mark.parametrize(
+        "n,d", [(n, d) for n in range(1, 6) for d in range(1, 10) if candidate_count(n, d)]
+    )
+    def test_the_pruned_listing_closes_to_every_survivor(self, n, d):
+        check_pruned_listing(pruned_listing(d, n + 1), d, n + 1)
 
-        def dropping(d, size):
-            survivors, nodes = search(d, size)
-            victim = next(s for s in survivors if mirror_of(s) < s)
-            return [s for s in survivors if s != victim], nodes
+    @pytest.mark.parametrize(
+        "kind,fault",
+        [("strict", "closure"), ("tie", "tie"), ("self-mirror tie", "closure")],
+    )
+    def test_a_listing_that_drops_a_support_is_caught(self, kind, fault):
+        # Dropping a strict support loses its pair from the closure, and
+        # dropping one tie of a pair leaves the census to skip the other.
+        d, size = 6, 5
 
-        monkeypatch.setattr(enumeration, "sign_survivor_search", dropping)
-        with pytest.raises(AssertionError, match="mirror"):
-            enumeration._census_cell(4, 5, candidate_count(4, 5))
+        def kind_of(support):
+            if top_sum(support, d) < d:
+                return "strict"
+            return "self-mirror tie" if mirror_of(support) == support else "tie"
+
+        listed = pruned_listing(d, size)
+        victim = next(s for s in listed if kind_of(s) == kind)
+        with pytest.raises(AssertionError, match=fault):
+            check_pruned_listing([s for s in listed if s != victim], d, size)
 
 
 class TestCensusSmall:
@@ -698,7 +737,7 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         certificates = sweep_no_valid_outcomes(4, [6, 7], jobs=5000)
         assert sizes == [2]
         assert [cert.d for cert in certificates] == [6, 7]

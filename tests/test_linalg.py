@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial, gcd
 
 import pytest
@@ -22,6 +22,7 @@ from chipsplit.linalg import (
     primitive_integer_vector,
     rank,
 )
+from chipsplit.grid import grid_points
 from chipsplit.pascal import top_edge_columns
 
 
@@ -113,13 +114,13 @@ def kernel_by_fractions(rows):
     return basis
 
 
-def rectangular_matrix(entries):
-    """Matrices up to 6 x 7, often with repeated or combined rows (rank-deficient)."""
+def rectangular_matrix(entries, max_rows=6, max_cols=7):
+    """Matrices up to max_rows x max_cols, often with repeated or combined rows (rank-deficient)."""
 
     @st.composite
     def build(draw):
-        nrows = draw(st.integers(min_value=1, max_value=6))
-        ncols = draw(st.integers(min_value=1, max_value=7))
+        nrows = draw(st.integers(min_value=1, max_value=max_rows))
+        ncols = draw(st.integers(min_value=1, max_value=max_cols))
         rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
         for _ in range(draw(st.integers(min_value=0, max_value=nrows - 1))):
             a, b, c = (draw(st.integers(min_value=0, max_value=nrows - 1)) for _ in range(3))
@@ -154,6 +155,106 @@ def test_kernel_matches_fraction_rref_on_census_kernel_matrices(wide_census_run)
         columns = top_edge_columns(d)
         rows = [list(row) for row in zip(*(columns[p] for p in [(0, 0), *support]))]
         assert kernel_basis(rows) == kernel_by_fractions(rows), (support, d)
+
+
+def gauss_jordan_kernel(rows):
+    """The kernel by fraction-free Gauss-Jordan elimination, and the pivot columns.
+
+    Each pivot step replaces every other row, above and below, by
+    (p*row - f*pivot_row) // prev, so every pivot entry ends equal to
+    the last pivot D and row r over D is row r of the reduced row
+    echelon form. The vector of free column fc holds D at fc and minus
+    each pivot row's entry in column fc at that row's pivot column; it
+    is made primitive with its first nonzero entry positive.
+    """
+    m = list(rows)
+    width = len(m[0])
+    pivots = []
+    prev = 1
+    for c in range(width):
+        r = len(pivots)
+        if r == len(m):
+            break
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        row = m[r]
+        p = row[c]
+        for i, other in enumerate(m):
+            if i != r:
+                f = other[c]
+                m[i] = [(p * a - f * b) // prev for a, b in zip(other, row)]
+        prev = p
+        pivots.append(c)
+    lead = m[len(pivots) - 1][pivots[-1]] if pivots else 1
+    basis = []
+    for fc in (c for c in range(width) if c not in pivots):
+        vec = [0] * width
+        vec[fc] = lead
+        for r, pc in enumerate(pivots):
+            vec[pc] = -m[r][fc]
+        content = gcd(*vec) * (1 if next(x for x in vec if x) > 0 else -1)
+        basis.append([x // content for x in vec])
+    return basis, pivots
+
+
+def assert_matches_gauss_jordan(rows):
+    basis, pivots = gauss_jordan_kernel(rows)
+    assert kernel_basis(rows) == basis, rows
+    assert rank(rows) == len(pivots), rows
+
+
+def test_kernel_matches_gauss_jordan_on_every_census_kernel_matrix(wide_census_run):
+    # Every support the census cells n <= 5, d <= 6 hand to the kernel
+    # stage, with the mirrors of the ones it settles.
+    _, calls = wide_census_run
+    count = 0
+    for support, d, _ in calls:
+        if d <= 6:
+            columns = top_edge_columns(d)
+            assert_matches_gauss_jordan(list(zip(*(columns[p] for p in [(0, 0), *support]))))
+            count += 1
+    assert count == 6875
+
+
+def test_kernel_matches_gauss_jordan_on_top_edge_tables():
+    # The top-edge columns of every set of one to three points off the
+    # origin at d = 1..7: more rows than columns, often rank-deficient.
+    for d in range(1, 8):
+        columns = top_edge_columns(d)
+        points = [p for p in grid_points(d) if p != (0, 0)]
+        for size in (1, 2, 3):
+            for combo in combinations(points, size):
+                assert_matches_gauss_jordan(list(zip(*(columns[p] for p in combo))))
+
+
+@st.composite
+def awkward_matrix(draw):
+    """Rank-deficient matrices up to 7 x 8, 1 x k and k x 1 among them, with zero rows and columns."""
+    entries = st.sampled_from([0, 0, 1, -1, 2, -3, 7, -40, 120])
+    rows = draw(
+        st.one_of(
+            rectangular_matrix(entries, max_rows=7, max_cols=8),
+            rectangular_matrix(entries, max_rows=1, max_cols=8),
+            rectangular_matrix(entries, max_rows=7, max_cols=1),
+        )
+    )
+    for i in draw(st.sets(st.integers(min_value=0, max_value=len(rows) - 1))):
+        rows[i] = [0] * len(rows[0])
+    for j in draw(st.sets(st.integers(min_value=0, max_value=len(rows[0]) - 1))):
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+@settings(max_examples=500, deadline=None)
+@given(awkward_matrix())
+@example([[0, 0, 0]])
+@example([[0], [0], [5]])
+@example([[0, 2, 0, 4], [0, 0, 0, 0], [0, 3, 0, 6]])
+def test_kernel_matches_gauss_jordan_on_awkward_matrices(rows):
+    assert_matches_gauss_jordan(rows)
 
 
 def test_kernel_basis_canonical_form():

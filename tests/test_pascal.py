@@ -248,3 +248,30 @@ def test_outcome_space_rejects_points_outside_the_triangle():
 
 def test_top_edge_values_of_the_opening_example():
     assert top_edge_values(OPENING) == [0, 0, 0]
+
+
+@st.composite
+def configurations(draw):
+    """Integer or rational configurations inside a degree-d triangle, d up to 12."""
+    d = draw(st.integers(0, 12))
+    values = st.integers(-50, 50)
+    if draw(st.booleans()):
+        values = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+    entries = draw(st.dictionaries(st.sampled_from(grid_points(d)), values, max_size=8))
+    return ChipConfiguration(entries, ambient=d), d + draw(st.integers(0, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(configurations())
+def test_top_edge_values_equal_the_forms(case):
+    config, d = case
+    values = top_edge_values(config, d)
+    expected = [top_edge_form(a, d - a, d).evaluate(config) for a in range(d + 1)]
+    assert values == expected
+    assert [type(v) for v in values] == [type(v) for v in expected]
+    assert all(type(v) is int for v in values if v.denominator == 1)
+
+
+def test_top_edge_values_reject_a_configuration_past_the_degree():
+    with pytest.raises(ValueError):
+        top_edge_values(OPENING, 1)
