@@ -6,8 +6,8 @@ positions: if the matrix of binomials binom(d - deg(p), a - i) over
 a in E, p = (i, j) in S is invertible, the top-edge equations admit no
 nonzero solution supported in S. The divide step picks E greedily so
 the matrix becomes block lower triangular; the conquer step knows a few
-closed-form invertible block shapes and falls back to an exact
-determinant otherwise.
+closed-form invertible block shapes and otherwise asks fraction-free
+elimination (``linalg._echelon``) for a pivot in every column.
 
 The invertibility criterion has two entry points with the same verdict.
 ``pairing_excludes`` answers yes or no on plain integers and is what the
@@ -36,7 +36,7 @@ from math import factorial
 from typing import Collection
 
 from .grid import ChipConfiguration, Coord
-from .linalg import _det_bareiss, binomial, det
+from .linalg import _echelon, binomial, det
 from .pascal import is_outcome, top_edge_columns
 
 
@@ -270,7 +270,8 @@ def _block_invertible(block: list[Coord], c: int, columns: dict[Coord, tuple[int
     """
     invertible = _closed_form(sorted((i - c, j) for i, j in block))
     if invertible is None:
-        invertible = _det_bareiss([list(columns[p][c:c + len(block)]) for p in block]) != 0
+        width = len(block)
+        invertible = len(_echelon([list(columns[p][c:c + width]) for p in block])[0]) == width
     return invertible
 
 
@@ -279,7 +280,7 @@ def pairing_excludes(points: Collection[Coord], d: int) -> bool:
 
     Runs the same greedy construction on the support and then on its
     transpose, on plain integers: closed forms where they apply and a
-    fraction-free determinant of entries read off ``top_edge_columns(d)``
+    fraction-free elimination of entries read off ``top_edge_columns(d)``
     otherwise.  The points may come in any order: within a block they
     only permute the determinant's rows.
     """

@@ -1,13 +1,13 @@
 """Exact integer linear algebra, plus univariate polynomials.
 
-Everything in this module is deterministic and exact. Matrices are plain
-lists of integer row lists, and every elimination is fraction-free
-integer arithmetic (Bareiss). Dense polynomials have integer
-coefficients too. One Bareiss routine, ``_det_bareiss``, serves both
-integer and polynomial determinants: Poly defines ``//`` as exact
-division, which raises where a quotient would leave the integers. There is
-deliberately no float or Fraction anywhere; the certificates produced
-by the classification machinery quote these numbers verbatim.
+Everything in this module is deterministic and exact. Matrices are
+sequences of integer rows, and dense polynomials have integer
+coefficients too. One fraction-free elimination routine (Bareiss),
+``_echelon``, decides every matrix fact on a copy of the caller's rows,
+on int and Poly entries alike: Poly's ``//`` is exact division, and a
+Poly is false exactly when it is zero. There is deliberately no float
+or Fraction anywhere; the certificates produced by the classification
+machinery quote these numbers verbatim.
 """
 
 from __future__ import annotations
@@ -34,71 +34,64 @@ def binomial(n: int, k: int) -> int:
 
 
 def det(rows: Sequence[Row]) -> int:
-    """Determinant of a square integer matrix, by fraction-free Bareiss."""
+    """Determinant of a square matrix of ints or Polys: ``_echelon``'s signed last pivot."""
     n = len(rows)
     if n == 0:
         return 1
-    if any(len(row) != n for row in rows):
+    m = [list(row) for row in rows]
+    if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
-    return _det_bareiss([list(row) for row in rows])
+    pivots, sign = _echelon(m)
+    return sign * m[-1][-1] if len(pivots) == n else 0
 
 
-def _det_bareiss(m: list[list]) -> int | Poly:
-    """Bareiss determinant of a nonempty square matrix of ints or Polys, in place."""
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _echelon(m: list[list]) -> tuple[list[int], int]:
+    """Fraction-free forward elimination of a matrix of ints or Polys, in place.
 
-
-def _echelon(m: list[list[int]]) -> list[int]:
-    """Fraction-free forward elimination of an integer matrix, in place.
-
-    Returns the pivot columns; row r of the result is the pivot row of
-    the r-th pivot, and the rows below the last pivot are zero. Rows are
-    replaced, never written into, so they may be tuples. Every step
-    replaces each row below the pivot row by (p*row - f*pivot_row) //
-    prev, where p is the new pivot, f the row's entry in the pivot
-    column and prev the previous pivot; all entries stay integer minors
-    of the input, so each division is exact (Bareiss, Math. Comp. 1968).
+    Returns the pivot columns and the sign of the row swaps; row r is
+    then the pivot row of the r-th pivot, and the rows below the last
+    pivot are zero. Each step takes pivot p at (r, c), searching the
+    rows below only when (r, c) is zero. Below row r, where every entry
+    left of c is already zero, it sets each entry a right of c to
+    (p*a - f*b) // prev, with f the row's entry at c, b the pivot row's
+    entry above a and prev the previous pivot, and then f to 0. Every
+    entry stays a minor of the input, so each division is exact, and
+    the last pivot of a square matrix is its determinant up to the sign
+    (Bareiss, Math. Comp. 1968).
     """
     pivots: list[int] = []
+    sign = 1
     prev = 1
-    r = 0
-    for c in range(len(m[0]) if m else 0):
-        if r == len(m):
+    height = len(m)
+    width = len(m[0]) if m else 0
+    for c in range(width):
+        r = len(pivots)
+        if r == height:
             break
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
         row = m[r]
         p = row[c]
-        for i in range(r + 1, len(m)):
+        if not p:
+            pivot = next((i for i in range(r + 1, height) if m[i][c]), None)
+            if pivot is None:
+                continue
+            m[r], m[pivot] = m[pivot], row
+            row = m[r]
+            p = row[c]
+            sign = -sign
+        for i in range(r + 1, height):
             other = m[i]
             f = other[c]
-            m[i] = [(p * a - f * b) // prev for a, b in zip(other, row)]
+            for j in range(c + 1, width):
+                other[j] = (p * other[j] - f * row[j]) // prev
+            other[c] = 0
         prev = p
         pivots.append(c)
-        r += 1
-    return pivots
+    return pivots, sign
 
 
 def rank(rows: Sequence[Row]) -> int:
     """Rank of an integer matrix."""
-    return len(_echelon(list(rows)))
+    return len(_echelon([list(row) for row in rows])[0])
 
 
 def primitive_integer_vector(vec: Sequence[int]) -> list[int]:
@@ -125,8 +118,8 @@ def kernel_basis(rows: Sequence[Row]) -> list[list[int]]:
     made primitive, so the output is canonical for a given column order.
     """
     width = len(rows[0])
-    echelon = list(rows)
-    pivots = _echelon(echelon)
+    echelon = [list(row) for row in rows]
+    pivots, _ = _echelon(echelon)
     basis: list[list[int]] = []
     # The number of pivots left of fc; the pivot rows right of it solve to zero.
     left = 0
@@ -183,8 +176,9 @@ class Poly:
         """Degree, with the zero polynomial at -1."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def __bool__(self) -> bool:
+        """Whether the polynomial is nonzero, so ``not p`` tests for zero as on an int."""
+        return bool(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -218,7 +212,7 @@ class Poly:
     def __mul__(self, other: Poly | int) -> Poly:
         if isinstance(other, int):
             other = Poly.constant(other)
-        if self.is_zero() or other.is_zero():
+        if not self or not other:
             return Poly([])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -238,7 +232,7 @@ class Poly:
         """
         if isinstance(other, int):
             other = Poly.constant(other)
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         lead = other.coeffs[-1]
@@ -263,7 +257,7 @@ class Poly:
         return acc
 
     def __repr__(self) -> str:
-        if self.is_zero():
+        if not self:
             return "Poly(0)"
         terms = []
         for i, c in enumerate(self.coeffs):
@@ -294,20 +288,13 @@ def falling_poly(slope: int, intercept: int, k: int) -> Poly:
 
 
 def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a matrix of polynomials, by fraction-free Bareiss.
+    """Determinant of a matrix of polynomials, by fraction-free elimination.
 
-    The integer routine ``_det_bareiss`` runs unchanged on Poly entries:
-    every division in the Bareiss recurrence is exact in the polynomial
-    ring, so the result is the true determinant, with integer
-    coefficients.
+    ``det`` runs unchanged on Poly entries: every division in the
+    Bareiss recurrence is exact in the polynomial ring, so the result is
+    the true determinant, with integer coefficients.
     """
-    n = len(rows)
-    if n == 0:
-        return Poly.constant(1)
-    m = [list(row) for row in rows]
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant of a non-square matrix")
-    result = _det_bareiss(m)
+    result = det(rows)
     return result if isinstance(result, Poly) else Poly.constant(result)
 
 
@@ -330,7 +317,7 @@ def integer_roots_at_or_above(p: Poly, lo: int) -> list[int]:
     divisors of the constant term, which by the rational root theorem
     are the only candidates.
     """
-    if p.is_zero():
+    if not p:
         raise ValueError("the zero polynomial vanishes everywhere")
     ints = primitive_integer_vector(p.coeffs)
     shift = 0

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .grid import MAX_INPUT_DEGREE, ChipConfiguration, Coord, _json_int
@@ -38,16 +39,21 @@ def _canonical_terms(terms: Iterable[tuple[Fraction | int, int, int]]) -> tuple[
 
 
 def polynomial_coefficients(terms: Iterable[tuple[Fraction | int, int, int]]) -> list[Fraction]:
-    """Coefficients of sum w t^i (1-t)^j in the monomial basis of t."""
-    terms = list(terms)
+    """Coefficients of sum w t^i (1-t)^j in the monomial basis of t.
+
+    The sum runs on integers: each weight is scaled to the weights'
+    common denominator, and each coefficient is divided by it once.
+    """
+    terms = [(Fraction(weight), i, j) for weight, i, j in terms]
     degree = max((i + j for _, i, j in terms), default=0)
-    coeffs = [Fraction(0)] * (degree + 1)
-    for weight, i, j in terms:
-        w = Fraction(weight)
+    denominator = lcm(*(w.denominator for w, _, _ in terms))
+    coeffs = [0] * (degree + 1)
+    for w, i, j in terms:
+        c = w.numerator * (denominator // w.denominator)
         for m in range(j + 1):
-            c = binomial(j, m)
-            coeffs[i + m] += w * (-c if m % 2 else c)
-    return coeffs
+            coeffs[i + m] += -c if m % 2 else c
+            c = c * (j - m) // (m + 1)  # the scaled weight times binomial(j, m + 1)
+    return [Fraction(c, denominator) for c in coeffs]
 
 
 def verify_model(terms: Iterable[tuple[Fraction | int, int, int]] | "ParametricModel") -> bool:

@@ -476,7 +476,7 @@ def _block_verdict(
             row.append(_entry(upper, k, D_FLOOR, _STRIP_BOX))
         grid.append(_scaled_row(row))
     det = poly_det(grid)
-    if det.is_zero():
+    if not det:
         return ScenarioFailure("singular", "identically singular block")
     if symbol is None:
         return None
@@ -781,13 +781,13 @@ def _expand(grid: list[list[Poly | None]]) -> Poly:
     """
     n = len(grid)
     if all(entry is not None for row in grid for entry in row):
-        return poly_det([[entry for entry in row] for row in grid])
+        return poly_det(grid)
     best: tuple[int, int] | None = None
     for c in range(n):
         column = [grid[r][c] for r in range(n)]
         if any(entry is None for entry in column):
             continue
-        nonzeros = sum(1 for entry in column if not entry.is_zero())
+        nonzeros = sum(1 for entry in column if entry)
         if best is None or nonzeros < best[0]:
             best = (nonzeros, c)
     if best is None:
@@ -796,7 +796,7 @@ def _expand(grid: list[list[Poly | None]]) -> Poly:
     det = Poly([])
     for r in range(n):
         entry = grid[r][c]
-        if entry.is_zero():
+        if not entry:
             continue
         minor = [
             [grid[rr][cc] for cc in range(n) if cc != c]
@@ -890,7 +890,7 @@ def _special_final(case: ContractionPoint) -> dict | None:
     determinants = {}
     for name, points, rows, box in _final_slice_patterns():
         det = _slice_det(rows, points, box)
-        if det.is_zero() or integer_roots_at_or_above(det, _E_MIN):
+        if not det or integer_roots_at_or_above(det, _E_MIN):
             return None
         determinants[name] = [str(c) for c in det.coeffs]
     return {

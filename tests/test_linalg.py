@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from chipsplit.linalg import (
     Poly,
+    _echelon,
     binomial,
     det,
     falling_poly,
@@ -53,8 +54,13 @@ def square_matrix(n):
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=1, max_value=4).flatmap(square_matrix))
+@example([[0, 2, 1], [0, 0, 3], [4, 5, 6]])
+@example([[0, 3, 0, 0], [0, 0, 2, 0], [0, 0, 0, 5], [7, 0, 0, 0]])
 def test_det_matches_permutation_expansion(rows):
+    # The examples swap rows at two and at three elimination steps.
+    before = [list(row) for row in rows]
     assert det(rows) == det_by_permutation_sum(rows)
+    assert rows == before
 
 
 def test_det_fixed_values():
@@ -139,9 +145,11 @@ def rectangular_matrix(entries, max_rows=6, max_cols=7):
     )
 )
 def test_integer_elimination_matches_fraction_rref(rows):
+    before = [list(row) for row in rows]
     _, pivots = rref_by_fractions(rows)
     assert rank(rows) == len(pivots)
     assert kernel_basis(rows) == kernel_by_fractions(rows)
+    assert rows == before
 
 
 def test_kernel_matches_fraction_rref_on_census_kernel_matrices(wide_census_run):
@@ -279,6 +287,39 @@ def test_det_and_rank_stay_in_the_integers():
     assert rank([(1, 0), (0, 1)]) == 2
 
 
+class CountedInt(int):
+    """An int whose products are counted; its arithmetic results stay CountedInts."""
+
+    products = 0
+
+    def __mul__(self, other):
+        CountedInt.products += 1
+        return CountedInt(int(self) * int(other))
+
+    def __sub__(self, other):
+        return CountedInt(int(self) - int(other))
+
+    def __floordiv__(self, other):
+        return CountedInt(int(self) // int(other))
+
+
+def test_elimination_multiplies_only_right_of_each_pivot_column():
+    # A wide matrix whose column 1 is twice column 0, so it gets no
+    # pivot. Below the pivot row every row is zero left of the pivot
+    # column, so each step costs two products per row below and per
+    # entry right of that column, and none at or left of it.
+    rows = [[2, 4, 1, 3, 5, 7, 1], [1, 2, 3, 0, 2, 1, 4], [3, 6, 2, 5, 1, 1, 2]]
+    counted = [[CountedInt(x) for x in row] for row in rows]
+    CountedInt.products = 0
+    pivots, sign = _echelon(counted)
+    height, width = len(rows), len(rows[0])
+    assert pivots == [0, 2, 3] and sign == 1
+    assert CountedInt.products == sum(2 * (height - 1 - r) * (width - 1 - c) for r, c in enumerate(pivots))
+    plain = [list(row) for row in rows]
+    assert _echelon(plain) == (pivots, sign)
+    assert counted == plain
+
+
 def test_primitive_integer_vector_fixed_values():
     assert primitive_integer_vector([]) == []
     assert primitive_integer_vector([0, 0, 0]) == [0, 0, 0]
@@ -367,10 +408,22 @@ def poly_matrices(draw):
 @given(poly_matrices())
 @example([[Poly([]), Poly([1])], [Poly([0, 1]), Poly([2])]])
 @example([[Poly([]), Poly([1]), Poly([])], [Poly([]), Poly([]), Poly([1])], [Poly([0, 1]), Poly([]), Poly([])]])
+@example(
+    [
+        [Poly([]), Poly([1]), Poly([]), Poly([])],
+        [Poly([]), Poly([]), Poly([0, 1]), Poly([])],
+        [Poly([]), Poly([]), Poly([]), Poly([2])],
+        [Poly([1, 1]), Poly([]), Poly([]), Poly([])],
+    ]
+)
 def test_poly_det_matches_the_permutation_sum_at_enough_points(rows):
     # The determinant has degree at most 2n, so 2n + 1 points fix it.
+    # The last two examples have the zero polynomial at (0, 0) and swap
+    # rows at two and at three elimination steps.
     n = len(rows)
+    before = [list(row) for row in rows]
     p = poly_det(rows)
+    assert rows == before
     assert p.degree <= 2 * n
     for value in range(-n, n + 1):
         scalar_rows = [[entry(value) for entry in row] for row in rows]
@@ -385,7 +438,7 @@ def test_falling_poly_is_k_factorial_times_the_binomial(slope, intercept):
         assert p.degree == k
         for d in range(max(0, -intercept) + k, 25):
             assert p(d) == factorial(k) * binomial(slope * d + intercept, k), (k, d)
-    assert falling_poly(slope, intercept, -1).is_zero()
+    assert not falling_poly(slope, intercept, -1)
 
 
 def test_integer_root_exclusion():

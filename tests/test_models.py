@@ -271,7 +271,7 @@ def test_family_summands_satisfy_the_four_term_recurrence(k, i):
         return Poly(family_summand(kk, ii))
 
     lhs = t * t * f(k - 1, i) - one_minus_t * one_minus_t * f(k, i - 1) - 2 * t * f(k, i) + f(k + 1, i)
-    assert lhs.is_zero()
+    assert not lhs
 
 
 def test_json_round_trip():

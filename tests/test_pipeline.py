@@ -842,7 +842,7 @@ class TestFinalSlice:
                             kv = evaluate(k, e, {"g": g})
                             scale = math.factorial(kappa)
                             assert poly(e) == binomial(uv, kv) * scale, (upper, k, e, g)
-                            if poly.is_zero():
+                            if not poly:
                                 continue
                             # The entry has degree at most kappa, so
                             # kappa + 1 values of e fix it for every e.
