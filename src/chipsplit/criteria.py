@@ -336,18 +336,10 @@ def hexagon_check(config: ChipConfiguration, d: int, d_small: int, ell1: int, el
     return HexagonReport(applies, restricted, d_small)
 
 
-def _superfactorial_shifted(n: int) -> int:
-    """Product of m! for m = 0 .. n-1."""
+def _superfactorial(n: int) -> int:
+    """Product of m! for m = 0 .. n-1, the shifted convention."""
     out = 1
     for m in range(n):
-        out *= factorial(m)
-    return out
-
-
-def _superfactorial_literal(n: int) -> int:
-    """Product of m! for m = 1 .. n."""
-    out = 1
-    for m in range(1, n + 1):
         out *= factorial(m)
     return out
 
@@ -385,8 +377,9 @@ def hexagon_determinant(d: int, d_small: int, ell1: int) -> HexagonDeterminant:
         denominator = h(d - d_small) * h(d_small + ell1 + 1) * h(d - ell1 + 1)
         return Fraction(numerator, denominator)
 
-    shifted = closed_form(_superfactorial_shifted)
-    literal = closed_form(_superfactorial_literal)
+    shifted = closed_form(_superfactorial)
+    # The literal convention, the product of m! for m = 1 .. n, is the shifted one at n + 1.
+    literal = closed_form(lambda n: _superfactorial(n + 1))
     if shifted == direct and literal != direct:
         matching = "shifted"
     elif literal == direct and shifted != direct:

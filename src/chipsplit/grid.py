@@ -214,22 +214,6 @@ class ChipConfiguration:
         """No chips in debt except possibly at the origin."""
         return all(p == (0, 0) for p in self.negative_support)
 
-    def is_weakly_valid(self, d: int | None = None) -> bool:
-        """Negative entries confined to the three corners of depth four.
-
-        The corners are measured against the triangle of degree d, which
-        defaults to the ambient degree (or the support degree without one).
-        """
-        if d is None:
-            d = self._ambient if self._ambient is not None else max(self.degree, 0)
-        for i, j in self.negative_support:
-            low_corner = i <= 3 and j <= 3
-            top_corner = i <= 3 and i + j >= d - 3
-            right_corner = j <= 3 and i + j >= d - 3
-            if not (low_corner or top_corner or right_corner):
-                return False
-        return True
-
     def alternating_top_sum(self) -> Value:
         """Sum of (-1)^i times the entries on the top diagonal i + j = degree."""
         e = self.degree

@@ -18,9 +18,14 @@ compatible with all descended forms yields finite case lists, which the
 case pipeline then eliminates.
 
 One type, ContractionPoint, holds a record under either of two named
-coordinate layouts: the 64 coordinates of the contraction, with the two
-parity strips of each top diagonal apart, or the 60 left once chi has
-merged them, on which the triangle symmetries act.
+coordinate layouts: XI_COORDS, the 64 coordinates of the contraction,
+with the two parity strips of each top diagonal apart, or
+XI_PRIME_COORDS, the 60 left once chi has merged them, on which the
+triangle symmetries act. ring_cell and XI_COORDS state the ring once;
+everything else is read off them: the sizes and the strip offset of
+both layouts, weak validity (a debt only on a cell ring_cell names a
+corner), and the merged layout, which one rule (``_merged``) gives both
+chi and the symmetry action.
 """
 
 from __future__ import annotations
@@ -276,12 +281,15 @@ XI_COORDS: tuple[str, ...] = (
 )
 XI_INDEX = {name: idx for idx, name in enumerate(XI_COORDS)}
 
-XI_PRIME_COORDS: tuple[str, ...] = (
-    XI_COORDS[:48]
-    + tuple(f"alpha[{i}]" for i in range(4))
-    + tuple(f"beta[{j}]" for j in range(4))
-    + tuple(f"gamma[{k}]" for k in range(4))
-)
+
+def _merged(name: str) -> str:
+    """The merged coordinate a contraction coordinate feeds: gamma0[k] and gamma1[k] are both gamma[k]."""
+    return "gamma" + name[6:] if name.startswith("gamma") else name
+
+
+XI_PRIME_COORDS: tuple[str, ...] = tuple(dict.fromkeys(map(_merged, XI_COORDS)))
+# _MERGE[k] is the merged coordinate that coordinate k of XI_COORDS feeds.
+_MERGE = tuple(XI_PRIME_COORDS.index(_merged(name)) for name in XI_COORDS)
 
 
 def parse_coord(name: str) -> tuple[str, tuple[int, ...]]:
@@ -316,8 +324,8 @@ def ring_cell(point: Coord, d: int) -> str | None:
     return None
 
 
-# In both coordinate layouts the summed strips are coordinate 48 onward.
-_STRIPS = 48
+# Both coordinate layouts list the corner blocks first and the summed strips from alpha[0] on.
+_STRIPS = XI_INDEX["alpha[0]"]
 
 
 @dataclass(frozen=True)
@@ -373,12 +381,13 @@ def chi(theta: ContractionPoint) -> ContractionPoint:
     """Merge the two parity strips of each top diagonal into one sum."""
     if theta.coords != XI_COORDS:
         raise ValueError("chi merges the parity strips of a 64-coordinate point")
-    gamma = []
-    for g0, g1 in zip(theta.vector[56:60], theta.vector[60:]):
-        if g0 * g1 < 0:
-            raise ValueError("parity strips of opposite sign merge to a multivalued sum")
-        gamma.append(_sign(g0 + g1))
-    return ContractionPoint(XI_PRIME_COORDS, theta.vector[:56] + tuple(gamma))
+    merged = [0] * len(XI_PRIME_COORDS)
+    for target, v in zip(_MERGE, theta.vector):
+        if v:
+            if merged[target] == -v:
+                raise ValueError("parity strips of opposite sign merge to a multivalued sum")
+            merged[target] = v
+    return ContractionPoint(XI_PRIME_COORDS, merged)
 
 
 def contract(s: ChipConfiguration, d: int) -> ContractionPoint:
@@ -387,7 +396,9 @@ def contract(s: ChipConfiguration, d: int) -> ContractionPoint:
     Corner entries are copied (with the top corners reindexed relative to
     the diagonal edge); strip coordinates are hyperfield sums, which weak
     validity keeps single-valued. Points in the interior (both
-    coordinates at least 4 and degree at most d-4) are forgotten.
+    coordinates at least 4 and degree at most d-4) are forgotten. Weak
+    validity puts every debt on a corner cell: one that ``ring_cell``
+    names x[i,j], r[i,j] or t[i,j].
     """
     if d < MIN_CONTRACTION_DEGREE:
         raise ValueError(f"contraction needs ambient degree at least {MIN_CONTRACTION_DEGREE}")
@@ -395,15 +406,15 @@ def contract(s: ChipConfiguration, d: int) -> ContractionPoint:
         raise ValueError(f"configuration of degree {s.degree} does not fit in degree {d}")
     if any(v not in (-1, 0, 1) for _, v in s):
         raise ValueError("contraction expects a sign configuration")
-    if not s.is_weakly_valid(d):
-        raise ValueError("strip sums of a non-weakly-valid configuration are multivalued")
-    vec = [0] * 64
+    vec = [0] * len(XI_COORDS)
     for p, v in s:
-        cell = ring_cell(p, d)
-        if cell is None:
-            continue
-        idx = XI_INDEX[cell]
-        vec[idx] = max(vec[idx], v) if idx >= _STRIPS else v
+        idx = XI_INDEX.get(ring_cell(p, d))  # None for an interior point
+        if idx is not None and idx < _STRIPS:
+            vec[idx] = v
+        elif v < 0:
+            raise ValueError("strip sums of a non-weakly-valid configuration are multivalued")
+        elif idx is not None:
+            vec[idx] = max(vec[idx], v)
     return ContractionPoint(XI_COORDS, vec)
 
 
@@ -464,7 +475,7 @@ def _contract_form(form: PascalForm, d: int) -> tuple[int, ...]:
                 )
             continue
         per_cell.setdefault(cell, set()).add(sg)
-    coeffs = [0] * 64
+    coeffs = [0] * len(XI_COORDS)
     for cell, signs in per_cell.items():
         if len(signs) != 1:
             raise AssertionError(
@@ -509,14 +520,15 @@ def gamma_set(parity: str, supp_size: int) -> tuple[ContractionPoint, ...]:
     if not 1 <= supp_size <= 5:
         raise ValueError("supported positive support sizes are 1..5")
     forms = contracted_forms(parity)
-    # The origin entry is -1, so its product contributes the opposite of
-    # the coefficient sign; the 63 free coordinates contribute +1 times it.
-    point_signs = [[f.coefficients[idx] for f in forms] for idx in range(1, 64)]
+    # The origin, coordinate 0, is -1, so its product contributes the
+    # opposite of the coefficient sign; every other coordinate is free
+    # and contributes +1 times it.
+    point_signs = [[f.coefficients[idx] for f in forms] for idx in range(1, len(XI_COORDS))]
     origin_signs = [-f.coefficients[0] for f in forms]
     found, _ = sign_survivors(point_signs, origin_signs, supp_size)
     vectors = []
     for combo in found:
-        vec = [-1] + [0] * 63
+        vec = [-1] + [0] * (len(XI_COORDS) - 1)
         for k in combo:
             vec[k + 1] = 1
         vectors.append(vec)
@@ -563,9 +575,7 @@ def lambda_set() -> LambdaSet:
 def _merged_cell(point: Coord, d: int) -> str | None:
     """The ``ring_cell`` of a grid point, with the parity strips joined as chi joins them."""
     cell = ring_cell(point, d)
-    if cell is not None and cell.startswith("gamma"):
-        return "gamma" + cell[6:]  # gamma0[k] and gamma1[k] are both gamma[k]
-    return cell
+    return None if cell is None else _merged(cell)
 
 
 @cache

@@ -271,35 +271,28 @@ def _column_variables(points: list[SymPoint]) -> list[tuple[str, Sym]]:
 
 
 def _partitions(items: list[int]):
+    """Every set partition of items, each once: the first item joins each
+    block of a partition of the rest in turn, then stands alone."""
     if not items:
         yield []
-    elif len(items) == 1:
-        yield [items]
-    elif len(items) == 2:
-        a, b = items
-        yield [[a, b]]
-        yield [[a], [b]]
-    else:
-        a, b, c = items
-        yield [[a, b, c]]
-        yield [[a, b], [c]]
-        yield [[a, c], [b]]
-        yield [[b, c], [a]]
-        yield [[a], [b], [c]]
+        return
+    first, rest = items[0], items[1:]
+    for partition in _partitions(rest):
+        for k in range(len(partition)):
+            yield partition[:k] + [[first] + partition[k]] + partition[k + 1 :]
+        yield [[first]] + partition
 
 
 def _group_offsets(size: int):
-    if size == 1:
-        yield (0,)
-    elif size == 2:
-        for o in range(6):
-            yield (0, o)
-    else:
-        for o2 in range(11):
-            for o3 in range(11):
-                lo, mid, hi = sorted((0, o2, o3))
-                if mid - lo <= 5 and hi - mid <= 5:
-                    yield (0, o2, o3)
+    """Every offset chain of a float group of the given size.
+
+    The first member sits at 0, the others at or above it, and
+    neighbours are at most 5 apart once sorted.
+    """
+    for rest in itertools.product(range(5 * (size - 1) + 1), repeat=size - 1):
+        chain = sorted((0, *rest))
+        if all(b - a <= 5 for a, b in zip(chain, chain[1:])):
+            yield (0, *rest)
 
 
 @cache
@@ -315,7 +308,9 @@ def _structures(n_vars: int) -> tuple:
     so the scenarios cover every concrete configuration. A structure is
     what a scenario leaves once its explicit columns and offsets are
     dropped: the variables that go low, those that go top, and the float
-    groups in ``_partitions`` order, group g on base B{g}.
+    groups in ``_partitions`` order, group g on base B{g}, the first row
+    of its region. Both generators take any number of variables; a full
+    run has at most two.
     """
     out = []
     for combo in itertools.product(("low", "top", "float"), repeat=n_vars):
@@ -330,13 +325,12 @@ _TOP_WINDOW = 24
 # The first row of the low region and of the top window.
 _LOW_ROW = Sym.const(0)
 _TOP_ROW = Sym.dee(-_TOP_WINDOW)
-# The column stop and first row of each region; a float region has no
-# stop, and its first row is its base, one for each of at most three
-# float groups.
+# The column stop and first row of the low region and the top window. A
+# float region B{g} has no stop, and its first row is its base,
+# Sym.var(B{g}).
 _REGION_ROWS = {
     "low": (None, _LOW_ROW),
     "top": (_TOP_WINDOW + 1, _TOP_ROW),
-    **{f"B{g}": (None, Sym.var(f"B{g}")) for g in range(3)},
 }
 
 
@@ -603,7 +597,7 @@ def _attempt_regions(points: list[SymPoint]):
         if not all(contents for _, contents in regions):
             continue
         for region, contents in regions:
-            limit, base_row = _REGION_ROWS[region]
+            limit, base_row = _REGION_ROWS.get(region) or (None, Sym.var(region))
             for content in contents:
                 key = (region, *content)
                 found = memo.get(key)

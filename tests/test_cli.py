@@ -8,6 +8,7 @@ the documented triple (0 ok, 1 failed verification, 2 bad input).
 
 import contextlib
 import functools
+import importlib.util
 import json
 import os
 import shlex
@@ -588,6 +589,26 @@ def test_bench_tracer_finds_every_name_it_patches(runner):
     )
     assert traced.returncode == 0, traced.stderr
     assert traced.stdout == runner.invoke(main, args).output
+
+
+def _bench_workloads():
+    # bench/workloads.py is not a package module, so it is loaded by path.
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+BENCH_WORKLOADS = _bench_workloads()
+
+
+@pytest.mark.parametrize("args, check", list(BENCH_WORKLOADS.values()), ids=list(BENCH_WORKLOADS))
+def test_bench_workload_passes_its_own_output_check(runner, args, check):
+    # The benchmark rejects a sample whose output fails this check; the
+    # sweep's check compares the survivor lists of d = 8..20 by digest.
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert check(result.stdout_bytes, ROOT) == []
 
 
 def test_version_flag(runner):

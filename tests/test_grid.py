@@ -94,14 +94,6 @@ def test_degree_and_supports():
 def test_validity_notions():
     assert ChipConfiguration({(0, 0): -2, (5, 0): 1}).is_valid()
     assert not ChipConfiguration({(1, 0): -1, (5, 0): 1}).is_valid()
-    # A chip in debt deep inside the triangle ruins weak validity.
-    middle = ChipConfiguration({(5, 5): -1}, ambient=14)
-    assert not middle.is_weakly_valid()
-    # But debts in the three depth-four corners are tolerated.
-    assert ChipConfiguration({(3, 3): -1}, ambient=14).is_weakly_valid()
-    assert ChipConfiguration({(2, 9): -1}, ambient=11).is_weakly_valid()
-    assert ChipConfiguration({(9, 2): -1}, ambient=11).is_weakly_valid()
-    assert not ChipConfiguration({(4, 7): -1}, ambient=14).is_weakly_valid()
 
 
 def test_point_action_formulas():

@@ -291,6 +291,38 @@ class TestContract:
             # A debt on an edge strip makes the strip sum multivalued.
             contract(ChipConfiguration({(7, 1): -1, (12, 0): 1}, ambient=12), 12)
 
+    @pytest.mark.parametrize(
+        "point, d, weakly_valid",
+        [
+            # A chip in debt deep inside the triangle ruins weak validity.
+            ((5, 5), 14, False),
+            # But debts in the three depth-four corners are tolerated.
+            ((3, 3), 14, True),
+            ((2, 9), 11, True),
+            ((9, 2), 11, True),
+            ((4, 7), 14, False),
+        ],
+    )
+    def test_weak_validity_is_a_precondition(self, point, d, weakly_valid):
+        s = ChipConfiguration({point: -1}, ambient=d)
+        if weakly_valid:
+            assert contract(s, d).record() == {ring_cell(point, d): -1}
+        else:
+            with pytest.raises(ValueError, match="non-weakly-valid"):
+                contract(s, d)
+
+    @pytest.mark.parametrize("d", [11, 12, 13, 14])
+    def test_debts_are_accepted_exactly_in_the_three_corners(self, d):
+        # The corners of depth four, measured against the degree-d triangle.
+        for i, j in grid_points(d):
+            corner = (i <= 3 and j <= 3) or (i + j >= d - 3 and (i <= 3 or j <= 3))
+            s = ChipConfiguration({(i, j): -1}, ambient=d)
+            if corner:
+                assert contract(s, d).record() == {ring_cell((i, j), d): -1}
+            else:
+                with pytest.raises(ValueError, match="non-weakly-valid"):
+                    contract(s, d)
+
     def test_record_round_trip(self):
         theta = contract(sign_of(tightness_family(7)), 15)
         assert ContractionPoint.from_record(theta.record()) == theta
@@ -337,6 +369,9 @@ class TestChi:
         vec[XI_COORDS.index("gamma0[2]")] = 1
         prime = chi(ContractionPoint(XI_COORDS, vec))
         assert prime.record() == {"x[0,0]": -1, "gamma[2]": 1}
+        for sign in (-1, 1):
+            theta = ContractionPoint.from_record({"gamma0[3]": sign, "gamma1[3]": sign})
+            assert chi(theta).record() == {"gamma[3]": sign}
 
     def test_opposite_parity_signs_raise(self):
         vec = [0] * 64
@@ -344,6 +379,15 @@ class TestChi:
         vec[XI_COORDS.index("gamma1[1]")] = -1
         with pytest.raises(ValueError):
             chi(ContractionPoint(XI_COORDS, vec))
+
+    @pytest.mark.parametrize("d", [11, 12, 13, 14])
+    def test_agrees_with_the_merged_cell_of_every_ring_point(self, d):
+        for p in grid_points(d):
+            cell = ring_cell(p, d)
+            if cell is not None:
+                for sign in (-1, 1):
+                    theta = ContractionPoint.from_record({cell: sign})
+                    assert chi(theta).record() == {hyperfield._merged_cell(p, d): sign}
 
 
 class TestContractedForms:

@@ -490,6 +490,34 @@ def special_case_attempts():
     return attempts
 
 
+class TestScenarioGenerators:
+    @pytest.mark.parametrize("n, bell", [(0, 1), (1, 1), (2, 2), (3, 5), (4, 15)])
+    def test_partitions_list_every_set_partition_once(self, n, bell):
+        items = list(range(n))
+        seen = []
+        for partition in _partitions(items):
+            assert sorted(x for block in partition for x in block) == items
+            assert all(partition)
+            seen.append(frozenset(frozenset(block) for block in partition))
+        assert len(seen) == len(set(seen)) == bell
+
+    def test_partitions_of_two_keep_the_joined_group_first(self):
+        # The float bases are named B0, B1 in this order, so the order of a
+        # full run's groupings (at most two column variables) is pinned.
+        assert list(_partitions([3, 7])) == [[[3, 7]], [[3], [7]]]
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_group_offsets_are_the_chains_of_their_rule(self, size):
+        def rule(chain):
+            ordered = sorted(chain)
+            return chain[0] == 0 and min(chain) >= 0 and all(
+                b - a <= 5 for a, b in zip(ordered, ordered[1:])
+            )
+
+        box = itertools.product(range(-6, 5 * size + 1), repeat=size)
+        assert list(_group_offsets(size)) == [chain for chain in box if rule(chain)]
+
+
 class TestAttemptFailures:
     def test_attempts_cover_every_column_variable_count(self):
         # A merged record has at most one strip cell of each kind, so its
