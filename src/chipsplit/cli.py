@@ -38,11 +38,11 @@ import click
 from . import __version__
 from .criteria import hexagon_determinant
 from .enumeration import (
-    SWEEP_START,
     SweepCertificate,
     check_conjecture,
     enumerate_fundamental,
     sweep_no_valid_outcomes,
+    sweep_start,
     sweep_summary,
 )
 from .grid import ChipConfiguration, config_from_json, config_record, config_to_json
@@ -273,8 +273,9 @@ def enumerate_command(max_degree, max_support, as_json):
 
 
 @main.command("sweep")
-@click.option("--support", type=click.Choice([str(n) for n in SWEEP_START]), required=True,
-              help="Number of positive entries to rule out.")
+@click.option("--support", "n_plus", type=click.IntRange(2), required=True,
+              help="Number of positive entries to rule out; the sweep starts "
+                   "at degree 2 * support - 2.")
 @click.option("--max-degree", type=click.IntRange(1), required=True)
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--summary", is_flag=True,
@@ -283,10 +284,9 @@ def enumerate_command(max_degree, max_support, as_json):
 @click.option("--jobs", type=click.IntRange(1), default=None,
               help="Worker processes, at most one per degree; the output "
                    "does not depend on it.")
-def sweep_command(support, max_degree, as_json, summary, jobs):
+def sweep_command(n_plus, max_degree, as_json, summary, jobs):
     """Certify degrees that host no valid outcome of a given width."""
-    n_plus = int(support)
-    start = SWEEP_START[n_plus]
+    start = sweep_start(n_plus)
     if max_degree < start:
         _input_error(f"--max-degree must be at least {start} for width {n_plus}")
     certificates = sweep_no_valid_outcomes(

@@ -13,7 +13,7 @@ The invertibility criterion has two entry points with the same verdict.
 ``pairing_excludes`` answers yes or no on plain integers and is what the
 census and the sweeps call. It reads each block's pairing matrix off
 the degree's table of top-edge columns (``pascal.top_edge_columns``),
-which the census kernel stage reads too. ``invertibility_excludes`` is
+which ``models.fundamentality`` reads too. ``invertibility_excludes`` is
 the reference: it builds the blocks with ``construct_lambda`` and their
 pairing matrices and returns a verdict whose certificate
 ``ExclusionVerdict.verify`` can check again. One greedy walk

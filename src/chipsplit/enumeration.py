@@ -37,15 +37,12 @@ same way.  That the sign forms also force two top points is checked,
 not proved: all 168,331 sign survivors of the cells n <= 5, d <= 9
 have them, and the test suite pins that exhaustively.
 
-Each survivor is settled by the invertibility test and the kernel
-stage, the exact kernel criterion on plain integers.  Both read each
-point's top-edge coefficients from one table per degree,
-``pascal.top_edge_columns``.  The stage takes ``linalg.kernel_basis``
-of them, the forward elimination and back substitution
-``pascal.outcome_space`` runs too, stops unless the kernel is a line,
-and builds a ``ChipConfiguration`` only for a fundamental generator.
-``classify_candidate`` decides one support through
-``models.fundamentality`` instead and is the stage's reference.
+Each survivor is settled by the invertibility test and then
+``models.fundamentality``, the exact kernel criterion that the
+``fundamental`` and ``decompose`` commands use too; both read one
+table of top-edge coefficients per degree, ``pascal.top_edge_columns``.
+``classify_candidate`` decides one support with the certificate path
+and is the census's reference.
 ``sweep_summary`` digests a sweep's certificates per degree, the format
 of the committed ``results/sweep-*.json`` artifacts.
 
@@ -64,9 +61,8 @@ from typing import Collection
 from .criteria import invertibility_excludes, pairing_excludes
 from .grid import ChipConfiguration, Coord, config_from_record, config_record, grid_points
 from .hyperfield import hyperfield_excludes, sign_survivors
-from .linalg import kernel_basis
 from .models import fundamentality
-from .pascal import all_forms, top_edge_columns
+from .pascal import all_forms
 
 # Stages of the candidate decision chain, in the order they run.
 PRUNE_SIGNS = "signs"
@@ -99,28 +95,6 @@ def _sign_tables(d: int):
     return points, point_signs, origin_signs
 
 
-def _kernel_stage(support, d: int):
-    """The exact kernel criterion for fundamentality, on plain integers.
-
-    Returns the dimension of the outcome space on the support plus the
-    origin, and the primitive generator when that space is a line whose
-    generator, oriented so that the origin is negative, is positive on
-    every support point; None otherwise.
-    """
-    points = [(0, 0), *support]
-    columns = top_edge_columns(d)
-    basis = kernel_basis(list(zip(*(columns[p] for p in points))))
-    if len(basis) != 1:
-        return len(basis), None
-    (vec,) = basis
-    # The origin comes first and the vector's first nonzero entry is
-    # positive, so the generator is -vec exactly when every other entry
-    # is negative; that also rules out a zero origin entry.
-    if any(v >= 0 for v in vec[1:]):
-        return 1, None
-    return 1, ChipConfiguration({p: -v for p, v in zip(points, vec)}, ambient=d)
-
-
 def candidate_count(n: int, d: int) -> int:
     """Number of anchored candidate supports in the census cell (n, d).
 
@@ -147,17 +121,14 @@ def _resolve_survivor(support: Collection[Coord], d: int):
     """Settle one sign survivor: certify exclusion or surface an outcome.
 
     The settling step of ``_settle_degree`` and ``_census_cell``: the
-    pairing test, then the integer kernel stage, whose dimension names
-    the resolution.  The
-    kernel stage gives the verdict ``_kernel_verdict`` would give, with
-    the same generator, on plain integers.  The support may come in any
-    point order, and the resolution and outcome do not depend on it: a
-    pairing block's points only permute its rows, which flips at most
-    the determinant's sign, and the kernel generator is oriented, made
-    primitive and keyed by point.  Nor do they change under the mirror
-    (i, j) -> (j, i), which mirrors a found outcome with the support:
-    ``pairing_excludes`` tries a support and its transpose alike, and
-    the top-edge conditions of the kernel stage, read off
+    pairing test, then ``models.fundamentality``, whose kernel dimension
+    names the resolution.  The support may come in any point order, and
+    the resolution and outcome do not depend on it: a pairing block's
+    points only permute its rows, which flips at most the determinant's
+    sign, and ``fundamentality`` sorts its points before it eliminates.
+    Nor do they change under the mirror (i, j) -> (j, i), which mirrors
+    a found outcome with the support: ``pairing_excludes`` tries a
+    support and its transpose alike, and the top-edge conditions, read off
     F_P(x) = sum of w_p x^i (1 + x)^(d - i - j) over the points
     p = (i, j), satisfy x^d F_P(1/x) = F of the mirrored support.
     That is why the census settles only one of each mirror pair: the
@@ -166,7 +137,7 @@ def _resolve_survivor(support: Collection[Coord], d: int):
     """
     if pairing_excludes(((0, 0), *support), d):
         return PRUNE_INVERTIBILITY, None
-    dimension, outcome = _kernel_stage(support, d)
+    dimension, outcome = fundamentality(support, d)
     if dimension == 0:
         return "empty-kernel", None
     if dimension == 1:
@@ -174,14 +145,6 @@ def _resolve_survivor(support: Collection[Coord], d: int):
     # A kernel of dimension two or more would need a sign-cone argument
     # this sweep does not carry; report it honestly instead of guessing.
     return "unresolved", None
-
-
-def _kernel_verdict(support: frozenset[Coord], d: int):
-    """The reference last stage: a fundamental outcome with its generator, or a rejection."""
-    fundamental, _, generator = fundamentality(support, d)
-    if fundamental:
-        return FOUND, generator
-    return REJECT_KERNEL, None
 
 
 def classify_candidate(support: frozenset[Coord], d: int):
@@ -202,7 +165,8 @@ def classify_candidate(support: frozenset[Coord], d: int):
     support = frozenset(support)
     if invertibility_excludes(support | {(0, 0)}, d).excluded:
         return PRUNE_INVERTIBILITY, None
-    return _kernel_verdict(support, d)
+    generator = fundamentality(support, d)[1]
+    return (REJECT_KERNEL, None) if generator is None else (FOUND, generator)
 
 
 # ---------------------------------------------------------------------------
@@ -519,10 +483,12 @@ def _settle_degree(task) -> SweepCertificate:
     )
 
 
-# The widths a sweep supports, each with the first degree it covers: one
-# past the degree bound d <= 2n - 1 for n + 1 positive entries, which the
-# census attains.
-SWEEP_START = {4: 6, 5: 8}
+def sweep_start(n_plus: int) -> int:
+    """The first degree a sweep of n_plus = n + 1 positive entries covers.
+
+    One past the degree bound d <= 2n - 1, which the census attains.
+    """
+    return 2 * n_plus - 2
 
 
 def sweep_no_valid_outcomes(
@@ -539,9 +505,8 @@ def sweep_no_valid_outcomes(
     outcomes_found rather than raising: the caller decides what a
     refutation means.  jobs parallelizes across degrees.
     """
-    if n_plus not in SWEEP_START:
-        widths = " and ".join(map(str, SWEEP_START))
-        raise ValueError(f"sweeps support positive-support sizes {widths}")
+    if n_plus < 2:
+        raise ValueError("a sweep needs at least two positive entries")
     ds = sorted({int(d) for d in degrees})
     if not ds:
         return ()

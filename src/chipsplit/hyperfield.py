@@ -268,6 +268,9 @@ def permute_signs(sigma: str, s: ChipConfiguration, d: int) -> ChipConfiguration
 # ---------------------------------------------------------------------------
 # The outer ring and its contraction.
 
+# The descended forms hold from d = 12 on (see ``contracted_forms``).  At
+# d = 11 they differ only on gamma1[3], in psi[d-3] and psibar[d-3], and
+# that cell holds no grid point at d = 11, so no contraction reads it.
 MIN_CONTRACTION_DEGREE = 11
 
 XI_COORDS: tuple[str, ...] = (
@@ -494,6 +497,27 @@ def contracted_forms(parity: str) -> tuple[ContractedForm, ...]:
     cells; the derivation is repeated at reference + 2 and must agree,
     which is the degree-independence property that makes contraction
     useful.
+
+    Why the forms hold at every d >= 12 of the parity, from the closed
+    forms of ``PascalForm.coefficient``, on the cells ``ring_cell``
+    names (e = i + j - (d - 3) on r and t, k = d - i - j on gamma):
+
+    * psi[k], k <= 3, is (-1)^(k+j) binomial(i, k-j): free of d, zero
+      where j > k, and of sign (-1)^(k+j) on beta[j] and t[e, j] when
+      j <= k (there i >= 4 > k - j).
+    * psi[d-m], m <= 3, is (-1)^(d-m+j) binomial(i, d-m-j), zero below
+      i + j = d - m: (-1)^(m+1+e+i) binomial(i, m+e-3) on r[i, e], of
+      sign (-1)^(d-m+j) on t[e, j] when e >= 3 - m, and of sign
+      (-1)^(m+k+i) on gamma{i % 2}[k] when k <= m.
+    * phi[a, d-a], a <= 3, is binomial(d-i-j, a-i), zero where i > a:
+      positive on x and alpha when i <= a, binomial(3-e, a-i) on r[i, e].
+    * psibar and phi[d-a, a] are these transposed.
+
+    So every form vanishes on the interior (i, j >= 4, i + j <= d - 4)
+    and has one sign per cell, which reads d only through its parity.
+    A cell without a grid point reads 0, and from d = 12 on every cell
+    has one.  At d = 11 only gamma1[3] is empty (no i, j >= 4 with i odd
+    has i + j = 8), and only psi[d-3] and psibar[d-3] are nonzero on it.
     """
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")

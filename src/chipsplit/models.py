@@ -20,8 +20,8 @@ from math import lcm
 from typing import Iterable
 
 from .grid import MAX_INPUT_DEGREE, ChipConfiguration, Coord, _json_int
-from .linalg import binomial
-from .pascal import is_outcome, outcome_space
+from .linalg import binomial, kernel_basis
+from .pascal import is_outcome, outcome_space, top_edge_columns
 
 Term = tuple[Fraction, int, int]
 
@@ -287,36 +287,42 @@ class Decomposition:
         return result
 
 
-def fundamentality(
-    support: Iterable[Coord], d: int | None = None
-) -> tuple[bool, ParametricModel | None, ChipConfiguration | None]:
+def fundamentality(support: Iterable[Coord], d: int | None = None) -> tuple[int, ChipConfiguration | None]:
     """Decide whether an exponent set supports a fundamental model.
 
     The set is fundamental exactly when the outcomes supported on it plus
-    the origin form a one-dimensional space whose generator is valid with
-    the full set as positive support. Returns the verdict together with
-    the unique model and its primitive integral outcome when it exists.
+    the origin form a line whose generator, with the origin negative, is
+    positive on every point of the set. Returns the dimension of that
+    outcome space and the primitive integral generator, or None when the
+    set is not fundamental. ``linalg.kernel_basis`` solves the top-edge
+    conditions with the points in (degree, i) order, the origin first:
+    the elimination's cost depends heavily on the column order.
     """
     points = set(support)
     if (0, 0) in points:
         raise ValueError("the origin is not an admissible exponent pair")
     if not points:
-        return False, None, None
+        return 0, None
     if d is None:
         d = max(i + j for i, j in points)
-    basis = outcome_space(points | {(0, 0)}, d)
+    if any(i < 0 or j < 0 or i + j > d for i, j in points):
+        raise ValueError(f"support must lie inside the degree-{d} triangle")
+    points = sorted(points | {(0, 0)}, key=lambda p: (p[0] + p[1], p[0]))
+    columns = top_edge_columns(d)
+    basis = kernel_basis(list(zip(*(columns[p] for p in points))))
     if len(basis) != 1:
-        return False, None, None
-    generator = basis[0]
-    if generator[(0, 0)] >= 0 or not generator.is_valid():
-        return False, None, None
-    if generator.positive_support != frozenset(points):
-        return False, None, None
-    return True, outcome_to_model(generator), generator
+        return len(basis), None
+    (vec,) = basis
+    # The vector's first nonzero entry is positive, so the generator is
+    # -vec exactly when every entry past the origin's is negative; that
+    # also rules out a zero origin entry.
+    if any(v >= 0 for v in vec[1:]):
+        return 1, None
+    return 1, ChipConfiguration({p: -v for p, v in zip(points, vec)}, ambient=d)
 
 
 def is_fundamental(support: Iterable[Coord], d: int | None = None) -> bool:
-    return fundamentality(support, d)[0]
+    return fundamentality(support, d)[1] is not None
 
 
 def decompose(model: ParametricModel) -> Decomposition:
@@ -333,7 +339,7 @@ def decompose(model: ParametricModel) -> Decomposition:
     leaves: list[tuple[ParametricModel, Fraction]] = []
 
     def recurse(m: ParametricModel, coefficient: Fraction):
-        if fundamentality(m.support, m.degree)[0]:
+        if is_fundamental(m.support, m.degree):
             leaves.append((m, coefficient))
             return
         points = sorted(m.support, key=lambda p: (p[0] + p[1], p[0]))

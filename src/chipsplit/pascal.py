@@ -128,9 +128,9 @@ class _TopEdgeTable(dict):
         return column
 
 
-# One table is kept, and four readers share it: the pairing test, the
-# kernel stage, ``outcome_space`` and ``top_edge_values`` (so
-# ``is_outcome``).  Each reads the columns of the points it is given,
+# One table is kept, and four readers share it: the pairing test,
+# ``models.fundamentality``, ``outcome_space`` and ``top_edge_values``
+# (so ``is_outcome``).  Each reads the columns of the points it is given,
 # so a column is built only when first read: a degree-499 outcome
 # reads 252 of the table's 125,250 columns.  The sweep walks one
 # degree at a time, so it starts each table once; the census walks

@@ -23,17 +23,17 @@ eliminators and reporting which one fires:
   (``_entry``) and the row scaling (``_scaled_row``). A block verdict
   is a pure function of the region's first row, the block's start
   column and width, and its points, and is cached under that key,
-  because a full run asks for 190,240 verdicts on only 768 distinct
+  because a full run asks for 192,150 verdicts on only 778 distinct
   blocks; the block's rows are built only on a miss. A moved point's
   placement and column kind depend only on the point, its variable's
   column expression and the choice, so they are cached across attempts
-  (247 distinct in a full run); the fixed points are classified once
+  (267 distinct in a full run); the fixed points are classified once
   per attempt. A scenario fails exactly when one of its regions does,
   and a region's failures depend only on the points in it, so an
   attempt is decided region by region: each region's possible contents
   are enumerated once per structure, never the scenarios they combine
   into, and memoised per attempt. A full run's 7,091 attempts make
-  91,412 region probes, of which 78,403 run the greedy walk and ask for
+  92,367 region probes, of which 79,358 run the greedy walk and ask for
   verdicts. Every point an attempt sees is one shared object, from
   ``cell_possibilities``, ``_transposed`` or ``_placed_carrier``, so
   the cache probes compare points by identity.
@@ -286,13 +286,13 @@ def _partitions(items: list[int]):
 def _group_offsets(size: int):
     """Every offset chain of a float group of the given size.
 
-    The first member sits at 0, the others at or above it, and
+    The lowest member sits at 0, in any place of the group, and
     neighbours are at most 5 apart once sorted.
     """
-    for rest in itertools.product(range(5 * (size - 1) + 1), repeat=size - 1):
-        chain = sorted((0, *rest))
-        if all(b - a <= 5 for a, b in zip(chain, chain[1:])):
-            yield (0, *rest)
+    for chain in itertools.product(range(5 * (size - 1) + 1), repeat=size):
+        ordered = sorted(chain)
+        if ordered[0] == 0 and all(b - a <= 5 for a, b in zip(ordered, ordered[1:])):
+            yield chain
 
 
 @cache
@@ -303,9 +303,10 @@ def _structures(n_vars: int) -> tuple:
     explicit column in [4, 3 + 5n], to the top cluster at an explicit
     distance in [7, 6 + 5n] from d, or lets it float; floating variables
     are grouped into chains with explicit internal offsets
-    (``_group_offsets``) and an unconstrained common base. Chains of
-    interaction steps of length at most five bound the explicit ranges,
-    so the scenarios cover every concrete configuration. A structure is
+    (``_group_offsets``, any member lowest) and an unconstrained common
+    base, the lowest member's column. Chains of interaction steps of
+    length at most five bound the explicit ranges, so the scenarios
+    cover every concrete configuration. A structure is
     what a scenario leaves once its explicit columns and offsets are
     dropped: the variables that go low, those that go top, and the float
     groups in ``_partitions`` order, group g on base B{g}, the first row

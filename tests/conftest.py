@@ -18,15 +18,15 @@ def wide_census_run():
     """The census through six positive entries and degree nine, run once.
 
     Returns the report and, as (support, d, verdict) triples, every call
-    the census made to its kernel stage.  The census settles one of each
-    mirror pair of sign survivors, so each called support's mirror is
-    recorded too, with the verdict of the real stage on it: the triples
-    cover every survivor that reaches the stage.
+    the census made to ``fundamentality``, its kernel stage.  The census
+    settles one of each mirror pair of sign survivors, so each called
+    support's mirror is recorded too, with the verdict of the real stage
+    on it: the triples cover every survivor that reaches the stage.
     """
     from chipsplit import enumeration
 
     calls = []
-    stage = enumeration._kernel_stage
+    stage = enumeration.fundamentality
 
     def recording(support, d):
         verdict = stage(support, d)
@@ -37,7 +37,7 @@ def wide_census_run():
         return verdict
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(enumeration, "_kernel_stage", recording)
+        patch.setattr(enumeration, "fundamentality", recording)
         report = enumeration.enumerate_fundamental(9, 5)
     return report, calls
 

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import chipsplit
 from chipsplit.cli import _echo_json, _render, main
-from chipsplit.enumeration import SWEEP_START, sweep_no_valid_outcomes
+from chipsplit.enumeration import sweep_no_valid_outcomes, sweep_start
 from chipsplit.grid import MAX_INPUT_DEGREE
 
 SRC = str(Path(chipsplit.__file__).resolve().parent.parent)
@@ -363,6 +363,18 @@ class TestSweep:
         assert result.exit_code == 2
         assert "at least 6" in result.stderr
 
+    def test_width_two_starts_at_degree_two(self, runner):
+        result = runner.invoke(main, ["sweep", "--support", "2", "--max-degree", "3"])
+        assert result.exit_code == 0
+        assert result.output.splitlines()[-1] == (
+            "no valid outcome with 2 positive entries in degrees 2..3"
+        )
+
+    @pytest.mark.parametrize("width", ["1", "0", "two"])
+    def test_width_below_two_is_a_usage_error(self, runner, width):
+        result = runner.invoke(main, ["sweep", "--support", width, "--max-degree", "9"])
+        assert result.exit_code == 2
+
 
 def old_rendering(payload) -> str:
     """The oracle: the bytes every --json report had before the streaming writer."""
@@ -437,7 +449,7 @@ class TestJsonWriter:
 
 @functools.cache
 def sweep_payload(n_plus, max_degree):
-    certificates = sweep_no_valid_outcomes(n_plus, range(SWEEP_START[n_plus], max_degree + 1))
+    certificates = sweep_no_valid_outcomes(n_plus, range(sweep_start(n_plus), max_degree + 1))
     return {"holds": True, "certificates": [c.to_json() for c in certificates]}
 
 

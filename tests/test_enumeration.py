@@ -19,8 +19,6 @@ from chipsplit.cli import _echo_json
 from chipsplit.enumeration import (
     EnumerationReport,
     SweepCertificate,
-    _kernel_stage,
-    _kernel_verdict,
     _resolve_survivor,
     _sign_tables,
     candidate_count,
@@ -30,6 +28,7 @@ from chipsplit.enumeration import (
     enumerate_fundamental,
     sign_survivor_search,
     sweep_no_valid_outcomes,
+    sweep_start,
 )
 from chipsplit.grid import ChipConfiguration, act, grid_points
 from chipsplit.hyperfield import hyperfield_excludes, sign_survivors
@@ -224,8 +223,25 @@ class TestAnchoredCandidates:
         assert listed == [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3)]
 
 
+def kernel_oracle(support, d):
+    """The kernel stage's verdict read off ``outcome_space``.
+
+    The dimension of the outcome space on the support plus the origin,
+    and its basis vector, whose origin entry ``outcome_space`` makes
+    nonpositive, when that space is a line and the vector has a
+    negative origin, is valid, and is positive on the whole support.
+    """
+    basis = outcome_space({(0, 0), *support}, d)
+    if len(basis) != 1:
+        return len(basis), None
+    (generator,) = basis
+    if generator[(0, 0)] < 0 and generator.is_valid() and generator.positive_support == frozenset(support):
+        return 1, generator
+    return 1, None
+
+
 class TestKernelStage:
-    """The integer kernel stage against the ``fundamentality`` reference."""
+    """``models.fundamentality`` against the ``outcome_space`` oracle."""
 
     def test_matches_the_reference_on_every_census_kernel_call(self, wide_census_run):
         # Every support the census cells n <= 5, d <= 9 hand to the
@@ -234,15 +250,9 @@ class TestKernelStage:
         assert len(calls) == 9284
         assert len({(tuple(sorted(support)), d) for support, d, _ in calls}) == 9284
         found = 0
-        for support, d, (dimension, outcome) in calls:
-            assert dimension == len(outcome_space({(0, 0), *support}, d)), (sorted(support), d)
-            stage, generator = _kernel_verdict(support, d)
-            if outcome is None:
-                assert stage == "kernel", (sorted(support), d)
-            else:
-                assert stage == "fundamental", (sorted(support), d)
-                assert outcome == generator
-                found += 1
+        for support, d, verdict in calls:
+            assert verdict == kernel_oracle(support, d), (sorted(support), d)
+            found += verdict[1] is not None
         assert found == 1127
 
     @given(st.integers(1, 12).flatmap(
@@ -264,14 +274,7 @@ class TestKernelStage:
     @example((2, frozenset({(0, 1), (0, 2), (1, 0), (1, 1), (2, 0)})))
     def test_dimension_and_generator_match_outcome_space(self, case):
         d, support = case
-        dimension, outcome = _kernel_stage(support, d)
-        basis = outcome_space({(0, 0), *support}, d)
-        assert dimension == len(basis)
-        if outcome is not None:
-            assert basis == [outcome]
-        verdict, _, expected = fundamentality(support, d)
-        assert (outcome is not None) == verdict
-        assert outcome == expected
+        assert fundamentality(support, d) == kernel_oracle(support, d)
 
     @pytest.mark.parametrize(
         "d,support,resolution",
@@ -289,7 +292,7 @@ class TestKernelStage:
         assert found == resolution
         assert (outcome is not None) == (resolution == "outcome")
         if outcome is not None:
-            assert outcome == fundamentality(support, d)[2]
+            assert outcome == fundamentality(support, d)[1]
 
     @pytest.mark.parametrize(
         "size,d",
@@ -701,11 +704,18 @@ class TestSweep:
         )
 
     def test_long_run_gate(self):
-        # Degrees past the former desk range need no flag.
+        # Degrees past the former desk range need no flag, and every width
+        # of two or more sweeps from one past the degree bound d <= 2n - 1.
         (cert,) = sweep_no_valid_outcomes(4, [12])
         assert cert.holds
-        with pytest.raises(ValueError, match="4 and 5"):
-            sweep_no_valid_outcomes(3, [8])
+        assert [sweep_start(n_plus) for n_plus in (2, 3, 4, 5, 6)] == [2, 4, 6, 8, 10]
+        with pytest.raises(ValueError, match="at least two"):
+            sweep_no_valid_outcomes(1, [8])
+
+    @pytest.mark.parametrize("n_plus", [2, 3])
+    def test_narrow_widths_have_no_sign_survivor_up_to_degree_thirty(self, n_plus):
+        certificates = sweep_no_valid_outcomes(n_plus, range(sweep_start(n_plus), 31))
+        assert all(cert.holds and cert.sign_survivors == () for cert in certificates)
 
     def test_certificate_round_trip(self):
         (cert,) = sweep_no_valid_outcomes(4, [6])
@@ -771,7 +781,7 @@ def test_census_and_sweep_skip_the_certificate_path(monkeypatch):
 
 
 def test_census_builds_a_configuration_only_per_outcome(monkeypatch):
-    # The kernel stage decides on plain integers and builds a
+    # fundamentality decides on plain integers and builds a
     # ChipConfiguration only for a fundamental generator.
     built = []
     init = ChipConfiguration.__init__

@@ -404,15 +404,34 @@ class TestContractedForms:
             if "d" not in name.split("[")[1]:
                 assert odd[name] == form
 
+    @staticmethod
+    def derived(d):
+        return tuple(
+            ContractedForm(name, hyperfield._contract_form(form, d))
+            for name, form in hyperfield._form_specs(d)
+        )
+
     def test_reference_degree_invariance(self):
-        for parity, start in (("even", 14), ("odd", 15)):
+        # The descent proof in contracted_forms covers every d >= 12.
+        for parity, start in (("even", 12), ("odd", 13)):
             forms = contracted_forms(parity)
             for d in range(start, 61, 2):
-                derived = tuple(
-                    ContractedForm(name, hyperfield._contract_form(form, d))
-                    for name, form in hyperfield._form_specs(d)
-                )
-                assert derived == forms
+                assert self.derived(d) == forms
+
+    def test_degree_eleven_differs_only_on_a_cell_without_points(self):
+        # Why MIN_CONTRACTION_DEGREE may stay at 11: the forms derived
+        # there differ from the odd ones only on gamma1[3], which holds
+        # no grid point at d = 11, so no contraction reads it.
+        d = MIN_CONTRACTION_DEGREE
+        assert d == 11
+        differences = {
+            (form.name, XI_COORDS[k])
+            for form, reference in zip(self.derived(d), contracted_forms("odd"))
+            for k, (c, r) in enumerate(zip(form.coefficients, reference.coefficients))
+            if c != r
+        }
+        assert differences == {("psi[d-3]", "gamma1[3]"), ("psibar[d-3]", "gamma1[3]")}
+        assert [p for p in grid_points(d) if ring_cell(p, d) == "gamma1[3]"] == []
 
     def test_top_edge_contraction_by_hand(self):
         phi3 = next(f for f in contracted_forms("even") if f.name == "phi[3,d-3]")

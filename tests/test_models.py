@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chipsplit import models
 from chipsplit.grid import ChipConfiguration, Game, apply_game, grid_points
 from chipsplit.linalg import Poly
 from chipsplit.models import (
@@ -29,7 +31,7 @@ from chipsplit.models import (
     tightness_family,
     verify_model,
 )
-from chipsplit.pascal import is_outcome
+from chipsplit.pascal import is_outcome, top_edge_columns
 
 BINOMIAL = ParametricModel([(1, 2, 0), (2, 1, 1), (1, 0, 2)])
 SEGMENT = ParametricModel([(1, 1, 0), (1, 0, 1)])
@@ -184,10 +186,27 @@ def test_composite_rejects_bad_parameters():
 
 
 def test_fundamentality_of_the_binomial_support():
-    verdict, model, outcome = fundamentality({(2, 0), (1, 1), (0, 2)})
-    assert verdict
-    assert model == BINOMIAL
+    dimension, outcome = fundamentality({(2, 0), (1, 1), (0, 2)})
+    assert dimension == 1
     assert outcome == ChipConfiguration({(0, 0): -1, (2, 0): 1, (1, 1): 2, (0, 2): 1}, ambient=2)
+    assert outcome_to_model(outcome) == BINOMIAL
+
+
+def test_fundamentality_eliminates_in_degree_order(monkeypatch):
+    # The elimination's cost depends on its column order, so the points
+    # go to kernel_basis in (degree, i) order, the origin first, in
+    # whatever order the support arrives.
+    d = 5
+    support = sorted(tightness_family(2).positive_support)
+    columns = top_edge_columns(d)
+    expected = list(zip(*(columns[p] for p in [(0, 0), (2, 1), (1, 3), (0, 5), (5, 0)])))
+    seen = []
+    real = models.kernel_basis
+    monkeypatch.setattr(models, "kernel_basis", lambda rows: seen.append(rows) or real(rows))
+    arrivals = [*itertools.permutations(support), frozenset(support), iter(support[::-1])]
+    for arrival in arrivals:
+        assert fundamentality(arrival, d) == (1, tightness_family(2))
+    assert seen == [expected] * len(arrivals)
 
 
 def test_fundamentality_counterexamples():
@@ -197,8 +216,14 @@ def test_fundamentality_counterexamples():
     assert not is_fundamental({(1, 0), (0, 1), (1, 1)})
     # No outcome at all on a single off-origin point.
     assert not is_fundamental({(2, 1)})
-    with pytest.raises(ValueError):
+    # No point at all, the origin, and points off the triangle.
+    assert fundamentality([]) == (0, None)
+    with pytest.raises(ValueError, match="origin"):
         is_fundamental({(0, 0), (1, 0)})
+    with pytest.raises(ValueError, match="triangle"):
+        fundamentality({(1, 0), (0, 3)}, 2)
+    with pytest.raises(ValueError, match="triangle"):
+        fundamentality({(1, 0), (-1, 2)})
 
 
 def test_decompose_fundamental_returns_itself():
@@ -212,7 +237,7 @@ def test_decompose_the_worked_composite():
     dec = decompose(mixed)
     assert len(dec.models) == 2
     assert {m.support for m in dec.models} == {frozenset({(2, 0), (1, 1), (0, 2)}), frozenset({(0, 1), (1, 1), (2, 0)})}
-    assert all(fundamentality(m.support, m.degree)[0] for m in dec.models)
+    assert all(is_fundamental(m.support, m.degree) for m in dec.models)
     assert dec.fold() == mixed
 
 
@@ -226,7 +251,7 @@ def test_decompose_reproduces_random_valid_models(data):
     dec = decompose(m)
     assert dec.fold() == m
     for leaf in dec.models:
-        assert fundamentality(leaf.support, leaf.degree)[0]
+        assert is_fundamental(leaf.support, leaf.degree)
 
 
 def test_embedding_step_validation():
