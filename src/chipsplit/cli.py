@@ -45,7 +45,7 @@ from .enumeration import (
     sweep_start,
     sweep_summary,
 )
-from .grid import ChipConfiguration, config_from_json, config_record, config_to_json
+from .grid import MAX_INPUT_DEGREE, ChipConfiguration, config_from_json, config_record, config_to_json
 from .grid import parse as parse_triangle
 from .grid import render as render_triangle
 from .hyperfield import gamma_set
@@ -379,9 +379,12 @@ def hexagon_command(max_degree, as_json):
         conventions[result.matching] += 1
         if not result.nonzero():
             zeros.append((d, d_small, ell1))
+    tally = ", ".join(f"{name} {count}" for name, count in sorted(conventions.items()))
     note = (
         "direct determinants match the shifted superfactorial product; "
         "the literal-index product disagrees"
+        if set(conventions) == {"shifted"}
+        else f"direct determinants match the superfactorial conventions as tallied: {tally}"
     )
     if as_json:
         _echo_json(
@@ -401,7 +404,8 @@ def hexagon_command(max_degree, as_json):
 
 
 @main.command("family")
-@click.option("--k", type=click.IntRange(0), required=True)
+# Member k has degree 2k + 1, so every member printed can be read back by the file-taking commands.
+@click.option("--k", type=click.IntRange(0, (MAX_INPUT_DEGREE - 1) // 2), required=True)
 @click.option("--render", "do_render", is_flag=True,
               help="Print the triangle inline, blank rows elided.")
 @click.option("--json", "as_json", is_flag=True)

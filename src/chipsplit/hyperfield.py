@@ -9,23 +9,23 @@ the possible sums. Requiring that of every Pascal form cuts down the
 possible positive supports of valid outcomes drastically.
 
 For large ambient degree the useful information concentrates in an outer
-ring of the triangle: three corner blocks of depth four plus summarized
-strips along the edges and the top diagonals. The contraction maps a
-sign configuration to that fixed record, and the Pascal forms near the
-three corners descend to forms on the record that do not depend on the
-ambient degree (they only feel its parity). Enumerating the records
-compatible with all descended forms yields finite case lists, which the
-case pipeline then eliminates.
+ring of the triangle: three corner blocks of depth RING_DEPTH plus
+summarized strips along the edges and the top diagonals. The contraction
+maps a sign configuration to that fixed record, and the Pascal forms
+near the three corners descend to forms on the record that do not depend
+on the ambient degree (they only feel its parity). Enumerating the
+records compatible with all descended forms yields finite case lists,
+which the case pipeline then eliminates.
 
 One type, ContractionPoint, holds a record under either of two named
-coordinate layouts: XI_COORDS, the 64 coordinates of the contraction,
-with the two parity strips of each top diagonal apart, or
-XI_PRIME_COORDS, the 60 left once chi has merged them, on which the
-triangle symmetries act. ring_cell and XI_COORDS state the ring once;
-everything else is read off them: the sizes and the strip offset of
-both layouts, weak validity (a debt only on a cell ring_cell names a
-corner), and the merged layout, which one rule (``_merged``) gives both
-chi and the symmetry action.
+coordinate layouts: XI_COORDS, the coordinates of the contraction, with
+the two parity strips of each top diagonal apart, or XI_PRIME_COORDS,
+those left once chi has merged them, on which the triangle symmetries
+act. RING_DEPTH, ring_cell and XI_COORDS state the ring once; everything
+else is read off them: the sizes and the strip offset of both layouts,
+weak validity (a debt only on a cell ring_cell names a corner), the
+descended forms, and the merged layout, which one rule (``_merged``)
+gives both chi and the symmetry action.
 """
 
 from __future__ import annotations
@@ -268,19 +268,21 @@ def permute_signs(sigma: str, s: ChipConfiguration, d: int) -> ChipConfiguration
 # ---------------------------------------------------------------------------
 # The outer ring and its contraction.
 
-# The descended forms hold from d = 12 on (see ``contracted_forms``).  At
-# d = 11 they differ only on gamma1[3], in psi[d-3] and psibar[d-3], and
-# that cell holds no grid point at d = 11, so no contraction reads it.
-MIN_CONTRACTION_DEGREE = 11
+# The ring's depth r, the paper's 4: r x r corners, r-wide strips, r top diagonals.
+RING_DEPTH = 4
+# The descended forms hold from d = 3r on (see ``contracted_forms``).  At
+# d = 3r - 1 they differ only on gamma{(r+1) % 2}[r-1], which holds no
+# grid point there, so no contraction reads it.
+MIN_CONTRACTION_DEGREE = 3 * RING_DEPTH - 1
 
 XI_COORDS: tuple[str, ...] = (
-    tuple(f"x[{i},{j}]" for i in range(4) for j in range(4))
-    + tuple(f"r[{i},{j}]" for i in range(4) for j in range(4))
-    + tuple(f"t[{i},{j}]" for i in range(4) for j in range(4))
-    + tuple(f"alpha[{i}]" for i in range(4))
-    + tuple(f"beta[{j}]" for j in range(4))
-    + tuple(f"gamma0[{k}]" for k in range(4))
-    + tuple(f"gamma1[{k}]" for k in range(4))
+    tuple(f"x[{i},{j}]" for i in range(RING_DEPTH) for j in range(RING_DEPTH))
+    + tuple(f"r[{i},{j}]" for i in range(RING_DEPTH) for j in range(RING_DEPTH))
+    + tuple(f"t[{i},{j}]" for i in range(RING_DEPTH) for j in range(RING_DEPTH))
+    + tuple(f"alpha[{i}]" for i in range(RING_DEPTH))
+    + tuple(f"beta[{j}]" for j in range(RING_DEPTH))
+    + tuple(f"gamma0[{k}]" for k in range(RING_DEPTH))
+    + tuple(f"gamma1[{k}]" for k in range(RING_DEPTH))
 )
 XI_INDEX = {name: idx for idx, name in enumerate(XI_COORDS)}
 
@@ -312,17 +314,18 @@ def ring_cell(point: Coord, d: int) -> str | None:
     if i < 0 or j < 0 or i + j > d:
         raise ValueError(f"({i}, {j}) is outside the degree-{d} triangle")
     deg = i + j
-    if deg >= d - 3:
-        if i < 4:
-            return f"r[{i},{deg - (d - 3)}]"
-        if j < 4:
-            return f"t[{deg - (d - 3)},{j}]"
+    top = d - RING_DEPTH + 1  # the degree of the top ring's lowest diagonal
+    if deg >= top:
+        if i < RING_DEPTH:
+            return f"r[{i},{deg - top}]"
+        if j < RING_DEPTH:
+            return f"t[{deg - top},{j}]"
         return f"gamma{i % 2}[{d - deg}]"
-    if i < 4 and j < 4:
+    if i < RING_DEPTH and j < RING_DEPTH:
         return f"x[{i},{j}]"
-    if i < 4:
+    if i < RING_DEPTH:
         return f"alpha[{i}]"
-    if j < 4:
+    if j < RING_DEPTH:
         return f"beta[{j}]"
     return None
 
@@ -335,8 +338,8 @@ _STRIPS = XI_INDEX["alpha[0]"]
 class ContractionPoint:
     """The outer-ring record of a sign configuration, keyed by coordinate name.
 
-    coords is XI_COORDS, the 64 coordinates of the contraction, or
-    XI_PRIME_COORDS, the 60 left once chi merges the two parity strips
+    coords is XI_COORDS, the coordinates of the contraction, or
+    XI_PRIME_COORDS, those left once chi merges the two parity strips
     of each top diagonal; vector holds one sign per coordinate.
     """
 
@@ -383,7 +386,7 @@ class ContractionPoint:
 def chi(theta: ContractionPoint) -> ContractionPoint:
     """Merge the two parity strips of each top diagonal into one sum."""
     if theta.coords != XI_COORDS:
-        raise ValueError("chi merges the parity strips of a 64-coordinate point")
+        raise ValueError(f"chi merges the parity strips of a {len(XI_COORDS)}-coordinate point")
     merged = [0] * len(XI_PRIME_COORDS)
     for target, v in zip(_MERGE, theta.vector):
         if v:
@@ -396,12 +399,12 @@ def chi(theta: ContractionPoint) -> ContractionPoint:
 def contract(s: ChipConfiguration, d: int) -> ContractionPoint:
     """Project a weakly valid sign configuration onto the outer ring.
 
-    Corner entries are copied (with the top corners reindexed relative to
-    the diagonal edge); strip coordinates are hyperfield sums, which weak
-    validity keeps single-valued. Points in the interior (both
-    coordinates at least 4 and degree at most d-4) are forgotten. Weak
-    validity puts every debt on a corner cell: one that ``ring_cell``
-    names x[i,j], r[i,j] or t[i,j].
+    Corner entries are copied (with the top corners reindexed relative
+    to the diagonal edge); strip coordinates are hyperfield sums, which
+    weak validity keeps single-valued. Points in the interior (both
+    coordinates at least RING_DEPTH and degree at most d - RING_DEPTH)
+    are forgotten. Weak validity puts every debt on a corner cell: one
+    that ``ring_cell`` names x[i,j], r[i,j] or t[i,j].
     """
     if d < MIN_CONTRACTION_DEGREE:
         raise ValueError(f"contraction needs ambient degree at least {MIN_CONTRACTION_DEGREE}")
@@ -427,14 +430,14 @@ def contract(s: ChipConfiguration, d: int) -> ContractionPoint:
 
 @dataclass(frozen=True)
 class ContractedForm:
-    """A sign-coefficient linear form on the 64 contraction coordinates."""
+    """A sign-coefficient linear form on the contraction coordinates XI_COORDS."""
 
     name: str
     coefficients: tuple[int, ...]
 
     def evaluate(self, theta: ContractionPoint) -> frozenset:
         if theta.coords != XI_COORDS:
-            raise ValueError("contracted forms evaluate 64-coordinate points")
+            raise ValueError(f"contracted forms evaluate {len(XI_COORDS)}-coordinate points")
         return hyperfield_sum(
             c * v for c, v in zip(self.coefficients, theta.vector) if c and v
         )
@@ -442,18 +445,18 @@ class ContractedForm:
 
 def _form_specs(d: int):
     specs = []
-    for k in (1, 2, 3):
+    for k in range(1, RING_DEPTH):
         specs.append((f"psi[{k}]", left_column_form(k, d)))
-    for k in (1, 2, 3):
+    for k in range(1, RING_DEPTH):
         specs.append((f"psibar[{k}]", bottom_row_form(k, d)))
-    for a in (1, 2, 3):
+    for a in range(1, RING_DEPTH):
         specs.append((f"phi[{a},d-{a}]", top_edge_form(a, d - a, d)))
-    for a in (1, 2, 3):
+    for a in range(1, RING_DEPTH):
         specs.append((f"phi[d-{a},{a}]", top_edge_form(d - a, a, d)))
-    for m in (3, 2, 1, 0):
+    for m in range(RING_DEPTH - 1, -1, -1):
         name = "psi[d]" if m == 0 else f"psi[d-{m}]"
         specs.append((name, left_column_form(d - m, d)))
-    for m in (3, 2, 1, 0):
+    for m in range(RING_DEPTH - 1, -1, -1):
         name = "psibar[d]" if m == 0 else f"psibar[d-{m}]"
         specs.append((name, bottom_row_form(d - m, d)))
     return specs
@@ -490,38 +493,38 @@ def _contract_form(form: PascalForm, d: int) -> tuple[int, ...]:
 
 @cache
 def contracted_forms(parity: str) -> tuple[ContractedForm, ...]:
-    """The 20 descended forms for the given ambient-degree parity.
+    """The 6r - 4 descended forms, r = RING_DEPTH, for an ambient-degree parity.
 
     Derived by instantiating each Pascal form at the reference degree
-    16 or 17 of the right parity and reading coefficients off the ring
-    cells; the derivation is repeated at reference + 2 and must agree,
-    which is the degree-independence property that makes contraction
-    useful.
+    4r or 4r + 1 of the right parity and reading coefficients off the
+    ring cells; the derivation is repeated at reference + 2 and must
+    agree, which is the degree-independence property that makes
+    contraction useful.
 
-    Why the forms hold at every d >= 12 of the parity, from the closed
+    Why the forms hold at every d >= 3r of the parity, from the closed
     forms of ``PascalForm.coefficient``, on the cells ``ring_cell``
-    names (e = i + j - (d - 3) on r and t, k = d - i - j on gamma):
+    names (e = i + j - (d - (r-1)) on r and t, k = d - i - j on gamma):
 
-    * psi[k], k <= 3, is (-1)^(k+j) binomial(i, k-j): free of d, zero
+    * psi[k], k <= r-1, is (-1)^(k+j) binomial(i, k-j): free of d, zero
       where j > k, and of sign (-1)^(k+j) on beta[j] and t[e, j] when
-      j <= k (there i >= 4 > k - j).
-    * psi[d-m], m <= 3, is (-1)^(d-m+j) binomial(i, d-m-j), zero below
-      i + j = d - m: (-1)^(m+1+e+i) binomial(i, m+e-3) on r[i, e], of
-      sign (-1)^(d-m+j) on t[e, j] when e >= 3 - m, and of sign
+      j <= k (there i >= r > k - j).
+    * psi[d-m], m <= r-1, is (-1)^(d-m+j) binomial(i, d-m-j), zero below
+      i + j = d - m: (-1)^(m+r-1+e+i) binomial(i, m+e-(r-1)) on r[i, e],
+      of sign (-1)^(d-m+j) on t[e, j] when e >= r-1-m, and of sign
       (-1)^(m+k+i) on gamma{i % 2}[k] when k <= m.
-    * phi[a, d-a], a <= 3, is binomial(d-i-j, a-i), zero where i > a:
-      positive on x and alpha when i <= a, binomial(3-e, a-i) on r[i, e].
+    * phi[a, d-a], a <= r-1, is binomial(d-i-j, a-i), zero where i > a:
+      positive on x and alpha when i <= a, binomial(r-1-e, a-i) on r[i, e].
     * psibar and phi[d-a, a] are these transposed.
 
-    So every form vanishes on the interior (i, j >= 4, i + j <= d - 4)
-    and has one sign per cell, which reads d only through its parity.
-    A cell without a grid point reads 0, and from d = 12 on every cell
-    has one.  At d = 11 only gamma1[3] is empty (no i, j >= 4 with i odd
-    has i + j = 8), and only psi[d-3] and psibar[d-3] are nonzero on it.
+    So every form vanishes on the interior (i, j >= r, i + j <= d - r) and
+    has one sign per cell, which reads d only through its parity. A cell
+    without a grid point reads 0, and from d = 3r on every cell has one. At
+    d = 3r - 1 only gamma{(r+1) % 2}[r-1] is empty (on i + j = 2r, i, j >= r
+    forces i = r), and only psi[d-(r-1)] and psibar[d-(r-1)] are nonzero on it.
     """
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
-    reference = 16 if parity == "even" else 17
+    reference = 4 * RING_DEPTH + (parity == "odd")
     out = []
     for (name, form), (again_name, again) in zip(
         _form_specs(reference), _form_specs(reference + 2)
@@ -541,6 +544,7 @@ def contracted_forms(parity: str) -> tuple[ContractedForm, ...]:
 def gamma_set(parity: str, supp_size: int) -> tuple[ContractionPoint, ...]:
     """All valid contraction points with the given positive support size at
     which every descended form evaluates to the full set H."""
+    # A width, not the ring depth: the pipeline's stages are support-five arguments.
     if not 1 <= supp_size <= 5:
         raise ValueError("supported positive support sizes are 1..5")
     forms = contracted_forms(parity)
@@ -638,6 +642,6 @@ def s3_on_contraction(sigma: str, point: ContractionPoint) -> ContractionPoint:
     if sigma not in PERMUTATIONS:
         raise ValueError(f"unknown symmetry {sigma!r}, expected one of {sorted(PERMUTATIONS)}")
     if point.coords != XI_PRIME_COORDS:
-        raise ValueError("the symmetry acts on merged (60-coordinate) points")
+        raise ValueError(f"the symmetry acts on merged ({len(XI_PRIME_COORDS)}-coordinate) points")
     vec = point.vector
     return ContractionPoint(XI_PRIME_COORDS, [vec[k] for k in _contraction_permutation(sigma)])

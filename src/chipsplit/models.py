@@ -339,13 +339,13 @@ def decompose(model: ParametricModel) -> Decomposition:
     leaves: list[tuple[ParametricModel, Fraction]] = []
 
     def recurse(m: ParametricModel, coefficient: Fraction):
-        if is_fundamental(m.support, m.degree):
-            leaves.append((m, coefficient))
-            return
+        # m's outcome puts the origin's column in its support's span, so m
+        # is fundamental exactly when the support carries no relation.
         points = sorted(m.support, key=lambda p: (p[0] + p[1], p[0]))
         relations = outcome_space(set(points), m.degree)
         if not relations:
-            raise AssertionError("a non-fundamental reduced model must carry a relation")
+            leaves.append((m, coefficient))
+            return
         relation = relations[0]
         x = {p: Fraction(relation[p]) for p in points}
         if all(v >= 0 for v in x.values()):

@@ -69,10 +69,11 @@ from typing import NamedTuple
 from .criteria import block_shape, greedy_blocks, in_hexagon
 from .grid import PERMUTATIONS
 from .linalg import Poly, falling_poly, integer_roots_at_or_above, poly_det
-from .hyperfield import ContractionPoint, lambda_set, parse_coord, s3_on_contraction
+from .hyperfield import RING_DEPTH, ContractionPoint, lambda_set, parse_coord, s3_on_contraction
 from .models import tightness_family
 from .pascal import is_outcome
 
+# Where the hexagon stage's wide instances become admissible; not a ring depth.
 D_FLOOR = 42
 
 
@@ -91,7 +92,7 @@ class Sym(NamedTuple):
     """Integer value of the form dc*d + c + sum of coeff*var.
 
     In the pairing attempts, variables stand for strip positions and
-    float-group bases, which all range over [4, d - 7]; the special
+    float-group bases, which all range over the strip box; the special
     slice puts its own symbol e in the degree slot. A Sym is a plain
     tuple underneath, so the block-verdict cache hashes and compares its
     keys in C; ``+`` and ``-`` are the symbolic operations, not tuple
@@ -170,12 +171,12 @@ def _extremes(expr: Sym, floor: int, box: tuple[Sym, Sym]) -> tuple[int | None, 
     )
 
 
-# Every strip position and float base ranges over [4, d - 7].
-_STRIP_BOX = (Sym.const(4), Sym.dee(-7))
+# Every strip position and float base ranges over [r, d - (2r - 1)], r = RING_DEPTH.
+_STRIP_BOX = (Sym.const(RING_DEPTH), Sym.dee(-(2 * RING_DEPTH - 1)))
 
 
 def _sign_for_all(expr: Sym) -> int | None:
-    """Sign of the expression over d >= 42 and all variables in [4, d-7].
+    """Sign of the expression over d >= D_FLOOR and all variables in the strip box.
 
     Returns -1, 0, or +1 when the sign is constant on the whole box and
     None when it can change, from the exact ``_extremes`` on the box.
@@ -215,35 +216,35 @@ def cell_possibilities(name: str) -> tuple[SymPoint, ...]:
 
     Corner cells pin one point. Strip cells offer a generic position,
     whose variable is named after the cell, plus the near-top positions
-    the variable range cannot reach. Cached, so that every attempt sees
-    one shared object per point and the caches below compare points by
-    identity.
+    above the strip box. Cached, so that every attempt sees one shared
+    object per point and the caches below compare points by identity.
     """
     kind, idx = parse_coord(name)
     var = Sym.var("m_" + name)
+    near_top = range(RING_DEPTH, 2 * RING_DEPTH - 1)
     if kind == "x":
         i, j = idx
         return (SymPoint(Sym.const(i), Sym.const(j)),)
     if kind == "r":
         i, j = idx
-        return (SymPoint(Sym.const(i), Sym.dee(-(3 + i - j))),)
+        return (SymPoint(Sym.const(i), Sym.dee(-(RING_DEPTH - 1 + i - j))),)
     if kind == "t":
         i, j = idx
-        return (SymPoint(Sym.dee(-(3 + j - i)), Sym.const(j)),)
+        return (SymPoint(Sym.dee(-(RING_DEPTH - 1 + j - i)), Sym.const(j)),)
     if kind == "alpha":
         (i,) = idx
         out = [SymPoint(Sym.const(i), var)]
-        out += [SymPoint(Sym.const(i), Sym.dee(-e)) for e in range(4 + i, 7)]
+        out += [SymPoint(Sym.const(i), Sym.dee(-e)) for e in near_top[i:]]
         return tuple(out)
     if kind == "beta":
         (j,) = idx
         out = [SymPoint(var, Sym.const(j))]
-        out += [SymPoint(Sym.dee(-e), Sym.const(j)) for e in range(4 + j, 7)]
+        out += [SymPoint(Sym.dee(-e), Sym.const(j)) for e in near_top[j:]]
         return tuple(out)
     if kind == "gamma":
         (k,) = idx
         out = [SymPoint(var, Sym.dee(-k) - var)]
-        out += [SymPoint(Sym.dee(-e), Sym.const(e - k)) for e in range(4 + k, 7)]
+        out += [SymPoint(Sym.dee(-e), Sym.const(e - k)) for e in near_top[k:]]
         return tuple(out)
     raise ValueError(f"unknown cell {name!r}")
 
@@ -300,18 +301,18 @@ def _structures(n_vars: int) -> tuple:
     """Every way to assign the column variables to regions.
 
     A placement scenario attaches each variable to the low cluster at an
-    explicit column in [4, 3 + 5n], to the top cluster at an explicit
-    distance in [7, 6 + 5n] from d, or lets it float; floating variables
-    are grouped into chains with explicit internal offsets
-    (``_group_offsets``, any member lowest) and an unconstrained common
-    base, the lowest member's column. Chains of interaction steps of
-    length at most five bound the explicit ranges, so the scenarios
-    cover every concrete configuration. A structure is
-    what a scenario leaves once its explicit columns and offsets are
-    dropped: the variables that go low, those that go top, and the float
-    groups in ``_partitions`` order, group g on base B{g}, the first row
-    of its region. Both generators take any number of variables; a full
-    run has at most two.
+    explicit column, one of the 5n from the strip box's low end, to the top
+    cluster at an explicit distance from d, one of the 5n from the box's top
+    end, or lets it float; floating variables are grouped into chains with
+    explicit internal offsets (``_group_offsets``, any member lowest) and an
+    unconstrained common base, the lowest member's column. Chains of
+    interaction steps of length at most five bound the explicit ranges, so
+    the scenarios cover every concrete configuration. A structure is what a
+    scenario leaves once its explicit columns and offsets are dropped: the
+    variables that go low, those that go top, and the float groups in
+    ``_partitions`` order, group g on base B{g}, the first row of its
+    region. Both generators take any number of variables; a full run has at
+    most two.
     """
     out = []
     for combo in itertools.product(("low", "top", "float"), repeat=n_vars):
@@ -322,6 +323,7 @@ def _structures(n_vars: int) -> tuple:
     return tuple(out)
 
 
+# Room to spare over 2r - 2 + 5n, the farthest top column a scenario places; not read off r.
 _TOP_WINDOW = 24
 # The first row of the low region and of the top window.
 _LOW_ROW = Sym.const(0)
@@ -337,7 +339,7 @@ _REGION_ROWS = {
 
 def _classify_column(col: Sym):
     if col.is_const:
-        if not 0 <= col.c <= 3 + 5 * 5:
+        if not 0 <= col.c <= 3 + 5 * 5:  # sanity bounds for five points, not the ring's geometry
             raise AssertionError(f"unexpected explicit column {col}")
         return ("low", col.c)
     if col.dc == 1 and not col.terms:
@@ -460,8 +462,8 @@ def _block_verdict(
                 if upper.dc == 1 and not upper.terms:
                     key, key_min = ("d",), D_FLOOR
                 elif upper.dc == 1 and len(upper.terms) == 1 and upper.terms[0][1] == -1:
-                    # A function of u = d - base with the base at most d - 7.
-                    key, key_min = ("u", upper.terms[0][0]), 7
+                    # A function of u = d - base with the base at most the strip box's top end.
+                    key, key_min = ("u", upper.terms[0][0]), -_STRIP_BOX[1].c
                 else:
                     return ScenarioFailure("ambiguous", "entry mixes the degree with a base")
                 if symbol is None:
@@ -492,7 +494,7 @@ def _placed_carrier(
     Solves the placed column expression for the variable and returns
     the point with that value substituted, together with
     ``_classify_column`` of its column. Returns None when the placement
-    forces the variable outside [4, d-7], which makes every scenario
+    forces the variable outside the strip box, which makes every scenario
     with this choice vacuous. Attempts share their carriers, so a full
     run solves only a few hundred.
     """
@@ -505,10 +507,10 @@ def _placed_carrier(
     coeff = dict(colexpr.terms)[name]
     rest = colexpr - Sym(0, 0, ((name, coeff),))
     value = (col - rest).scaled(coeff)
-    # The variable must stay in [4, d-7] somewhere on the box.
-    if _sign_for_all(value.shifted(-4)) == -1:
+    # Vacuous when the variable lies below, or above, the box everywhere.
+    if _sign_for_all(value - _STRIP_BOX[0]) == -1:
         return None
-    if _sign_for_all(Sym.dee(-7) - value) == -1:
+    if _sign_for_all(_STRIP_BOX[1] - value) == -1:
         return None
     placed = point.subst({name: value})
     return placed, _classify_column(placed.i)
@@ -583,8 +585,10 @@ def _attempt_regions(points: list[SymPoint]):
         return None if slot is None else (k, slot[0], slot[1][-1])
 
     n = len(carriers)
-    low = [[e for c in range(4, 4 + 5 * n) if (e := entry(v, ("low", c))) is not None] for v in range(n)]
-    top = [[e for o in range(7, 7 + 5 * n) if (e := entry(v, ("top", o))) is not None] for v in range(n)]
+    lows = range(_STRIP_BOX[0].c, _STRIP_BOX[0].c + 5 * n)
+    tops = range(-_STRIP_BOX[1].c, -_STRIP_BOX[1].c + 5 * n)
+    low = [[e for c in lows if (e := entry(v, ("low", c))) is not None] for v in range(n)]
+    top = [[e for o in tops if (e := entry(v, ("top", o))) is not None] for v in range(n)]
     memo: dict[tuple, list[ScenarioFailure]] = {}
     for low_vars, top_vars, groups in _structures(n):
         regions = [("low", list(itertools.product(*(low[v] for v in low_vars))))]
@@ -666,6 +670,7 @@ def symmetry_eliminates(case: ContractionPoint) -> str | None:
 # Hexagon coverage.
 
 
+# Fixed instances, proved against the depth-4 strips in ``hexagon_eliminates``; not read off r.
 def _hexagon_instances(d: int) -> tuple[tuple[int, int, int], ...]:
     """The hexagons (d', ell1, ell2) small, thirds, wide_i, wide_j in mask-bit order."""
     t = d // 3
@@ -677,14 +682,14 @@ def _strip_masks(kind: str, idx: int) -> frozenset[int]:
     """The masks of instances containing each generic position m of one strip.
 
     Position m of alpha[idx], beta[idx] or gamma[idx] is the grid point
-    (idx, m), (m, idx) or (m, d - idx - m), here at d = D_FLOOR. Corner
-    cells and explicit near-top strip positions are inside every
-    instance, so only generic strip variables constrain.
+    (idx, m), (m, idx) or (m, d - idx - m), here at d = D_FLOOR, m in the
+    strip box. Corner cells and explicit near-top strip positions are
+    inside every instance, so only generic strip variables constrain.
     """
     d = D_FLOOR
     instances = _hexagon_instances(d)
     masks = set()
-    for m in range(4, d - 6):
+    for m in range(_STRIP_BOX[0].c, d + _STRIP_BOX[1].c + 1):
         point = {"alpha": (idx, m), "beta": (m, idx), "gamma": (m, d - idx - m)}[kind]
         masks.add(sum(1 << bit for bit, inst in enumerate(instances) if in_hexagon(point, d, *inst)))
     return frozenset(masks)
@@ -717,6 +722,7 @@ def hexagon_eliminates(case: ContractionPoint) -> bool:
         for name in case.record()
         if name.startswith(("alpha", "beta", "gamma"))
     ]
+    # A support-five case has at most three strip points; a width, not the ring depth.
     if len(strips) > 3:
         raise AssertionError("more strip coordinates than a support-five case allows")
     mask_sets = [_strip_masks(kind, idx) for kind, (idx,) in strips]
@@ -837,6 +843,7 @@ def _final_slice_patterns() -> list[tuple[str, list[tuple[Sym, Sym]], list[Sym],
         points = [origin, far_j, far_i, strip_a, strip_b, (g_form, Sym.const(1))]
         return (name, points, base_rows + [extra_row, d], box)
 
+    # A hand-made depth-4 argument: g's boxes are the depth-4 strip box, written in e.
     return [
         pattern("low", g, g.shifted(1), (Sym.const(4), e.shifted(-2))),
         pattern("below-strip", e.shifted(-1), e.shifted(-1)),

@@ -25,6 +25,7 @@ from chipsplit.enumeration import (
     check_conjecture,
     enumerate_fundamental,
     sweep_no_valid_outcomes,
+    sweep_start,
     sweep_summary,
 )
 from chipsplit.grid import (
@@ -35,7 +36,15 @@ from chipsplit.grid import (
     apply_game,
     grid_points,
 )
-from chipsplit.hyperfield import gamma_set, lambda_set
+from chipsplit.hyperfield import (
+    H,
+    MIN_CONTRACTION_DEGREE,
+    RING_DEPTH,
+    ContractionPoint,
+    contracted_forms,
+    gamma_set,
+    lambda_set,
+)
 from chipsplit.linalg import det, kernel_basis
 from chipsplit.models import (
     composite,
@@ -421,3 +430,25 @@ def test_criterion_10_exceptional_outcomes_and_degree_bound(criterion, wide_cens
         wide = check_conjecture(wide_census)
         assert wide.holds
         assert wide.equality_counts == {1: 1, 2: 1, 3: 2, 4: 4, 5: 2}
+
+
+def test_criterion_11_widths_two_to_four_at_every_degree(criterion):
+    with criterion(11, "no valid outcome with 2..4 positive entries above degree 2n - 1"):
+        # Degrees 2n..11 are swept.  From d = 12 = 3 * RING_DEPTH on, the
+        # descent proof in contracted_forms makes the sign image of every
+        # descended Pascal form that of its contracted form, so a valid
+        # outcome of width <= 4 would contract to a member of Gamma_0..Gamma_4
+        # at its degree's parity; all of them are empty.
+        assert MIN_CONTRACTION_DEGREE == 3 * RING_DEPTH - 1 == 11
+        for n_plus in (2, 3, 4):
+            certificates = sweep_no_valid_outcomes(
+                n_plus, range(sweep_start(n_plus), MIN_CONTRACTION_DEGREE + 1)
+            )
+            assert all(cert.holds for cert in certificates)
+            survivors = {cert.d: len(cert.sign_survivors) for cert in certificates if cert.sign_survivors}
+            assert survivors == ({6: 5, 7: 3} if n_plus == 4 else {})
+        origin_only = ContractionPoint.from_record({"x[0,0]": -1})
+        for parity in ("even", "odd"):
+            for size in (1, 2, 3, 4):
+                assert gamma_set(parity, size) == ()
+            assert any(form.evaluate(origin_only) != H for form in contracted_forms(parity))

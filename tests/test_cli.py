@@ -14,6 +14,7 @@ import os
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import chipsplit
+from chipsplit import cli
 from chipsplit.cli import _echo_json, _render, main
 from chipsplit.enumeration import sweep_no_valid_outcomes, sweep_start
 from chipsplit.grid import MAX_INPUT_DEGREE
@@ -522,6 +524,26 @@ class TestHexagon:
         assert payload["zero_determinants"] == []
         assert payload["conventions"] == {"shifted": 27}
 
+    def test_note_follows_the_tally(self, runner, monkeypatch):
+        # One triple matching the other convention must not be reported
+        # under the all-shifted note.
+        real = cli.hexagon_determinant
+        first = (4, 1, 1)
+
+        def one_literal(d, d_small, ell1):
+            result = real(d, d_small, ell1)
+            return replace(result, matching="literal") if (d, d_small, ell1) == first else result
+
+        monkeypatch.setattr(cli, "hexagon_determinant", one_literal)
+        result = runner.invoke(main, ["hexagon", "--max-degree", "8", "--json"])
+        payload = json.loads(result.output)
+        assert payload["conventions"] == {"literal": 1, "shifted": 26}
+        assert payload["note"] == (
+            "direct determinants match the superfactorial conventions as tallied: literal 1, shifted 26"
+        )
+        lines = runner.invoke(main, ["hexagon", "--max-degree", "8"]).output.splitlines()
+        assert "literal-index product disagrees" not in lines[2]
+
 
 class TestPipeline:
     def test_json_counts(self, runner):
@@ -565,6 +587,19 @@ class TestFamily:
         payload = json.loads(result.output)
         assert payload["ambient"] == 3
         assert [1, 1, "3"] in payload["entries"]
+
+    def test_every_member_printed_reads_back(self, runner, fixture_file):
+        # Member k has degree 2k + 1, and the file-taking commands read
+        # degrees up to 500, so k stops at 249.
+        result = runner.invoke(main, ["family", "--k", "250", "--json"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        member = runner.invoke(main, ["family", "--k", "249", "--json"])
+        assert member.exit_code == 0
+        result = runner.invoke(main, ["fundamental", fixture_file("family.json", member.output)])
+        assert result.exit_code == 0
+        assert result.output == "fundamental outcome of degree 499\n"
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():

@@ -230,6 +230,34 @@ class TestRingCell:
             ring_cell((8, 8), 15)
 
 
+class TestRingDepth:
+    """The values RING_DEPTH derives, pinned at the paper's depth 4."""
+
+    def test_depth_four_layout(self):
+        assert hyperfield.RING_DEPTH == 4
+        assert MIN_CONTRACTION_DEGREE == 11
+        assert XI_COORDS == (
+        "x[0,0]", "x[0,1]", "x[0,2]", "x[0,3]", "x[1,0]", "x[1,1]", "x[1,2]", "x[1,3]",
+        "x[2,0]", "x[2,1]", "x[2,2]", "x[2,3]", "x[3,0]", "x[3,1]", "x[3,2]", "x[3,3]",
+        "r[0,0]", "r[0,1]", "r[0,2]", "r[0,3]", "r[1,0]", "r[1,1]", "r[1,2]", "r[1,3]",
+        "r[2,0]", "r[2,1]", "r[2,2]", "r[2,3]", "r[3,0]", "r[3,1]", "r[3,2]", "r[3,3]",
+        "t[0,0]", "t[0,1]", "t[0,2]", "t[0,3]", "t[1,0]", "t[1,1]", "t[1,2]", "t[1,3]",
+        "t[2,0]", "t[2,1]", "t[2,2]", "t[2,3]", "t[3,0]", "t[3,1]", "t[3,2]", "t[3,3]",
+        "alpha[0]", "alpha[1]", "alpha[2]", "alpha[3]", "beta[0]", "beta[1]", "beta[2]", "beta[3]",
+        "gamma0[0]", "gamma0[1]", "gamma0[2]", "gamma0[3]", "gamma1[0]", "gamma1[1]", "gamma1[2]", "gamma1[3]",
+        )
+        assert len(XI_PRIME_COORDS) == 60
+
+    def test_depth_four_forms(self):
+        for parity in ("even", "odd"):
+            assert [f.name for f in contracted_forms(parity)] == [
+                "psi[1]", "psi[2]", "psi[3]", "psibar[1]", "psibar[2]", "psibar[3]",
+                "phi[1,d-1]", "phi[2,d-2]", "phi[3,d-3]", "phi[d-1,1]", "phi[d-2,2]", "phi[d-3,3]",
+                "psi[d-3]", "psi[d-2]", "psi[d-1]", "psi[d]",
+                "psibar[d-3]", "psibar[d-2]", "psibar[d-1]", "psibar[d]",
+            ]
+
+
 class TestContract:
     def test_tightness_anchor(self):
         theta = contract(sign_of(tightness_family(7)), 15)

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chipsplit import models
+from chipsplit import models, pascal
 from chipsplit.grid import ChipConfiguration, Game, apply_game, grid_points
-from chipsplit.linalg import Poly
+from chipsplit.linalg import Poly, kernel_basis
 from chipsplit.models import (
     Decomposition,
     EmbeddingStep,
@@ -239,6 +239,27 @@ def test_decompose_the_worked_composite():
     assert {m.support for m in dec.models} == {frozenset({(2, 0), (1, 1), (0, 2)}), frozenset({(0, 1), (1, 1), (2, 0)})}
     assert all(is_fundamental(m.support, m.degree) for m in dec.models)
     assert dec.fold() == mixed
+
+
+def test_decompose_asks_one_kernel_question_per_node(monkeypatch):
+    # The empty relation list on the support is the leaf test, so no node
+    # also runs the kernel on the support plus the origin.
+    calls = []
+
+    def counting(rows):
+        calls.append(1)
+        return kernel_basis(rows)
+
+    monkeypatch.setattr(pascal, "kernel_basis", counting)
+    monkeypatch.setattr(models, "kernel_basis", counting)
+    for mixed in (BINOMIAL, composite(SEGMENT, composite(BINOMIAL, THIRD, Fraction(1, 2)), Fraction(1, 3))):
+        calls.clear()
+        dec = decompose(mixed)
+        assert dec.fold() == mixed
+        # Distinct leaves of a binary split tree: 2 * leaves - 1 nodes.
+        assert len({m.support for m in dec.models}) == len(dec.models)
+        assert len(calls) == 2 * len(dec.models) - 1
+    assert len(dec.models) == 4
 
 
 @settings(max_examples=60, deadline=None)

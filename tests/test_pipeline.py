@@ -20,9 +20,9 @@ from chipsplit.criteria import (
     pairing_matrix,
 )
 from chipsplit.enumeration import _resolve_survivor, sign_survivor_search
-from chipsplit.grid import ChipConfiguration, act_point
+from chipsplit.grid import ChipConfiguration, act_point, grid_points
 from chipsplit.hyperfield import XI_PRIME_COORDS, ContractionPoint, chi, contract, lambda_set
-from chipsplit import pipeline
+from chipsplit import hyperfield, pipeline
 from chipsplit.linalg import binomial
 from chipsplit.pipeline import (
     D_FLOOR,
@@ -32,6 +32,7 @@ from chipsplit.pipeline import (
     _E_MIN,
     _LOW_ROW,
     _REGION_ROWS,
+    _STRIP_BOX,
     _TOP_WINDOW,
     _attempt_excluded,
     _attempt_guards,
@@ -215,6 +216,28 @@ class TestCellPossibilities:
                 else:
                     seen.add((evaluate(p.i, d), evaluate(p.j, d)))
             assert seen == {placed_point(name, d, m) for m in strip_positions(name, d)}
+
+    def test_strip_box_at_depth_four(self):
+        assert _STRIP_BOX == (Sym.const(4), Sym.dee(-7))
+
+    @pytest.mark.parametrize("d", range(D_FLOOR, D_FLOOR + 4))
+    def test_cells_hold_the_points_ring_cell_gives_them(self, d):
+        # The pipeline's positions and hyperfield.ring_cell read one ring:
+        # every merged cell's possibilities, with the generic strip point
+        # over the strip box, are exactly the grid points that feed it.
+        low, top = (evaluate(end, d) for end in _STRIP_BOX)
+        fed = collections.defaultdict(set)
+        for p in grid_points(d):
+            cell = hyperfield._merged_cell(p, d)
+            if cell is not None:
+                fed[cell].add(p)
+        assert set(fed) == set(XI_PRIME_COORDS)
+        for name in XI_PRIME_COORDS:
+            seen = set()
+            for p in cell_possibilities(name):
+                heights = range(low, top + 1) if p.variables() else [None]
+                seen |= {(evaluate(p.i, d, {f"m_{name}": m}), evaluate(p.j, d, {f"m_{name}": m})) for m in heights}
+            assert seen == fed[name], name
 
 
 def placements(n_vars):
