@@ -51,7 +51,7 @@ from .grid import render as render_triangle
 from .hyperfield import gamma_set
 from .models import decompose, is_fundamental, model_record, outcome_to_model, tightness_family
 from .pascal import is_outcome, top_edge_values
-from .pipeline import pipeline_summary
+from .pipeline import STAGES, pipeline_summary
 
 
 def _input_error(message: str):
@@ -351,7 +351,7 @@ def pipeline_command(as_json):
     else:
         total = len(report.verdicts)
         click.echo(f"cases: {total}")
-        for stage in ("invertibility", "symmetry", "hexagon", "special"):
+        for stage in STAGES:
             click.echo(f"  eliminated by {stage}: {report.counts[stage]}")
         click.echo(f"  survivors: {report.counts['survivor']}")
     sys.exit(0 if not survivors else 1)

@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Collection
 
-from .grid import ChipConfiguration, Coord
+from .grid import ChipConfiguration, Coord, degree_order
 from .linalg import _echelon, binomial, det
 from .pascal import is_outcome, top_edge_columns
 
@@ -69,7 +69,7 @@ def pairing_matrix(degrees: set[int] | tuple[int, ...], points: set[Coord] | tup
     """Build the pairing matrix with rows and columns in canonical sorted order."""
     return PairingMatrix(
         tuple(sorted(degrees)),
-        tuple(sorted(points, key=lambda p: (p[0] + p[1], p[0]))),
+        tuple(sorted(points, key=degree_order)),
         d,
     )
 
@@ -120,7 +120,7 @@ def construct_lambda(points: set[Coord] | frozenset[Coord], d: int) -> list[Lamb
             return None
         chunk = sorted(
             (p for i in range(c, c + width) for p in by_column.get(i, ())),
-            key=lambda p: (p[0] + p[1], p[0]),
+            key=degree_order,
         )
         degrees = tuple(range(c, c + width)) if chunk else ()
         blocks.append(LambdaBlock(c, c + width, tuple(chunk), degrees))

@@ -31,6 +31,11 @@ PERMUTATIONS = ("e", "(12)", "(13)", "(23)", "(123)", "(132)")
 MAX_INPUT_DEGREE = 500
 
 
+def degree_order(p: Coord) -> tuple[int, int]:
+    """Sort key of the (degree, i) order every point listing uses."""
+    return (p[0] + p[1], p[0])
+
+
 def grid_points(d: int) -> list[Coord]:
     """All points of the degree-d triangle, sorted by total degree then i."""
     if d < 0:
@@ -159,7 +164,7 @@ class ChipConfiguration:
         return self._entries.get(point, 0)
 
     def __iter__(self) -> Iterator[tuple[Coord, Value]]:
-        return iter(sorted(self._entries.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0])))
+        return iter(sorted(self._entries.items(), key=lambda kv: degree_order(kv[0])))
 
     def __len__(self) -> int:
         return len(self._entries)

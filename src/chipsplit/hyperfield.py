@@ -564,36 +564,15 @@ def gamma_set(parity: str, supp_size: int) -> tuple[ContractionPoint, ...]:
     return tuple(ContractionPoint(XI_COORDS, vec) for vec in vectors)
 
 
-@dataclass(frozen=True)
-class LambdaSet:
-    """Deduplicated merged images of both parity case lists."""
-
-    cases: tuple[ContractionPoint, ...]
-    exceptional: ContractionPoint
-
-
 @cache
-def lambda_set() -> LambdaSet:
-    """Merge the two support-5 case lists along chi and split off the one
-    element whose merged positive support drops below five."""
-    images: dict[tuple, ContractionPoint] = {}
-    for parity in ("even", "odd"):
-        for theta in gamma_set(parity, 5):
-            prime = chi(theta)
-            images[prime.vector] = prime
-    cases = []
-    small = []
-    for prime in images.values():
-        if len(prime.positive_support()) == 5:
-            cases.append(prime)
-        else:
-            small.append(prime)
-    if len(small) != 1:
-        raise AssertionError(
-            f"expected exactly one merged image of smaller support, found {len(small)}"
-        )
-    cases.sort(key=lambda p: p.vector)
-    return LambdaSet(tuple(cases), small[0])
+def lambda_set() -> tuple[ContractionPoint, ...]:
+    """The distinct chi images of both parities' support-5 case lists.
+
+    Sorted by (positive support below five, vector): the five-support
+    cases by vector, then any image whose merged support shrank.
+    """
+    images = {chi(theta) for parity in ("even", "odd") for theta in gamma_set(parity, 5)}
+    return tuple(sorted(images, key=lambda p: (len(p.positive_support()) < 5, p.vector)))
 
 
 # ---------------------------------------------------------------------------

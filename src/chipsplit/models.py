@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-from .grid import MAX_INPUT_DEGREE, ChipConfiguration, Coord, _json_int
+from .grid import MAX_INPUT_DEGREE, ChipConfiguration, Coord, _json_int, degree_order
 from .linalg import binomial, kernel_basis
 from .pascal import is_outcome, outcome_space, top_edge_columns
 
@@ -307,7 +307,7 @@ def fundamentality(support: Iterable[Coord], d: int | None = None) -> tuple[int,
         d = max(i + j for i, j in points)
     if any(i < 0 or j < 0 or i + j > d for i, j in points):
         raise ValueError(f"support must lie inside the degree-{d} triangle")
-    points = sorted(points | {(0, 0)}, key=lambda p: (p[0] + p[1], p[0]))
+    points = sorted(points | {(0, 0)}, key=degree_order)
     columns = top_edge_columns(d)
     basis = kernel_basis(list(zip(*(columns[p] for p in points))))
     if len(basis) != 1:
@@ -341,7 +341,7 @@ def decompose(model: ParametricModel) -> Decomposition:
     def recurse(m: ParametricModel, coefficient: Fraction):
         # m's outcome puts the origin's column in its support's span, so m
         # is fundamental exactly when the support carries no relation.
-        points = sorted(m.support, key=lambda p: (p[0] + p[1], p[0]))
+        points = sorted(m.support, key=degree_order)
         relations = outcome_space(set(points), m.degree)
         if not relations:
             leaves.append((m, coefficient))

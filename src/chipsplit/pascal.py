@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .grid import ChipConfiguration, Coord, Game, Value
+from .grid import ChipConfiguration, Coord, Game, Value, degree_order
 from .linalg import binomial, kernel_basis
 
 
@@ -236,7 +236,7 @@ def outcome_space(support: frozenset[Coord] | set[Coord], d: int) -> list[ChipCo
     normalized so its entry at the origin (when present in the support)
     is nonpositive, and by a positive leading entry otherwise.
     """
-    points = sorted(support, key=lambda p: (p[0] + p[1], p[0]))
+    points = sorted(support, key=degree_order)
     if any(i < 0 or j < 0 or i + j > d for i, j in points):
         raise ValueError(f"support must lie inside the degree-{d} triangle")
     if not points:

@@ -23,7 +23,7 @@ eliminators and reporting which one fires:
   (``_entry``) and the row scaling (``_scaled_row``). A block verdict
   is a pure function of the region's first row, the block's start
   column and width, and its points, and is cached under that key,
-  because a full run asks for 192,150 verdicts on only 778 distinct
+  because a full run asks for 192,025 verdicts on only 778 distinct
   blocks; the block's rows are built only on a miss. A moved point's
   placement and column kind depend only on the point, its variable's
   column expression and the choice, so they are cached across attempts
@@ -32,8 +32,8 @@ eliminators and reporting which one fires:
   and a region's failures depend only on the points in it, so an
   attempt is decided region by region: each region's possible contents
   are enumerated once per structure, never the scenarios they combine
-  into, and memoised per attempt. A full run's 7,091 attempts make
-  92,367 region probes, of which 79,358 run the greedy walk and ask for
+  into, and memoised per attempt. A full run's 7,041 attempts make
+  92,311 region probes, of which 79,302 run the greedy walk and ask for
   verdicts. Every point an attempt sees is one shared object, from
   ``cell_possibilities``, ``_transposed`` or ``_placed_carrier``, so
   the cache probes compare points by identity.
@@ -41,6 +41,8 @@ eliminators and reporting which one fires:
   symmetry. The image pattern includes the permuted origin, and a
   successful pairing there excludes any outcome on the original support
   positions as well, because the criterion is blind to entry signs.
+  An attempt also tries the transposed patterns, those of the (12)sigma
+  image, so the stage tries one image per coset of (12): (13), (23).
 * hexagon: if for every admissible strip position some hexagon instance
   contains the whole support, a compatible valid outcome would have
   degree far below d, contradicting its top-degree points. The four
@@ -67,7 +69,6 @@ from operator import and_
 from typing import NamedTuple
 
 from .criteria import block_shape, greedy_blocks, in_hexagon
-from .grid import PERMUTATIONS
 from .linalg import Poly, falling_poly, integer_roots_at_or_above, poly_det
 from .hyperfield import RING_DEPTH, ContractionPoint, lambda_set, parse_coord, s3_on_contraction
 from .models import tightness_family
@@ -644,7 +645,10 @@ def _attempt_guards(points: list[SymPoint]) -> set[Sym] | None:
 
 
 def _resistant_patterns(case: ContractionPoint):
-    """Yield (points, flipped) for each position pattern neither pairing attempt excludes."""
+    """Yield (points, flipped) for each position pattern neither pairing attempt excludes.
+
+    flipped, the transpose, is a pattern of the case's (12) image.
+    """
     for combo in itertools.product(*(cell_possibilities(name) for name in case.record())):
         points = list(combo)
         flipped = [_transposed(p) for p in points]
@@ -657,9 +661,17 @@ def invertibility_eliminates(case: ContractionPoint) -> bool:
     return next(_resistant_patterns(case), None) is None
 
 
+_SYMMETRY_IMAGES = ("(13)", "(23)")  # one per coset {sigma, (12)sigma} but the identity's
+
+
 def symmetry_eliminates(case: ContractionPoint) -> str | None:
-    """Try the pairing argument on each nontrivial symmetry image, in the order of PERMUTATIONS."""
-    for sigma in PERMUTATIONS[1:]:
+    """Try the pairing argument on the (13) image, then on the (23) image.
+
+    ``_resistant_patterns`` pairs each pattern of the sigma image with its
+    transpose, a pattern of the (12)sigma image, so the two ask one question:
+    (12) repeats the invertibility stage, (132) repeats (13), (123) repeats (23).
+    """
+    for sigma in _SYMMETRY_IMAGES:
         image = s3_on_contraction(sigma, case)
         if invertibility_eliminates(image):
             return sigma
@@ -726,7 +738,8 @@ def hexagon_eliminates(case: ContractionPoint) -> bool:
     if len(strips) > 3:
         raise AssertionError("more strip coordinates than a support-five case allows")
     mask_sets = [_strip_masks(kind, idx) for kind, (idx,) in strips]
-    return all(reduce(and_, masks, 0b1111) for masks in itertools.product(*mask_sets))
+    every = (1 << len(_hexagon_instances(D_FLOOR))) - 1
+    return all(reduce(and_, masks, every) for masks in itertools.product(*mask_sets))
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +781,7 @@ def _special_exceptional(case: ContractionPoint) -> dict | None:
 # is written in Sym with e as the symbol (the ``dc`` slot) and g as the
 # only variable, in a box whose ends are Syms in e.
 
-_E_MIN = 21
+_E_MIN = D_FLOOR // 2  # the least e with 2e + 1 >= D_FLOOR
 
 
 def _expand(grid: list[list[Poly | None]]) -> Poly:
@@ -863,10 +876,8 @@ _FINAL_RECORD = {
     "gamma[1]": 1,
 }
 
-_GUARD_KEYS = (
-    (1, -1, (("m_alpha[1]", -2),)),
-    (1, -1, (("m_beta[1]", -2),)),
-)
+# Each attempt's guard d - 1 - 2m pins its inner strip point m to the middle height.
+_GUARD_KEYS = tuple(Sym.dee(-1) - Sym.var(f"m_{name}").scaled(2) for name in ("alpha[1]", "beta[1]"))
 
 
 def _special_final(case: ContractionPoint) -> dict | None:
@@ -908,6 +919,10 @@ def special_eliminates(case: ContractionPoint) -> dict | None:
     if certificate is None:
         certificate = _special_final(case)
     return certificate
+
+
+# The eliminators in the order ``relset_pipeline`` runs them.
+STAGES = ("invertibility", "symmetry", "hexagon", "special")
 
 
 @dataclass(frozen=True)
@@ -970,10 +985,9 @@ class PipelineReport:
 @cache
 def pipeline_summary() -> PipelineReport:
     """Run every contraction case through the pipeline and tally stages."""
-    lam = lambda_set()
     verdicts = []
-    counts = {"invertibility": 0, "symmetry": 0, "hexagon": 0, "special": 0, "survivor": 0}
-    for case in lam.cases + (lam.exceptional,):
+    counts = dict.fromkeys(STAGES + ("survivor",), 0)
+    for case in lambda_set():
         verdict = relset_pipeline(case)
         verdicts.append(verdict)
         counts[verdict.eliminated_by or "survivor"] += 1

@@ -181,7 +181,7 @@ def test_criterion_05_contraction_pipeline(criterion):
     with criterion(5, "2289 contraction cases eliminated with zero survivors"):
         start = time.perf_counter()
         lam = lambda_set()
-        assert len(lam.cases) == 2289
+        assert sum(len(case.positive_support()) == 5 for case in lam) == 2289
         report = pipeline_summary()
         elapsed = time.perf_counter() - start
         total = len(report.verdicts)
@@ -195,7 +195,8 @@ def test_criterion_05_contraction_pipeline(criterion):
         assert report.counts["survivor"] == 0
         assert report.survivors() == ()
         exceptional_verdict = report.verdicts[-1]
-        assert exceptional_verdict.case == lam.exceptional
+        assert exceptional_verdict.case == lam[-1]
+        assert len(lam[-1].positive_support()) == 4
         assert exceptional_verdict.eliminated_by == "special"
         assert elapsed < 30 * 60
         # pipeline_summary is cached, so the CLI reuses the run above.

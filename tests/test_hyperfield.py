@@ -1,7 +1,14 @@
 """Tests for sign arithmetic, the sign-form exclusion, and the contraction."""
 
 import itertools
+import json
+import os
 import random
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -83,12 +90,13 @@ def random_outcome(rng, d):
 
 
 def random_weakly_valid_signs(rng, d):
+    r = hyperfield.RING_DEPTH
     pts = grid_points(d)
     corners = [
         p
         for p in pts
-        if (p[0] < 4 and p[1] < 4)
-        or (p[0] + p[1] >= d - 3 and (p[0] < 4 or p[1] < 4))
+        if (p[0] < r and p[1] < r)
+        or (p[0] + p[1] >= d - (r - 1) and (p[0] < r or p[1] < r))
     ]
     entries = {p: 1 for p in rng.sample(pts, rng.randint(0, 12))}
     for p in rng.sample(corners, rng.randint(0, 3)):
@@ -256,6 +264,51 @@ class TestRingDepth:
                 "psi[d-3]", "psi[d-2]", "psi[d-1]", "psi[d]",
                 "psibar[d-3]", "psibar[d-2]", "psibar[d-1]", "psibar[d]",
             ]
+
+
+# Run in a copy of the package with RING_DEPTH = 5; prints what it builds.
+DEPTH_FIVE_SCRIPT = """
+import json
+from chipsplit import hyperfield as h
+lam = h.lambda_set()
+print(json.dumps({
+    "module": h.__file__,
+    "coordinates": [len(h.XI_COORDS), len(h.XI_PRIME_COORDS)],
+    "forms": [len(h.contracted_forms(parity)) for parity in ("even", "odd")],
+    "gamma": [len(h.gamma_set(parity, 5)) for parity in ("even", "odd")],
+    "cases": len(lam),
+    "supports": sorted({len(case.positive_support()) for case in lam}),
+}))
+"""
+
+
+class TestDepthFive:
+    def test_case_list_builds_at_depth_five(self, tmp_path):
+        package = tmp_path / "chipsplit"
+        shutil.copytree(
+            Path(hyperfield.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        module = package / "hyperfield.py"
+        text, count = re.subn(r"^RING_DEPTH = 4$", "RING_DEPTH = 5", module.read_text(), flags=re.M)
+        assert count == 1
+        module.write_text(text)
+        run = subprocess.run(
+            [sys.executable, "-c", DEPTH_FIVE_SCRIPT],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(tmp_path)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        built = json.loads(run.stdout)
+        assert built.pop("module") == str(module)
+        assert built == {
+            "coordinates": [95, 90],
+            "forms": [26, 26],
+            "gamma": [1252, 1341],
+            "cases": 2388,
+            "supports": [5],
+        }
 
 
 class TestContract:
@@ -694,8 +747,10 @@ class TestGammaSet:
 class TestLambdaSet:
     def test_counts_and_exceptional_support(self):
         lam = lambda_set()
-        assert len(lam.cases) == 2289
-        assert lam.exceptional.positive_support() == (
+        assert len(lam) == 2290
+        # The one merged image of smaller support comes last.
+        assert [c for c in lam if len(c.positive_support()) < 5] == [lam[-1]]
+        assert lam[-1].positive_support() == (
             "x[0,3]",
             "x[1,1]",
             "x[3,0]",
@@ -704,15 +759,20 @@ class TestLambdaSet:
 
     def test_cases_are_valid_support_five(self):
         lam = lambda_set()
-        for case in lam.cases[::53]:
+        for case in lam[:-1][::53]:
             assert case.is_valid()
             assert len(case.positive_support()) == 5
-        assert lam.exceptional.is_valid()
+        assert lam[-1].is_valid()
 
     def test_cases_are_deduplicated_and_sorted(self):
         lam = lambda_set()
-        vectors = [c.vector for c in lam.cases]
+        vectors = [c.vector for c in lam[:-1]]
         assert vectors == sorted(set(vectors))
+        assert lam[-1].vector not in vectors
+
+    def test_cases_are_the_merged_images_of_both_parities(self):
+        images = {chi(theta) for parity in ("even", "odd") for theta in gamma_set(parity, 5)}
+        assert set(lambda_set()) == images
 
 
 def hand_image(generator: str, name: str) -> str:
@@ -784,13 +844,12 @@ class TestSymmetryAction:
             hyperfield._contraction_permutation.__wrapped__("(13)", 13)
 
     def test_generators_are_involutions(self):
-        lam = lambda_set()
-        for case in lam.cases[::101]:
+        for case in lambda_set()[::101]:
             for sigma in ("(12)", "(13)", "(23)"):
                 assert s3_on_contraction(sigma, s3_on_contraction(sigma, case)) == case
 
     def test_group_law_matches_composition(self):
-        probe = lambda_set().cases[123]
+        probe = lambda_set()[123]
         for sig in PERMUTATIONS:
             for tau in PERMUTATIONS:
                 assert s3_on_contraction(
@@ -809,13 +868,13 @@ class TestSymmetryAction:
 
     def test_axis_swap_preserves_the_case_list(self):
         lam = lambda_set()
-        vectors = {c.vector for c in lam.cases}
-        for case in lam.cases:
+        vectors = {c.vector for c in lam}
+        for case in lam:
             assert s3_on_contraction("(12)", case).vector in vectors
-        assert s3_on_contraction("(12)", lam.exceptional) == lam.exceptional
+        assert s3_on_contraction("(12)", lam[-1]) == lam[-1]
 
     def test_corner_exchange_moves_the_origin(self):
-        moved = s3_on_contraction("(13)", lambda_set().exceptional)
+        moved = s3_on_contraction("(13)", lambda_set()[-1])
         assert moved.record() == {
             "t[3,0]": -1,
             "t[0,0]": 1,
@@ -826,4 +885,4 @@ class TestSymmetryAction:
 
     def test_unknown_symmetry_raises(self):
         with pytest.raises(ValueError):
-            s3_on_contraction("(14)", lambda_set().exceptional)
+            s3_on_contraction("(14)", lambda_set()[-1])

@@ -20,8 +20,16 @@ from chipsplit.criteria import (
     pairing_matrix,
 )
 from chipsplit.enumeration import _resolve_survivor, sign_survivor_search
-from chipsplit.grid import ChipConfiguration, act_point, grid_points
-from chipsplit.hyperfield import XI_PRIME_COORDS, ContractionPoint, chi, contract, lambda_set
+from chipsplit.grid import PERMUTATIONS, ChipConfiguration, act_point, compose, grid_points
+from chipsplit.hyperfield import (
+    RING_DEPTH,
+    XI_PRIME_COORDS,
+    ContractionPoint,
+    chi,
+    contract,
+    lambda_set,
+    s3_on_contraction,
+)
 from chipsplit import hyperfield, pipeline
 from chipsplit.linalg import binomial
 from chipsplit.pipeline import (
@@ -33,6 +41,7 @@ from chipsplit.pipeline import (
     _LOW_ROW,
     _REGION_ROWS,
     _STRIP_BOX,
+    _SYMMETRY_IMAGES,
     _TOP_WINDOW,
     _attempt_excluded,
     _attempt_guards,
@@ -116,12 +125,13 @@ def split_cell(name):
 def placed_point(name, d, m=None):
     """Concrete grid position of a support cell, strips at height m."""
     kind, idx = split_cell(name)
+    top = d - (RING_DEPTH - 1)  # the degree of the top ring's lowest diagonal
     if kind == "x":
         return (idx[0], idx[1])
     if kind == "r":
-        return (idx[0], d - 3 - idx[0] + idx[1])
+        return (idx[0], top - idx[0] + idx[1])
     if kind == "t":
-        return (d - 3 - idx[1] + idx[0], idx[1])
+        return (top - idx[1] + idx[0], idx[1])
     if kind == "alpha":
         return (idx[0], m)
     if kind == "beta":
@@ -131,7 +141,7 @@ def placed_point(name, d, m=None):
 
 def strip_positions(name, d):
     """Every concrete position a strip cell admits, generic and near-top."""
-    return range(4, d - 3 - split_cell(name)[1][0])
+    return range(RING_DEPTH, d - (RING_DEPTH - 1) - split_cell(name)[1][0])
 
 
 def support_names(record):
@@ -200,7 +210,7 @@ class TestCellPossibilities:
                 assert _transposed(p) is _transposed(p)
                 assert _transposed(p) == p.transposed()
 
-    @pytest.mark.parametrize("idx", range(4))
+    @pytest.mark.parametrize("idx", range(RING_DEPTH))
     def test_strip_options_tile_the_whole_strip(self, idx):
         d = 45
         for kind in STRIP_KINDS:
@@ -210,7 +220,8 @@ class TestCellPossibilities:
                 var_names = {n for n, _ in p.i.terms} | {n for n, _ in p.j.terms}
                 assert var_names <= {f"m_{name}"}
                 if var_names:
-                    for m in range(4, d - 6):
+                    # The strip box [r, d - (2r - 1)].
+                    for m in range(RING_DEPTH, d - 2 * RING_DEPTH + 2):
                         values = {f"m_{name}": m}
                         seen.add((evaluate(p.i, d, values), evaluate(p.j, d, values)))
                 else:
@@ -382,7 +393,7 @@ def generic_points(names):
 def case_attempts_by_width():
     """One generic-position case attempt per count of column variables."""
     by_width = {}
-    for case in lambda_set().cases:
+    for case in lambda_set():
         points = generic_points(support_names(case.record()))
         for attempt in (points, [p.transposed() for p in points]):
             by_width.setdefault(len(_column_variables(attempt)), attempt)
@@ -562,7 +573,7 @@ class TestAttemptFailures:
 
     def test_excluded_matches_the_scenario_walk_on_every_attempt(self):
         attempts = full_run_attempts()
-        assert len(attempts) == 7091
+        assert len(attempts) == 7041
         distinct = set(attempts)
         excluded = 0
         for points in distinct:
@@ -643,7 +654,7 @@ def choices_by_position(n_vars):
 
 def test_placed_carrier_matches_the_reference_substitution():
     met = set()
-    for case in lambda_set().cases:
+    for case in lambda_set():
         points = generic_points(support_names(case.record()))
         for attempt in (points, [p.transposed() for p in points]):
             colvars = _column_variables(attempt)
@@ -948,7 +959,7 @@ class TestGuardAudit:
         assert set(guards) == {(1, -1, (("m_beta[1]", -2),))}
 
     def test_certified_attempt_reports_no_guards(self):
-        for case in lambda_set().cases:
+        for case in lambda_set():
             names = support_names(case.record())
             if any(split_cell(n)[0] in STRIP_KINDS for n in names):
                 continue
@@ -974,7 +985,7 @@ class TestInvertibilityStage:
     def test_symbolic_claims_hold_concretely(self):
         d = 45
         picked = []
-        for case in lambda_set().cases:
+        for case in lambda_set():
             names = support_names(case.record())
             strips = [n for n in names if split_cell(n)[0] in STRIP_KINDS]
             if len(strips) > 1:
@@ -1001,6 +1012,50 @@ class TestInvertibilityStage:
         )
         assert not invertibility_eliminates(case)
         assert symmetry_eliminates(case) == "(13)"
+
+
+def five_image_symmetry(case):
+    """The symmetry stage as it tried every nontrivial image in the order of PERMUTATIONS; the oracle."""
+    for sigma in PERMUTATIONS[1:]:
+        if invertibility_eliminates(s3_on_contraction(sigma, case)):
+            return sigma
+    return None
+
+
+@functools.cache
+def cases_reaching_symmetry():
+    """The five-support cases the invertibility stage leaves to the symmetry stage."""
+    return [
+        verdict.case
+        for verdict in pipeline_summary().verdicts
+        if verdict.eliminated_by != "invertibility" and len(verdict.case.positive_support()) == 5
+    ]
+
+
+class TestSymmetryStage:
+    def test_one_image_per_coset_of_the_transposition(self):
+        cosets = [{sigma, compose("(12)", sigma)} for sigma in ("e", *_SYMMETRY_IMAGES)]
+        assert set().union(*cosets) == set(PERMUTATIONS)
+
+    def test_transposing_an_image_is_the_transposed_symmetry(self):
+        for case in lambda_set():
+            for sigma in PERMUTATIONS:
+                assert s3_on_contraction(compose("(12)", sigma), case) == s3_on_contraction(
+                    "(12)", s3_on_contraction(sigma, case)
+                )
+
+    def test_sigma_and_its_transposition_agree(self):
+        cases = cases_reaching_symmetry()
+        assert len(cases) == 17
+        for case in cases:
+            for sigma in PERMUTATIONS:
+                assert invertibility_eliminates(s3_on_contraction(sigma, case)) == invertibility_eliminates(
+                    s3_on_contraction(compose("(12)", sigma), case)
+                )
+
+    def test_two_images_return_what_five_did(self):
+        for case in cases_reaching_symmetry():
+            assert symmetry_eliminates(case) == five_image_symmetry(case)
 
 
 HEXAGON_NAMES = ("small", "thirds", "wide_i", "wide_j")
