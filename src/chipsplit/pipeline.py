@@ -53,7 +53,10 @@ eliminators and reporting which one fires:
   floor. Coverage is exact, on the bit masks of instances that contain
   each strip position, and decided at d = 42: ``hexagon_eliminates``
   proves the masks are the same at every d >= 42.
-* special: ad hoc arguments for what survives, certified case by case.
+* special: arguments for what survives, certified case by case: a
+  subtraction for the one case of smaller support, and for the last
+  support-five case a slice whose patterns tile gamma[1]'s range, r + 2
+  of them at ring depth r.
 
 Verdicts carry enough detail to re-check the certificate, and the
 module-level report aggregates counts per stage.
@@ -775,10 +778,10 @@ def _special_exceptional(case: ContractionPoint) -> dict | None:
 # low-column guard vanishes: both inner strip points must sit at height
 # (d - 1) / 2, so d is odd, say d = 2e + 1 with e >= 21 on the degree
 # range the pipeline covers. On that slice the support is pinned down to
-# six explicit points (one of them carrying the free diagonal position g),
-# and a hand-picked set of six pairing degrees has nonsingular pairing
-# matrix for every e >= 21, which excludes the slice as well. The slice
-# is written in Sym with e as the symbol (the ``dc`` slot) and g as the
+# six explicit points, one of them gamma[1]'s at a free column g, and the
+# slice's patterns, which tile g's range and so follow the ring depth,
+# each have a nonsingular pairing matrix for every e >= 21. The slice is
+# written in Sym with e as the symbol (the ``dc`` slot) and g as the
 # only variable, in a box whose ends are Syms in e.
 
 _E_MIN = D_FLOOR // 2  # the least e with 2e + 1 >= D_FLOOR
@@ -838,46 +841,52 @@ def _slice_det(rows: list[Sym], points: list[tuple[Sym, Sym]], box: tuple[Sym, S
 def _final_slice_patterns() -> list[tuple[str, list[tuple[Sym, Sym]], list[Sym], tuple[Sym, Sym]]]:
     """Support patterns of the final case on the odd-diagonal slice.
 
-    Fixed points: the origin debt, the two far corners, and the two
-    inner strip points at height e. The remaining positive sits on the
-    top diagonal at column g; the six patterns split its range so that
-    a single degree set works uniformly across each piece.
+    Fixed points: the origin debt, the two far corners and the two inner
+    strip points at height e; gamma[1]'s positive sits on the top diagonal
+    at column g. The r + 2 patterns tile g's range, the strip box
+    [r, d - (2r - 1)] cut at e - 1 and e, then each near-top position of
+    ``cell_possibilities("gamma[1]")`` (near-top, nearer-top, ...), with
+    degrees 0, 1, r - 1, e, g + 1 (e - 1 on "below-strip") and d.
     """
-    e, g, d = Sym(1), Sym.var("g"), Sym(2, 1)
-    origin = (Sym(), d)
-    far_j = (Sym(), Sym())
-    far_i = (d, Sym())
-    strip_a = (Sym.const(1), e)
-    strip_b = (e, e)
-    base_rows = [Sym(), Sym.const(1), Sym.const(3), e]
+
+    def on_slice(expr):  # a Sym in d, read at d = 2e + 1 as a Sym in e
+        return Sym(2 * expr.dc, expr.c + expr.dc, expr.terms)
+
+    e, g, d = Sym(1), Sym.var("g"), on_slice(Sym.dee())
+    # (column, d - degree) of the origin, corners (0, d), (d, 0) and strip points (1, e), (e, 1).
+    fixed = [(Sym(), d), (Sym(), Sym()), (d, Sym()), (Sym.const(1), e), (e, e)]
+    base_rows = [Sym(), Sym.const(1), Sym.const(RING_DEPTH - 1), e]
     no_g = (Sym(), Sym())
+    low, high = map(on_slice, _STRIP_BOX)
+    near_top = sorted(on_slice(p.i) for p in cell_possibilities("gamma[1]")[1:])
 
     def pattern(name, g_form, extra_row, box=no_g):
-        points = [origin, far_j, far_i, strip_a, strip_b, (g_form, Sym.const(1))]
-        return (name, points, base_rows + [extra_row, d], box)
+        return (name, fixed + [(g_form, Sym.const(1))], base_rows + [extra_row, d], box)
 
-    # A hand-made depth-4 argument: g's boxes are the depth-4 strip box, written in e.
     return [
-        pattern("low", g, g.shifted(1), (Sym.const(4), e.shifted(-2))),
+        pattern("low", g, g.shifted(1), (low, e.shifted(-2))),
         pattern("below-strip", e.shifted(-1), e.shifted(-1)),
         pattern("at-strip", e, e.shifted(1)),
-        pattern("high", g, g.shifted(1), (e.shifted(1), Sym(2, -6))),
-        pattern("near-top", Sym(2, -5), Sym(2, -4)),
-        pattern("nearer-top", Sym(2, -4), Sym(2, -3)),
-    ]
+        pattern("high", g, g.shifted(1), (e.shifted(1), high)),
+    ] + [pattern("near" + "er" * k + "-top", i, i.shifted(1)) for k, i in enumerate(near_top)]
 
 
+# The far corners (0, d) and (d, 0) are r[0,r-1] and t[r-1,0] at ring depth r.
 _FINAL_RECORD = {
     "x[0,0]": -1,
-    "r[0,3]": 1,
-    "t[3,0]": 1,
+    f"r[0,{RING_DEPTH - 1}]": 1,
+    f"t[{RING_DEPTH - 1},0]": 1,
     "alpha[1]": 1,
     "beta[1]": 1,
     "gamma[1]": 1,
 }
 
 # Each attempt's guard d - 1 - 2m pins its inner strip point m to the middle height.
-_GUARD_KEYS = tuple(Sym.dee(-1) - Sym.var(f"m_{name}").scaled(2) for name in ("alpha[1]", "beta[1]"))
+_GUARD_KEYS = tuple(
+    Sym.dee(-1) - Sym.var(f"m_{name}").scaled(2)
+    for name in _FINAL_RECORD
+    if name.startswith(("alpha", "beta"))
+)
 
 
 def _special_final(case: ContractionPoint) -> dict | None:

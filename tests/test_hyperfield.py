@@ -269,21 +269,47 @@ class TestRingDepth:
 # Run in a copy of the package with RING_DEPTH = 5; prints what it builds.
 DEPTH_FIVE_SCRIPT = """
 import json
-from chipsplit import hyperfield as h
+from chipsplit import hyperfield as h, pipeline as p
 lam = h.lambda_set()
+report = p.pipeline_summary()
+special = [v.case for v in report.verdicts if v.eliminated_by == "special"]
+certificates = [p.special_eliminates(case) for case in special]
+tiling = {}
+for e in (21, 22, 30):
+    d, columns = 2 * e + 1, []
+    for _, points, _, box in p._final_slice_patterns():
+        column = points[-1][0]
+        low, high = box if column.terms else (column, column)
+        columns += range(low.dc * e + low.c, high.dc * e + high.c + 1)
+    gamma_one = [i for i in range(d) if h._merged_cell((i, d - 1 - i), d) == "gamma[1]"]
+    tiling[e] = [sorted(columns), gamma_one]
 print(json.dumps({
     "module": h.__file__,
-    "coordinates": [len(h.XI_COORDS), len(h.XI_PRIME_COORDS)],
-    "forms": [len(h.contracted_forms(parity)) for parity in ("even", "odd")],
-    "gamma": [len(h.gamma_set(parity, 5)) for parity in ("even", "odd")],
-    "cases": len(lam),
-    "supports": sorted({len(case.positive_support()) for case in lam}),
+    "case_list": {
+        "coordinates": [len(h.XI_COORDS), len(h.XI_PRIME_COORDS)],
+        "forms": [len(h.contracted_forms(parity)) for parity in ("even", "odd")],
+        "gamma": [len(h.gamma_set(parity, 5)) for parity in ("even", "odd")],
+        "cases": len(lam),
+        "supports": sorted({len(case.positive_support()) for case in lam}),
+    },
+    "chain": {
+        "counts": report.counts,
+        "special": [case.record() for case in special],
+        "resistant_patterns": [cert["resistant_patterns"] for cert in certificates],
+        "slice_patterns": [list(cert["determinants_in_e"]) for cert in certificates],
+        "subtraction": sum(p._special_exceptional(case) is not None for case in lam),
+    },
+    "tiling": tiling,
 }))
 """
 
 
 class TestDepthFive:
-    def test_case_list_builds_at_depth_five(self, tmp_path):
+    """The case list and the whole eliminator chain at ring depth 5."""
+
+    @pytest.fixture(scope="class")
+    def built(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("depth5")
         package = tmp_path / "chipsplit"
         shutil.copytree(
             Path(hyperfield.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__")
@@ -302,13 +328,45 @@ class TestDepthFive:
         )
         built = json.loads(run.stdout)
         assert built.pop("module") == str(module)
-        assert built == {
+        return built
+
+    def test_case_list_builds_at_depth_five(self, built):
+        assert built["case_list"] == {
             "coordinates": [95, 90],
             "forms": [26, 26],
             "gamma": [1252, 1341],
             "cases": 2388,
             "supports": [5],
         }
+
+    def test_criterion_12_pipeline_clears_every_case_at_depth_five(self, built, criterion):
+        with criterion(12, "the depth-5 chain has no survivor, without hexagons or the subtraction"):
+            chain = built["chain"]
+            assert chain["counts"] == {
+                "invertibility": 2382,
+                "symmetry": 5,
+                "hexagon": 0,
+                "special": 1,
+                "survivor": 0,
+            }
+            assert chain["special"] == [{
+                "x[0,0]": -1,
+                "r[0,4]": 1,
+                "t[4,0]": 1,
+                "alpha[1]": 1,
+                "beta[1]": 1,
+                "gamma[1]": 1,
+            }]
+            assert chain["resistant_patterns"] == [4]
+            assert chain["slice_patterns"] == [[
+                "low", "below-strip", "at-strip", "high", "near-top", "nearer-top", "nearerer-top",
+            ]]
+            assert chain["subtraction"] == 0
+
+    @pytest.mark.parametrize("e", ["21", "22", "30"])
+    def test_slice_tiles_gamma_ones_range_at_depth_five(self, built, e):
+        columns, gamma_one = built["tiling"][e]
+        assert columns == gamma_one
 
 
 class TestContract:

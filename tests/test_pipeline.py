@@ -821,14 +821,10 @@ def test_two_and_one_verdict_agrees_with_the_integer_guard():
 
 
 class TestExtremes:
-    # The three slice boxes for g over e >= _E_MIN, and the strip box
+    # The slice's distinct boxes for g over e >= _E_MIN, and the strip box
     # over d >= D_FLOOR; the symbol is the Sym's degree slot either way.
-    BOXES = [
-        (_E_MIN, (Sym.const(4), Sym(1, -2))),
-        (_E_MIN, (Sym(1, 1), Sym(2, -6))),
-        (_E_MIN, (Sym(), Sym())),
-        (D_FLOOR, (Sym.const(4), Sym.dee(-7))),
-    ]
+    BOXES = [(_E_MIN, box) for box in dict.fromkeys(box for *_, box in _final_slice_patterns())]
+    BOXES.append((D_FLOOR, _STRIP_BOX))
 
     def brute(self, expr, floor, box, top):
         lo, hi = box
@@ -862,6 +858,21 @@ def concrete_slice_instance(points, rows, e, g):
         S.append((i, d - i - evaluate(upper, e)))
     E = [evaluate(row, e, {"g": g}) for row in rows]
     return d, E, S
+
+
+def slice_columns(e):
+    """Each column g some slice pattern puts gamma[1]'s point at, once per pattern, sorted."""
+    columns = []
+    for _, points, _, box in _final_slice_patterns():
+        column = points[-1][0]
+        low, high = box if column.terms else (column, column)
+        columns += range(evaluate(low, e), evaluate(high, e) + 1)
+    return sorted(columns)
+
+
+def gamma_one_columns(d):
+    """The columns i whose point on the diagonal of degree d - 1 feeds gamma[1]."""
+    return [i for i in range(d) if hyperfield._merged_cell((i, d - 1 - i), d) == "gamma[1]"]
 
 
 def sample_gs(box, e):
@@ -911,6 +922,12 @@ class TestFinalSlice:
                             for v in range(_E_MIN, _E_MIN + kappa + 1):
                                 value = binomial(evaluate(upper, v), kappa) * scale
                                 assert poly(v) == value, (upper, k, v)
+
+    @pytest.mark.parametrize("e", [21, 22, 30])
+    def test_patterns_tile_gamma_ones_range(self, e):
+        # Pairwise disjoint (no column twice) and covering every position
+        # the pairing stage enumerates for gamma[1] at d = 2e + 1.
+        assert slice_columns(e) == gamma_one_columns(2 * e + 1)
 
     def test_determinants_match_the_cubic(self):
         def anchor(e):
