@@ -97,13 +97,16 @@ def _coerce(value: Value) -> Value:
     return value
 
 
-def _parse_value(token: str) -> Value:
+def _parse_value(token: str, point: Coord) -> Value:
+    """Read one chip count, an integer or a fraction like 3/2, found at point."""
     try:
         if "/" in token:
             return Fraction(token)
         return int(token)
     except ZeroDivisionError:
-        raise ValueError(f"chip count {token!r} has a zero denominator") from None
+        raise ValueError(f"chip count {token!r} at {point} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"cannot read chip count {token!r} at {point}") from None
 
 
 class ChipConfiguration:
@@ -354,11 +357,7 @@ def parse(text: str) -> ChipConfiguration:
         for i, token in enumerate(tokens):
             if token in (".", "·"):
                 continue
-            try:
-                value = _parse_value(token)
-            except ValueError as exc:
-                raise ValueError(f"cannot read chip count {token!r} at ({i}, {j})") from exc
-            entries[(i, j)] = value
+            entries[(i, j)] = _parse_value(token, (i, j))
     return ChipConfiguration(entries, ambient=d)
 
 
@@ -408,7 +407,7 @@ def config_from_record(payload) -> ChipConfiguration:
             raise ValueError(f"point {point} lies beyond degree {MAX_INPUT_DEGREE}")
         if point in entries:
             raise ValueError(f"point {point} appears more than once")
-        entries[point] = _parse_value(str(raw))
+        entries[point] = _parse_value(str(raw), point)
     ambient = payload.get("ambient")
     if ambient is not None:
         ambient = _json_int(ambient, "ambient")

@@ -20,23 +20,23 @@ eliminators and reporting which one fires:
   have no admissible integer root. These blocks and the special stage's
   slice share one symbolic toolkit: exact bounds of a linear ``Sym``
   over a box (``_extremes``), pairing entries as falling factorials
-  (``_entry``) and the row scaling (``_scaled_row``). A block verdict
-  is a pure function of the region's first row, the block's start
-  column and width, and its points, and is cached under that key,
-  because a full run asks for 192,025 verdicts on only 778 distinct
-  blocks; the block's rows are built only on a miss. A moved point's
-  placement and column kind depend only on the point, its variable's
-  column expression and the choice, so they are cached across attempts
-  (267 distinct in a full run); the fixed points are classified once
-  per attempt. A scenario fails exactly when one of its regions does,
-  and a region's failures depend only on the points in it, so an
-  attempt is decided region by region: each region's possible contents
-  are enumerated once per structure, never the scenarios they combine
-  into, and memoised per attempt. A full run's 7,041 attempts make
-  92,311 region probes, of which 79,302 run the greedy walk and ask for
-  verdicts. Every point an attempt sees is one shared object, from
-  ``cell_possibilities``, ``_transposed`` or ``_placed_carrier``, so
-  the cache probes compare points by identity.
+  (``_entry``), the row scaling (``_scaled_row``) and one determinant
+  routine (``_pairing_det``). A block verdict is a pure function of the
+  region's first row, the block's start column and width, and its
+  points, and is cached under that key, because a full run asks for
+  214,059 verdicts on only 778 distinct blocks; the block's rows are
+  built only on a miss. A moved point's placement and column kind
+  depend only on the point, its variable's column expression and the
+  choice, so they are cached across attempts (a full run asks 33,706
+  times for 267 distinct); the fixed points are classified once per
+  attempt. A scenario fails exactly when one of its regions does, and a
+  region's failures depend only on the points in it, so an attempt is
+  decided region by region: each region's possible contents are
+  enumerated once per structure, never the scenarios they combine into.
+  A full run's 7,041 attempts make 92,311 region probes, and each runs
+  the greedy walk.
+  The points of ``cell_possibilities`` and ``_placed_carrier`` are
+  shared objects, so most cache probes compare them by identity.
 * symmetry: the same argument after moving the support by a triangle
   symmetry. The image pattern includes the permuted origin, and a
   successful pairing there excludes any outcome on the original support
@@ -220,8 +220,9 @@ def cell_possibilities(name: str) -> tuple[SymPoint, ...]:
 
     Corner cells pin one point. Strip cells offer a generic position,
     whose variable is named after the cell, plus the near-top positions
-    above the strip box. Cached, so that every attempt sees one shared
-    object per point and the caches below compare points by identity.
+    above the strip box. Cached, so that the attempts share one object
+    per point and the caches below mostly compare points by identity;
+    only the transposed points of a flipped attempt are built afresh.
     """
     kind, idx = parse_coord(name)
     var = Sym.var("m_" + name)
@@ -251,10 +252,6 @@ def cell_possibilities(name: str) -> tuple[SymPoint, ...]:
         out += [SymPoint(Sym.dee(-e), Sym.const(e - k)) for e in near_top[k:]]
         return tuple(out)
     raise ValueError(f"unknown cell {name!r}")
-
-
-# The transposed points of the second pairing attempt, shared the same way.
-_transposed = cache(SymPoint.transposed)
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +409,61 @@ def _scaled_row(entries: list[tuple[int, Poly] | None]) -> list[Poly | None]:
     ]
 
 
+def _expand(grid: list[list[Poly | None]]) -> Poly:
+    """Determinant of a grid that may hold unevaluated entries.
+
+    Expands along columns whose entries are all known, preferring the
+    sparsest, until the unevaluated entries' rows are gone and a plain
+    polynomial determinant finishes the job; a grid with no unevaluated
+    entry goes straight to ``poly_det``. Every pairing block and slice
+    pattern reaches that point; anything else is a logic error, not a
+    case to handle.
+    """
+    n = len(grid)
+    if all(entry is not None for row in grid for entry in row):
+        return poly_det(grid)
+    best: tuple[int, int] | None = None
+    for c in range(n):
+        column = [grid[r][c] for r in range(n)]
+        if any(entry is None for entry in column):
+            continue
+        nonzeros = sum(1 for entry in column if entry)
+        if best is None or nonzeros < best[0]:
+            best = (nonzeros, c)
+    if best is None:
+        raise AssertionError("pairing determinant expansion has no evaluated column")
+    _, c = best
+    det = Poly([])
+    for r in range(n):
+        entry = grid[r][c]
+        if not entry:
+            continue
+        minor = [
+            [grid[rr][cc] for cc in range(n) if cc != c]
+            for rr in range(n)
+            if rr != r
+        ]
+        term = entry * _expand(minor)
+        det = det + (term if (r + c) % 2 == 0 else -term)
+    return det
+
+
+def _pairing_det(
+    rows: list[Sym], points: list[tuple[Sym, Sym]], floor: int, box: tuple[Sym, Sym]
+) -> Poly:
+    """The pairing determinant, with each row scaled by ``_scaled_row``.
+
+    Each point is (column, upper argument); the entry of row a at a point
+    is binomial(upper, a - column), read by ``_entry`` over symbol >= floor
+    and the box.
+    """
+    grid = [
+        _scaled_row([_entry(upper, row - i, floor, box) for i, upper in points])
+        for row in rows
+    ]
+    return _expand(grid)
+
+
 @cache
 def _block_verdict(
     base_row: Sym, c_lo: int, width: int, pts: tuple[SymPoint, ...]
@@ -448,35 +500,30 @@ def _block_verdict(
         return None
     if len(cols) <= 2:
         raise AssertionError(f"impossible {len(cols)}-point column pattern {cols}")
-    # General block: exact determinant as a polynomial in one symbol, on
-    # rows of ``_entry`` results scaled by ``_scaled_row``. An entry with
-    # k < 0 is zero whatever its upper argument, so it names no symbol.
+    # General block: exact determinant as a polynomial in one symbol. The
+    # greedy walk puts every column in [c_lo, c_lo + width - 1], so every
+    # point meets row width - 1 with k >= 0, and the symbol a non-constant
+    # upper argument names is read once per point.
     symbol = None
     u_min = 0
-    grid = []
-    for w in range(width):
-        a = lead.shifted(w)
-        ks = [a - p.i for _, p in shifted]
-        if not all(k.is_const for k in ks):
-            raise AssertionError("row index does not align with block columns")
-        row = []
-        for k, (_, p) in zip(ks, shifted):
-            upper = Sym.dee() - (p.i + p.j)
-            if k.c >= 0 and not upper.is_const:
-                if upper.dc == 1 and not upper.terms:
-                    key, key_min = ("d",), D_FLOOR
-                elif upper.dc == 1 and len(upper.terms) == 1 and upper.terms[0][1] == -1:
-                    # A function of u = d - base with the base at most the strip box's top end.
-                    key, key_min = ("u", upper.terms[0][0]), -_STRIP_BOX[1].c
-                else:
-                    return ScenarioFailure("ambiguous", "entry mixes the degree with a base")
-                if symbol is None:
-                    symbol, u_min = key, key_min
-                elif symbol != key:
-                    return ScenarioFailure("ambiguous", "block mixes two symbols")
-            row.append(_entry(upper, k, D_FLOOR, _STRIP_BOX))
-        grid.append(_scaled_row(row))
-    det = poly_det(grid)
+    points = []
+    for _, p in shifted:
+        upper = Sym.dee() - (p.i + p.j)
+        if not upper.is_const:
+            if upper.dc == 1 and not upper.terms:
+                key, key_min = ("d",), D_FLOOR
+            elif upper.dc == 1 and len(upper.terms) == 1 and upper.terms[0][1] == -1:
+                # A function of u = d - base with the base at most the strip box's top end.
+                key, key_min = ("u", upper.terms[0][0]), -_STRIP_BOX[1].c
+            else:
+                return ScenarioFailure("ambiguous", "entry mixes the degree with a base")
+            if symbol is None:
+                symbol, u_min = key, key_min
+            elif symbol != key:
+                return ScenarioFailure("ambiguous", "block mixes two symbols")
+        points.append((p.i, upper))
+    rows = [lead.shifted(w) for w in range(width)]
+    det = _pairing_det(rows, points, D_FLOOR, _STRIP_BOX)
     if not det:
         return ScenarioFailure("singular", "identically singular block")
     if symbol is None:
@@ -561,11 +608,9 @@ def _attempt_regions(points: list[SymPoint]):
     the top window, and never walks the scenarios themselves.
 
     The points that carry no column variable sit in the same column in
-    every scenario, so they are classified once per attempt. A region's
-    failures are memoised per attempt on its moved points, so the
-    greedy walk and the verdict lookups run once per distinct region of
-    the attempt. The walk is lazy: a caller that stops reading stops it
-    at the region content it last read.
+    every scenario, so they are classified once per attempt. The walk is
+    lazy: a caller that stops reading stops it at the region content it
+    last read.
     """
     if any(len(p.variables()) > 1 for p in points):
         raise AssertionError("a support point carries more than one variable")
@@ -593,7 +638,6 @@ def _attempt_regions(points: list[SymPoint]):
     tops = range(-_STRIP_BOX[1].c, -_STRIP_BOX[1].c + 5 * n)
     low = [[e for c in lows if (e := entry(v, ("low", c))) is not None] for v in range(n)]
     top = [[e for o in tops if (e := entry(v, ("top", o))) is not None] for v in range(n)]
-    memo: dict[tuple, list[ScenarioFailure]] = {}
     for low_vars, top_vars, groups in _structures(n):
         regions = [("low", list(itertools.product(*(low[v] for v in low_vars))))]
         for g, group in enumerate(groups):
@@ -608,13 +652,7 @@ def _attempt_regions(points: list[SymPoint]):
         for region, contents in regions:
             limit, base_row = _REGION_ROWS.get(region) or (None, Sym.var(region))
             for content in contents:
-                key = (region, *content)
-                found = memo.get(key)
-                if found is None:
-                    found = memo[key] = _region_failures(
-                        fixed.get(region, []) + list(content), limit, base_row
-                    )
-                yield found
+                yield _region_failures(fixed.get(region, []) + list(content), limit, base_row)
 
 
 def _attempt_excluded(points: list[SymPoint]) -> bool:
@@ -654,7 +692,7 @@ def _resistant_patterns(case: ContractionPoint):
     """
     for combo in itertools.product(*(cell_possibilities(name) for name in case.record())):
         points = list(combo)
-        flipped = [_transposed(p) for p in points]
+        flipped = [p.transposed() for p in points]
         if not (_attempt_excluded(points) or _attempt_excluded(flipped)):
             yield points, flipped
 
@@ -787,57 +825,6 @@ def _special_exceptional(case: ContractionPoint) -> dict | None:
 _E_MIN = D_FLOOR // 2  # the least e with 2e + 1 >= D_FLOOR
 
 
-def _expand(grid: list[list[Poly | None]]) -> Poly:
-    """Determinant of a grid that may hold unevaluated entries.
-
-    Expands along columns whose entries are all known, preferring the
-    sparsest, until the unevaluated entries' rows are gone and a plain
-    polynomial determinant finishes the job. Every slice pattern below
-    reaches that point; anything else is a logic error, not a case to
-    handle.
-    """
-    n = len(grid)
-    if all(entry is not None for row in grid for entry in row):
-        return poly_det(grid)
-    best: tuple[int, int] | None = None
-    for c in range(n):
-        column = [grid[r][c] for r in range(n)]
-        if any(entry is None for entry in column):
-            continue
-        nonzeros = sum(1 for entry in column if entry)
-        if best is None or nonzeros < best[0]:
-            best = (nonzeros, c)
-    if best is None:
-        raise AssertionError("slice determinant expansion has no evaluated column")
-    _, c = best
-    det = Poly([])
-    for r in range(n):
-        entry = grid[r][c]
-        if not entry:
-            continue
-        minor = [
-            [grid[rr][cc] for cc in range(n) if cc != c]
-            for rr in range(n)
-            if rr != r
-        ]
-        term = entry * _expand(minor)
-        det = det + (term if (r + c) % 2 == 0 else -term)
-    return det
-
-
-def _slice_det(rows: list[Sym], points: list[tuple[Sym, Sym]], box: tuple[Sym, Sym]) -> Poly:
-    """The slice's pairing determinant, with each row scaled by ``_scaled_row``.
-
-    Each point is (column, upper argument); the entry of row a at a point
-    is binomial(upper, a - column).
-    """
-    grid = [
-        _scaled_row([_entry(upper, row - i, _E_MIN, box) for i, upper in points])
-        for row in rows
-    ]
-    return _expand(grid)
-
-
 def _final_slice_patterns() -> list[tuple[str, list[tuple[Sym, Sym]], list[Sym], tuple[Sym, Sym]]]:
     """Support patterns of the final case on the odd-diagonal slice.
 
@@ -911,7 +898,7 @@ def _special_final(case: ContractionPoint) -> dict | None:
         return None
     determinants = {}
     for name, points, rows, box in _final_slice_patterns():
-        det = _slice_det(rows, points, box)
+        det = _pairing_det(rows, points, _E_MIN, box)
         if not det or integer_roots_at_or_above(det, _E_MIN):
             return None
         determinants[name] = [str(c) for c in det.coeffs]

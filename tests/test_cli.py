@@ -6,6 +6,7 @@ family member, and a deliberately broken triangle.  Exit codes follow
 the documented triple (0 ok, 1 failed verification, 2 bad input).
 """
 
+import ast
 import contextlib
 import functools
 import importlib.util
@@ -120,6 +121,20 @@ class TestParseAndRender:
         result = runner.invoke(main, [command, fixture_file("bad.txt", text)])
         assert result.exit_code == 2
         assert result.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("count", ["0.5", "1e5"])
+    @pytest.mark.parametrize(
+        "text",
+        ['{{"entries": [[1, 0, "{}"]]}}', ".\n. {}\n"],
+        ids=["json", "triangle"],
+    )
+    def test_unreadable_count_names_the_count_and_its_point(
+        self, runner, fixture_file, text, count
+    ):
+        result = runner.invoke(main, ["parse", fixture_file("bad.txt", text.format(count))])
+        assert result.exit_code == 2
+        assert f"cannot read chip count '{count}' at (1, 0)" in result.stderr
+        assert "int()" not in result.stderr
 
     @pytest.mark.parametrize("command", ["render", "is-outcome"])
     def test_triangle_and_json_share_the_degree_cap(self, runner, fixture_file, command):
@@ -613,6 +628,34 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
     code = "import sys, chipsplit.cli; sys.exit('multiprocessing' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+FLOAT_MATH = {"sqrt", "log", "exp", "pow", "floor", "ceil"}
+
+
+def test_the_library_has_no_float():
+    # Exact arithmetic only: no float literal, no float() call and no
+    # float-valued math function. True division stays allowed, because
+    # the library divides Fractions.
+    paths = sorted(Path(chipsplit.__file__).parent.glob("*.py"))
+    assert len(paths) > 1
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append((path.name, node.lineno, repr(node.value)))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+                found.append((path.name, node.lineno, "float()"))
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "math"
+                and node.attr in FLOAT_MATH
+            ):
+                found.append((path.name, node.lineno, f"math.{node.attr}"))
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [(path.name, node.lineno, a.name) for a in node.names if a.name in FLOAT_MATH]
+    assert found == []
 
 
 def test_bench_tracer_finds_every_name_it_patches(runner):

@@ -6,7 +6,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chipsplit.criteria import (
@@ -31,7 +31,7 @@ from chipsplit.hyperfield import (
     s3_on_contraction,
 )
 from chipsplit import hyperfield, pipeline
-from chipsplit.linalg import binomial
+from chipsplit.linalg import Poly, binomial, poly_det
 from chipsplit.pipeline import (
     D_FLOOR,
     ScenarioFailure,
@@ -50,17 +50,17 @@ from chipsplit.pipeline import (
     _classify_column,
     _column_variables,
     _entry,
+    _expand,
     _extremes,
     _final_slice_patterns,
     _group_offsets,
     _hexagon_instances,
+    _pairing_det,
     _partitions,
     _placed_carrier,
     _region_failures,
     _sign_for_all,
-    _slice_det,
     _strip_masks,
-    _transposed,
     cell_possibilities,
     hexagon_eliminates,
     invertibility_eliminates,
@@ -202,13 +202,10 @@ class TestCellPossibilities:
         assert (evaluate(p.i, d), evaluate(p.j, d)) == (d - 4, 3)
 
     def test_points_are_shared_objects(self):
-        # Every attempt sees one object per point, so that the caches it
-        # probes compare points by identity.
+        # The attempts share one object per cell point, so that most
+        # cache probes compare points by identity.
         for name in ("x[2,1]", "r[0,3]", "alpha[0]", "beta[2]", "gamma[1]"):
             assert cell_possibilities(name) is cell_possibilities(name)
-            for p in cell_possibilities(name):
-                assert _transposed(p) is _transposed(p)
-                assert _transposed(p) == p.transposed()
 
     @pytest.mark.parametrize("idx", range(RING_DEPTH))
     def test_strip_options_tile_the_whole_strip(self, idx):
@@ -770,9 +767,16 @@ def test_block_determinants_are_scaled_integer_fraction_determinants(monkeypatch
     # A full run from a cold cache: every distinct block is decided once,
     # and each general block's determinant has int coefficients and is
     # the product of its row factors times the permutation-sum
-    # determinant of its binomial entries, at enough symbol values.
+    # determinant of its binomial entries, at enough symbol values. The
+    # traffic the module docstring quotes, which the verdict and carrier
+    # caches are kept for, is pinned too.
     asked, current, determinants = set(), [None], {}
+    traffic = collections.Counter()
     real_det = pipeline.poly_det
+
+    def counting_walk(*args):
+        traffic["region walks"] += 1
+        return _region_failures(*args)
 
     def recording_det(grid):
         det = real_det(grid)
@@ -781,6 +785,7 @@ def test_block_determinants_are_scaled_integer_fraction_determinants(monkeypatch
         return det
 
     def recording_verdict(*key):
+        traffic["verdict asks"] += 1
         asked.add(key)
         current[0] = key
         try:
@@ -789,10 +794,15 @@ def test_block_determinants_are_scaled_integer_fraction_determinants(monkeypatch
             current[0] = None
 
     _block_verdict.cache_clear()
+    _placed_carrier.cache_clear()
     monkeypatch.setattr(pipeline, "poly_det", recording_det)
     monkeypatch.setattr(pipeline, "_block_verdict", recording_verdict)
+    monkeypatch.setattr(pipeline, "_region_failures", counting_walk)
     pipeline_summary.__wrapped__()
     assert len(asked) == 778
+    assert traffic == {"region walks": 92311, "verdict asks": 214059}
+    carriers = _placed_carrier.cache_info()
+    assert (carriers.misses, carriers.hits) == (267, 33439)
     assert determinants
     for key, det in determinants.items():
         assert all(type(c) is int for c in det.coeffs), key
@@ -898,6 +908,47 @@ def slice_row_factor(rows, points, box):
     return factor
 
 
+# Small integer polynomials, zero about half the time, so that expansions
+# often cut a row of unevaluated entries away.
+small_polys = st.one_of(st.just(Poly([])), st.lists(st.integers(-3, 3), max_size=3).map(Poly))
+# Square grids of them with about a third of the entries unevaluated (None).
+partly_evaluated_grids = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.one_of(st.none(), small_polys, small_polys), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+def filled(grid, hole):
+    """The grid with its k-th unevaluated (None) entry, in row order, set to hole(k)."""
+    holes = itertools.count()
+    return [[hole(next(holes)) if entry is None else entry for entry in row] for row in grid]
+
+
+class TestExpand:
+    @settings(max_examples=400, deadline=None)
+    @given(partly_evaluated_grids)
+    @example([[Poly([1]), None], [Poly([]), Poly([2])]])
+    @example([[Poly([0, 1]), None, None], [Poly([]), Poly([1]), Poly([2])], [Poly([]), Poly([3]), Poly([1, 1])]])
+    def test_expansion_is_the_determinant_under_every_filling(self, grid):
+        # The unevaluated entries' rows must be expanded away, so when
+        # _expand returns, its value cannot depend on what they hold.
+        if all(entry is not None for row in grid for entry in row):
+            assert _expand(grid) == poly_det(grid)
+        elif all(any(row[c] is None for row in grid) for c in range(len(grid))):
+            with pytest.raises(AssertionError):
+                _expand(grid)
+        else:
+            try:
+                det = _expand(grid)
+            except AssertionError:
+                return  # stuck in a minor
+            assert det == poly_det(filled(grid, lambda k: Poly([1])))
+            assert det == poly_det(filled(grid, lambda k: Poly([k + 2, -1])))
+
+
 class TestFinalSlice:
     def test_entry_classification_is_sound(self):
         for _, points, rows, box in _final_slice_patterns():
@@ -934,7 +985,7 @@ class TestFinalSlice:
             return e * (e + 1) * (2 * e + 1) // 6
 
         for name, points, rows, box in _final_slice_patterns():
-            det = _slice_det(rows, points, box)
+            det = _pairing_det(rows, points, _E_MIN, box)
             factor = slice_row_factor(rows, points, box)
             assert all(isinstance(c, int) for c in det.coeffs), name
             for e in (21, 30):
@@ -944,7 +995,7 @@ class TestFinalSlice:
     @pytest.mark.parametrize("e", [21, 25])
     def test_determinants_match_concrete_pairing_matrices(self, e):
         for name, points, rows, box in _final_slice_patterns():
-            det = _slice_det(rows, points, box)
+            det = _pairing_det(rows, points, _E_MIN, box)
             factor = slice_row_factor(rows, points, box)
             for g in sample_gs(box, e):
                 d, E, S = concrete_slice_instance(points, rows, e, g)
