@@ -258,16 +258,13 @@ def enumerate_command(max_degree, max_support, as_json):
     report = enumerate_fundamental(max_degree, n_max)
     if as_json:
         _echo_json(report.to_json())
-        return
-    if not report.table:
-        click.echo("no fundamental outcomes in range")
-    for n in sorted({cell[0] for cell in report.table}):
-        row = {d: c for (m, d), c in report.table.items() if m == n}
-        cells = "  ".join(f"d={d}: {row[d]}" for d in sorted(row))
-        click.echo(f"support {n + 1} (n={n}):  {cells}  (total {sum(row.values())})")
-    click.echo(f"outcomes: {len(report.outcomes)}")
-    conjecture = check_conjecture(report)
-    if not conjecture.holds:
+    else:
+        for n in sorted({cell[0] for cell in report.table}):
+            row = {d: c for (m, d), c in report.table.items() if m == n}
+            cells = "  ".join(f"d={d}: {row[d]}" for d in sorted(row))
+            click.echo(f"support {n + 1} (n={n}):  {cells}  (total {sum(row.values())})")
+        click.echo(f"outcomes: {len(report.outcomes)}")
+    if not check_conjecture(report).holds:
         click.echo("degree bound violated!", err=True)
         sys.exit(1)
 

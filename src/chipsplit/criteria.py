@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Collection
 
-from .grid import ChipConfiguration, Coord, degree_order
+from .grid import ChipConfiguration, Coord, check_fits, check_inside, degree_order
 from .linalg import _echelon, binomial, det
 from .pascal import is_outcome, top_edge_columns
 
@@ -54,8 +54,7 @@ class PairingMatrix:
             raise ValueError("E and S must be nonempty sets of the same size")
         if any(not 0 <= a <= self.d for a in self.degrees):
             raise ValueError(f"row indices must lie in [0, {self.d}]")
-        if any(i < 0 or j < 0 or i + j > self.d for i, j in self.points):
-            raise ValueError(f"column points must lie in the degree-{self.d} triangle")
+        check_inside(self.points, self.d)
         rows = tuple(
             tuple(binomial(self.d - i - j, a - i) for (i, j) in self.points) for a in self.degrees
         )
@@ -99,8 +98,7 @@ def construct_lambda(points: set[Coord] | frozenset[Coord], d: int) -> list[Lamb
     tail count #{(i, j) in S : i >= d - k} exceeds k + 1 for some k. An
     empty support gets the single all-of-it block by convention.
     """
-    if any(i < 0 or j < 0 or i + j > d for i, j in points):
-        raise ValueError(f"support must lie inside the degree-{d} triangle")
+    check_inside(points, d)
     if not points:
         return [LambdaBlock(0, d + 1, (), ())]
     by_column: dict[int, list[Coord]] = {}
@@ -284,8 +282,7 @@ def pairing_excludes(points: Collection[Coord], d: int) -> bool:
     otherwise.  The points may come in any order: within a block they
     only permute the determinant's rows.
     """
-    if any(i < 0 or j < 0 or i + j > d for i, j in points):
-        raise ValueError(f"support must lie inside the degree-{d} triangle")
+    check_inside(points, d)
     table = top_edge_columns(d)
     for attempt in (points, [(j, i) for i, j in points]):
         columns: dict[int, list[Coord]] = {}
@@ -322,8 +319,7 @@ def hexagon_check(config: ChipConfiguration, d: int, d_small: int, ell1: int, el
     """
     if not (ell1 >= d_small >= 1 and ell2 >= d_small and d_small + ell1 + ell2 <= d):
         raise ValueError("need ell1, ell2 >= d' >= 1 and d' + ell1 + ell2 <= d")
-    if config.degree > d:
-        raise ValueError(f"configuration of degree {config.degree} does not fit in degree {d}")
+    check_fits(config, d)
     applies = all(in_hexagon(p, d, d_small, ell1, ell2) for p in config.support)
     restricted = ChipConfiguration(
         {(i, j): v for (i, j), v in config if i + j <= d_small}, ambient=d_small

@@ -7,10 +7,15 @@ splitting moves; the move at p takes one chip off p and puts one chip on
 each of p + (1, 0) and p + (0, 1). Moves commute, so a game is just a map
 from grid points to integer multiplicities, and applying it is linear.
 
-The symmetric group on three letters acts on the triangle by permuting
-the barycentric roles of i, j, and d - i - j. On configurations the
-action carries signs that depend on the ambient degree; on bare points it
-is the plain coordinate shuffle.
+This module owns the triangle's rules: which points it holds
+(``check_inside``, ``check_fits``), how the symmetric group on three
+letters moves them, and what sign a moved entry carries. A permutation
+permutes the barycentric coordinates (i, j, k), k = d - i - j, and
+``_SLOTS`` names the two of them that the image's (i, j) reads. On bare
+points that is the whole action. On configurations the entry at a point
+also picks up the sign (-1)^(k + k'), k and k' the point's third
+coordinate before and after the move, which is what sends outcomes to
+outcomes.
 """
 
 from __future__ import annotations
@@ -23,7 +28,9 @@ from typing import Iterable, Iterator, Mapping
 Coord = tuple[int, int]
 Value = int | Fraction
 
-PERMUTATIONS = ("e", "(12)", "(13)", "(23)", "(123)", "(132)")
+# Each permutation's image of (i, j) reads these slots of (i, j, k).
+_SLOTS = {"e": (0, 1), "(12)": (1, 0), "(13)": (2, 1), "(23)": (0, 2), "(123)": (2, 0), "(132)": (1, 2)}
+PERMUTATIONS = tuple(_SLOTS)
 
 # Largest degree accepted from a JSON file or a triangle, well above the
 # degree 41 the sweeps reach; it keeps a rendered triangle at a few
@@ -43,24 +50,26 @@ def grid_points(d: int) -> list[Coord]:
     return [(i, e - i) for e in range(d + 1) for i in range(e + 1)]
 
 
+def check_inside(points: Iterable[Coord], d: int) -> None:
+    """Raise unless every point lies in the degree-d triangle."""
+    if any(i < 0 or j < 0 or i + j > d for i, j in points):
+        raise ValueError(f"support must lie inside the degree-{d} triangle")
+
+
+def check_fits(config: ChipConfiguration, d: int) -> None:
+    """Raise unless the configuration's support fits in the degree-d triangle."""
+    if config.degree > d:
+        raise ValueError(f"configuration of degree {config.degree} does not fit in degree {d}")
+
+
 def act_point(sigma: str, point: Coord, d: int) -> Coord:
     """Image of a grid point under the triangle symmetry of ambient degree d."""
-    i, j = point
-    k = d - i - j
-    match sigma:
-        case "e":
-            return (i, j)
-        case "(12)":
-            return (j, i)
-        case "(13)":
-            return (k, j)
-        case "(23)":
-            return (i, k)
-        case "(123)":
-            return (k, i)
-        case "(132)":
-            return (j, k)
-    raise ValueError(f"unknown permutation {sigma!r}")
+    try:
+        a, b = _SLOTS[sigma]
+    except KeyError:
+        raise ValueError(f"unknown permutation {sigma!r}") from None
+    ijk = (*point, d - point[0] - point[1])
+    return (ijk[a], ijk[b])
 
 
 # The group law is read off the point action: the probe (0, 1) at degree
@@ -79,16 +88,10 @@ def invert(sigma: str) -> str:
 
 
 def _sign_factor(sigma: str, point: Coord, d: int) -> int:
-    """Sign attached to moving the chips at a point, in source coordinates."""
-    i, j = point
-    match sigma:
-        case "e" | "(12)":
-            return 1
-        case "(13)" | "(132)":
-            return -1 if (d - j) % 2 else 1
-        case "(23)" | "(123)":
-            return -1 if (d - i) % 2 else 1
-    raise ValueError(f"unknown permutation {sigma!r}")
+    """The sign (-1)^(k + k') that ``act`` puts on the entry at a point."""
+    k = d - point[0] - point[1]
+    moved = act_point(sigma, point, d)
+    return -1 if (k + d - moved[0] - moved[1]) % 2 else 1
 
 
 def _coerce(value: Value) -> Value:
@@ -291,21 +294,19 @@ def apply_game(start: ChipConfiguration, game: Game) -> ChipConfiguration:
 def act(sigma: str, config: ChipConfiguration, d: int | None = None) -> ChipConfiguration:
     """The signed symmetry action on chip configurations.
 
-    The transposition of i and j is an honest relabeling; the symmetries
-    moving the top edge pick up a sign of (-1) per row or column parity,
-    which is what makes them send outcomes to outcomes. d defaults to the
-    ambient degree and must cover the support.
+    The entry at (i, j) moves to ``act_point``'s image and picks up the
+    sign (-1)^(k + k'), where k = d - i - j and k' is the image's third
+    coordinate. So the transposition of i and j is an honest relabeling,
+    and the symmetries moving the top edge flip signs by a row or column
+    parity; that is what makes them send outcomes to outcomes. d
+    defaults to the ambient degree and must cover the support.
     """
     if d is None:
         d = config.ambient
     if d is None:
         raise ValueError("the symmetry action needs an ambient degree")
-    if config.degree > d:
-        raise ValueError(f"support of degree {config.degree} does not fit in the degree-{d} triangle")
-    moved = {
-        act_point(sigma, p, d): _coerce(Fraction(v) * _sign_factor(sigma, p, d))
-        for p, v in config
-    }
+    check_fits(config, d)
+    moved = {act_point(sigma, p, d): v * _sign_factor(sigma, p, d) for p, v in config}
     return ChipConfiguration(moved, config.ambient if config.ambient is not None else d)
 
 
@@ -321,8 +322,7 @@ def render(config: ChipConfiguration, d: int | None = None, empty: str = "·") -
     """
     if d is None:
         d = config.ambient if config.ambient is not None else max(config.degree, 0)
-    if config.degree > d:
-        raise ValueError(f"cannot render degree-{config.degree} support in a degree-{d} triangle")
+    check_fits(config, d)
     lines = []
     for j in range(d, -1, -1):
         tokens = []

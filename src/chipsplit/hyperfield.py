@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .grid import PERMUTATIONS, ChipConfiguration, Coord, act_point, grid_points
+from .grid import PERMUTATIONS, ChipConfiguration, Coord, act_point, check_fits, check_inside, grid_points
 from .pascal import (
     PascalForm,
     all_forms,
@@ -116,8 +116,7 @@ def hyperfield_excludes(points, d: int) -> HyperfieldVerdict:
     pts = frozenset(points)
     if (0, 0) in pts:
         raise ValueError("candidate positive supports may not contain the origin")
-    if any(i < 0 or j < 0 or i + j > d for i, j in pts):
-        raise ValueError(f"support must lie inside the degree-{d} triangle")
+    check_inside(pts, d)
     s = ChipConfiguration({(0, 0): -1, **{p: 1 for p in pts}}, ambient=d)
     for form in _forms_at(d):
         if eval_sign_form(form, s) != H:
@@ -408,8 +407,7 @@ def contract(s: ChipConfiguration, d: int) -> ContractionPoint:
     """
     if d < MIN_CONTRACTION_DEGREE:
         raise ValueError(f"contraction needs ambient degree at least {MIN_CONTRACTION_DEGREE}")
-    if s.degree > d:
-        raise ValueError(f"configuration of degree {s.degree} does not fit in degree {d}")
+    check_fits(s, d)
     if any(v not in (-1, 0, 1) for _, v in s):
         raise ValueError("contraction expects a sign configuration")
     vec = [0] * len(XI_COORDS)

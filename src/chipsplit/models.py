@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-from .grid import MAX_INPUT_DEGREE, ChipConfiguration, Coord, _json_int, degree_order
+from .grid import MAX_INPUT_DEGREE, ChipConfiguration, Coord, _json_int, check_inside, degree_order
 from .linalg import binomial, kernel_basis
 from .pascal import is_outcome, outcome_space, top_edge_columns
 
@@ -305,8 +305,7 @@ def fundamentality(support: Iterable[Coord], d: int | None = None) -> tuple[int,
         return 0, None
     if d is None:
         d = max(i + j for i, j in points)
-    if any(i < 0 or j < 0 or i + j > d for i, j in points):
-        raise ValueError(f"support must lie inside the degree-{d} triangle")
+    check_inside(points, d)
     points = sorted(points | {(0, 0)}, key=degree_order)
     columns = top_edge_columns(d)
     basis = kernel_basis(list(zip(*(columns[p] for p in points))))
@@ -346,10 +345,10 @@ def decompose(model: ParametricModel) -> Decomposition:
         if not relations:
             leaves.append((m, coefficient))
             return
+        # Every top-edge column is nonnegative with a 1 in row a = i, so a
+        # nonzero relation has entries of both signs: some v < 0 below.
         relation = relations[0]
         x = {p: Fraction(relation[p]) for p in points}
-        if all(v >= 0 for v in x.values()):
-            x = {p: -v for p, v in x.items()}
         weights = {(i, j): w for w, i, j in m.terms}
         lam = min(weights[p] / -v for p, v in x.items() if v < 0)
         u = {p: weights[p] + lam * x[p] for p in points}

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .grid import ChipConfiguration, Coord, Game, Value, degree_order
+from .grid import ChipConfiguration, Coord, Game, Value, check_fits, check_inside, degree_order
 from .linalg import binomial, kernel_basis
 
 
@@ -58,20 +58,17 @@ class PascalForm:
         """The coefficient at grid point (i, j); zero off the triangle."""
         if i < 0 or j < 0 or i + j > self.d:
             return 0
-        if self.family == "left-column":
-            k = self.index
-            c = binomial(i, k - j)
-            return -c if (k + j) % 2 else c
-        if self.family == "bottom-row":
-            k = self.index
-            c = binomial(j, k - i)
-            return -c if (k + i) % 2 else c
-        a, _ = self.index
-        return binomial(self.d - i - j, a - i)
+        if self.family == "top-edge":
+            a, _ = self.index
+            return binomial(self.d - i - j, a - i)
+        if self.family == "bottom-row":  # the transpose of the left-column form
+            i, j = j, i
+        k = self.index
+        c = binomial(i, k - j)
+        return -c if (k + j) % 2 else c
 
     def evaluate(self, config: ChipConfiguration) -> Value:
-        if config.degree > self.d:
-            raise ValueError(f"configuration of degree {config.degree} does not fit this degree-{self.d} form")
+        check_fits(config, self.d)
         total = Fraction(0)
         for (i, j), v in config:
             c = self.coefficient(i, j)
@@ -151,8 +148,7 @@ def top_edge_values(config: ChipConfiguration, d: int | None = None) -> list[Val
     """
     if d is None:
         d = config.ambient if config.ambient is not None else max(config.degree, 0)
-    if config.degree > d:
-        raise ValueError(f"configuration of degree {config.degree} does not fit the degree-{d} triangle")
+    check_fits(config, d)
     columns = top_edge_columns(d)
     totals: list[Value] = [0] * (d + 1)
     for (i, j), v in config:
@@ -196,13 +192,12 @@ def is_outcome(config: ChipConfiguration, d: int | None = None) -> bool:
     Tests the vanishing of every top-edge form at the ambient level d,
     which defaults to the configuration's own degree. Works for rational
     configurations too (reachability by a rational combination of moves).
+    A nonzero configuration that does not fit in degree d raises.
     """
     if not config:
         return True
     if d is None:
         d = config.ambient if config.ambient is not None else config.degree
-    if config.degree > d:
-        raise ValueError(f"configuration of degree {config.degree} does not fit in degree {d}")
     return all(v == 0 for v in top_edge_values(config, d))
 
 
@@ -237,8 +232,7 @@ def outcome_space(support: frozenset[Coord] | set[Coord], d: int) -> list[ChipCo
     is nonpositive, and by a positive leading entry otherwise.
     """
     points = sorted(support, key=degree_order)
-    if any(i < 0 or j < 0 or i + j > d for i, j in points):
-        raise ValueError(f"support must lie inside the degree-{d} triangle")
+    check_inside(points, d)
     if not points:
         return []
     columns = top_edge_columns(d)

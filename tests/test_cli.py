@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 import chipsplit
 from chipsplit import cli
 from chipsplit.cli import _echo_json, _render, main
-from chipsplit.enumeration import sweep_no_valid_outcomes, sweep_start
+from chipsplit.enumeration import ConjectureReport, sweep_no_valid_outcomes, sweep_start
 from chipsplit.grid import MAX_INPUT_DEGREE
 
 SRC = str(Path(chipsplit.__file__).resolve().parent.parent)
@@ -337,7 +337,57 @@ def test_readme_experiments_parse():
         command.make_context(name, rest, parent=group)
 
 
+def readme_samples():
+    """Each ``$ chipsplit`` sample under Command line, with its printed lines."""
+    section = (ROOT / "README.md").read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    samples = []
+    for block in section.split("```")[1::2]:
+        for chunk in block.strip("\n").split("\n\n"):
+            command, *printed = chunk.splitlines()
+            if command.startswith("$ chipsplit "):
+                samples.append((command[len("$ chipsplit "):], printed))
+    return samples
+
+
+@pytest.mark.parametrize("command,printed", [pytest.param(c, p, id=c) for c, p in readme_samples()])
+def test_readme_samples_print_what_they_show(runner, command, printed):
+    # The printed lines appear in order; a "..." line skips ahead.
+    result = runner.invoke(main, shlex.split(command))
+    assert result.exit_code == 0
+    lines = iter(result.output.splitlines())
+    skipping = False
+    for expected in printed:
+        if expected == "...":
+            skipping = True
+            continue
+        if skipping:
+            assert expected in lines, expected
+        else:
+            assert next(lines, None) == expected
+        skipping = False
+
+
+def test_readme_shows_three_samples():
+    assert [command for command, _ in readme_samples()] == [
+        "family --k 1 --render",
+        "sweep --support 4 --max-degree 11",
+        "gamma --parity even",
+    ]
+
+
 class TestEnumerate:
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_a_degree_bound_violation_fails_in_both_modes(self, runner, monkeypatch, mode):
+        args = ["enumerate", "--max-degree", "3", "--max-support", "3", *mode]
+        clean = runner.invoke(main, args)
+        monkeypatch.setattr(cli, "check_conjecture", lambda report: ConjectureReport(False, (), (), {}))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stderr == "degree bound violated!\n"
+        assert result.stdout == clean.stdout
+        if mode:
+            assert result.stdout == (ROOT / "results/census-n2-d3.json").read_text()
+
     def test_human_readable_rows(self, runner):
         result = runner.invoke(main, ["enumerate", "--max-degree", "3"])
         assert result.exit_code == 0

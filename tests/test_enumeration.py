@@ -630,6 +630,26 @@ class TestConjectureCheck:
         assert conjecture.support_violations == (rogue,)
 
 
+@pytest.mark.parametrize(
+    "call,result",
+    [
+        (lambda: sweep_no_valid_outcomes(3, []), ()),
+        (lambda: sweep_no_valid_outcomes(3, [0, 4]), "sweep degrees must be positive"),
+        (
+            lambda: EnumerationReport({(1, 1): 1}, (ChipConfiguration({(0, 0): Fraction(-1, 2), (1, 0): 1}),), {}),
+            "census outcomes must be integral",
+        ),
+    ],
+    ids=["no-degrees", "degree-zero", "fractional-outcome"],
+)
+def test_sweep_and_report_validation(call, result):
+    if isinstance(result, str):
+        with pytest.raises(ValueError, match=result):
+            call()
+    else:
+        assert call() == result
+
+
 @cache
 def recorded_width_five_sweep():
     path = Path(__file__).resolve().parent.parent / "results" / "sweep-5-d41.json"

@@ -4,14 +4,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chipsplit.criteria import PairingMatrix, construct_lambda, hexagon_check, pairing_excludes
 from chipsplit.grid import (
     PERMUTATIONS,
     ChipConfiguration,
     Game,
+    _sign_factor,
     act,
     act_point,
     act_support,
@@ -24,6 +28,9 @@ from chipsplit.grid import (
     parse,
     render,
 )
+from chipsplit.hyperfield import MIN_CONTRACTION_DEGREE, contract, hyperfield_excludes
+from chipsplit.models import fundamentality
+from chipsplit.pascal import is_outcome, left_column_form, outcome_space, top_edge_values
 
 
 @st.composite
@@ -104,6 +111,29 @@ def test_point_action_formulas():
     assert act_point("(23)", (2, 1), d) == (2, 2)
     assert act_point("(123)", (1, 0), d) == (4, 1)
     assert act_point("(132)", (1, 0), d) == (0, 4)
+
+
+def test_permutations_keep_their_order_and_unknown_names_raise():
+    assert PERMUTATIONS == ("e", "(12)", "(13)", "(23)", "(123)", "(132)")
+    with pytest.raises(ValueError, match="unknown permutation"):
+        act_point("(21)", (0, 0), 2)
+
+
+def _old_sign_factor(sigma, point, d):
+    """The sign as a per-permutation table, before it was read off the action."""
+    i, j = point
+    if sigma in ("e", "(12)"):
+        return 1
+    if sigma in ("(13)", "(132)"):
+        return -1 if (d - j) % 2 else 1
+    return -1 if (d - i) % 2 else 1
+
+
+def test_sign_rule_matches_the_old_per_permutation_table():
+    for d in range(12):
+        for p in grid_points(d):
+            for sigma in PERMUTATIONS:
+                assert _sign_factor(sigma, p, d) == _old_sign_factor(sigma, p, d), (sigma, p, d)
 
 
 # The S3 group law as a hand-written table, (sigma, tau) -> sigma tau,
@@ -276,3 +306,61 @@ def test_arithmetic_and_scaling():
     assert a - a == ChipConfiguration.zero()
     assert a.scale(Fraction(1, 2)) == ChipConfiguration({(0, 0): Fraction(1, 2), (1, 0): 1})
     assert a.scale(0) == ChipConfiguration.zero()
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: ChipConfiguration({(-1, 2): 1}), "outside the nonnegative quadrant"),
+        (lambda: ChipConfiguration({(2, 1): 1}, ambient=2), "exceed ambient degree 2"),
+        (lambda: Game({(0, -1): 1}), "outside the grid"),
+        (lambda: Game({(0, 1): 1.0}), "multiplicities must be integers"),
+        (lambda: act("(12)", ChipConfiguration({(1, 0): 1})), "needs an ambient degree"),
+    ],
+)
+def test_malformed_configurations_games_and_actions_are_refused(build, message):
+    with pytest.raises((ValueError, TypeError), match=message):
+        build()
+
+
+# Every reader of the triangle's extent asks grid, so each of them refuses
+# a point set outside the degree-2 triangle, or a degree-3 configuration,
+# with grid's one message.
+OUTSIDE = ((3, 0), (0, 1))
+TOO_BIG = ChipConfiguration({(3, 0): 1})
+SIGN_TOO_BIG = ChipConfiguration({(MIN_CONTRACTION_DEGREE + 1, 0): 1})
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda: PairingMatrix((0, 1), OUTSIDE, 2),
+        lambda: construct_lambda(set(OUTSIDE), 2),
+        lambda: pairing_excludes(OUTSIDE, 2),
+        lambda: hyperfield_excludes(OUTSIDE, 2),
+        lambda: fundamentality(OUTSIDE, 2),
+        lambda: outcome_space(set(OUTSIDE), 2),
+    ],
+    ids=["PairingMatrix", "construct_lambda", "pairing_excludes", "hyperfield_excludes", "fundamentality", "outcome_space"],
+)
+def test_point_sets_outside_the_triangle_raise_one_message(read):
+    with pytest.raises(ValueError, match=re.escape("support must lie inside the degree-2 triangle")):
+        read()
+
+
+@pytest.mark.parametrize(
+    "read,d",
+    [
+        (lambda: act("(13)", TOO_BIG, 2), 2),
+        (lambda: render(TOO_BIG, 2), 2),
+        (lambda: left_column_form(0, 2).evaluate(TOO_BIG), 2),
+        (lambda: top_edge_values(TOO_BIG, 2), 2),
+        (lambda: is_outcome(TOO_BIG, 2), 2),
+        (lambda: hexagon_check(ChipConfiguration({(4, 0): 1}), 3, 1, 1, 1), 3),
+        (lambda: contract(SIGN_TOO_BIG, MIN_CONTRACTION_DEGREE), MIN_CONTRACTION_DEGREE),
+    ],
+    ids=["act", "render", "PascalForm.evaluate", "top_edge_values", "is_outcome", "hexagon_check", "contract"],
+)
+def test_configurations_too_big_for_the_triangle_raise_one_message(read, d):
+    with pytest.raises(ValueError, match=re.escape(f"configuration of degree {d + 1} does not fit in degree {d}")):
+        read()

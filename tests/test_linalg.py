@@ -453,3 +453,19 @@ def test_integer_root_exclusion():
     # A pure power of d only vanishes at zero.
     assert integer_roots_at_or_above(x * x, 0) == [0]
     assert integer_roots_at_or_above(x * x, 1) == []
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: det([[1, 2], [3]]), "non-square"),
+        (lambda: binomial(-1, 0), "n >= 0"),
+        (lambda: integer_roots_at_or_above(Poly([]), 0), "zero polynomial"),
+        (lambda: Poly([0, 1]) // 2, "not exact"),
+        (lambda: Poly([1, 1]) // Poly([0, 1]), "not exact"),
+    ],
+    ids=["det-non-square", "binomial-negative-n", "roots-of-zero", "inexact-coefficient", "inexact-remainder"],
+)
+def test_malformed_arguments_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

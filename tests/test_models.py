@@ -275,6 +275,20 @@ def test_decompose_reproduces_random_valid_models(data):
         assert is_fundamental(leaf.support, leaf.degree)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 9).flatmap(
+    lambda d: st.tuples(st.just(d), st.sets(st.sampled_from(grid_points(d)[1:]), min_size=1, max_size=8))
+))
+def test_every_relation_off_the_origin_has_both_signs(case):
+    # decompose slides along a relation until an entry dies, so it needs
+    # a negative entry; a top-edge column is nonnegative with a 1 in row
+    # a = i, so a one-signed relation would have to vanish.
+    d, support = case
+    for relation in pascal.outcome_space(support, d):
+        values = [v for _, v in relation]
+        assert min(values) < 0 < max(values)
+
+
 def test_embedding_step_validation():
     with pytest.raises(ValueError):
         EmbeddingStep("constant-coordinate", (0,), Fraction(1))
