@@ -361,6 +361,14 @@ class HexagonDeterminant:
 
 
 def hexagon_determinant(d: int, d_small: int, ell1: int) -> HexagonDeterminant:
+    """The determinant of the hexagon (d', ell1, ell2) that fills d, ell2 = d - d' - ell1.
+
+    The shifted product is MacMahon's box formula for the plane partitions
+    in an ell1 x ell2 x (d' + 1) box (MacMahon 1916; Krattenthaler, Sém.
+    Lothar. Combin. 42, 1999), a ratio of factorials and never zero; the
+    direct value counts them as lattice paths (Gessel and Viennot, Adv.
+    Math. 58, 1985).
+    """
     ell2 = d - d_small - ell1
     if not (ell1 >= d_small >= 0 and ell2 >= d_small):
         raise ValueError("need ell1 >= d' >= 0 and d - d' - ell1 >= d'")

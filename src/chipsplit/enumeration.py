@@ -222,20 +222,17 @@ def _census_cell(n: int, d: int, candidates: int):
     points, listed = _mirror_representatives(d, n + 1)
     tally = Counter()
     found = []
-    settled = 0
     for combo in listed:
         support = [points[m] for m in combo]
         first = combo[0]
         if first > d or d - first in combo:
             # A tie, or no top point: the mirror is listed too.
-            settled += 1
             support.sort()
             mirror = sorted([(j, i) for i, j in support])
             if mirror < support:
                 continue
             weight = 1 if mirror == support else 2
         else:
-            settled += 2
             weight = 2
         resolution, outcome = _resolve_survivor(support, d)
         tally[resolution] += weight
@@ -243,6 +240,7 @@ def _census_cell(n: int, d: int, candidates: int):
             found.append(outcome)
             if weight == 2:
                 found.append(ChipConfiguration({(j, i): v for (i, j), v in outcome}, ambient=d))
+    settled = sum(tally.values())
     counters = {
         "candidates": candidates,
         PRUNE_SIGNS: candidates - settled,

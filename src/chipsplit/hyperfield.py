@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .grid import PERMUTATIONS, ChipConfiguration, Coord, act_point, check_fits, check_inside, grid_points
+from .grid import ChipConfiguration, Coord, act_point, check_fits, check_inside, grid_points
 from .pascal import (
     PascalForm,
     all_forms,
@@ -616,8 +616,6 @@ def s3_on_contraction(sigma: str, point: ContractionPoint) -> ContractionPoint:
     fixing the bottom edge sends each column strip onto top-diagonal
     points of both column parities.
     """
-    if sigma not in PERMUTATIONS:
-        raise ValueError(f"unknown symmetry {sigma!r}, expected one of {sorted(PERMUTATIONS)}")
     if point.coords != XI_PRIME_COORDS:
         raise ValueError(f"the symmetry acts on merged ({len(XI_PRIME_COORDS)}-coordinate) points")
     vec = point.vector

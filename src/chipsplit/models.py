@@ -287,7 +287,7 @@ class Decomposition:
         return result
 
 
-def fundamentality(support: Iterable[Coord], d: int | None = None) -> tuple[int, ChipConfiguration | None]:
+def fundamentality(support: Iterable[Coord], d: int) -> tuple[int, ChipConfiguration | None]:
     """Decide whether an exponent set supports a fundamental model.
 
     The set is fundamental exactly when the outcomes supported on it plus
@@ -303,8 +303,6 @@ def fundamentality(support: Iterable[Coord], d: int | None = None) -> tuple[int,
         raise ValueError("the origin is not an admissible exponent pair")
     if not points:
         return 0, None
-    if d is None:
-        d = max(i + j for i, j in points)
     check_inside(points, d)
     points = sorted(points | {(0, 0)}, key=degree_order)
     columns = top_edge_columns(d)
@@ -320,7 +318,7 @@ def fundamentality(support: Iterable[Coord], d: int | None = None) -> tuple[int,
     return 1, ChipConfiguration({p: -v for p, v in zip(points, vec)}, ambient=d)
 
 
-def is_fundamental(support: Iterable[Coord], d: int | None = None) -> bool:
+def is_fundamental(support: Iterable[Coord], d: int) -> bool:
     return fundamentality(support, d)[1] is not None
 
 
@@ -363,20 +361,15 @@ def decompose(model: ParametricModel) -> Decomposition:
     # recurse refers to itself; without this the cycle keeps the leaves alive until gc runs.
     del recurse
     merged: dict[ParametricModel, Fraction] = {}
-    order: list[ParametricModel] = []
     for leaf, coefficient in leaves:
-        if leaf not in merged:
-            merged[leaf] = Fraction(0)
-            order.append(leaf)
-        merged[leaf] += coefficient
-    if len(order) == 1:
-        return Decomposition((order[0],), ())
+        merged[leaf] = merged.get(leaf, Fraction(0)) + coefficient
+    order = tuple(merged)
     mus = []
     remaining = Fraction(1)
     for leaf in order[:-1]:
         mus.append(merged[leaf] / remaining)
         remaining -= merged[leaf]
-    return Decomposition(tuple(order), tuple(mus))
+    return Decomposition(order, tuple(mus))
 
 
 def tightness_family(k: int) -> ChipConfiguration:

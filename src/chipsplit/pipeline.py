@@ -769,6 +769,13 @@ def hexagon_eliminates(case: ContractionPoint) -> bool:
     gaps between them hold 3 - idx, |1 - idx| or idx positions, or at
     least t - 7 > 0. So a strip's set of masks depends on its kind and
     idx alone.
+
+    Each instance lies inside the hexagon that fills d (d' + ell1 + ell2
+    = d, growing ell2, or ell1 for wide_j), as ``in_hexagon`` admits more
+    points as a strip widens. So at every d >= D_FLOOR, also when 3 does
+    not divide d, thirds rests on ``hexagon_determinant(d, t, t)`` and the
+    rest on ``hexagon_determinant(d, 6, 7)``: wide_j fills to
+    (6, d - 13, 7), the same matrix with rows and columns reversed.
     """
     strips = [
         parse_coord(name)
@@ -911,10 +918,7 @@ def _special_final(case: ContractionPoint) -> dict | None:
 
 
 def special_eliminates(case: ContractionPoint) -> dict | None:
-    certificate = _special_exceptional(case)
-    if certificate is None:
-        certificate = _special_final(case)
-    return certificate
+    return _special_exceptional(case) or _special_final(case)
 
 
 # The eliminators in the order ``relset_pipeline`` runs them.
@@ -945,22 +949,20 @@ class CaseVerdict:
 
 def relset_pipeline(case: ContractionPoint) -> CaseVerdict:
     """Run the eliminator chain on one merged contraction case."""
-    if len(case.positive_support()) != 5:
-        certificate = special_eliminates(case)
-        if certificate is not None:
-            return CaseVerdict(case, "special", certificate["argument"])
-        return CaseVerdict(case, None, "no special argument applies")
-    if invertibility_eliminates(case):
-        return CaseVerdict(case, "invertibility", "all pairing scenarios invertible")
-    sigma = symmetry_eliminates(case)
-    if sigma is not None:
-        return CaseVerdict(case, "symmetry", f"pairing succeeds on the {sigma} image", sigma)
-    if hexagon_eliminates(case):
-        return CaseVerdict(case, "hexagon", "hexagon instances cover the strip box")
+    survivor = "no special argument applies"
+    if len(case.positive_support()) == 5:
+        if invertibility_eliminates(case):
+            return CaseVerdict(case, "invertibility", "all pairing scenarios invertible")
+        sigma = symmetry_eliminates(case)
+        if sigma is not None:
+            return CaseVerdict(case, "symmetry", f"pairing succeeds on the {sigma} image", sigma)
+        if hexagon_eliminates(case):
+            return CaseVerdict(case, "hexagon", "hexagon instances cover the strip box")
+        survivor = "survived every eliminator"
     certificate = special_eliminates(case)
     if certificate is not None:
         return CaseVerdict(case, "special", certificate["argument"])
-    return CaseVerdict(case, None, "survived every eliminator")
+    return CaseVerdict(case, None, survivor)
 
 
 @dataclass(frozen=True)

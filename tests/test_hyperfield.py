@@ -942,5 +942,5 @@ class TestSymmetryAction:
         }
 
     def test_unknown_symmetry_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown permutation"):
             s3_on_contraction("(14)", lambda_set()[-1])

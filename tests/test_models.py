@@ -186,7 +186,7 @@ def test_composite_rejects_bad_parameters():
 
 
 def test_fundamentality_of_the_binomial_support():
-    dimension, outcome = fundamentality({(2, 0), (1, 1), (0, 2)})
+    dimension, outcome = fundamentality({(2, 0), (1, 1), (0, 2)}, 2)
     assert dimension == 1
     assert outcome == ChipConfiguration({(0, 0): -1, (2, 0): 1, (1, 1): 2, (0, 2): 1}, ambient=2)
     assert outcome_to_model(outcome) == BINOMIAL
@@ -211,19 +211,19 @@ def test_fundamentality_eliminates_in_degree_order(monkeypatch):
 
 def test_fundamentality_counterexamples():
     # The outcome space is one-dimensional but its generator is not valid.
-    assert not is_fundamental({(0, 1), (0, 2), (2, 0)})
+    assert not is_fundamental({(0, 1), (0, 2), (2, 0)}, 2)
     # The generator misses one of the requested positive points.
-    assert not is_fundamental({(1, 0), (0, 1), (1, 1)})
+    assert not is_fundamental({(1, 0), (0, 1), (1, 1)}, 2)
     # No outcome at all on a single off-origin point.
-    assert not is_fundamental({(2, 1)})
+    assert not is_fundamental({(2, 1)}, 3)
     # No point at all, the origin, and points off the triangle.
-    assert fundamentality([]) == (0, None)
+    assert fundamentality([], 0) == (0, None)
     with pytest.raises(ValueError, match="origin"):
-        is_fundamental({(0, 0), (1, 0)})
+        is_fundamental({(0, 0), (1, 0)}, 1)
     with pytest.raises(ValueError, match="triangle"):
         fundamentality({(1, 0), (0, 3)}, 2)
     with pytest.raises(ValueError, match="triangle"):
-        fundamentality({(1, 0), (-1, 2)})
+        fundamentality({(1, 0), (-1, 2)}, 1)
 
 
 def test_decompose_fundamental_returns_itself():

@@ -31,7 +31,7 @@ from chipsplit.hyperfield import (
     s3_on_contraction,
 )
 from chipsplit import hyperfield, pipeline
-from chipsplit.linalg import Poly, binomial, poly_det
+from chipsplit.linalg import Poly, binomial, falling_poly, integer_roots_at_or_above, poly_det
 from chipsplit.pipeline import (
     D_FLOOR,
     ScenarioFailure,
@@ -1195,14 +1195,38 @@ class TestHexagonStage:
                 hexagon_check(empty, D_FLOOR - 1, *inst)
 
     def test_backing_determinants_are_nonzero(self):
-        for d, d_small, ell1 in [
-            (42, 6, 7),
-            (45, 6, 7),
-            (50, 6, 7),
-            (42, 14, 14),
-            (48, 16, 16),
-        ]:
-            assert hexagon_determinant(d, d_small, ell1).nonzero()
+        # The thirds instance (t, t, t) lies inside the hexagon (t, t, d - 2t)
+        # that fills d, also when 3 does not divide d. Its determinant grows
+        # with d; past the degrees checked here it rests on the box formula.
+        for d in range(D_FLOOR, 123):
+            t = d // 3
+            assert _hexagon_instances(d)[1] == (t, t, t)
+            determinant = hexagon_determinant(d, t, t)
+            assert determinant.nonzero()
+            assert determinant.matching == "shifted"
+
+    def test_wide_family_determinant_is_nonzero_at_every_degree(self):
+        # small, wide_i and wide_j (the transpose) lie inside the hexagon
+        # (6, 7, d - 13) that fills d, whose determinant is that of
+        # binom(N, 7 + k - a), N = d - 6. Row k times (7 + k)! is a
+        # matrix of integer polynomials in N, so one determinant decides
+        # every d.
+        for d in range(D_FLOOR, 123):
+            small, _, wide_i, wide_j = _hexagon_instances(d)
+            assert small[:2] == wide_i[:2] == wide_j[::2] == (6, 7)
+        d_small, ell1, _ = _hexagon_instances(D_FLOOR)[2]
+        size = d_small + 1
+        scaled = poly_det(
+            [
+                [falling_poly(1, 0, ell1 + k - a) * math.perm(ell1 + k, a) for a in range(size)]
+                for k in range(size)
+            ]
+        )
+        assert scaled.degree == 49
+        assert integer_roots_at_or_above(scaled, 0) == list(range(size))
+        scale = math.prod(math.factorial(ell1 + k) for k in range(size))
+        for d in (20, 42, 44, 57, 100):
+            assert scaled(d - d_small) == scale * hexagon_determinant(d, d_small, ell1).direct
 
     def test_frozen_hexagon_records(self):
         for record in HEXAGON_RECORDS:
@@ -1296,6 +1320,23 @@ class TestPipelineReport:
     def test_final_case_pipeline_verdict(self):
         verdict = relset_pipeline(ContractionPoint.from_record(FINAL_RECORD, XI_PRIME_COORDS))
         assert verdict.eliminated_by == "special"
+
+    def test_survivor_details_when_every_stage_fails(self, monkeypatch):
+        asked = []
+        for name, failure in [
+            ("invertibility_eliminates", False),
+            ("symmetry_eliminates", None),
+            ("hexagon_eliminates", False),
+            ("special_eliminates", None),
+        ]:
+            monkeypatch.setattr(pipeline, name, lambda case, name=name, failure=failure: asked.append(name) or failure)
+        five = relset_pipeline(ContractionPoint.from_record(FINAL_RECORD, XI_PRIME_COORDS))
+        assert (five.eliminated_by, five.detail) == (None, "survived every eliminator")
+        assert asked == ["invertibility_eliminates", "symmetry_eliminates", "hexagon_eliminates", "special_eliminates"]
+        asked.clear()
+        smaller = relset_pipeline(lambda_set()[-1])
+        assert (smaller.eliminated_by, smaller.detail) == (None, "no special argument applies")
+        assert asked == ["special_eliminates"]
 
 
 # How the width-5 sweep survivors at d = 42 and 43 fall, by the stage
