@@ -130,10 +130,11 @@ def construct_lambda(points: set[Coord] | frozenset[Coord], d: int) -> list[Lamb
 class ExclusionVerdict:
     """Outcome of an invertibility attempt, with a re-checkable certificate.
 
-    excluded means no nonzero outcome has support inside the queried set.
-    The certificate lists, per nonempty block, the paired rows, points,
-    and determinant; transposed records whether the argument ran on the
-    reflected support.
+    excluded means no nonzero outcome has support inside the queried
+    set, support. The certificate lists every block of the column
+    composition with its paired rows, points and determinant (1 for a
+    block without points); transposed records whether the argument ran
+    on the reflected support.
     """
 
     excluded: bool
@@ -141,17 +142,38 @@ class ExclusionVerdict:
     transposed: bool = False
     blocks: tuple[LambdaBlock, ...] = ()
     determinants: tuple[int, ...] = ()
-    reason: str = ""
+    support: frozenset[Coord] = frozenset()
 
     def verify(self) -> bool:
-        """Re-check the certificate against freshly built pairing matrices."""
+        """Re-check the certificate as a proof that the support is excluded.
+
+        The blocks must tile the columns 0..d in order, each nonempty
+        block pairing its rows c_lo..c_hi - 1 with as many points in its
+        own columns, and together hold the support (transposed if so
+        recorded). The pairing matrix is then block lower triangular, so
+        it is invertible once every freshly built block determinant is
+        the nonzero one listed.
+        """
         if not self.excluded:
             return True
-        for block, expected in zip(self.blocks, self.determinants):
+        edges = [0] + [block.c_hi for block in self.blocks]
+        if edges[-1] != self.d + 1 or len(self.determinants) != len(self.blocks):
+            return False
+        points = [p for block in self.blocks for p in block.points]
+        support = {(j, i) for i, j in self.support} if self.transposed else self.support
+        if len(points) != len(support) or set(points) != support:
+            return False
+        for block, lo, expected in zip(self.blocks, edges, self.determinants):
+            columns = range(block.c_lo, block.c_hi)
+            if block.c_lo != lo or not columns:
+                return False
+            if block.degrees != (tuple(columns) if block.points else ()):
+                return False
             if not block.points:
                 continue
-            matrix = PairingMatrix(block.degrees, block.points, self.d)
-            if matrix.determinant() != expected or expected == 0:
+            if len(block.points) != len(columns) or any(i not in columns for i, _ in block.points):
+                return False
+            if expected == 0 or PairingMatrix(block.degrees, block.points, self.d).determinant() != expected:
                 return False
         return True
 
@@ -241,7 +263,7 @@ def invertibility_excludes(points: set[Coord] | frozenset[Coord], d: int) -> Exc
     claim: the support may or may not host an outcome.
     """
     if not points:
-        return ExclusionVerdict(False, d, reason="empty support excludes nothing")
+        return ExclusionVerdict(False, d)
     for transposed in (False, True):
         attempt = frozenset((j, i) for i, j in points) if transposed else frozenset(points)
         blocks = construct_lambda(attempt, d)
@@ -255,9 +277,9 @@ def invertibility_excludes(points: set[Coord] | frozenset[Coord], d: int) -> Exc
                 transposed=transposed,
                 blocks=tuple(blocks),
                 determinants=tuple(determinants),
-                reason="all pairing blocks invertible",
+                support=frozenset(points),
             )
-    return ExclusionVerdict(False, d, reason="no greedy column composition certifies exclusion")
+    return ExclusionVerdict(False, d, support=frozenset(points))
 
 
 def _block_invertible(block: list[Coord], c: int, columns: dict[Coord, tuple[int, ...]]) -> bool:

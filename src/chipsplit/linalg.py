@@ -298,24 +298,16 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
     return result if isinstance(result, Poly) else Poly.constant(result)
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
-
-
 def integer_roots_at_or_above(p: Poly, lo: int) -> list[int]:
     """All integer roots r >= lo of a nonzero integer polynomial.
 
-    Divides out the content of the coefficients, strips any power of x
-    (whose root 0 only matters if lo <= 0), and then tests the positive
-    divisors of the constant term, which by the rational root theorem
-    are the only candidates.
+    Divides out the content of the coefficients and strips any power of
+    x (whose root 0 only matters if lo <= 0). By the rational root
+    theorem every other integer root divides the constant term a_0, and
+    by Fujiwara's bound (1916) it has modulus at most B, the least power
+    of two with |a_n| (B/2)^k >= |a_{n-k}| for k = 1..n. So the
+    candidates are the divisors k <= min(isqrt(|a_0|), B) of a_0 and
+    their cofactors up to B, with either sign.
     """
     if not p:
         raise ValueError("the zero polynomial vanishes everywhere")
@@ -324,17 +316,15 @@ def integer_roots_at_or_above(p: Poly, lo: int) -> list[int]:
     while ints[0] == 0:
         ints.pop(0)
         shift += 1
-    roots = []
-    if shift and lo <= 0:
-        roots.append(0)
-    if len(ints) > 1:
-        candidates = set()
-        for r in _divisors(ints[0]):
-            if r >= lo:
-                candidates.add(r)
-            if -r >= lo:
-                candidates.add(-r)
-        for r in sorted(candidates):
-            if sum(c * r**i for i, c in enumerate(ints)) == 0:
-                roots.append(r)
-    return sorted(set(roots))
+    roots = [0] if shift and lo <= 0 else []
+    n, const = len(ints) - 1, abs(ints[0])
+    bound = 1
+    while any(abs(ints[n]) * bound**k < abs(ints[n - k]) * 2**k for k in range(1, n + 1)):
+        bound *= 2
+    reduced = Poly(ints)
+    for k in range(1, min(isqrt(const), bound) + 1):
+        if const % k == 0:
+            for r in {k, const // k}:
+                if r <= bound:
+                    roots += [s for s in (r, -r) if s >= lo and reduced(s) == 0]
+    return sorted(roots)

@@ -179,13 +179,13 @@ def _extremes(expr: Sym, floor: int, box: tuple[Sym, Sym]) -> tuple[int | None, 
 _STRIP_BOX = (Sym.const(RING_DEPTH), Sym.dee(-(2 * RING_DEPTH - 1)))
 
 
-def _sign_for_all(expr: Sym) -> int | None:
-    """Sign of the expression over d >= D_FLOOR and all variables in the strip box.
+def _sign_for_all(expr: Sym, floor: int, box: tuple[Sym, Sym]) -> int | None:
+    """Sign of the expression over symbol >= floor and every variable in the box.
 
-    Returns -1, 0, or +1 when the sign is constant on the whole box and
-    None when it can change, from the exact ``_extremes`` on the box.
+    Returns -1, 0, or +1 when the sign is constant on the whole domain
+    and None when it can change, from the exact ``_extremes`` there.
     """
-    lo, hi = _extremes(expr, D_FLOOR, _STRIP_BOX)
+    lo, hi = _extremes(expr, floor, box)
     if lo == hi == 0:
         return 0
     if lo is not None and lo > 0:
@@ -340,7 +340,8 @@ _REGION_ROWS = {
 
 def _classify_column(col: Sym):
     if col.is_const:
-        if not 0 <= col.c <= 3 + 5 * 5:  # sanity bounds for five points, not the ring's geometry
+        # No low column lies past the top window's first row at the floor.
+        if not 0 <= col.c <= D_FLOOR - _TOP_WINDOW:
             raise AssertionError(f"unexpected explicit column {col}")
         return ("low", col.c)
     if col.dc == 1 and not col.terms:
@@ -367,7 +368,7 @@ def _entry(upper: Sym, k: Sym, floor: int, box: tuple[Sym, Sym]) -> tuple[int, P
     """One pairing entry binomial(upper, k) as (kappa, the entry times kappa!).
 
     upper is a point's complementary degree, nonnegative wherever the
-    point exists, and the bounds are ``_extremes`` over symbol >= floor
+    point exists, and the signs are ``_sign_for_all`` over symbol >= floor
     and the box. The entry is (0, zero polynomial) when k is negative or
     exceeds upper everywhere. Otherwise kappa is k, or upper - k by
     symmetry, whichever is a constant, and the entry times kappa! is the
@@ -377,14 +378,12 @@ def _entry(upper: Sym, k: Sym, floor: int, box: tuple[Sym, Sym]) -> tuple[int, P
     symbol u = d - base). None marks an entry that is essentially
     exponential in the symbol or the variables.
     """
-    kmax = _extremes(k, floor, box)[1]
-    if kmax is not None and kmax < 0:
+    if _sign_for_all(k, floor, box) == -1:
         return 0, Poly([])
     if upper.is_const and upper.c < 0:
         raise AssertionError("pairing entry above the triangle")
     over = k - upper
-    overmin = _extremes(over, floor, box)[0]
-    if overmin is not None and overmin >= 1:
+    if _sign_for_all(over, floor, box) == 1:
         return 0, Poly([])
     if k.is_const:
         kappa = k.c
@@ -492,7 +491,7 @@ def _block_verdict(
         j2 = shifted[1][1].j
         j3 = shifted[2][1].j
         guard = j1 + j2 - j3.scaled(2) - Sym.const(1)
-        sign = _sign_for_all(guard)
+        sign = _sign_for_all(guard, D_FLOOR, _STRIP_BOX)
         if sign == 0:
             return ScenarioFailure("singular", "degenerate two-and-one block", guard)
         if sign is None:
@@ -503,24 +502,18 @@ def _block_verdict(
     # General block: exact determinant as a polynomial in one symbol. The
     # greedy walk puts every column in [c_lo, c_lo + width - 1], so every
     # point meets row width - 1 with k >= 0, and the symbol a non-constant
-    # upper argument names is read once per point.
+    # upper argument names is read once per point: d, or u = d - base.
     symbol = None
-    u_min = 0
     points = []
     for _, p in shifted:
         upper = Sym.dee() - (p.i + p.j)
         if not upper.is_const:
-            if upper.dc == 1 and not upper.terms:
-                key, key_min = ("d",), D_FLOOR
-            elif upper.dc == 1 and len(upper.terms) == 1 and upper.terms[0][1] == -1:
-                # A function of u = d - base with the base at most the strip box's top end.
-                key, key_min = ("u", upper.terms[0][0]), -_STRIP_BOX[1].c
-            else:
+            if upper.dc != 1 or len(upper.terms) > 1 or any(c != -1 for _, c in upper.terms):
                 return ScenarioFailure("ambiguous", "entry mixes the degree with a base")
-            if symbol is None:
-                symbol, u_min = key, key_min
-            elif symbol != key:
+            key = Sym(1, 0, upper.terms)
+            if symbol not in (None, key):
                 return ScenarioFailure("ambiguous", "block mixes two symbols")
+            symbol = key
         points.append((p.i, upper))
     rows = [lead.shifted(w) for w in range(width)]
     det = _pairing_det(rows, points, D_FLOOR, _STRIP_BOX)
@@ -528,11 +521,11 @@ def _block_verdict(
         return ScenarioFailure("singular", "identically singular block")
     if symbol is None:
         return None
-    roots = integer_roots_at_or_above(det, u_min)
+    # The symbol's least value on the domain: D_FLOOR for d, 7 for u.
+    roots = integer_roots_at_or_above(det, _extremes(symbol, D_FLOOR, _STRIP_BOX)[0])
     if roots:
-        return ScenarioFailure(
-            "ambiguous", f"block determinant vanishes at {symbol[0]} in {roots}"
-        )
+        name = "u" if symbol.terms else "d"
+        return ScenarioFailure("ambiguous", f"block determinant vanishes at {name} in {roots}")
     return None
 
 
@@ -559,9 +552,9 @@ def _placed_carrier(
     rest = colexpr - Sym(0, 0, ((name, coeff),))
     value = (col - rest).scaled(coeff)
     # Vacuous when the variable lies below, or above, the box everywhere.
-    if _sign_for_all(value - _STRIP_BOX[0]) == -1:
+    if _sign_for_all(value - _STRIP_BOX[0], D_FLOOR, _STRIP_BOX) == -1:
         return None
-    if _sign_for_all(_STRIP_BOX[1] - value) == -1:
+    if _sign_for_all(_STRIP_BOX[1] - value, D_FLOOR, _STRIP_BOX) == -1:
         return None
     placed = point.subst({name: value})
     return placed, _classify_column(placed.i)

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chipsplit.criteria import (
+    ExclusionVerdict,
     _closed_form,
     block_shape,
     construct_lambda,
@@ -220,6 +221,26 @@ class TestInvertibilityExcludes:
         verdict = invertibility_excludes(WORKED_SUPPORT, 6)
         forged = replace(verdict, determinants=(999,) + verdict.determinants[1:])
         assert not forged.verify()
+
+    def test_certificate_without_blocks_fails_verification(self):
+        assert not ExclusionVerdict(True, 6).verify()
+
+    def test_certificate_that_stops_short_fails_verification(self):
+        # The first block alone leaves columns 2..5 and the point (5, 0) unpaired.
+        verdict = invertibility_excludes({(0, 0), (0, 5), (5, 0)}, 5)
+        forged = replace(verdict, blocks=verdict.blocks[:1], determinants=verdict.determinants[:1])
+        assert verdict.verify()
+        assert not forged.verify()
+
+    def test_certificate_is_tied_to_its_support(self):
+        verdict = invertibility_excludes(WORKED_SUPPORT, 6)
+        assert verdict.support == WORKED_SUPPORT
+        for forged in (
+            replace(verdict, support=WORKED_SUPPORT | {(1, 1)}),
+            replace(verdict, support=WORKED_SUPPORT - {(0, 4)}),
+            replace(verdict, transposed=True),
+        ):
+            assert not forged.verify()
 
     def test_exhaustive_small_supports_sound(self):
         # Every subset of size at most three in the degree-4 triangle: an

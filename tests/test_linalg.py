@@ -455,6 +455,22 @@ def test_integer_root_exclusion():
     assert integer_roots_at_or_above(x * x, 1) == []
 
 
+@given(
+    st.lists(st.integers(-40, 40), max_size=4),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=3).filter(any),
+    st.integers(-50, 50),
+)
+def test_integer_roots_match_brute_force(roots, cofactor, lo):
+    # The cofactor's roots have modulus at most 6 by Cauchy's bound, so
+    # every root of the product lies in [-40, 40].
+    x = Poly.x()
+    p = Poly(cofactor)
+    for r in roots:
+        p = p * (x - r)
+    expected = [r for r in range(max(lo, -40), 41) if p(r) == 0]
+    assert integer_roots_at_or_above(p, lo) == expected
+
+
 @pytest.mark.parametrize(
     "call,message",
     [

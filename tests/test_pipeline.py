@@ -4,6 +4,7 @@ import collections
 import functools
 import itertools
 import math
+import operator
 
 import pytest
 from hypothesis import example, given, settings
@@ -166,7 +167,7 @@ class TestSym:
     @given(sym_exprs)
     @settings(max_examples=200, deadline=None)
     def test_sign_for_all_is_sound(self, x):
-        claim = _sign_for_all(x)
+        claim = _sign_for_all(x, D_FLOOR, _STRIP_BOX)
         if claim is None:
             return
         for d in (D_FLOOR, D_FLOOR + 1, 61):
@@ -177,12 +178,18 @@ class TestSym:
 
     def test_sign_for_all_on_the_pinch_guard(self):
         guard = Sym.dee(-1) - Sym.var("m_alpha[1]").scaled(2)
-        assert _sign_for_all(guard) is None
-        assert _sign_for_all(guard.shifted(-12)) is None
-        assert _sign_for_all(Sym.dee(-9) - Sym.var("m").scaled(2)) is None
+        assert _sign_for_all(guard, D_FLOOR, _STRIP_BOX) is None
+        assert _sign_for_all(guard.shifted(-12), D_FLOOR, _STRIP_BOX) is None
+        pinch = Sym.dee(-9) - Sym.var("m").scaled(2)
+        assert _sign_for_all(pinch, D_FLOOR, _STRIP_BOX) is None
         bounded = Sym.var("m").scaled(2) - Sym.dee().scaled(2) + Sym.const(5)
-        assert _sign_for_all(bounded) == -1
-        assert _sign_for_all(Sym.dee(-6) - Sym.var("m")) == 1
+        assert _sign_for_all(bounded, D_FLOOR, _STRIP_BOX) == -1
+        assert _sign_for_all(Sym.dee(-6) - Sym.var("m"), D_FLOOR, _STRIP_BOX) == 1
+
+    def test_sign_for_all_reads_its_floor_from_the_caller(self):
+        # d - 30 is positive from d = 42 on, and changes sign from d = 21 on.
+        assert _sign_for_all(Sym.dee(-30), 42, _STRIP_BOX) == 1
+        assert _sign_for_all(Sym.dee(-30), 21, _STRIP_BOX) is None
 
 
 class TestCellPossibilities:
@@ -366,9 +373,9 @@ def reference_substitution(colvars, placement):
         coeff = dict(colexpr.terms)[name]
         rest = colexpr - Sym(0, 0, ((name, coeff),))
         value = (col - rest).scaled(coeff)
-        if _sign_for_all(value.shifted(-4)) == -1:
+        if _sign_for_all(value.shifted(-4), D_FLOOR, _STRIP_BOX) == -1:
             return None
-        if _sign_for_all(Sym.dee(-7) - value) == -1:
+        if _sign_for_all(Sym.dee(-7) - value, D_FLOOR, _STRIP_BOX) == -1:
             return None
         mapping[name] = value
     return mapping
@@ -649,6 +656,15 @@ def choices_by_position(n_vars):
     return seen
 
 
+def test_low_columns_stop_at_the_top_windows_first_row():
+    # At the floor the top window starts at column D_FLOOR - _TOP_WINDOW = 18,
+    # which three low-placed variables reach (3 + 5 * 3); a full run's
+    # low columns stay at 13 or below.
+    assert _classify_column(Sym.const(D_FLOOR - _TOP_WINDOW)) == ("low", 18)
+    with pytest.raises(AssertionError, match="unexpected explicit column"):
+        _classify_column(Sym.const(D_FLOOR - _TOP_WINDOW + 1))
+
+
 def test_placed_carrier_matches_the_reference_substitution():
     met = set()
     for case in lambda_set():
@@ -828,6 +844,78 @@ def test_two_and_one_verdict_agrees_with_the_integer_guard():
                 assert failure is None or singular, failure
                 checked += 1
     assert checked == 3 * 78 * 13
+
+
+class TestBlockVerdictRefusals:
+    # Hand-built blocks for the verdicts a full run never returns. A
+    # point (i, d - c - i) has the constant complementary degree c.
+
+    @staticmethod
+    def low_block(points):
+        """Low-region points from (column, complementary degree) pairs."""
+        return tuple(SymPoint(Sym.const(i), Sym.dee(-c - i)) for i, c in points)
+
+    @pytest.mark.parametrize(
+        "points,singular",
+        [([(0, 0), (0, 1), (1, 1), (2, 1)], False), ([(0, 0), (0, 1), (1, 0), (2, 0)], True)],
+    )
+    def test_constant_blocks_are_decided_by_their_value(self, points, singular):
+        # Every entry is a constant, so the determinant is one number; the
+        # pairing matrix at any d agrees.
+        failure = _block_verdict(_LOW_ROW, 0, 4, self.low_block(points))
+        concrete = {(i, 50 - c - i) for i, c in points}
+        assert (pairing_matrix(set(range(4)), concrete, 50).determinant() == 0) == singular
+        assert failure == (ScenarioFailure("singular", "identically singular block") if singular else None)
+
+    def test_float_point_at_a_free_height_mixes_the_degree_with_a_base(self):
+        # (B0, m) has the complementary degree d - B0 - m: two variables.
+        base = Sym.var("B0")
+        pts = (
+            SymPoint(base, Sym.var("m_alpha[0]")),
+            SymPoint(base.shifted(1), Sym.const(0)),
+            SymPoint(base.shifted(1), Sym.const(1)),
+        )
+        failure = _block_verdict(base, 0, 3, pts)
+        assert failure == ScenarioFailure("ambiguous", "entry mixes the degree with a base")
+
+    @pytest.mark.parametrize("c,root", [(5, 7), (4, None)])
+    def test_u_determinant_root_counts_from_seven(self, c, root):
+        # Complementary degrees u - 2, c, u - 2 in columns 0, 0, 2 of a
+        # float block, u = d - B0 >= 7: the determinant is c + 2 - u.
+        base = Sym.var("B0")
+        pts = (
+            SymPoint(base, Sym.const(2)),
+            SymPoint(base, Sym.dee(-c) - base),
+            SymPoint(base.shifted(2), Sym.const(0)),
+        )
+        failure = _block_verdict(base, 0, 3, pts)
+        if root is None:
+            assert failure is None
+        else:
+            assert failure == ScenarioFailure("ambiguous", f"block determinant vanishes at u in [{root}]")
+
+    @pytest.mark.parametrize("c,root", [(40, 42), (39, None)])
+    def test_d_determinant_root_counts_from_the_floor(self, c, root):
+        # The low-region twin: complementary degrees d - 2, c, d - 2 and
+        # the determinant c + 2 - d, read from d = D_FLOOR on.
+        pts = (
+            SymPoint(Sym.const(0), Sym.const(2)),
+            SymPoint(Sym.const(0), Sym.dee(-c)),
+            SymPoint(Sym.const(2), Sym.const(0)),
+        )
+        failure = _block_verdict(_LOW_ROW, 0, 3, pts)
+        if root is None:
+            assert failure is None
+        else:
+            assert failure == ScenarioFailure("ambiguous", f"block determinant vanishes at d in [{root}]")
+
+    def test_region_past_its_stop_is_infeasible(self):
+        # Columns 0, 0, 1 close one block of width 3, which a stop at 2 refuses.
+        points = [(0, 0), (0, 2), (1, 0)]
+        entries = [(k, SymPoint(Sym.const(i), Sym.const(j)), i) for k, (i, j) in enumerate(points)]
+        assert _region_failures(entries, 3, _LOW_ROW) == []
+        infeasible = ScenarioFailure("infeasible", "no balanced column composition")
+        assert _region_failures(entries, 2, _LOW_ROW) == [infeasible]
 
 
 class TestExtremes:
@@ -1227,6 +1315,32 @@ class TestHexagonStage:
         scale = math.prod(math.factorial(ell1 + k) for k in range(size))
         for d in (20, 42, 44, 57, 100):
             assert scaled(d - d_small) == scale * hexagon_determinant(d, d_small, ell1).direct
+
+    def test_exceptional_case_is_covered_at_every_degree_checked(self):
+        # The smaller-support case stands for the origin, the corners
+        # (0, 3), (1, 1), (3, 0) and two gamma[0] points. Every pair of
+        # gamma[0] positions, generic or near-top, shares one instance
+        # with the corners.
+        corners = [(0, 0), (0, 3), (1, 1), (3, 0)]
+        for d in range(D_FLOOR, 123):
+            instances = _hexagon_instances(d)
+
+            def mask(point):
+                return sum(1 << bit for bit, inst in enumerate(instances) if in_hexagon(point, d, *inst))
+
+            fixed = functools.reduce(operator.and_, map(mask, corners))
+            positions = strip_positions("gamma[0]", d)
+            assert len(positions) == d - 7
+            masks = {mask((m, d - m)) & fixed for m in positions}
+            assert all(a & b for a, b in itertools.product(masks, repeat=2)), d
+
+    def test_exceptional_case_masks_meet_pairwise(self):
+        # The gamma[0] masks read at D_FLOOR, which hexagon_eliminates
+        # proves are the masks at every d >= D_FLOOR: no two are disjoint,
+        # so the hexagon lemma covers the case as well as the subtraction.
+        masks = _strip_masks("gamma", 0)
+        assert masks == {0b0110, 0b1010, 0b1100, 0b1111}
+        assert all(a & b for a, b in itertools.product(masks, repeat=2))
 
     def test_frozen_hexagon_records(self):
         for record in HEXAGON_RECORDS:
