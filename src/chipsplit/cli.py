@@ -21,9 +21,9 @@ Every ``--json`` and ``--summary`` report goes through one writer,
 ``_echo_json``. Its bytes are exactly those of ``json.dumps`` with
 ``indent=2`` and ``sort_keys=True``, plus a newline, but it renders with
 the C string escaper and writes to standard output piece by piece, and
-it rejects any float.  ``sweep --json`` streams per certificate: each
-certificate's JSON is built and rendered only when it is written, so
-the report never sits in memory whole.
+it rejects any float.  ``sweep --json`` streams per certificate and
+``pipeline --json`` per case: each one's JSON is built and rendered only
+when it is written, so the report never sits in memory whole.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .grid import render as render_triangle
 from .hyperfield import gamma_set
 from .models import decompose, is_fundamental, model_record, outcome_to_model, tightness_family
 from .pascal import is_outcome, top_edge_values
-from .pipeline import STAGES, pipeline_summary
+from .pipeline import STAGES, CaseVerdict, pipeline_summary
 
 
 def _input_error(message: str):
@@ -344,7 +344,7 @@ def pipeline_command(as_json):
     report = pipeline_summary()
     survivors = report.survivors()
     if as_json:
-        _echo_json(report.to_json())
+        _echo_json({"counts": report.counts, "cases": map(CaseVerdict.to_json, report.verdicts)})
     else:
         total = len(report.verdicts)
         click.echo(f"cases: {total}")

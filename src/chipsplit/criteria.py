@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Collection
 
-from .grid import ChipConfiguration, Coord, check_fits, check_inside, degree_order
+from .grid import ChipConfiguration, Coord, check_fits, check_inside, degree_order, is_inside
 from .linalg import _echelon, binomial, det
 from .pascal import is_outcome, top_edge_columns
 
@@ -150,9 +150,9 @@ class ExclusionVerdict:
         The blocks must tile the columns 0..d in order, each nonempty
         block pairing its rows c_lo..c_hi - 1 with as many points in its
         own columns, and together hold the support (transposed if so
-        recorded). The pairing matrix is then block lower triangular, so
-        it is invertible once every freshly built block determinant is
-        the nonzero one listed.
+        recorded), all inside the degree-d triangle. The pairing matrix is
+        then block lower triangular, so it is invertible once every freshly
+        built block determinant is the nonzero one listed.
         """
         if not self.excluded:
             return True
@@ -161,7 +161,7 @@ class ExclusionVerdict:
             return False
         points = [p for block in self.blocks for p in block.points]
         support = {(j, i) for i, j in self.support} if self.transposed else self.support
-        if len(points) != len(support) or set(points) != support:
+        if len(points) != len(support) or set(points) != support or not is_inside(points, self.d):
             return False
         for block, lo, expected in zip(self.blocks, edges, self.determinants):
             columns = range(block.c_lo, block.c_hi)

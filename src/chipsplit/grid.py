@@ -50,9 +50,14 @@ def grid_points(d: int) -> list[Coord]:
     return [(i, e - i) for e in range(d + 1) for i in range(e + 1)]
 
 
+def is_inside(points: Iterable[Coord], d: int) -> bool:
+    """Whether every point lies in the degree-d triangle."""
+    return all(i >= 0 and j >= 0 and i + j <= d for i, j in points)
+
+
 def check_inside(points: Iterable[Coord], d: int) -> None:
     """Raise unless every point lies in the degree-d triangle."""
-    if any(i < 0 or j < 0 or i + j > d for i, j in points):
+    if not is_inside(points, d):
         raise ValueError(f"support must lie inside the degree-{d} triangle")
 
 

@@ -24,17 +24,19 @@ eliminators and reporting which one fires:
   routine (``_pairing_det``). A block verdict is a pure function of the
   region's first row, the block's start column and width, and its
   points, and is cached under that key, because a full run asks for
-  214,059 verdicts on only 778 distinct blocks; the block's rows are
+  67,396 verdicts on only 778 distinct blocks; the block's rows are
   built only on a miss. A moved point's placement and column kind
   depend only on the point, its variable's column expression and the
-  choice, so they are cached across attempts (a full run asks 33,706
+  choice, so they are cached across attempts (a full run asks 10,977
   times for 267 distinct); the fixed points are classified once per
   attempt. A scenario fails exactly when one of its regions does, and a
   region's failures depend only on the points in it, so an attempt is
-  decided region by region: each region's possible contents are
-  enumerated once per structure, never the scenarios they combine into.
-  A full run's 7,041 attempts make 92,311 region probes, and each runs
-  the greedy walk.
+  decided region by region, never by the scenarios they combine into.
+  A region's content list is a pure function of the region, its fixed
+  points, the carriers placed in it and, for the low and top windows,
+  the carrier count, so each region is decided once under that key: a
+  full run's 7,041 attempts ask 27,409 times for 3,423 distinct
+  regions, whose 25,481 contents each run the greedy walk.
   The points of ``cell_possibilities`` and ``_placed_carrier`` are
   shared objects, so most cache probes compare them by identity.
 * symmetry: the same argument after moving the support by a triangle
@@ -584,6 +586,47 @@ def _region_failures(
     return failures
 
 
+@cache
+def _region_decision(
+    region: str, fixed: tuple[tuple[int, SymPoint, int], ...], carriers: tuple, n: int | None
+) -> tuple[tuple[ScenarioFailure, ...], ...]:
+    """The failures of every content one region takes, in placement order.
+
+    region is "low", "top" or a float base B{g}; fixed holds its fixed
+    (index, point, column) entries, carriers the (index, point, name,
+    column expression) of the moved points placed in it, and n the
+    attempt's carrier count, which sets the 5n-wide low and top windows
+    (None for a float group). A region's content list reads nothing
+    else, so attempts share one decision per region. The empty tuple
+    marks a region with no content.
+    """
+
+    def entry(carrier, choice):
+        """The region entry of one carrier under one choice, None if vacuous."""
+        k, p, name, colexpr = carrier
+        slot = _placed_carrier(p, name, colexpr, choice)
+        return None if slot is None else (k, slot[0], slot[1][-1])
+
+    if n is None:
+        g = int(region[1:])
+        chains = (
+            tuple(entry(carrier, ("float", g, off)) for carrier, off in zip(carriers, offs))
+            for offs in _group_offsets(len(carriers))
+        )
+        contents = [chain for chain in chains if None not in chain]
+    else:
+        start = _STRIP_BOX[0].c if region == "low" else -_STRIP_BOX[1].c
+        placements = [
+            [e for c in range(start, start + 5 * n) if (e := entry(carrier, (region, c))) is not None]
+            for carrier in carriers
+        ]
+        contents = list(itertools.product(*placements))
+    limit, base_row = _REGION_ROWS.get(region) or (None, Sym.var(region))
+    return tuple(
+        tuple(_region_failures(list(fixed) + list(content), limit, base_row)) for content in contents
+    )
+
+
 def _attempt_regions(points: list[SymPoint]):
     """The pairing failures of every region content a scenario realises.
 
@@ -591,19 +634,18 @@ def _attempt_regions(points: list[SymPoint]):
     and a region's failures depend only on the fixed points and the
     moved points placed in it. Each column variable is carried by one
     point, so within a structure of ``_structures`` the regions choose
-    their contents independently: the low region's are the product of
-    its carriers' non-vacuous columns, the top window's the product of
-    their offsets, and a float group's its non-vacuous offset chains.
-    When some region has no content, every scenario of the structure is
-    vacuous; otherwise each content is realised by a non-vacuous
-    scenario. So this yields one failure list per (structure, region
-    content), with the low region, each float base in name order, then
-    the top window, and never walks the scenarios themselves.
+    their contents independently, and ``_region_decision`` decides each
+    region's whole content list at once. When some region has no
+    content, every scenario of the structure is vacuous; otherwise each
+    content is realised by a non-vacuous scenario. So this yields one
+    failure tuple per (structure, region content), with the low region,
+    each float base in name order, then the top window, and never walks
+    the scenarios themselves.
 
     The points that carry no column variable sit in the same column in
     every scenario, so they are classified once per attempt. The walk is
-    lazy: a caller that stops reading stops it at the region content it
-    last read.
+    lazy by structure: a caller that stops reading decides no region of
+    a later structure.
     """
     if any(len(p.variables()) > 1 for p in points):
         raise AssertionError("a support point carries more than one variable")
@@ -619,33 +661,18 @@ def _attempt_regions(points: list[SymPoint]):
         if k not in moving:
             kind = _classify_column(p.i)
             fixed[kind[0]].append((k, p, kind[1]))
-
-    def entry(v, choice):
-        """The region entry of carrier v under one choice, None if vacuous."""
-        k, p, name, colexpr = carriers[v]
-        slot = _placed_carrier(p, name, colexpr, choice)
-        return None if slot is None else (k, slot[0], slot[1][-1])
-
+    low, top = tuple(fixed["low"]), tuple(fixed["top"])
     n = len(carriers)
-    lows = range(_STRIP_BOX[0].c, _STRIP_BOX[0].c + 5 * n)
-    tops = range(-_STRIP_BOX[1].c, -_STRIP_BOX[1].c + 5 * n)
-    low = [[e for c in lows if (e := entry(v, ("low", c))) is not None] for v in range(n)]
-    top = [[e for o in tops if (e := entry(v, ("top", o))) is not None] for v in range(n)]
     for low_vars, top_vars, groups in _structures(n):
-        regions = [("low", list(itertools.product(*(low[v] for v in low_vars))))]
-        for g, group in enumerate(groups):
-            chains = (
-                tuple(entry(v, ("float", g, off)) for v, off in zip(group, offs))
-                for offs in _group_offsets(len(group))
-            )
-            regions.append((f"B{g}", [chain for chain in chains if None not in chain]))
-        regions.append(("top", list(itertools.product(*(top[v] for v in top_vars)))))
-        if not all(contents for _, contents in regions):
-            continue
-        for region, contents in regions:
-            limit, base_row = _REGION_ROWS.get(region) or (None, Sym.var(region))
-            for content in contents:
-                yield _region_failures(fixed.get(region, []) + list(content), limit, base_row)
+        regions = [_region_decision("low", low, tuple(carriers[v] for v in low_vars), n)]
+        regions += [
+            _region_decision(f"B{g}", (), tuple(carriers[v] for v in group), None)
+            for g, group in enumerate(groups)
+        ]
+        regions.append(_region_decision("top", top, tuple(carriers[v] for v in top_vars), n))
+        if all(regions):
+            for decided in regions:
+                yield from decided
 
 
 def _attempt_excluded(points: list[SymPoint]) -> bool:
@@ -681,12 +708,15 @@ def _attempt_guards(points: list[SymPoint]) -> set[Sym] | None:
 def _resistant_patterns(case: ContractionPoint):
     """Yield (points, flipped) for each position pattern neither pairing attempt excludes.
 
-    flipped, the transpose, is a pattern of the case's (12) image.
+    flipped, the transpose, is a pattern of the case's (12) image, built
+    only when the pattern itself is not excluded.
     """
     for combo in itertools.product(*(cell_possibilities(name) for name in case.record())):
         points = list(combo)
+        if _attempt_excluded(points):
+            continue
         flipped = [p.transposed() for p in points]
-        if not (_attempt_excluded(points) or _attempt_excluded(flipped)):
+        if not _attempt_excluded(flipped):
             yield points, flipped
 
 

@@ -232,6 +232,19 @@ class TestInvertibilityExcludes:
         assert verdict.verify()
         assert not forged.verify()
 
+    def test_certificate_with_a_point_off_the_triangle_fails_verification(self):
+        # (5, 3) sits in the last block's column but past the degree-5
+        # diagonal, so no pairing matrix holds it.
+        verdict = invertibility_excludes({(0, 0), (0, 5), (5, 0)}, 5)
+        last = verdict.blocks[-1]
+        assert last.points == ((5, 0),)
+        forged = replace(
+            verdict,
+            blocks=verdict.blocks[:-1] + (replace(last, points=((5, 3),)),),
+            support=frozenset({(0, 0), (0, 5), (5, 3)}),
+        )
+        assert not forged.verify()
+
     def test_certificate_is_tied_to_its_support(self):
         verdict = invertibility_excludes(WORKED_SUPPORT, 6)
         assert verdict.support == WORKED_SUPPORT

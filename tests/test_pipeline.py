@@ -59,6 +59,7 @@ from chipsplit.pipeline import (
     _pairing_det,
     _partitions,
     _placed_carrier,
+    _region_decision,
     _region_failures,
     _sign_for_all,
     _strip_masks,
@@ -613,8 +614,10 @@ class TestAttemptFailures:
     def test_asks_for_the_reference_verdict_keys(self, monkeypatch, entry_point):
         # The whole region walk asks for exactly the blocks of every
         # scenario. _attempt_excluded asks for the same when it excludes
-        # the attempt; when it fails, it stops at its first failing region
-        # content, before regions the scenario walk still visits.
+        # the attempt; when it fails, it stops after the structure of its
+        # first failing region content, before regions the scenario walk
+        # still visits. A cached region asks for nothing, so each
+        # observation starts with an empty region cache.
         def recording(base_row, c_lo, width, pts):
             rows = tuple(base_row.shifted(c_lo + w) for w in range(width))
             asked.add((rows, pts))
@@ -625,6 +628,7 @@ class TestAttemptFailures:
         for points in comparison_attempts() + [tuple(SHARED_COLUMN_POINTS)]:
             asked = set()
             expected = reference_attempt(points)[1]
+            _region_decision.cache_clear()
             if entry_point == "regions":
                 list(_attempt_regions(list(points)))
             elif not _attempt_excluded(list(points)):
@@ -640,6 +644,7 @@ class TestAttemptFailures:
         monkeypatch.setattr(
             pipeline, "_block_verdict", lambda *key: asked.append(key) or _block_verdict(*key)
         )
+        _region_decision.cache_clear()
         list(_attempt_regions(SHARED_COLUMN_POINTS))
         moved, fixed = SymPoint(Sym.const(4), Sym.const(1)), SHARED_COLUMN_POINTS[1]
         assert (_LOW_ROW, 4, 2, (moved, fixed)) in asked
@@ -721,6 +726,7 @@ class TestBlockVerdictCache:
             return _block_verdict(*key)
 
         monkeypatch.setattr(pipeline, "_block_verdict", recording)
+        _region_decision.cache_clear()
         invertibility_eliminates(
             ContractionPoint.from_record(GENERAL_BLOCK_RECORD, XI_PRIME_COORDS)
         )
@@ -733,6 +739,7 @@ class TestBlockVerdictCache:
     def test_repeat_makes_no_determinant_calls(self, monkeypatch):
         case = ContractionPoint.from_record(GENERAL_BLOCK_RECORD, XI_PRIME_COORDS)
         _block_verdict.cache_clear()
+        _region_decision.cache_clear()
         calls = self.count_determinants(monkeypatch)
         invertibility_eliminates(case)
         assert calls
@@ -784,8 +791,8 @@ def test_block_determinants_are_scaled_integer_fraction_determinants(monkeypatch
     # and each general block's determinant has int coefficients and is
     # the product of its row factors times the permutation-sum
     # determinant of its binomial entries, at enough symbol values. The
-    # traffic the module docstring quotes, which the verdict and carrier
-    # caches are kept for, is pinned too.
+    # traffic the module docstring quotes, which the region, verdict and
+    # carrier caches are kept for, is pinned too.
     asked, current, determinants = set(), [None], {}
     traffic = collections.Counter()
     real_det = pipeline.poly_det
@@ -811,14 +818,17 @@ def test_block_determinants_are_scaled_integer_fraction_determinants(monkeypatch
 
     _block_verdict.cache_clear()
     _placed_carrier.cache_clear()
+    _region_decision.cache_clear()
     monkeypatch.setattr(pipeline, "poly_det", recording_det)
     monkeypatch.setattr(pipeline, "_block_verdict", recording_verdict)
     monkeypatch.setattr(pipeline, "_region_failures", counting_walk)
     pipeline_summary.__wrapped__()
     assert len(asked) == 778
-    assert traffic == {"region walks": 92311, "verdict asks": 214059}
+    assert traffic == {"region walks": 25481, "verdict asks": 67396}
     carriers = _placed_carrier.cache_info()
-    assert (carriers.misses, carriers.hits) == (267, 33439)
+    assert (carriers.misses, carriers.hits) == (267, 10710)
+    regions = _region_decision.cache_info()
+    assert (regions.misses, regions.hits) == (3423, 23986)
     assert determinants
     for key, det in determinants.items():
         assert all(type(c) is int for c in det.coeffs), key
@@ -826,6 +836,24 @@ def test_block_determinants_are_scaled_integer_fraction_determinants(monkeypatch
         assert det.degree < len(values), key
         for s, value in values.items():
             assert det(s) == factor * value, (key, s)
+
+
+def test_cached_region_decisions_equal_fresh_ones(monkeypatch):
+    # Every region a cold full run decides, decided again without the
+    # cache: the key holds everything a region's content list reads.
+    asked = set()
+
+    def recording(*key):
+        asked.add(key)
+        return _region_decision(*key)
+
+    _region_decision.cache_clear()
+    monkeypatch.setattr(pipeline, "_region_decision", recording)
+    pipeline_summary.__wrapped__()
+    assert len(asked) == _region_decision.cache_info().currsize == 3423
+    for key in asked:
+        assert _region_decision(*key) == _region_decision.__wrapped__(*key), key
+    assert {"float" if n is None else region for region, _, _, n in asked} == {"low", "top", "float"}
 
 
 def test_two_and_one_verdict_agrees_with_the_integer_guard():
