@@ -2,15 +2,15 @@
 
 Two exhaustive computations back the classification results, and both
 run per (positive-support size, degree) on one listing of every support
-whose sign forms all cancel and one settling step,
-``_resolve_survivor``.  The sweep's ``_settle_degree`` settles every
-survivor and returns a ``SweepCertificate`` that lists each with its
-label.  The census's ``_census_cell`` only tallies, so the engine lists
-it one member of each mirror pair (i, j) -> (j, i) of survivors, plus
-both members of each pair whose top-diagonal points have
-i_min + i_max = d; it counts a member for both and lists a found
-outcome with its mirror.  The survivors are mirror-closed because the
-sign forms are closed under transposition.
+whose sign forms all cancel.  The sweep's ``_settle_degree`` settles
+every survivor with one settling step, ``_resolve_survivor``, and
+returns a ``SweepCertificate`` that lists each with its label.  The
+census's ``_census_cell`` only tallies, so the engine lists it one
+member of each mirror pair (i, j) -> (j, i) of survivors, plus both
+members of each pair whose top-diagonal points have i_min + i_max = d;
+it counts a member for both and lists a found outcome with its mirror.
+The survivors are mirror-closed because the sign forms are closed
+under transposition.
 
 The listing starts from the bitset engine ``hyperfield.sign_survivors``.
 It places support points in descending degree order, keeping as its
@@ -37,10 +37,19 @@ same way.  That the sign forms also force two top points is checked,
 not proved: all 168,331 sign survivors of the cells n <= 5, d <= 9
 have them, and the test suite pins that exhaustively.
 
-Each survivor is settled by the invertibility test and then
-``models.fundamentality``, the exact kernel criterion that the
+``_resolve_survivor`` settles a survivor by the invertibility test and
+then ``models.fundamentality``, the exact kernel criterion that the
 ``fundamental`` and ``decompose`` commands use too; both read one
 table of top-edge coefficients per degree, ``pascal.top_edge_columns``.
+A census cell whose support plus origin holds at least d + 1 points,
+as many as the top-edge rows, settles by rank instead
+(``_rank_settler``): the invertibility test there excludes exactly the
+supports of full rank, and one ``linalg.PrefixKernel`` reads each
+support's kernel off the columns its listing prefix shares with the
+support before it.  The other census cells, and every sweep degree,
+have fewer columns than rows and settle through ``_resolve_survivor``,
+where the invertibility test excludes most survivors before any kernel
+is needed.
 ``classify_candidate`` decides one support with the certificate path
 and is the census's reference.
 ``sweep_summary`` digests a sweep's certificates per degree, the format
@@ -61,8 +70,9 @@ from typing import Collection
 from .criteria import invertibility_excludes, pairing_excludes
 from .grid import ChipConfiguration, Coord, config_from_record, config_record, grid_points
 from .hyperfield import hyperfield_excludes, sign_survivors
-from .models import fundamentality
-from .pascal import all_forms
+from .linalg import PrefixKernel
+from .models import fundamental_generator, fundamentality
+from .pascal import all_forms, top_edge_columns
 
 # Stages of the candidate decision chain, in the order they run.
 PRUNE_SIGNS = "signs"
@@ -120,9 +130,11 @@ def candidate_count(n: int, d: int) -> int:
 def _resolve_survivor(support: Collection[Coord], d: int):
     """Settle one sign survivor: certify exclusion or surface an outcome.
 
-    The settling step of ``_settle_degree`` and ``_census_cell``: the
-    pairing test, then ``models.fundamentality``, whose kernel dimension
-    names the resolution.  The support may come in any point order, and
+    The settling step of ``_settle_degree``, and of the census cells
+    whose support plus origin has fewer than d + 1 points (the others
+    settle by rank, ``_rank_settler``): the pairing test, then
+    ``models.fundamentality``, whose kernel dimension names the
+    resolution.  The support may come in any point order, and
     the resolution and outcome do not depend on it: a pairing block's
     points only permute its rows, which flips at most the determinant's
     sign, and ``fundamentality`` sorts its points before it eliminates.
@@ -137,7 +149,11 @@ def _resolve_survivor(support: Collection[Coord], d: int):
     """
     if pairing_excludes(((0, 0), *support), d):
         return PRUNE_INVERTIBILITY, None
-    dimension, outcome = fundamentality(support, d)
+    return _kernel_resolution(*fundamentality(support, d))
+
+
+def _kernel_resolution(dimension: int, outcome: ChipConfiguration | None):
+    """The resolution that a kernel's dimension and fundamental generator name."""
     if dimension == 0:
         return "empty-kernel", None
     if dimension == 1:
@@ -198,35 +214,21 @@ def _mirror_representatives(d: int, size: int):
     return points, survivors
 
 
-def _census_cell(n: int, d: int, candidates: int):
-    """Census of one cell: its fundamental outcomes and its stage counters.
+def _census_representatives(points, listed, d: int):
+    """The listed supports that the census settles, each with its weight.
 
-    Settles one of each mirror pair (i, j) -> (j, i) of the sign
-    survivors for n + 1 positives at degree d with
-    ``_resolve_survivor``.  The survivors are mirror-closed because the
-    sign forms are closed under transposition: read at the mirrored
-    points, the left-column and bottom-row forms of index k swap and
-    the top-edge form at (a, b) becomes the one at (b, a).
-    ``_mirror_representatives`` lists the survivors whose top points
-    have i_min + i_max <= d.  A listed support with i_min + i_max < d
-    has its mirror outside the list, so it counts twice with no lookup.
-    A tie (i_min + i_max = d) is listed with its mirror; it counts once
-    if it is its own mirror, is settled only if its sorted mirror is
-    not smaller, and is skipped otherwise.  A found outcome is listed
-    with its mirror.  A candidate that is neither listed nor the mirror
-    of a listed support fails the sign test, and the census counts all
-    of the kernel labels as ``kernel``.  ``_settle_degree``, which
-    settles every survivor, is its test oracle, and the tests check the
-    listing's mirror closure against ``sign_survivor_search``.
+    Yields (combo, support, weight): the engine index tuple, its points
+    and the number of survivors it stands for, in listing order.  A
+    listed support with i_min + i_max < d has its mirror outside the
+    list, so it stands for two with no lookup.  A tie (i_min + i_max = d)
+    or a support with no top point is listed with its mirror; its
+    points come sorted, it stands for one if it is its own mirror, and
+    it is skipped if its sorted mirror is smaller.
     """
-    points, listed = _mirror_representatives(d, n + 1)
-    tally = Counter()
-    found = []
     for combo in listed:
         support = [points[m] for m in combo]
         first = combo[0]
         if first > d or d - first in combo:
-            # A tie, or no top point: the mirror is listed too.
             support.sort()
             mirror = sorted([(j, i) for i, j in support])
             if mirror < support:
@@ -234,7 +236,74 @@ def _census_cell(n: int, d: int, candidates: int):
             weight = 1 if mirror == support else 2
         else:
             weight = 2
-        resolution, outcome = _resolve_survivor(support, d)
+        yield combo, support, weight
+
+
+def _rank_settler(points, d: int):
+    """Settle supports of at least d points by the rank of their top-edge matrix.
+
+    Returns a function of an engine index tuple that gives the same
+    resolution and outcome as ``_resolve_survivor`` for supports that,
+    with the origin, hold at least d + 1 points, the top-edge rows'
+    count.  The matrix's columns are the origin's and then the points'
+    in engine order, and one ``linalg.PrefixKernel`` serves every call,
+    so a cell fed in listing order eliminates one column per new
+    listing prefix.
+
+    The pairing test never runs, because it excludes exactly when the
+    matrix has full rank.  With more columns than rows the kernel is
+    nonzero, so neither holds.  With as many, a point (i, j)'s column
+    is zero above row i, so a greedy block that cannot close holds more
+    points than there are rows from its start down: a matrix of full
+    rank has a closing walk.  The blocks of a closing walk tile the rows
+    0..d and their points have no entry above their first row, so the
+    matrix is block lower triangular, of full rank exactly when every
+    block is invertible.  The transposed support's columns are the same
+    columns with their rows reversed, so its walk cannot exclude a
+    matrix that is not of full rank.  Any other support settles by its
+    kernel, as in ``_resolve_survivor``.
+    """
+    table = top_edge_columns(d)
+    prefix = PrefixKernel()
+
+    def settle(combo):
+        support = [(0, 0), *(points[m] for m in combo)]
+        nullity, vec = prefix.kernel([table[p] for p in support])
+        if nullity == 0:
+            return PRUNE_INVERTIBILITY, None
+        outcome = fundamental_generator(support, vec, d) if nullity == 1 else None
+        return _kernel_resolution(nullity, outcome)
+
+    return settle
+
+
+def _census_cell(n: int, d: int, candidates: int):
+    """Census of one cell: its fundamental outcomes and its stage counters.
+
+    Settles one of each mirror pair (i, j) -> (j, i) of the sign
+    survivors for n + 1 positives at degree d.  The survivors are
+    mirror-closed because the sign forms are closed under
+    transposition: read at the mirrored points, the left-column and
+    bottom-row forms of index k swap and the top-edge form at (a, b)
+    becomes the one at (b, a).  ``_mirror_representatives`` lists the
+    survivors whose top points have i_min + i_max <= d, and
+    ``_census_representatives`` weighs them; a found outcome of weight
+    two is listed with its mirror.  Where the support plus the origin
+    holds at least d + 1 points (n + 2 >= d + 1), ``_rank_settler``
+    settles the listing in order; elsewhere ``_resolve_survivor`` settles
+    each support alone.  A candidate that is neither listed nor the
+    mirror of a listed support fails the sign test, and the census
+    counts all of the kernel labels as ``kernel``.  ``_settle_degree``,
+    which settles every survivor, is its test oracle, and the tests
+    check the listing's mirror closure against ``sign_survivor_search``
+    and the rank settler against ``_resolve_survivor``.
+    """
+    points, listed = _mirror_representatives(d, n + 1)
+    by_rank = _rank_settler(points, d) if n + 2 >= d + 1 else None
+    tally = Counter()
+    found = []
+    for combo, support, weight in _census_representatives(points, listed, d):
+        resolution, outcome = by_rank(combo) if by_rank else _resolve_survivor(support, d)
         tally[resolution] += weight
         if outcome is not None:
             found.append(outcome)

@@ -3,11 +3,14 @@
 Everything in this module is deterministic and exact. Matrices are
 sequences of integer rows, and dense polynomials have integer
 coefficients too. One fraction-free elimination routine (Bareiss),
-``_echelon``, decides every matrix fact on a copy of the caller's rows,
-on int and Poly entries alike: Poly's ``//`` is exact division, and a
-Poly is false exactly when it is zero. There is deliberately no float
-or Fraction anywhere; the certificates produced by the classification
-machinery quote these numbers verbatim.
+``_echelon``, decides every fact about a single matrix on a copy of the
+caller's rows, on int and Poly entries alike: Poly's ``//`` is exact
+division, and a Poly is false exactly when it is zero. ``PrefixKernel``
+takes the same step one column at a time, for a stream of integer
+matrices that share their leading columns, and keeps each column's
+elimination while the next matrix still starts with it. There is
+deliberately no float or Fraction anywhere; the certificates produced
+by the classification machinery quote these numbers verbatim.
 """
 
 from __future__ import annotations
@@ -139,11 +142,92 @@ def kernel_basis(rows: Sequence[Row]) -> list[list[int]]:
             if scale != 1:
                 vec = [x * scale for x in vec]
             vec[pc] = -total // g
-        content = gcd(*vec)
-        if next(x for x in vec if x) < 0:
-            content = -content
-        basis.append([x // content for x in vec])
+        basis.append(_leading_positive(vec))
     return basis
+
+
+def _leading_positive(vec: list[int]) -> list[int]:
+    """A nonzero integer vector divided by its content, its first nonzero entry made positive."""
+    content = gcd(*vec)
+    if next(x for x in vec if x) < 0:
+        content = -content
+    return [x // content for x in vec]
+
+
+class PrefixKernel:
+    """The nullity of each matrix in a stream, sharing the work on common leading columns.
+
+    ``kernel(columns)`` takes a matrix as its list of integer columns,
+    all of one length, and returns its nullity and, when that is one,
+    the kernel generator in ``kernel_basis``'s form (primitive, first
+    nonzero entry positive); otherwise None.
+
+    It is ``_echelon``'s Bareiss step applied to the transposed matrix,
+    one column at a time. A stack keeps one level per column. Level k
+    holds column k reduced against the pivot levels below it, followed
+    by the combination of the original columns that the reduced column
+    equals: the matrix's columns with an identity matrix appended, both
+    reduced alike. A new column v is reduced by each pivot level r in
+    order: v becomes (p*v - f*r) // prev, with p the pivot entry of r,
+    f the entry of v in r's pivot row and prev the pivot before p. Every
+    entry stays a minor of the appended matrix, so each division is
+    exact (Bareiss, Math. Comp. 1968). A column that reduces to zero is
+    a kernel level, and its combination is a kernel vector. Otherwise
+    its first nonzero entry is its pivot. The kernel levels number the
+    nullity.
+
+    A call cuts the stack back to the longest run of leading columns
+    that the matrix shares with the previous call's, or to nothing if
+    the matrices differ in width, then adds the rest. Matrices met in
+    lexicographic order of their columns, as the census lists its
+    supports, thus pay one column's elimination per new listing prefix.
+    """
+
+    def __init__(self):
+        self._columns: list[Row] = []
+        # Per column: its pivot row, or None for a kernel level, and its
+        # reduced column followed by its combination.
+        self._levels: list[tuple[int | None, list[int]]] = []
+
+    def kernel(self, columns: Sequence[Row]) -> tuple[int, list[int] | None]:
+        keep = 0
+        if len(columns) == len(self._columns):
+            for old, new in zip(self._columns, columns):
+                if old != new:
+                    break
+                keep += 1
+        del self._columns[keep:], self._levels[keep:]
+        for column in columns[keep:]:
+            self._levels.append(self._reduce(column, len(columns)))
+            self._columns.append(column)
+        kernel = [reduced for row, reduced in self._levels if row is None]
+        if len(kernel) != 1:
+            return len(kernel), None
+        return 1, _leading_positive(kernel[0][len(columns[0]):])
+
+    def _reduce(self, column: Row, width: int) -> tuple[int | None, list[int]]:
+        """Column k = len(levels), reduced against every pivot level, then its combination.
+
+        A step whose f is zero only scales v by p / prev. It is
+        deferred: the next step that runs divides by the pivot before
+        the deferred ones, which telescope, and whatever scale is left
+        at the end is applied once.
+        """
+        k = len(self._levels)
+        vec = [*column, *[0] * k, 1, *[0] * (width - k - 1)]
+        prev = last = 1
+        for row, reduced in self._levels:
+            if row is None:
+                continue
+            last = p = reduced[row]
+            f = vec[row]
+            if f:
+                vec = [(p * a - f * b) // prev for a, b in zip(vec, reduced)]
+                prev = p
+        if last != prev:
+            vec = [a * last // prev for a in vec]
+        pivot = next((r for r in range(len(column)) if vec[r]), None)
+        return pivot, vec
 
 
 class Poly:

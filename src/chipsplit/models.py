@@ -309,13 +309,20 @@ def fundamentality(support: Iterable[Coord], d: int) -> tuple[int, ChipConfigura
     basis = kernel_basis(list(zip(*(columns[p] for p in points))))
     if len(basis) != 1:
         return len(basis), None
-    (vec,) = basis
-    # The vector's first nonzero entry is positive, so the generator is
-    # -vec exactly when every entry past the origin's is negative; that
-    # also rules out a zero origin entry.
+    return 1, fundamental_generator(points, basis[0], d)
+
+
+def fundamental_generator(points: list[Coord], vec: list[int], d: int) -> ChipConfiguration | None:
+    """The fundamental outcome a one-dimensional kernel gives, or None.
+
+    points lists the origin first, and vec is the kernel's generator
+    over them in ``kernel_basis``'s form. Its first nonzero entry is
+    positive, so the outcome is -vec exactly when every entry past the
+    origin's is negative; that also rules out a zero origin entry.
+    """
     if any(v >= 0 for v in vec[1:]):
-        return 1, None
-    return 1, ChipConfiguration({p: -v for p, v in zip(points, vec)}, ambient=d)
+        return None
+    return ChipConfiguration({p: -v for p, v in zip(points, vec)}, ambient=d)
 
 
 def is_fundamental(support: Iterable[Coord], d: int) -> bool:

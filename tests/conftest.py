@@ -17,28 +17,38 @@ ACCEPTANCE_LINES = []
 def wide_census_run():
     """The census through six positive entries and degree nine, run once.
 
-    Returns the report and, as (support, d, verdict) triples, every call
-    the census made to ``fundamentality``, its kernel stage.  The census
-    settles one of each mirror pair of sign survivors, so each called
-    support's mirror is recorded too, with the verdict of the real stage
-    on it: the triples cover every survivor that reaches the stage.
+    Returns the report and, as (support, d, verdict) triples, every
+    listed survivor that the pairing test does not exclude, with its
+    verdict from ``fundamentality``: the supports that reach the kernel
+    stage of ``_resolve_survivor``, also in the cells the census settles
+    by rank, in the point order the listing gives them.  The census
+    lists one of each mirror pair of sign survivors, so each support's
+    mirror is recorded too: the triples cover every survivor that
+    reaches the stage.
     """
     from chipsplit import enumeration
+    from chipsplit.criteria import pairing_excludes
+    from chipsplit.models import fundamentality
 
-    calls = []
-    stage = enumeration.fundamentality
+    listed = []
+    representatives = enumeration._census_representatives
 
-    def recording(support, d):
-        verdict = stage(support, d)
-        calls.append((support, d, verdict))
-        mirror = tuple(sorted((j, i) for i, j in support))
-        if mirror != tuple(sorted(support)):
-            calls.append((mirror, d, stage(mirror, d)))
-        return verdict
+    def recording(points, combos, d):
+        for entry in representatives(points, combos, d):
+            listed.append((tuple(entry[1]), d))
+            yield entry
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(enumeration, "fundamentality", recording)
+        patch.setattr(enumeration, "_census_representatives", recording)
         report = enumeration.enumerate_fundamental(9, 5)
+    calls = []
+    for support, d in listed:
+        if pairing_excludes(((0, 0), *support), d):
+            continue
+        calls.append((support, d, fundamentality(support, d)))
+        mirror = tuple(sorted((j, i) for i, j in support))
+        if mirror != tuple(sorted(support)):
+            calls.append((mirror, d, fundamentality(mirror, d)))
     return report, calls
 
 

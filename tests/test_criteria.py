@@ -1,5 +1,7 @@
 """Tests for the invertibility and hexagon exclusion criteria."""
 
+import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -21,9 +23,9 @@ from chipsplit.criteria import (
     pairing_matrix,
 )
 from chipsplit.grid import ChipConfiguration, Game, apply_game, grid_points
-from chipsplit.linalg import binomial, det
+from chipsplit.linalg import binomial, det, rank
 from chipsplit.models import tightness_family
-from chipsplit.pascal import is_outcome, outcome_space
+from chipsplit.pascal import is_outcome, outcome_space, top_edge_columns
 
 OPENING_SUPPORT = frozenset({(0, 0), (2, 0), (1, 1), (0, 2)})
 WORKED_SUPPORT = frozenset({(0, 0), (0, 4), (2, 0), (4, 1), (5, 0), (6, 0)})
@@ -314,6 +316,36 @@ class TestPairingExcludes:
     def test_agrees_with_reference_on_wide_supports(self, case):
         d, points = case
         assert pairing_excludes(points, d) == invertibility_excludes(points, d).excluded
+
+    def test_on_d_plus_one_points_excludes_exactly_at_full_rank(self):
+        # With the origin, d + 1 points give a square top-edge matrix.
+        # A greedy block that cannot close holds more points than the
+        # rows from its start down, so at full rank the walk closes, and
+        # a closing walk's blocks tile the rows of a block lower
+        # triangular matrix. With more points the kernel is nonzero and
+        # the test never excludes. The census settles such cells by rank.
+        rng = random.Random(39)
+        tally = Counter()
+        for _ in range(2000):
+            d = rng.randint(1, 10)
+            points = [p for p in grid_points(d) if p != (0, 0)]
+            extra = min(rng.choice([0, 0, 0, 1, 2]), len(points) - d)
+            support = [(0, 0), *rng.sample(points, d + extra)]
+            table = top_edge_columns(d)
+            full = rank(list(zip(*(table[p] for p in support)))) == d + 1
+            closes = [
+                construct_lambda(frozenset(attempt), d) is not None
+                for attempt in (support, [(j, i) for i, j in support])
+            ]
+            excluded = pairing_excludes(support, d)
+            if extra:
+                assert not excluded, (support, d)
+                tally["over-square"] += 1
+                continue
+            assert excluded == (full and any(closes)) == full, (support, d)
+            assert closes[0] or not full, (support, d)
+            tally[excluded] += 1
+        assert tally == {True: 792, False: 390, "over-square": 818}
 
     def test_empty_support(self):
         assert not pairing_excludes(frozenset(), 3)

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import gc
+import hashlib
 import itertools
 import json
 import random
@@ -30,7 +31,7 @@ from chipsplit.enumeration import (
     sweep_no_valid_outcomes,
     sweep_start,
 )
-from chipsplit.grid import ChipConfiguration, act, grid_points
+from chipsplit.grid import ChipConfiguration, act, config_record, grid_points
 from chipsplit.hyperfield import hyperfield_excludes, sign_survivors
 from chipsplit.models import composite, decompose, fundamentality, is_fundamental, outcome_to_model
 from chipsplit.pascal import is_outcome, outcome_space, top_edge_columns, top_edge_form
@@ -410,6 +411,69 @@ class TestCensusMirrorPairs:
         victim = next(s for s in listed if kind_of(s) == kind)
         with pytest.raises(AssertionError, match=fault):
             check_pruned_listing([s for s in listed if s != victim], d, size)
+
+
+class TestRankSettling:
+    """Cells whose support plus origin fills the d + 1 top-edge rows settle by rank."""
+
+    def test_matches_settling_each_listed_support_alone(self):
+        # Every listed support of the square and over-square cells with
+        # n <= 5 (so d <= n + 1), in listing order, against the pairing
+        # test and the kernel stage run on it alone.
+        cells = supports = 0
+        for n in range(1, 6):
+            for d in range(1, n + 2):
+                if not candidate_count(n, d):
+                    continue
+                points, listed = enumeration._mirror_representatives(d, n + 1)
+                settle = enumeration._rank_settler(points, d)
+                for combo, support, _ in enumeration._census_representatives(points, listed, d):
+                    assert settle(combo) == _resolve_survivor(support, d), (n, d, support)
+                    supports += 1
+                cells += 1
+        assert (cells, supports) == (15, 8695)
+
+    @given(st.integers(1, 7).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.lists(
+                st.sets(st.integers(0, d * (d + 3) // 2 - 1), min_size=d, max_size=d + 2),
+                min_size=1,
+                max_size=10,
+            ),
+        )
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_settling_alone_on_any_sorted_stream(self, case):
+        # Supports that need not survive the sign test, of d to d + 2
+        # points, fed as engine index tuples in lexicographic order.
+        d, supports = case
+        points = _sign_tables(d)[0]
+        settle = enumeration._rank_settler(points, d)
+        for combo in sorted(tuple(sorted(s)) for s in supports):
+            support = [points[m] for m in combo]
+            assert settle(combo) == _resolve_survivor(support, d), (d, support)
+
+    @pytest.mark.parametrize(
+        "d,counters,digest",
+        [
+            (3, (36, 4, 0, 32, 0), "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+            (4, (2744, 1134, 0, 1610, 0), "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+            (5, (45656, 28491, 0, 17165, 0), "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+            (6, (384825, 292064, 0, 86051, 6710), "a64f2fcddeea6da4b20a581d1e4f961ac5f28e3c88d709d8e47c8b9679626521"),
+            (7, (2172401, 1837474, 276546, 55960, 2421), "d9789d481a27447cfd4417e1e4925070dc731025b5001d430cb18bd3fa7b0052"),
+        ],
+    )
+    def test_seven_positive_entries_through_degree_seven(self, d, counters, digest):
+        # No golden file holds a cell with n = 6. The counters and the
+        # sha256 of the canonically sorted outcome records were recorded
+        # when every cell still settled each support alone.
+        found, got = enumeration._census_cell(6, d, candidate_count(6, d))
+        assert tuple(got.values()) == counters
+        assert list(got) == ["candidates", "signs", "invertibility", "kernel", "fundamental"]
+        records = [config_record(w) for w in sorted(found, key=canonical_key)]
+        text = json.dumps(records, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestCensusSmall:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from chipsplit.linalg import (
     Poly,
+    PrefixKernel,
     _echelon,
     binomial,
     det,
@@ -255,6 +256,47 @@ def awkward_matrix(draw):
         for row in rows:
             row[j] = 0
     return rows
+
+
+@st.composite
+def column_stream(draw):
+    """A pool of integer columns and a sorted list of index sequences into it.
+
+    Some pool columns are combinations of others, so many matrices are
+    rank-deficient. The sequences take one or two widths, and sorting
+    them gives neighbours of one width that share leading columns, as a
+    census listing does.
+    """
+    height = draw(st.integers(min_value=1, max_value=6))
+    entries = st.sampled_from([0, 0, 1, -1, 2, -3, 7, -40])
+    pool = draw(st.lists(st.lists(entries, min_size=height, max_size=height), min_size=1, max_size=8))
+    index = st.integers(min_value=0, max_value=len(pool) - 1)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        a, b = draw(index), draw(index)
+        k = draw(st.integers(min_value=-3, max_value=3))
+        pool.append([k * x + y for x, y in zip(pool[a], pool[b])])
+    index = st.integers(min_value=0, max_value=len(pool) - 1)
+    widths = draw(st.lists(st.integers(min_value=1, max_value=height + 2), min_size=1, max_size=2))
+    sequence = st.sampled_from(widths).flatmap(lambda w: st.lists(index, min_size=w, max_size=w))
+    stream = draw(st.lists(sequence, min_size=1, max_size=12))
+    return [tuple(column) for column in pool], sorted(stream)
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_stream())
+# Pivots met with a zero entry in the new column (the deferred steps),
+# with the stack cut back to two columns and then to one; and a zero
+# column, with the width changing from call to call.
+@example(([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], [[0, 1, 2, 3], [0, 1, 3, 2], [0, 3, 1, 2]]))
+@example(([(0, 0), (2, 4), (1, 2)], [[0, 1, 2], [1], [1, 2], [2, 0]]))
+def test_prefix_kernel_matches_kernel_basis_on_a_stream(case):
+    pool, stream = case
+    prefix = PrefixKernel()
+    for sequence in stream:
+        columns = [pool[i] for i in sequence]
+        basis = kernel_basis([list(row) for row in zip(*columns)])
+        expected = (len(basis), basis[0] if len(basis) == 1 else None)
+        assert prefix.kernel(columns) == expected, (pool, sequence)
 
 
 @settings(max_examples=500, deadline=None)
