@@ -6,8 +6,8 @@ positions: if the matrix of binomials binom(d - deg(p), a - i) over
 a in E, p = (i, j) in S is invertible, the top-edge equations admit no
 nonzero solution supported in S. The divide step picks E greedily so
 the matrix becomes block lower triangular; the conquer step knows a few
-closed-form invertible block shapes and otherwise asks fraction-free
-elimination (``linalg._echelon``) for a pivot in every column.
+closed-form invertible block shapes and otherwise asks ``linalg.rank``
+whether the block has full rank.
 
 The invertibility criterion has two entry points with the same verdict.
 ``pairing_excludes`` answers yes or no on plain integers and is what the
@@ -36,7 +36,7 @@ from math import factorial
 from typing import Collection
 
 from .grid import ChipConfiguration, Coord, check_fits, check_inside, degree_order, is_inside
-from .linalg import _echelon, binomial, det
+from .linalg import binomial, det, rank
 from .pascal import is_outcome, top_edge_columns
 
 
@@ -291,7 +291,7 @@ def _block_invertible(block: list[Coord], c: int, columns: dict[Coord, tuple[int
     invertible = _closed_form(sorted((i - c, j) for i, j in block))
     if invertible is None:
         width = len(block)
-        invertible = len(_echelon([list(columns[p][c:c + width]) for p in block])[0]) == width
+        invertible = rank([columns[p][c:c + width] for p in block]) == width
     return invertible
 
 

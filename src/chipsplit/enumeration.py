@@ -268,11 +268,11 @@ def _rank_settler(points, d: int):
 
     def settle(combo):
         support = [(0, 0), *(points[m] for m in combo)]
-        nullity, vec = prefix.kernel([table[p] for p in support])
-        if nullity == 0:
+        basis = prefix.kernel([table[p] for p in support])
+        if not basis:
             return PRUNE_INVERTIBILITY, None
-        outcome = fundamental_generator(support, vec, d) if nullity == 1 else None
-        return _kernel_resolution(nullity, outcome)
+        outcome = fundamental_generator(support, basis[0], d) if len(basis) == 1 else None
+        return _kernel_resolution(len(basis), outcome)
 
     return settle
 

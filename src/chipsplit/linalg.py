@@ -2,12 +2,14 @@
 
 Everything in this module is deterministic and exact. Matrices are
 sequences of integer rows, and dense polynomials have integer
-coefficients too. One fraction-free elimination routine (Bareiss),
-``_echelon``, decides every fact about a single matrix on a copy of the
-caller's rows, on int and Poly entries alike: Poly's ``//`` is exact
-division, and a Poly is false exactly when it is zero. ``PrefixKernel``
-takes the same step one column at a time, for a stream of integer
-matrices that share their leading columns, and keeps each column's
+coefficients too. One fraction-free elimination (Bareiss) decides
+every fact about a matrix, in two forms. ``_echelon`` eliminates a copy
+of the caller's rows for ``det``, ``poly_det`` and ``rank``, on int and
+Poly entries alike: Poly's ``//`` is exact division, and a Poly is
+false exactly when it is zero. ``PrefixKernel`` takes the same step
+one column at a time and is the one kernel routine: ``kernel_basis``
+runs one on a single matrix, and the census runs one over a stream of
+matrices that share their leading columns, keeping each column's
 elimination while the next matrix still starts with it. There is
 deliberately no float or Fraction anywhere; the certificates produced
 by the classification machinery quote these numbers verbatim.
@@ -110,40 +112,11 @@ def primitive_integer_vector(vec: Sequence[int]) -> list[int]:
 def kernel_basis(rows: Sequence[Row]) -> list[list[int]]:
     """Basis of the right kernel of a nonempty integer matrix, as primitive vectors.
 
-    One vector per free column of the echelon form _echelon computes on
-    a copy of the rows, ordered by free column index. The vector of
-    free column fc is 1 at fc and 0 at the other free columns, and back
-    substitution solves the pivot rows for the rest, last row first, on
-    integers: where a pivot p does not divide the row's sum s over the
-    solved columns, the vector is first scaled by p / gcd(p, s). It is
-    then divided by its content and its first nonzero entry made
-    positive. That is the vector of fc in the reduced row echelon form,
-    made primitive, so the output is canonical for a given column order.
+    One vector per free column, in column order: the column's vector in
+    the reduced row echelon form, made primitive with its first nonzero
+    entry positive. A fresh ``PrefixKernel`` computes it on the columns.
     """
-    width = len(rows[0])
-    echelon = [list(row) for row in rows]
-    pivots, _ = _echelon(echelon)
-    basis: list[list[int]] = []
-    # The number of pivots left of fc; the pivot rows right of it solve to zero.
-    left = 0
-    for fc in range(width):
-        if left < len(pivots) and pivots[left] == fc:
-            left += 1
-            continue
-        vec = [0] * width
-        vec[fc] = 1
-        for r in range(left - 1, -1, -1):
-            row, pc = echelon[r], pivots[r]
-            total = sum(a * b for a, b in zip(row[pc + 1 : fc + 1], vec[pc + 1 : fc + 1]))
-            if not total:
-                continue
-            g = gcd(row[pc], total)
-            scale = row[pc] // g
-            if scale != 1:
-                vec = [x * scale for x in vec]
-            vec[pc] = -total // g
-        basis.append(_leading_positive(vec))
-    return basis
+    return PrefixKernel().kernel(list(zip(*rows)))
 
 
 def _leading_positive(vec: list[int]) -> list[int]:
@@ -155,12 +128,14 @@ def _leading_positive(vec: list[int]) -> list[int]:
 
 
 class PrefixKernel:
-    """The nullity of each matrix in a stream, sharing the work on common leading columns.
+    """The kernel of each matrix in a stream, sharing the work on common leading columns.
 
     ``kernel(columns)`` takes a matrix as its list of integer columns,
-    all of one length, and returns its nullity and, when that is one,
-    the kernel generator in ``kernel_basis``'s form (primitive, first
-    nonzero entry positive); otherwise None.
+    all of one length, and returns a basis of its right kernel: one
+    vector per free column, in column order, each the free column's
+    vector in the reduced row echelon form made primitive, its first
+    nonzero entry positive. The basis is thus canonical for a given
+    column order.
 
     It is ``_echelon``'s Bareiss step applied to the transposed matrix,
     one column at a time. A stack keeps one level per column. Level k
@@ -172,9 +147,10 @@ class PrefixKernel:
     f the entry of v in r's pivot row and prev the pivot before p. Every
     entry stays a minor of the appended matrix, so each division is
     exact (Bareiss, Math. Comp. 1968). A column that reduces to zero is
-    a kernel level, and its combination is a kernel vector. Otherwise
-    its first nonzero entry is its pivot. The kernel levels number the
-    nullity.
+    a kernel level, the free column k. Its combination is nonzero at k
+    and otherwise only at the pivot columns before k, which are
+    independent, so it is a multiple of k's echelon vector. Otherwise
+    the reduced column's first nonzero entry is its pivot.
 
     A call cuts the stack back to the longest run of leading columns
     that the matrix shares with the previous call's, or to nothing if
@@ -189,7 +165,7 @@ class PrefixKernel:
         # reduced column followed by its combination.
         self._levels: list[tuple[int | None, list[int]]] = []
 
-    def kernel(self, columns: Sequence[Row]) -> tuple[int, list[int] | None]:
+    def kernel(self, columns: Sequence[Row]) -> list[list[int]]:
         keep = 0
         if len(columns) == len(self._columns):
             for old, new in zip(self._columns, columns):
@@ -200,10 +176,7 @@ class PrefixKernel:
         for column in columns[keep:]:
             self._levels.append(self._reduce(column, len(columns)))
             self._columns.append(column)
-        kernel = [reduced for row, reduced in self._levels if row is None]
-        if len(kernel) != 1:
-            return len(kernel), None
-        return 1, _leading_positive(kernel[0][len(columns[0]):])
+        return [_leading_positive(reduced[-len(columns):]) for row, reduced in self._levels if row is None]
 
     def _reduce(self, column: Row, width: int) -> tuple[int | None, list[int]]:
         """Column k = len(levels), reduced against every pivot level, then its combination.

@@ -296,7 +296,7 @@ def fundamentality(support: Iterable[Coord], d: int) -> tuple[int, ChipConfigura
     outcome space and the primitive integral generator, or None when the
     set is not fundamental. ``linalg.kernel_basis`` solves the top-edge
     conditions with the points in (degree, i) order, the origin first:
-    the elimination's cost depends heavily on the column order.
+    the elimination's cost depends on the column order.
     """
     points = set(support)
     if (0, 0) in points:

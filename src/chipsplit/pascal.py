@@ -125,14 +125,15 @@ class _TopEdgeTable(dict):
         return column
 
 
-# One table is kept, and four readers share it: the pairing test,
-# ``models.fundamentality``, ``outcome_space`` and ``top_edge_values``
-# (so ``is_outcome``).  Each reads the columns of the points it is given,
-# so a column is built only when first read: a degree-499 outcome
-# reads 252 of the table's 125,250 columns.  The sweep walks one
-# degree at a time, so it starts each table once; the census walks
-# cells support size first, so it starts a table at every cell, and
-# ``decompose`` starts one each time its degree falls.
+# One table is kept, and five readers share it: the pairing test,
+# ``models.fundamentality``, the census's ``enumeration._rank_settler``,
+# ``outcome_space`` and ``top_edge_values`` (so ``is_outcome``).  Each
+# reads the columns of the points it is given, so a column is built
+# only when first read: a degree-499 outcome reads 252 of the table's
+# 125,250 columns.  The sweep walks one degree at a time, so it starts
+# each table once; the census walks cells support size first, so it
+# starts a table at every cell, and ``decompose`` starts one each time
+# its degree falls.
 @lru_cache(maxsize=1)
 def top_edge_columns(d: int) -> dict[Coord, tuple[int, ...]]:
     """Each point's coefficients in the top-edge forms of degree d, built on demand."""

@@ -24,7 +24,8 @@ from chipsplit.linalg import (
     primitive_integer_vector,
     rank,
 )
-from chipsplit.grid import grid_points
+from chipsplit.grid import degree_order, grid_points
+from chipsplit.models import tightness_family
 from chipsplit.pascal import top_edge_columns
 
 
@@ -167,6 +168,22 @@ def test_kernel_matches_fraction_rref_on_census_kernel_matrices(wide_census_run)
         assert kernel_basis(rows) == kernel_by_fractions(rows), (support, d)
 
 
+@pytest.mark.parametrize("k", [25, 40])
+def test_kernel_matches_fraction_rref_on_tall_top_edge_matrices(k):
+    # The support of the degree-(2k + 1) family member, origin included,
+    # in (degree, i) order as fundamentality orders it: 2k + 2 rows, k + 3
+    # columns and entries up to binomial(2k + 1, k): tall, with large
+    # entries, like the degree-499 member's 500 x 252 matrix. Its kernel
+    # is the member's line.
+    member = tightness_family(k)
+    columns = top_edge_columns(2 * k + 1)
+    points = sorted((p for p, _ in member), key=degree_order)
+    rows = [list(row) for row in zip(*(columns[p] for p in points))]
+    basis = kernel_basis(rows)
+    assert basis == kernel_by_fractions(rows)
+    assert basis == [[-member[p] for p in points]]
+
+
 def gauss_jordan_kernel(rows):
     """The kernel by fraction-free Gauss-Jordan elimination, and the pivot columns.
 
@@ -289,13 +306,12 @@ def column_stream(draw):
 # column, with the width changing from call to call.
 @example(([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], [[0, 1, 2, 3], [0, 1, 3, 2], [0, 3, 1, 2]]))
 @example(([(0, 0), (2, 4), (1, 2)], [[0, 1, 2], [1], [1, 2], [2, 0]]))
-def test_prefix_kernel_matches_kernel_basis_on_a_stream(case):
+def test_prefix_kernel_matches_gauss_jordan_on_a_stream(case):
     pool, stream = case
     prefix = PrefixKernel()
     for sequence in stream:
         columns = [pool[i] for i in sequence]
-        basis = kernel_basis([list(row) for row in zip(*columns)])
-        expected = (len(basis), basis[0] if len(basis) == 1 else None)
+        expected, _ = gauss_jordan_kernel([list(row) for row in zip(*columns)])
         assert prefix.kernel(columns) == expected, (pool, sequence)
 
 
