@@ -33,9 +33,11 @@ anchored.  The axis anchors follow from the sign forms: the top-edge
 form at a = d is nonzero only on the row j = 0, and the origin
 contributes a negative sign to it, so some point (i, 0) with i >= 1
 must contribute a positive one; the form at a = 0 gives the column the
-same way.  That the sign forms also force two top points is checked,
-not proved: all 168,331 sign survivors of the cells n <= 5, d <= 9
-have them, and the test suite pins that exhaustively.
+same way.  The two top points follow from the left-column form
+psi[d]: it is nonzero only on the top diagonal, with sign (-1)^i at
+(i, d - i), and zero at the origin, so a survivor holds a top point
+with even i and one with odd i.  The test suite also pins that on all
+168,331 sign survivors of the cells n <= 5, d <= 9.
 
 ``_resolve_survivor`` settles a survivor by the invertibility test and
 then ``models.fundamentality``, the exact kernel criterion that the
@@ -69,7 +71,7 @@ from typing import Collection
 
 from .criteria import invertibility_excludes, pairing_excludes
 from .grid import ChipConfiguration, Coord, config_from_record, config_record, grid_points
-from .hyperfield import hyperfield_excludes, sign_survivors
+from .hyperfield import hyperfield_excludes, mirror_masks, sign_survivors
 from .linalg import PrefixKernel
 from .models import fundamental_generator, fundamentality
 from .pascal import all_forms, top_edge_columns
@@ -192,25 +194,22 @@ def classify_candidate(support: frozenset[Coord], d: int):
 def _mirror_representatives(d: int, size: int):
     """The sign survivors with i_min + i_max <= d, over their top-diagonal points.
 
-    Runs ``hyperfield.sign_survivors`` with one mask per first point.
-    The engine places the top diagonal first, (k, d - k) at index k, so
-    the first point of a support with a top point is (i_min, d - i_min).
-    After it the mask drops the top points with i > d - i_min, and every
-    point if 2 i_min > d, which leaves exactly the supports with
-    i_min + i_max <= d, and those with no top point.  The mirror
-    (i, j) -> (j, i) maps i_min + i_max to 2d - (i_min + i_max), so a
-    listed support with i_min + i_max < d has its mirror outside the
-    list, while a tie (i_min + i_max = d) and a support with no top
-    point have theirs in it.  Returns the points in engine order and
-    the listed engine index tuples.
+    Runs ``hyperfield.sign_survivors`` with the ``hyperfield.mirror_masks``
+    of the mirror (i, j) -> (j, i), which list a support exactly when
+    its mirror's least engine index is at least its own.  The engine
+    places the top diagonal first, (k, d - k) at index k, so a support
+    with a top point starts at (i_min, d - i_min) and its mirror at
+    (d - i_max, i_max): it is listed exactly when i_min + i_max <= d,
+    and every sign survivor has top points (see the module docstring).
+    The mirror maps i_min + i_max to 2d - (i_min + i_max), so a listed
+    support with i_min + i_max < d has its mirror outside the list,
+    while a tie (i_min + i_max = d) has its mirror in it.  Returns the
+    points in engine order and the listed engine index tuples.
     """
     points, point_signs, origin_signs = _sign_tables(d)
-    everyone = (1 << len(points)) - 1
-    top = (1 << (d + 1)) - 1
-    after = [everyone] * len(points)
-    for k in range(d + 1):
-        after[k] = 0 if 2 * k > d else everyone ^ top ^ ((1 << (d - k + 1)) - 1)
-    survivors, _ = sign_survivors(point_signs, origin_signs, size, after)
+    index = {p: k for k, p in enumerate(points)}
+    mirror = [index[j, i] for i, j in points]
+    survivors, _ = sign_survivors(point_signs, origin_signs, size, mirror_masks(mirror))
     return points, survivors
 
 

@@ -253,6 +253,22 @@ def sign_survivors(point_signs, fixed_signs, size: int, after=None):
     return survivors, nodes
 
 
+def mirror_masks(mirror) -> list[int]:
+    """The ``after`` masks that list one support of each mirror pair.
+
+    mirror[k] is the index of point k's image under an involution of the
+    points.  After first point k a support may use the points j > k with
+    mirror[j] >= k, and none if mirror[k] < k.  So a support of two or
+    more points is listed exactly when its image's least index is at
+    least its own: of a pair whose least indices differ, only the support
+    with the smaller one, and both of a pair whose least indices agree.
+    """
+    return [
+        sum(1 << j for j in range(k + 1, len(mirror)) if mirror[j] >= k) if image >= k else 0
+        for k, image in enumerate(mirror)
+    ]
+
+
 def permute_signs(sigma: str, s: ChipConfiguration, d: int) -> ChipConfiguration:
     """Triangle symmetry on sign configurations: pure position permutation.
 
@@ -489,6 +505,13 @@ def _contract_form(form: PascalForm, d: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def _reference_degree(parity: str) -> int:
+    """The degree 4r or 4r + 1, r = RING_DEPTH, at which a parity's forms are read off."""
+    if parity not in ("even", "odd"):
+        raise ValueError("parity must be 'even' or 'odd'")
+    return 4 * RING_DEPTH + (parity == "odd")
+
+
 @cache
 def contracted_forms(parity: str) -> tuple[ContractedForm, ...]:
     """The 6r - 4 descended forms, r = RING_DEPTH, for an ambient-degree parity.
@@ -520,9 +543,7 @@ def contracted_forms(parity: str) -> tuple[ContractedForm, ...]:
     d = 3r - 1 only gamma{(r+1) % 2}[r-1] is empty (on i + j = 2r, i, j >= r
     forces i = r), and only psi[d-(r-1)] and psibar[d-(r-1)] are nonzero on it.
     """
-    if parity not in ("even", "odd"):
-        raise ValueError("parity must be 'even' or 'odd'")
-    reference = 4 * RING_DEPTH + (parity == "odd")
+    reference = _reference_degree(parity)
     out = []
     for (name, form), (again_name, again) in zip(
         _form_specs(reference), _form_specs(reference + 2)
@@ -538,10 +559,69 @@ def contracted_forms(parity: str) -> tuple[ContractedForm, ...]:
 # The Gamma and Lambda case lists.
 
 
+def _cell_permutation(cell, coords: tuple[str, ...], sigma: str, d: int) -> tuple[int, ...]:
+    """perm[k] is the coordinate whose value sigma moves to coordinate k.
+
+    Read off the point action at degree d: every grid point that
+    ``cell`` names a coordinate of carries that coordinate to the one of
+    its ``act_point`` image. Raises when one coordinate would go to two
+    images, or when some coordinate has no grid point there.
+    """
+    target_of: dict[str, str] = {}
+    for p in grid_points(d):
+        source = cell(p, d)
+        if source is not None:
+            target = cell(act_point(sigma, p, d), d)
+            if target_of.setdefault(source, target) != target:
+                raise AssertionError(f"{sigma} sends {source} to both {target_of[source]} and {target}")
+    if len(target_of) != len(coords):
+        raise AssertionError(f"{sigma} at degree {d} reaches {len(target_of)} of {len(coords)} coordinates")
+    perm = [0] * len(coords)
+    for source, target in target_of.items():
+        perm[coords.index(target)] = coords.index(source)
+    return tuple(perm)
+
+
+def _check_forms_closed(forms, perm: tuple[int, ...]) -> None:
+    """Raise unless perm permutes the coordinates and maps the forms onto themselves."""
+    if sorted(perm) != list(range(len(XI_COORDS))):
+        raise AssertionError("the mirror does not permute the contraction coordinates")
+    coefficients = {f.coefficients for f in forms}
+    for f in forms:
+        if tuple(f.coefficients[k] for k in perm) not in coefficients:
+            raise AssertionError(f"the mirror of {f.name} is not a contracted form")
+
+
+@cache
+def _gamma_mirror(parity: str) -> tuple[int, ...]:
+    """The (12) mirror (i, j) -> (j, i) on XI_COORDS, for an ambient-degree parity.
+
+    Read off ``ring_cell`` of every point and of its transpose at the
+    parity's reference degree, as ``contracted_forms`` reads its forms:
+    x[i,j] and x[j,i], r[i,e] and t[e,i], alpha[i] and beta[i] swap, and
+    gamma0[k] and gamma1[k] swap exactly when d + k is odd. The mirror
+    is an involution, so it is its own inverse.
+    """
+    mirror = _cell_permutation(ring_cell, XI_COORDS, "(12)", _reference_degree(parity))
+    _check_forms_closed(contracted_forms(parity), mirror)
+    return mirror
+
+
 @cache
 def gamma_set(parity: str, supp_size: int) -> tuple[ContractionPoint, ...]:
     """All valid contraction points with the given positive support size at
-    which every descended form evaluates to the full set H."""
+    which every descended form evaluates to the full set H.
+
+    The list is closed under the (12) mirror (``_gamma_mirror``): the
+    mirror fixes the origin x[0,0] and maps the descended forms onto
+    themselves, so a form's value at a member's mirror is another form's
+    value at the member. The engine therefore lists one support of each
+    mirror pair (``mirror_masks``), and each listed support brings its
+    mirror. The pipeline leans on the same symmetry: its pairing stage
+    asks each pattern together with its transpose, a pattern of the
+    case's (12) image, so a case and its image fall alike
+    (``pipeline_summary``).
+    """
     # A width, not the ring depth: the pipeline's stages are support-five arguments.
     if not 1 <= supp_size <= 5:
         raise ValueError("supported positive support sizes are 1..5")
@@ -551,9 +631,11 @@ def gamma_set(parity: str, supp_size: int) -> tuple[ContractionPoint, ...]:
     # and contributes +1 times it.
     point_signs = [[f.coefficients[idx] for f in forms] for idx in range(1, len(XI_COORDS))]
     origin_signs = [-f.coefficients[0] for f in forms]
-    found, _ = sign_survivors(point_signs, origin_signs, supp_size)
+    mirror = [image - 1 for image in _gamma_mirror(parity)[1:]]
+    found, _ = sign_survivors(point_signs, origin_signs, supp_size, mirror_masks(mirror))
+    supports = set(found) | {tuple(sorted(mirror[k] for k in combo)) for combo in found}
     vectors = []
-    for combo in found:
+    for combo in supports:
         vec = [-1] + [0] * (len(XI_COORDS) - 1)
         for k in combo:
             vec[k + 1] = 1
@@ -593,17 +675,7 @@ def _contraction_permutation(sigma: str, d: int = MIN_CONTRACTION_DEGREE) -> tup
     """
     if d < MIN_CONTRACTION_DEGREE:
         raise ValueError(f"contraction needs ambient degree at least {MIN_CONTRACTION_DEGREE}")
-    target_of: dict[str, str] = {}
-    for p in grid_points(d):
-        source = _merged_cell(p, d)
-        if source is not None:
-            target = _merged_cell(act_point(sigma, p, d), d)
-            if target_of.setdefault(source, target) != target:
-                raise AssertionError(f"{sigma} sends {source} to both {target_of[source]} and {target}")
-    perm = [0] * len(XI_PRIME_COORDS)
-    for source, target in target_of.items():
-        perm[XI_PRIME_COORDS.index(target)] = XI_PRIME_COORDS.index(source)
-    return tuple(perm)
+    return _cell_permutation(_merged_cell, XI_PRIME_COORDS, sigma, d)
 
 
 def s3_on_contraction(sigma: str, point: ContractionPoint) -> ContractionPoint:

@@ -34,7 +34,7 @@ from chipsplit.enumeration import (
 from chipsplit.grid import ChipConfiguration, act, config_record, grid_points
 from chipsplit.hyperfield import hyperfield_excludes, sign_survivors
 from chipsplit.models import composite, decompose, fundamentality, is_fundamental, outcome_to_model
-from chipsplit.pascal import is_outcome, outcome_space, top_edge_columns, top_edge_form
+from chipsplit.pascal import is_outcome, left_column_form, outcome_space, top_edge_columns, top_edge_form
 
 # The published census through five positive entries: cell (n, d) counts
 # fundamental outcomes with n + 1 positive points and degree d.
@@ -216,6 +216,14 @@ class TestAnchoredCandidates:
         assert unanchored == []
         assert survivors == 168331
 
+    def test_the_top_diagonal_form_forces_two_top_points(self):
+        # psi[d] reads only the top diagonal, with sign (-1)^i at (i, d - i),
+        # so a support needs top points of both parities of i to cancel it.
+        for d in range(1, 21):
+            form = left_column_form(d, d)
+            signs = {p: (form.coefficient(*p) > 0) - (form.coefficient(*p) < 0) for p in grid_points(d)}
+            assert signs == {(i, j): (-1) ** i if i + j == d else 0 for i, j in grid_points(d)}, d
+
     def test_empty_cells(self):
         assert candidate_count(0, 3) == 0
         assert candidate_count(1, 0) == 0
@@ -392,6 +400,24 @@ class TestCensusMirrorPairs:
     )
     def test_the_pruned_listing_closes_to_every_survivor(self, n, d):
         check_pruned_listing(pruned_listing(d, n + 1), d, n + 1)
+
+    @pytest.mark.parametrize(
+        "n,d", [(n, d) for n in range(1, 6) for d in range(1, 10) if candidate_count(n, d)]
+    )
+    def test_mirror_masks_list_what_the_top_diagonal_masks_list(self, n, d):
+        # The masks the census derived from the top diagonal: after the
+        # top point (k, d - k), the points off the top diagonal and the
+        # top points up to index d - k; nothing after a top point with
+        # 2k > d; everything after a point off the top diagonal. The
+        # shared mirror masks list the same supports, in the same order.
+        points, point_signs, origin_signs = enumeration._sign_tables(d)
+        everyone = (1 << len(points)) - 1
+        top = (1 << (d + 1)) - 1
+        after = [everyone] * len(points)
+        for k in range(d + 1):
+            after[k] = 0 if 2 * k > d else everyone ^ top ^ ((1 << (d - k + 1)) - 1)
+        expected, _ = sign_survivors(point_signs, origin_signs, n + 1, after)
+        assert enumeration._mirror_representatives(d, n + 1) == (points, expected)
 
     @pytest.mark.parametrize(
         "kind,fault",

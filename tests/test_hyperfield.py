@@ -474,15 +474,15 @@ class TestContract:
 class TestContractionPointGuards:
     def test_rejects_unknown_coordinates(self):
         with pytest.raises(ValueError):
-            ContractionPoint(XI_COORDS[:60], [0] * 60)
+            ContractionPoint(XI_COORDS[: len(XI_PRIME_COORDS)], [0] * len(XI_PRIME_COORDS))
         with pytest.raises(ValueError):
             ContractionPoint.from_record({"gamma[0]": 1})
 
     def test_rejects_a_vector_of_the_wrong_length(self):
         with pytest.raises(ValueError):
-            ContractionPoint(XI_COORDS, [0] * 60)
+            ContractionPoint(XI_COORDS, [0] * len(XI_PRIME_COORDS))
         with pytest.raises(ValueError):
-            ContractionPoint(XI_PRIME_COORDS, [0] * 64)
+            ContractionPoint(XI_PRIME_COORDS, [0] * len(XI_COORDS))
 
     def test_rejects_entries_that_are_not_signs(self):
         with pytest.raises(ValueError):
@@ -503,7 +503,7 @@ class TestContractionPointGuards:
 
 class TestChi:
     def test_merges_parity_strips(self):
-        vec = [0] * 64
+        vec = [0] * len(XI_COORDS)
         vec[0] = -1
         vec[XI_COORDS.index("gamma0[2]")] = 1
         prime = chi(ContractionPoint(XI_COORDS, vec))
@@ -513,7 +513,7 @@ class TestChi:
             assert chi(theta).record() == {"gamma[3]": sign}
 
     def test_opposite_parity_signs_raise(self):
-        vec = [0] * 64
+        vec = [0] * len(XI_COORDS)
         vec[XI_COORDS.index("gamma0[1]")] = 1
         vec[XI_COORDS.index("gamma1[1]")] = -1
         with pytest.raises(ValueError):
@@ -750,7 +750,7 @@ class TestGammaSet:
         rng = random.Random(f"gamma-{parity}")
         forms = contracted_forms(parity)
         members = {t.vector for t in gamma_set(parity, 5)}
-        free = range(1, 64)
+        free = range(1, len(XI_COORDS))
         samples = [frozenset(rng.sample(free, 5)) for _ in range(2000)]
         for vector in rng.sample(sorted(members), 40):
             support = {idx for idx, v in enumerate(vector) if v > 0}
@@ -794,6 +794,63 @@ class TestGammaSet:
                 )
             ]
             assert doubled == [theta]
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    def test_mirror_listing_matches_the_unmasked_search(self, parity, size):
+        # The masked engine lists one support of each mirror pair, those
+        # whose mirror starts no earlier; with their mirrors they are the
+        # unmasked survivors, tuple for tuple.
+        forms = contracted_forms(parity)
+        point_signs = [[f.coefficients[idx] for f in forms] for idx in range(1, len(XI_COORDS))]
+        origin_signs = [-f.coefficients[0] for f in forms]
+        full, _ = sign_survivors(point_signs, origin_signs, size)
+        mirror = [image - 1 for image in hyperfield._gamma_mirror(parity)[1:]]
+        listed, _ = sign_survivors(point_signs, origin_signs, size, hyperfield.mirror_masks(mirror))
+        image = {combo: tuple(sorted(mirror[k] for k in combo)) for combo in full}
+        assert listed == [combo for combo in full if image[combo][0] >= combo[0]]
+        members = [
+            tuple(idx - 1 for idx, v in enumerate(t.vector) if v > 0) for t in gamma_set(parity, size)
+        ]
+        assert sorted(members) == full
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_mirror_is_the_transpose_of_every_cell(self, parity):
+        # The hand rule the derived map must match: gamma0[k] and gamma1[k]
+        # swap exactly when d + k is odd.
+        d = 0 if parity == "even" else 1
+
+        def hand(name):
+            kind, idx = parse_coord(name)
+            if kind.startswith("gamma"):
+                (k,) = idx
+                flip = (d + k) % 2
+                return f"gamma{(int(kind[-1]) + flip) % 2}[{k}]"
+            kind = {"r": "t", "t": "r", "alpha": "beta", "beta": "alpha"}.get(kind, kind)
+            return f"{kind}[{','.join(map(str, idx[::-1]))}]"
+
+        mirror = hyperfield._gamma_mirror(parity)
+        assert [XI_COORDS[k] for k in mirror] == [hand(name) for name in XI_COORDS]
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("wrong", ["gamma strips swapped at every k", "alpha[i] sent to beta[i+1]"])
+    def test_closure_check_rejects_a_wrong_mirror(self, parity, wrong):
+        names = {name: XI_COORDS[k] for name, k in zip(XI_COORDS, hyperfield._gamma_mirror(parity))}
+        r = hyperfield.RING_DEPTH
+        for k in range(r):
+            if wrong.startswith("gamma"):
+                names[f"gamma0[{k}]"], names[f"gamma1[{k}]"] = f"gamma1[{k}]", f"gamma0[{k}]"
+            else:
+                names[f"alpha[{k}]"], names[f"beta[{(k + 1) % r}]"] = f"beta[{(k + 1) % r}]", f"alpha[{k}]"
+        perm = tuple(XI_COORDS.index(names[name]) for name in XI_COORDS)
+        assert sorted(perm) == list(range(len(XI_COORDS)))
+        with pytest.raises(AssertionError, match="is not a contracted form"):
+            hyperfield._check_forms_closed(contracted_forms(parity), perm)
+
+    def test_closure_check_rejects_a_map_that_is_no_permutation(self):
+        perm = (0,) * len(XI_COORDS)
+        with pytest.raises(AssertionError, match="does not permute"):
+            hyperfield._check_forms_closed(contracted_forms("even"), perm)
 
     def test_rejects_unsupported_sizes(self):
         with pytest.raises(ValueError):

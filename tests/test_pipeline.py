@@ -502,8 +502,13 @@ def comparison_attempts():
 
 
 @functools.cache
-def full_run_attempts():
-    """Every pairing attempt a full pipeline run decides, in order, as tuples."""
+def per_case_run():
+    """Each case's own ``relset_pipeline`` verdict, and every pairing attempt decided, in order.
+
+    Runs the chain on every case of Lambda, mirror images too, so the
+    attempts are all those a run decides without sharing a verdict
+    between a case and its (12) image.
+    """
     attempts = []
     real = pipeline._attempt_excluded
 
@@ -513,10 +518,10 @@ def full_run_attempts():
 
     pipeline._attempt_excluded = recording
     try:
-        pipeline_summary.__wrapped__()
+        verdicts = [relset_pipeline(case) for case in lambda_set()]
     finally:
         pipeline._attempt_excluded = real
-    return attempts
+    return verdicts, attempts
 
 
 def special_case_attempts():
@@ -577,7 +582,7 @@ class TestAttemptFailures:
         assert scenarios and failing, (scenarios, failing)
 
     def test_excluded_matches_the_scenario_walk_on_every_attempt(self):
-        attempts = full_run_attempts()
+        attempts = per_case_run()[1]
         assert len(attempts) == 7041
         distinct = set(attempts)
         excluded = 0
@@ -591,7 +596,7 @@ class TestAttemptFailures:
         # The comparison attempts, both attempts of every pattern of the two
         # special cases, and every attempt of a full run that moves a point.
         attempts = [list(points) for points in comparison_attempts()] + special_case_attempts()
-        attempts += [list(points) for points in set(full_run_attempts()) if _column_variables(points)]
+        attempts += [list(points) for points in set(per_case_run()[1]) if _column_variables(points)]
         kinds = collections.Counter()
         for points in attempts:
             expected = scenario_guards(points)
@@ -823,12 +828,12 @@ def test_block_determinants_are_scaled_integer_fraction_determinants(monkeypatch
     monkeypatch.setattr(pipeline, "_block_verdict", recording_verdict)
     monkeypatch.setattr(pipeline, "_region_failures", counting_walk)
     pipeline_summary.__wrapped__()
-    assert len(asked) == 778
-    assert traffic == {"region walks": 25481, "verdict asks": 67396}
+    assert len(asked) == 620
+    assert traffic == {"region walks": 14856, "verdict asks": 38858}
     carriers = _placed_carrier.cache_info()
-    assert (carriers.misses, carriers.hits) == (267, 10710)
+    assert (carriers.misses, carriers.hits) == (267, 6428)
     regions = _region_decision.cache_info()
-    assert (regions.misses, regions.hits) == (3423, 23986)
+    assert (regions.misses, regions.hits) == (2242, 12079)
     assert determinants
     for key, det in determinants.items():
         assert all(type(c) is int for c in det.coeffs), key
@@ -850,7 +855,7 @@ def test_cached_region_decisions_equal_fresh_ones(monkeypatch):
     _region_decision.cache_clear()
     monkeypatch.setattr(pipeline, "_region_decision", recording)
     pipeline_summary.__wrapped__()
-    assert len(asked) == _region_decision.cache_info().currsize == 3423
+    assert len(asked) == _region_decision.cache_info().currsize == 2242
     for key in asked:
         assert _region_decision(*key) == _region_decision.__wrapped__(*key), key
     assert {"float" if n is None else region for region, _, _, n in asked} == {"low", "top", "float"}
@@ -1458,6 +1463,39 @@ class TestPipelineReport:
         payload = report.to_json()
         assert payload["counts"] == STAGE_COUNTS
         assert len(payload["cases"]) == 2290
+
+    def test_shared_verdicts_equal_each_cases_own(self):
+        # The report gives a case the invertibility verdict of its (12)
+        # image; each case's own chain must reach the same verdict.
+        verdicts, _ = per_case_run()
+        assert pipeline_summary().verdicts == tuple(verdicts)
+        assert len(verdicts) == 2290
+
+    def test_a_mirror_pair_runs_the_invertibility_stage_once(self, monkeypatch):
+        # The stage runs once on each five-support case, except on those
+        # whose (12) image comes earlier and fell to it. Lambda is closed
+        # under the mirror, so every pair the stage eliminates is decided
+        # by one run.
+        stage = {v.case.vector: v.eliminated_by for v in per_case_run()[0]}
+        asked = collections.Counter()
+        real = pipeline.invertibility_eliminates
+
+        def recording(case):
+            asked[case.vector] += 1
+            return real(case)
+
+        monkeypatch.setattr(pipeline, "invertibility_eliminates", recording)
+        pipeline_summary.__wrapped__()
+        five = [case.vector for case in lambda_set() if len(case.positive_support()) == 5]
+        position = {vector: k for k, vector in enumerate(five)}
+        expected = []
+        for k, vector in enumerate(five):
+            image = s3_on_contraction("(12)", ContractionPoint(XI_PRIME_COORDS, vector)).vector
+            if not (position[image] < k and stage[image] == "invertibility"):
+                expected.append(vector)
+        # The symmetry stage asks too, on images that move the origin's debt off x[0,0].
+        assert {vector: n for vector, n in asked.items() if vector in position} == collections.Counter(expected)
+        assert len(expected) == 1169
 
     def test_final_case_pipeline_verdict(self):
         verdict = relset_pipeline(ContractionPoint.from_record(FINAL_RECORD, XI_PRIME_COORDS))
