@@ -220,14 +220,18 @@ def _census_representatives(points, listed, d: int):
     and the number of survivors it stands for, in listing order.  A
     listed support with i_min + i_max < d has its mirror outside the
     list, so it stands for two with no lookup.  A tie (i_min + i_max = d)
-    or a support with no top point is listed with its mirror; its
-    points come sorted, it stands for one if it is its own mirror, and
-    it is skipped if its sorted mirror is smaller.
+    is listed with its mirror; its points come sorted, it stands for one
+    if it is its own mirror, and it is skipped if its sorted mirror is
+    smaller.  Every listed support starts on the top diagonal, engine
+    indices 0..d, since every sign survivor has top points (see the
+    module docstring).
     """
     for combo in listed:
         support = [points[m] for m in combo]
         first = combo[0]
-        if first > d or d - first in combo:
+        if first > d:
+            raise AssertionError(f"the listed survivor {support} has no top point")
+        if d - first in combo:
             support.sort()
             mirror = sorted([(j, i) for i, j in support])
             if mirror < support:

@@ -73,7 +73,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from functools import cache, reduce
 from math import factorial
-from operator import and_
+from operator import and_, itemgetter
 from typing import NamedTuple
 
 from .criteria import block_shape, greedy_blocks, in_hexagon
@@ -1029,10 +1029,10 @@ def pipeline_summary() -> PipelineReport:
     """
     verdicts = []
     counts = dict.fromkeys(STAGES + ("survivor",), 0)
-    mirror = _contraction_permutation("(12)")
+    mirror = itemgetter(*_contraction_permutation("(12)"))
     eliminated = {}
     for case in lambda_set():
-        image = eliminated.get(tuple(case.vector[k] for k in mirror))
+        image = eliminated.get(mirror(case.vector))
         verdict = relset_pipeline(case) if image is None else replace(image, case=case)
         if verdict.eliminated_by == "invertibility":
             eliminated[case.vector] = verdict

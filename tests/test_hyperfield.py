@@ -679,6 +679,39 @@ def sign_problems(draw):
     return point_signs, fixed_signs, size
 
 
+@st.composite
+def mirrored_sign_problems(draw):
+    """Sign problems of 6 to 12 points and 2 to 6 forms, closed under a point involution.
+
+    The involution pairs off a random set of points and fixes the rest.
+    A base form, with its fixed sign, comes either with its mirror, the
+    form that reads at point k what the base form reads at mirror[k], or
+    made its own mirror by reading at both points of a pair what it
+    reads at the lesser.
+    """
+    count = draw(st.integers(6, 12))
+    points = draw(st.permutations(range(count)))
+    pairs = draw(st.integers(0, count // 2))
+    mirror = list(range(count))
+    for a, b in zip(points[: 2 * pairs : 2], points[1 : 2 * pairs : 2]):
+        mirror[a], mirror[b] = b, a
+    sign = st.sampled_from([-1, 0, 1])
+    form_count = draw(st.integers(2, 6))
+    columns, fixed_signs = [], []
+    while len(columns) < form_count:
+        column = draw(st.lists(sign, min_size=count, max_size=count))
+        fixed = draw(sign)
+        if len(columns) + 2 <= form_count and draw(st.booleans()):
+            columns += [column, [column[mirror[k]] for k in range(count)]]
+            fixed_signs += [fixed, fixed]
+        else:
+            columns.append([column[min(k, mirror[k])] for k in range(count)])
+            fixed_signs.append(fixed)
+    point_signs = [[column[k] for column in columns] for k in range(count)]
+    size = draw(st.integers(1, 5))
+    return point_signs, fixed_signs, size, mirror
+
+
 class TestSignSurvivors:
     @settings(max_examples=300, deadline=None)
     @given(sign_problems())
@@ -813,6 +846,39 @@ class TestGammaSet:
             tuple(idx - 1 for idx, v in enumerate(t.vector) if v > 0) for t in gamma_set(parity, size)
         ]
         assert sorted(members) == full
+
+    @settings(max_examples=300, deadline=None)
+    @given(mirrored_sign_problems())
+    def test_rarest_first_listing_equals_the_unmasked_search(self, problem):
+        # The bookkeeping gamma_set runs: the masked listing in rarest-first
+        # order, mapped back and closed under the mirror.
+        point_signs, fixed_signs, size, mirror = problem
+        full, _ = sign_survivors(point_signs, fixed_signs, size)
+        assert hyperfield._mirror_closed_survivors(point_signs, fixed_signs, size, mirror) == set(full)
+
+    def test_rarest_first_orders_by_sorted_giver_counts(self):
+        # Form 0 has three positive givers, form 1 one of each sign: the
+        # keys are [3], [1, 3], [1] and [3], and the tie goes by index.
+        point_signs = [[1, 0], [1, -1], [0, 1], [1, 0]]
+        assert hyperfield._rarest_first(point_signs) == [2, 1, 0, 3]
+        # Coefficients count by sign, as the engine reads them.
+        assert hyperfield._rarest_first([[2, 0], [5, -3], [0, 7], [1, 0]]) == [2, 1, 0, 3]
+
+    @pytest.mark.parametrize("parity, nodes", [("even", 15_703), ("odd", 16_191)])
+    def test_gamma_search_nodes_at_support_five(self, parity, nodes, monkeypatch):
+        # Exact counts of the rarest-first order (281,321 and 281,311 in
+        # coordinate order): a slower order fails here, not only in time.
+        members = gamma_set(parity, 5)
+        counted = []
+
+        def counting(*args):
+            found, searched = sign_survivors(*args)
+            counted.append(searched)
+            return found, searched
+
+        monkeypatch.setattr(hyperfield, "sign_survivors", counting)
+        assert hyperfield.gamma_set.__wrapped__(parity, 5) == members
+        assert counted == [nodes]
 
     @pytest.mark.parametrize("parity", ["even", "odd"])
     def test_mirror_is_the_transpose_of_every_cell(self, parity):
