@@ -93,8 +93,11 @@ def _sign_tables(d: int):
     """Support points and their sign-form contributions at degree d.
 
     Points come in descending degree order, which is the order the
-    engine places them in.  Returns the points, each point's sign row
-    over ``all_forms(d)``, and the origin's row.
+    engine places them in.  Returns the points, each point's row over
+    ``all_forms(d)``, and the origin's row.  The rows hold the Pascal
+    coefficients themselves (the origin's negated, for its chip debt),
+    not their signs: integers that ``sign_survivors`` reads only by
+    their sign.
     """
     points = sorted(
         (p for p in grid_points(d) if p != (0, 0)),

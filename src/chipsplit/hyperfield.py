@@ -128,13 +128,17 @@ def hyperfield_excludes(points, d: int) -> HyperfieldVerdict:
 def sign_survivors(point_signs, fixed_signs, size: int, after=None):
     """Every size-subset of points that gives every sign form both signs.
 
-    point_signs[k][f] has the sign of point k's contribution to form f,
-    and fixed_signs[f] the sign of the contribution every support
-    already carries (the origin's chip debt; 0 for none).  A
-    support survives when each form receives a positive and a negative
-    contribution, the sign-level necessary condition for the form to
-    vanish.  Returns the survivors as ascending index tuples, in
-    lexicographic order, and the number of search nodes.
+    point_signs[k][f] is an integer read only by its sign, the sign of
+    point k's contribution to form f, and fixed_signs[f] one with the
+    sign of the contribution every support already carries (the origin's
+    chip debt; 0 for none).  The entries may be signs or the
+    contributions themselves: ``enumeration._sign_tables`` passes its
+    Pascal coefficients, so a helper that keys on the entries must read
+    their signs, as ``_rarest_first`` does.  A support survives when
+    each form receives a positive and a negative contribution, the
+    sign-level necessary condition for the form to vanish.  Returns the
+    survivors as ascending index tuples, in lexicographic order, and the
+    number of search nodes.
 
     The search places points in index order.  Its state is two bitsets
     over forms: the forms still lacking a positive contribution and
@@ -399,17 +403,22 @@ class ContractionPoint:
         return cls(coords, vec)
 
 
-def chi(theta: ContractionPoint) -> ContractionPoint:
-    """Merge the two parity strips of each top diagonal into one sum."""
-    if theta.coords != XI_COORDS:
-        raise ValueError(f"chi merges the parity strips of a {len(XI_COORDS)}-coordinate point")
+def _merged_vector(vector: tuple[int, ...]) -> tuple[int, ...]:
+    """The XI_PRIME_COORDS signs of a XI_COORDS sign vector, its parity strips summed."""
     merged = [0] * len(XI_PRIME_COORDS)
-    for target, v in zip(_MERGE, theta.vector):
+    for target, v in zip(_MERGE, vector):
         if v:
             if merged[target] == -v:
                 raise ValueError("parity strips of opposite sign merge to a multivalued sum")
             merged[target] = v
-    return ContractionPoint(XI_PRIME_COORDS, merged)
+    return tuple(merged)
+
+
+def chi(theta: ContractionPoint) -> ContractionPoint:
+    """Merge the two parity strips of each top diagonal into one sum."""
+    if theta.coords != XI_COORDS:
+        raise ValueError(f"chi merges the parity strips of a {len(XI_COORDS)}-coordinate point")
+    return ContractionPoint(XI_PRIME_COORDS, _merged_vector(theta.vector))
 
 
 def contract(s: ChipConfiguration, d: int) -> ContractionPoint:
@@ -477,6 +486,12 @@ def _form_specs(d: int):
     return specs
 
 
+@cache
+def _ring_cells(d: int) -> tuple[tuple[Coord, str | None], ...]:
+    """Every grid point of degree d with its ``ring_cell``, read once for all forms."""
+    return tuple((p, ring_cell(p, d)) for p in grid_points(d))
+
+
 def _contract_form(form: PascalForm, d: int) -> tuple[int, ...]:
     """Read off the descended coefficients of a Pascal form at degree d.
 
@@ -486,9 +501,8 @@ def _contract_form(form: PascalForm, d: int) -> tuple[int, ...]:
     producing a wrong contraction.
     """
     per_cell: dict[str, set[int]] = {}
-    for p in grid_points(d):
+    for p, cell in _ring_cells(d):
         sg = _sign(form.coefficient(*p))
-        cell = ring_cell(p, d)
         if cell is None:
             if sg:
                 raise AssertionError(
@@ -696,10 +710,14 @@ def lambda_set() -> tuple[ContractionPoint, ...]:
     """The distinct chi images of both parities' support-5 case lists.
 
     Sorted by (positive support below five, vector): the five-support
-    cases by vector, then any image whose merged support shrank.
+    cases by vector, then any image whose merged support shrank. The
+    images are merged as sign vectors (``_merged_vector``, as chi merges
+    them) and deduplicated before any point is built, so each of the
+    2,290 cases is built once.
     """
-    images = {chi(theta) for parity in ("even", "odd") for theta in gamma_set(parity, 5)}
-    return tuple(sorted(images, key=lambda p: (len(p.positive_support()) < 5, p.vector)))
+    images = {_merged_vector(theta.vector) for parity in ("even", "odd") for theta in gamma_set(parity, 5)}
+    ordered = sorted(images, key=lambda vec: (sum(v > 0 for v in vec) < 5, vec))
+    return tuple(ContractionPoint(XI_PRIME_COORDS, vec) for vec in ordered)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,13 @@ Everything in this module is deterministic and exact. Matrices are
 sequences of integer rows, and dense polynomials have integer
 coefficients too. One fraction-free elimination (Bareiss) decides
 every fact about a matrix, in two forms. ``_echelon`` eliminates a copy
-of the caller's rows for ``det``, ``poly_det`` and ``rank``, on int and
-Poly entries alike: Poly's ``//`` is exact division, and a Poly is
-false exactly when it is zero. ``PrefixKernel`` takes the same step
-one column at a time and is the one kernel routine: ``kernel_basis``
-runs one on a single matrix, and the census runs one over a stream of
-matrices that share their leading columns, keeping each column's
-elimination while the next matrix still starts with it. There is
+of the caller's rows for ``det`` and ``rank``, and ``poly_det`` reads a
+polynomial determinant off one integer ``det`` by Kronecker
+substitution. ``PrefixKernel`` takes the same step one column at a
+time and is the one kernel routine: ``kernel_basis`` runs one on a
+single matrix, and the census runs one over a stream of matrices that
+share their leading columns, keeping each column's elimination while
+the next matrix still starts with it. There is
 deliberately no float or Fraction anywhere; the certificates produced
 by the classification machinery quote these numbers verbatim.
 """
@@ -39,7 +39,7 @@ def binomial(n: int, k: int) -> int:
 
 
 def det(rows: Sequence[Row]) -> int:
-    """Determinant of a square matrix of ints or Polys: ``_echelon``'s signed last pivot."""
+    """Determinant of a square integer matrix: ``_echelon``'s signed last pivot."""
     n = len(rows)
     if n == 0:
         return 1
@@ -51,7 +51,7 @@ def det(rows: Sequence[Row]) -> int:
 
 
 def _echelon(m: list[list]) -> tuple[list[int], int]:
-    """Fraction-free forward elimination of a matrix of ints or Polys, in place.
+    """Fraction-free forward elimination of an integer matrix, in place.
 
     Returns the pivot columns and the sign of the row swaps; row r is
     then the pivot row of the r-th pivot, and the rows below the last
@@ -208,8 +208,8 @@ class Poly:
 
     Coefficient order is ascending: Poly([1, 2]) is 1 + 2x. Supports just
     enough arithmetic for symbolic determinants in one indeterminate
-    (the grid degree d): ring operations, exact division, evaluation,
-    and an integer-root exclusion test.
+    (the grid degree d): ring operations, evaluation, and an integer-root
+    exclusion test.
     """
 
     __slots__ = ("coeffs",)
@@ -281,32 +281,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __floordiv__(self, other: Poly | int) -> Poly:
-        """Exact quotient; raises if the division leaves a remainder.
-
-        Each quotient coefficient is an exact integer division, so a
-        quotient that is not integral raises like a remainder does.
-        """
-        if isinstance(other, int):
-            other = Poly.constant(other)
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        lead = other.coeffs[-1]
-        dn = other.degree
-        quot = [0] * max(len(rem) - dn, 0)
-        for i in range(len(rem) - dn - 1, -1, -1):
-            c, r = divmod(rem[i + dn], lead)
-            if r:
-                raise ValueError("polynomial division was not exact")
-            quot[i] = c
-            if c != 0:
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] -= c * b
-        if any(c != 0 for c in rem):
-            raise ValueError("polynomial division was not exact")
-        return Poly(quot)
-
     def __call__(self, value: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
@@ -344,15 +318,35 @@ def falling_poly(slope: int, intercept: int, k: int) -> Poly:
     return Poly(coeffs)
 
 
-def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a matrix of polynomials, by fraction-free elimination.
+def poly_det(rows: Sequence[Sequence[Poly | int]]) -> Poly:
+    """Determinant of a square matrix of Polys and ints, by Kronecker substitution.
 
-    ``det`` runs unchanged on Poly entries: every division in the
-    Bareiss recurrence is exact in the polynomial ring, so the result is
-    the true determinant, with integer coefficients.
+    Each entry is evaluated at X = 2^K, the integer ``det`` runs on the
+    values, and the coefficients are read back as the balanced base-X
+    digits of the result (Kronecker 1882; Schonhage, J. Complexity
+    1982). Every coefficient of the determinant is at most B in modulus,
+    B the product over the rows of each row's summed l1 coefficient
+    norms: expanding that product gives every permutation's term, and
+    the l1 norm of a product is at most the product of the l1 norms. K
+    is the least with 2^(K-1) > B. This is exact because evaluation is a
+    ring homomorphism Z[x] -> Z, so the integer determinant is the
+    polynomial determinant at X, and every coefficient lies in
+    (-X/2, X/2), where balanced base-X digits are unique.
     """
-    result = det(rows)
-    return result if isinstance(result, Poly) else Poly.constant(result)
+    bound = 1
+    for row in rows:
+        bound *= sum(sum(map(abs, entry.coeffs)) if isinstance(entry, Poly) else abs(entry) for entry in row)
+    shift = bound.bit_length() + 1
+    x = 1 << shift
+    value = det([[entry(x) if isinstance(entry, Poly) else entry for entry in row] for row in rows])
+    coeffs = []
+    while value:
+        digit = value % x
+        if 2 * digit >= x:
+            digit -= x
+        coeffs.append(digit)
+        value = (value - digit) >> shift
+    return Poly(coeffs)
 
 
 def integer_roots_at_or_above(p: Poly, lo: int) -> list[int]:

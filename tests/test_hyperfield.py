@@ -1,5 +1,6 @@
 """Tests for sign arithmetic, the sign-form exclusion, and the contraction."""
 
+import collections
 import itertools
 import json
 import os
@@ -550,6 +551,23 @@ class TestContractedForms:
             for name, form in hyperfield._form_specs(d)
         )
 
+    def test_ring_cells_are_read_once_per_reference_degree(self, monkeypatch):
+        # Twenty forms at two degrees per parity share one reading of each
+        # degree's grid points: 724 calls, where one per form made 14,480.
+        calls = collections.Counter()
+        real = hyperfield.ring_cell
+
+        def counting(point, d):
+            calls[d] += 1
+            return real(point, d)
+
+        monkeypatch.setattr(hyperfield, "ring_cell", counting)
+        hyperfield._ring_cells.cache_clear()
+        for parity in ("even", "odd"):
+            assert contracted_forms.__wrapped__(parity) == contracted_forms(parity)
+        assert calls == {16: 153, 17: 171, 18: 190, 19: 210}
+        hyperfield._ring_cells.cache_clear()
+
     def test_reference_degree_invariance(self):
         # The descent proof in contracted_forms covers every d >= 12.
         for parity, start in (("even", 12), ("odd", 13)):
@@ -952,8 +970,12 @@ class TestLambdaSet:
         assert lam[-1].vector not in vectors
 
     def test_cases_are_the_merged_images_of_both_parities(self):
+        # The list as it was built before it merged bare sign vectors:
+        # chi of every member, deduplicated as points, sorted by support.
         images = {chi(theta) for parity in ("even", "odd") for theta in gamma_set(parity, 5)}
-        assert set(lambda_set()) == images
+        expected = tuple(sorted(images, key=lambda p: (len(p.positive_support()) < 5, p.vector)))
+        assert lambda_set.__wrapped__() == expected
+        assert all(case.coords is XI_PRIME_COORDS for case in expected)
 
 
 def hand_image(generator: str, name: str) -> str:

@@ -28,6 +28,8 @@ from chipsplit.grid import degree_order, grid_points
 from chipsplit.models import tightness_family
 from chipsplit.pascal import top_edge_columns
 
+from bareiss_poly import bareiss_poly_det
+
 
 def det_by_permutation_sum(rows):
     """Leibniz expansion, the slowest correct determinant there is."""
@@ -407,30 +409,6 @@ def test_poly_ring_ops_agree_with_evaluation(a_coeffs, b_coeffs, x):
     assert (a - b)(x) == a(x) - b(x)
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(small_int, min_size=1, max_size=4).filter(lambda c: any(x != 0 for x in c)),
-    st.lists(small_int, min_size=0, max_size=4),
-)
-def test_poly_exact_division_inverts_multiplication(div_coeffs, quot_coeffs):
-    divisor, quotient = Poly(div_coeffs), Poly(quot_coeffs)
-    assert (divisor * quotient) // divisor == quotient
-
-
-def test_poly_floor_division_by_a_scalar_is_exact():
-    assert Poly([2, 0, 4]) // 2 == Poly([1, 0, 2])
-    with pytest.raises(ZeroDivisionError):
-        Poly([1]) // 0
-
-
-def test_poly_floor_division_rejects_a_quotient_that_is_not_integral():
-    # (1 + 3x) / 3 and (1 + x^2) / 2x have no integer quotient.
-    with pytest.raises(ValueError):
-        Poly([1, 3]) // 3
-    with pytest.raises(ValueError):
-        Poly([1, 0, 1]) // Poly([0, 2])
-
-
 def test_poly_is_unhashable():
     # Poly.constant(1) == 1, so no hash of a Poly could agree with int's.
     with pytest.raises(TypeError):
@@ -451,9 +429,12 @@ def test_poly_det_matches_scalar_det_after_evaluation():
 
 
 # Entries of degree at most 2, zero about half the time, so that pivots
-# vanish and the row-swap branch of the Bareiss recurrence runs.
+# vanish and the row-swap branch of the Bareiss recurrence runs. Their
+# coefficients are small, so that terms cancel, or up to 10^12, so that
+# the Kronecker substitution's bound spans many digits.
 poly_entry = st.one_of(
-    st.just(()), st.lists(st.integers(min_value=-3, max_value=3), max_size=3)
+    st.just(()),
+    st.lists(st.one_of(st.integers(-3, 3), st.integers(-(10**12), 10**12)), max_size=3),
 ).map(Poly)
 
 
@@ -484,9 +465,53 @@ def test_poly_det_matches_the_permutation_sum_at_enough_points(rows):
     p = poly_det(rows)
     assert rows == before
     assert p.degree <= 2 * n
+    assert p == bareiss_poly_det(rows)
     for value in range(-n, n + 1):
         scalar_rows = [[entry(value) for entry in row] for row in rows]
         assert p(value) == det_by_permutation_sum(scalar_rows)
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        # One coefficient equal to +B or -B, the bound the substitution
+        # reads its digit width from: B = 8 sits on a power of two, where
+        # one bit less would read it as -8 carried into the next digit.
+        ([[Poly([0, 8])]], Poly([0, 8])),
+        ([[Poly([-4])]], Poly([-4])),
+        ([[Poly([0, 3]), 0], [0, Poly([4])]], Poly([0, 12])),
+        ([[Poly([-3]), Poly([])], [Poly([]), Poly([0, 0, 4])]], Poly([0, 0, -12])),
+        ([[0, Poly([0, 1, 1])], [Poly([5, 0, 2]), 0]], Poly([0, -5, -5, -2, -2])),
+        # The zero polynomial: a zero entry, a zero row, equal rows.
+        ([[Poly([])]], Poly([])),
+        ([[Poly([1, 2]), Poly([3])], [Poly([]), 0]], Poly([])),
+        ([[Poly([0, 1]), Poly([0, 1])], [Poly([0, 1]), Poly([0, 1])]], Poly([])),
+        # int entries mixed with Poly entries, and no entries at all.
+        ([[2, Poly([0, 1])], [Poly([0, 1]), 3]], Poly([6, 0, -1])),
+        ([[1, 2], [3, 4]], Poly([-2])),
+        ([[Poly([1, -1]), -7, 0], [2, Poly([0, 0, 1]), 1], [0, 3, Poly([-2])]], None),
+        ([], Poly([1])),
+    ],
+    ids=[
+        "plus-B-power-of-two",
+        "minus-B",
+        "plus-B-diagonal",
+        "minus-B-diagonal",
+        "antidiagonal",
+        "zero-entry",
+        "zero-row",
+        "equal-rows",
+        "ints-mixed-in",
+        "ints-only",
+        "ints-mixed-in-3x3",
+        "empty",
+    ],
+)
+def test_poly_det_edge_cases(rows, expected):
+    p = poly_det(rows)
+    assert p == bareiss_poly_det(rows)
+    if expected is not None:
+        assert p == expected
 
 
 @pytest.mark.parametrize("slope, intercept", [(1, 0), (1, -4), (2, 3), (3, -1)])
@@ -535,10 +560,9 @@ def test_integer_roots_match_brute_force(roots, cofactor, lo):
         (lambda: det([[1, 2], [3]]), "non-square"),
         (lambda: binomial(-1, 0), "n >= 0"),
         (lambda: integer_roots_at_or_above(Poly([]), 0), "zero polynomial"),
-        (lambda: Poly([0, 1]) // 2, "not exact"),
-        (lambda: Poly([1, 1]) // Poly([0, 1]), "not exact"),
+        (lambda: poly_det([[Poly([1]), 2], [3]]), "non-square"),
     ],
-    ids=["det-non-square", "binomial-negative-n", "roots-of-zero", "inexact-coefficient", "inexact-remainder"],
+    ids=["det-non-square", "binomial-negative-n", "roots-of-zero", "poly-det-non-square"],
 )
 def test_malformed_arguments_are_refused(call, message):
     with pytest.raises(ValueError, match=message):

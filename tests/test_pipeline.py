@@ -61,6 +61,7 @@ from chipsplit.pipeline import (
     _placed_carrier,
     _region_decision,
     _region_failures,
+    _scaled_row,
     _sign_for_all,
     _strip_masks,
     cell_possibilities,
@@ -71,6 +72,8 @@ from chipsplit.pipeline import (
     special_eliminates,
     symmetry_eliminates,
 )
+
+from bareiss_poly import bareiss_poly_det
 
 FINAL_RECORD = {
     "x[0,0]": -1,
@@ -795,10 +798,12 @@ def test_block_determinants_are_scaled_integer_fraction_determinants(monkeypatch
     # A full run from a cold cache: every distinct block is decided once,
     # and each general block's determinant has int coefficients and is
     # the product of its row factors times the permutation-sum
-    # determinant of its binomial entries, at enough symbol values. The
-    # traffic the module docstring quotes, which the region, verdict and
-    # carrier caches are kept for, is pinned too.
-    asked, current, determinants = set(), [None], {}
+    # determinant of its binomial entries, at enough symbol values. Every
+    # grid that reaches poly_det, the slice's too, has the determinant
+    # the Bareiss elimination on Poly entries gives. The traffic the
+    # module docstring quotes, which the region, verdict, carrier and
+    # entry caches are kept for, is pinned too.
+    asked, current, determinants, grids = set(), [None], {}, []
     traffic = collections.Counter()
     real_det = pipeline.poly_det
 
@@ -808,6 +813,7 @@ def test_block_determinants_are_scaled_integer_fraction_determinants(monkeypatch
 
     def recording_det(grid):
         det = real_det(grid)
+        grids.append((grid, det))
         if current[0] is not None:
             determinants[current[0]] = det
         return det
@@ -824,6 +830,7 @@ def test_block_determinants_are_scaled_integer_fraction_determinants(monkeypatch
     _block_verdict.cache_clear()
     _placed_carrier.cache_clear()
     _region_decision.cache_clear()
+    _entry.cache_clear()
     monkeypatch.setattr(pipeline, "poly_det", recording_det)
     monkeypatch.setattr(pipeline, "_block_verdict", recording_verdict)
     monkeypatch.setattr(pipeline, "_region_failures", counting_walk)
@@ -834,6 +841,11 @@ def test_block_determinants_are_scaled_integer_fraction_determinants(monkeypatch
     assert (carriers.misses, carriers.hits) == (267, 6428)
     regions = _region_decision.cache_info()
     assert (regions.misses, regions.hits) == (2242, 12079)
+    entries = _entry.cache_info()
+    assert (entries.misses, entries.hits) == (207, 3999)
+    assert len(grids) == 217
+    for grid, det in grids:
+        assert det == bareiss_poly_det(grid), grid
     assert determinants
     for key, det in determinants.items():
         assert all(type(c) is int for c in det.coeffs), key
@@ -1068,6 +1080,19 @@ class TestExpand:
                 return  # stuck in a minor
             assert det == poly_det(filled(grid, lambda k: Poly([1])))
             assert det == poly_det(filled(grid, lambda k: Poly([k + 2, -1])))
+
+
+def test_row_without_an_evaluated_entry_reaches_the_expansion_refusal():
+    # Such a row leaves no evaluated column, so _expand refuses it, as it
+    # refuses any grid outside the pairing blocks and slice patterns.
+    assert _scaled_row([None, None]) == [None, None]
+    assert _scaled_row([None, (2, Poly([0, 1])), (0, Poly([3]))]) == [None, Poly([0, 1]), Poly([6])]
+    grid = [_scaled_row([None, None]), _scaled_row([(0, Poly([1])), (1, Poly([0, 1]))])]
+    with pytest.raises(AssertionError, match="no evaluated column"):
+        _expand(grid)
+    with pytest.raises(AssertionError, match="no evaluated column"):
+        # binomial(d - m, 5 - m) over the strip box is exponential in both d and m.
+        _pairing_det([Sym.const(5)], [(Sym.var("m"), Sym.dee() - Sym.var("m"))], D_FLOOR, _STRIP_BOX)
 
 
 class TestFinalSlice:
