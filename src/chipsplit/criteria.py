@@ -9,18 +9,17 @@ the matrix becomes block lower triangular; the conquer step knows a few
 closed-form invertible block shapes and otherwise asks ``linalg.rank``
 whether the block has full rank.
 
-The invertibility criterion has two entry points with the same verdict.
-``pairing_excludes`` answers yes or no on plain integers and is what the
-census and the sweeps call. It reads each block's pairing matrix off
-the degree's table of top-edge columns (``pascal.top_edge_columns``),
-which ``models.fundamentality`` reads too. ``invertibility_excludes`` is
-the reference: it builds the blocks with ``construct_lambda`` and their
-pairing matrices and returns a verdict whose certificate
-``ExclusionVerdict.verify`` can check again. One greedy walk
-(``greedy_blocks``) and one table of closed-form block shapes
-(``block_shape``) serve both ``pairing_excludes`` and the symbolic
-contraction pipeline; ``construct_lambda`` is the reference walk that
-they are tested against.
+The invertibility criterion is one walk with two outputs. The walk
+(``greedy_blocks``) splits the support, and failing that its transpose,
+into blocks, and one table of closed-form block shapes (``block_shape``)
+decides the small ones; the symbolic contraction pipeline uses both
+too. ``pairing_excludes`` answers yes or no on plain integers, reading
+each block's pairing matrix off the degree's table of top-edge columns
+(``pascal.top_edge_columns``), which ``models.fundamentality`` reads
+too; the census and the sweeps call it. ``invertibility_excludes``
+reads a certificate off the same blocks, with each block's determinant,
+and ``ExclusionVerdict.verify`` checks it again through freshly built
+pairing matrices.
 
 The hexagon criterion bounds the degree of a valid outcome whose
 support avoids a hexagonal middle region of the triangle: what is left
@@ -88,44 +87,6 @@ class LambdaBlock:
     degrees: tuple[int, ...]
 
 
-def construct_lambda(points: set[Coord] | frozenset[Coord], d: int) -> list[LambdaBlock] | None:
-    """Greedy column composition pairing each support point with a top-edge row.
-
-    Scans columns left to right, each time taking the fewest columns
-    whose point count is zero or equals the column count; the matching
-    rows are the consecutive top-edge positions of those columns. Returns
-    None when no such composition exists, which happens exactly when the
-    tail count #{(i, j) in S : i >= d - k} exceeds k + 1 for some k. An
-    empty support gets the single all-of-it block by convention.
-    """
-    check_inside(points, d)
-    if not points:
-        return [LambdaBlock(0, d + 1, (), ())]
-    by_column: dict[int, list[Coord]] = {}
-    for p in points:
-        by_column.setdefault(p[0], []).append(p)
-    blocks = []
-    c = 0
-    while c <= d:
-        width = None
-        count = 0
-        for lam in range(1, d + 2 - c):
-            count += len(by_column.get(c + lam - 1, ()))
-            if count == 0 or count == lam:
-                width = lam
-                break
-        if width is None:
-            return None
-        chunk = sorted(
-            (p for i in range(c, c + width) for p in by_column.get(i, ())),
-            key=degree_order,
-        )
-        degrees = tuple(range(c, c + width)) if chunk else ()
-        blocks.append(LambdaBlock(c, c + width, tuple(chunk), degrees))
-        c += width
-    return blocks
-
-
 @dataclass(frozen=True)
 class ExclusionVerdict:
     """Outcome of an invertibility attempt, with a re-checkable certificate.
@@ -186,7 +147,8 @@ def greedy_blocks(columns: dict[int, list], stop: int | None) -> list[tuple[int,
     its point count; the count only changes at nonempty columns, so the
     walk visits only those. Returns (start, width, members) triples, or
     None when the last block cannot close by the column stop (None means
-    no right edge). ``construct_lambda`` is the reference walk.
+    no right edge). Its test oracle is the column-by-column walk in
+    ``tests/reference_walk.py``.
     """
     blocks = []
     start, members = 0, []
@@ -237,51 +199,6 @@ def _closed_form(shifted: list[Coord]) -> bool | None:
     return None
 
 
-def _blocks_invertible(blocks: list[LambdaBlock], d: int) -> tuple[bool, list[int]]:
-    determinants = []
-    for block in blocks:
-        if not block.points:
-            determinants.append(1)
-            continue
-        closed = _closed_form(sorted((i - block.c_lo, j) for i, j in block.points))
-        matrix = PairingMatrix(block.degrees, block.points, d)
-        value = matrix.determinant()
-        if closed is not None and closed != (value != 0):
-            raise AssertionError(f"closed form disagrees with determinant on {block}")
-        determinants.append(value)
-        if value == 0:
-            return False, determinants
-    return True, determinants
-
-
-def invertibility_excludes(points: set[Coord] | frozenset[Coord], d: int) -> ExclusionVerdict:
-    """Try to certify that no nonzero outcome is supported inside the set.
-
-    Runs the greedy divide construction on the support and, failing that,
-    on its transpose; a successful run with all block determinants
-    nonzero is a proof of exclusion. Inconclusive verdicts carry no
-    claim: the support may or may not host an outcome.
-    """
-    if not points:
-        return ExclusionVerdict(False, d)
-    for transposed in (False, True):
-        attempt = frozenset((j, i) for i, j in points) if transposed else frozenset(points)
-        blocks = construct_lambda(attempt, d)
-        if blocks is None:
-            continue
-        ok, determinants = _blocks_invertible(blocks, d)
-        if ok:
-            return ExclusionVerdict(
-                True,
-                d,
-                transposed=transposed,
-                blocks=tuple(blocks),
-                determinants=tuple(determinants),
-                support=frozenset(points),
-            )
-    return ExclusionVerdict(False, d, support=frozenset(points))
-
-
 def _block_invertible(block: list[Coord], c: int, columns: dict[Coord, tuple[int, ...]]) -> bool:
     """Whether a greedy block starting at column c is invertible.
 
@@ -295,25 +212,74 @@ def _block_invertible(block: list[Coord], c: int, columns: dict[Coord, tuple[int
     return invertible
 
 
-def pairing_excludes(points: Collection[Coord], d: int) -> bool:
-    """The verdict of ``invertibility_excludes(points, d).excluded``, without a certificate.
+def _block_determinant(block: list[Coord], c: int, columns: dict[Coord, tuple[int, ...]]) -> int:
+    """The determinant of the matrix ``_block_invertible`` reads, checked against the closed form."""
+    value = det([columns[p][c:c + len(block)] for p in block])
+    closed = _closed_form(sorted((i - c, j) for i, j in block))
+    if closed is not None and closed != (value != 0):
+        raise AssertionError(f"closed form disagrees with determinant on {block} at column {c}")
+    return value
 
-    Runs the same greedy construction on the support and then on its
-    transpose, on plain integers: closed forms where they apply and a
-    fraction-free elimination of entries read off ``top_edge_columns(d)``
-    otherwise.  The points may come in any order: within a block they
-    only permute the determinant's rows.
+
+def _closing_walks(points: Collection[Coord], d: int):
+    """The greedy walks of the support, then of its transpose, that close by column d.
+
+    Yields (transposed, blocks), blocks as ``greedy_blocks`` returns
+    them; the points keep their given order within each block.
     """
     check_inside(points, d)
-    table = top_edge_columns(d)
-    for attempt in (points, [(j, i) for i, j in points]):
+    for transposed, attempt in ((False, points), (True, ((j, i) for i, j in points))):
         columns: dict[int, list[Coord]] = {}
         for p in attempt:
             columns.setdefault(p[0], []).append(p)
         blocks = greedy_blocks(columns, d + 1)
-        if blocks and all(_block_invertible(block, c, table) for c, _, block in blocks):
-            return True
-    return False
+        if blocks:
+            yield transposed, blocks
+
+
+def pairing_excludes(points: Collection[Coord], d: int) -> bool:
+    """The verdict of ``invertibility_excludes(points, d).excluded``, without a certificate.
+
+    Decides each block of a closing walk on plain integers: a closed form
+    where one applies and otherwise the rank of the entries read off
+    ``top_edge_columns(d)``. The points may come in any order: within a
+    block they only permute the matrix's rows.
+    """
+    table = top_edge_columns(d)
+    return any(
+        all(_block_invertible(block, c, table) for c, _, block in blocks)
+        for _, blocks in _closing_walks(points, d)
+    )
+
+
+def invertibility_excludes(points: Collection[Coord], d: int) -> ExclusionVerdict:
+    """Try to certify that no nonzero outcome is supported inside the set.
+
+    Takes the first closing walk whose blocks all have a nonzero
+    determinant, which is the walk ``pairing_excludes`` accepts. Its
+    certificate tiles the columns 0..d: each greedy block pairs its
+    points, in degree order, with its rows c .. c + w - 1, and each
+    column no block covers is an empty block of determinant 1.
+    Inconclusive verdicts carry no claim: the support may or may not host
+    an outcome.
+    """
+    support = frozenset(points)
+    table = top_edge_columns(d)
+    for transposed, blocks in _closing_walks(points, d):
+        starts = {c: block for c, _, block in blocks}
+        tiles, determinants, c = [], [], 0
+        while c <= d:
+            block = sorted(starts.get(c, ()), key=degree_order)
+            value = _block_determinant(block, c, table) if block else 1
+            if value == 0:
+                break
+            width = len(block) or 1
+            tiles.append(LambdaBlock(c, c + width, tuple(block), tuple(range(c, c + len(block)))))
+            determinants.append(value)
+            c += width
+        else:
+            return ExclusionVerdict(True, d, transposed, tuple(tiles), tuple(determinants), support)
+    return ExclusionVerdict(False, d, support=support)
 
 
 @dataclass(frozen=True)

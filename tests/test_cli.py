@@ -708,27 +708,45 @@ def test_the_library_has_no_float():
     assert found == []
 
 
-def test_bench_tracer_finds_every_name_it_patches(runner):
-    # bench/child.py wraps library functions by attribute name, so a
-    # renamed or dropped function would fail every traced sample. Its
-    # main() imports numpy, so this drives the tracer without it.
+@pytest.mark.parametrize(
+    "args, span, calls",
+    [
+        (["enumerate", "--max-degree", "5", "--json"], "models.fundamentality", 1),
+        (["sweep", "--support", "5", "--max-degree", "9", "--json"], "enumeration.sign_survivor_search", 2),
+        (["pipeline", "--json"], "pipeline.relset_pipeline", 1170),
+    ],
+    ids=["enumerate", "sweep", "pipeline"],
+)
+def test_bench_tracer_finds_every_name_it_patches(runner, args, span, calls):
+    # bench/child.py wraps library functions by attribute name, and some
+    # of its hooks unpack what the wrapped function returns, so a renamed
+    # function, or one that returns something else, would fail every
+    # traced sample. Its main() imports numpy, so this drives the tracer
+    # without it, catching SystemExit as main() does, on each workload's
+    # path, and checks that the span its layer metrics read is called.
     code = "\n".join([
-        "import sys",
+        "import json, sys",
         "sys.path.insert(0, 'bench')",
         "from child import Tracer",
         "import chipsplit.cli",
         "tracer = Tracer()",
         "tracer.install()",
-        "chipsplit.cli.main.main(args=sys.argv[1:], prog_name='chipsplit', standalone_mode=False)",
-        "assert tracer.spans['cli.entry'][0] == 1",
+        "try:",
+        "    chipsplit.cli.main.main(args=sys.argv[1:], prog_name='chipsplit')",
+        "except SystemExit as exc:",
+        "    assert not exc.code, exc.code",
+        "sys.stdout.flush()",
+        "print(json.dumps({name: record[0] for name, record in tracer.spans.items()}), file=sys.stderr)",
     ])
-    args = ["enumerate", "--max-degree", "3", "--json"]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     traced = subprocess.run(
         [sys.executable, "-c", code, *args], cwd=ROOT, env=env, capture_output=True, text=True
     )
     assert traced.returncode == 0, traced.stderr
     assert traced.stdout == runner.invoke(main, args).output
+    spans = json.loads(traced.stderr.splitlines()[-1])
+    assert spans["cli.entry"] == 1
+    assert spans[span] == calls
 
 
 def _bench_workloads():

@@ -14,7 +14,6 @@ from chipsplit.criteria import (
     ExclusionVerdict,
     _closed_form,
     block_shape,
-    construct_lambda,
     greedy_blocks,
     hexagon_check,
     hexagon_determinant,
@@ -26,6 +25,8 @@ from chipsplit.grid import ChipConfiguration, Game, apply_game, grid_points
 from chipsplit.linalg import binomial, det, rank
 from chipsplit.models import tightness_family
 from chipsplit.pascal import is_outcome, outcome_space, top_edge_columns
+from reference_walk import construct_lambda
+from reference_walk import invertibility_excludes as reference_excludes
 
 OPENING_SUPPORT = frozenset({(0, 0), (2, 0), (1, 1), (0, 2)})
 WORKED_SUPPORT = frozenset({(0, 0), (0, 4), (2, 0), (4, 1), (5, 0), (6, 0)})
@@ -173,6 +174,28 @@ class TestGreedyBlocks:
         assert checked == 34092
 
 
+@st.composite
+def wide_cases(draw):
+    # Half the points come from a strip along one axis, so that blocks of
+    # four or more points and the transposed attempt both occur.
+    d = draw(st.integers(1, 20))
+    points = grid_points(d)
+    strips = [p for p in points if p[0] <= 2], [p for p in points if p[1] <= 2]
+    strip = draw(st.sampled_from(strips))
+    point = st.one_of(st.sampled_from(points), st.sampled_from(strip))
+    return d, draw(st.frozensets(point, min_size=1, max_size=7))
+
+
+def census_queries():
+    # Every support of one to four points off the origin, with the origin
+    # added, as the census and the sweep query it, at d = 1..6.
+    for d in range(1, 7):
+        points = [p for p in grid_points(d) if p != (0, 0)]
+        for size in range(1, 5):
+            for subset in combinations(points, size):
+                yield d, frozenset(subset) | {(0, 0)}
+
+
 class TestInvertibilityExcludes:
     def test_triangle_corners_excluded(self):
         verdict = invertibility_excludes({(0, 0), (0, 5), (5, 0)}, 5)
@@ -279,32 +302,36 @@ class TestInvertibilityExcludes:
             assert outcome_space(points, 6) == []
             assert verdict.verify()
 
+    def test_equals_the_reference_walk_on_small_supports(self):
+        # Field for field: the tiling, each block's points in degree
+        # order, the determinants and the transposed flag.
+        checked = excluded = 0
+        for d, support in census_queries():
+            verdict = invertibility_excludes(support, d)
+            assert verdict == reference_excludes(support, d), (sorted(support), d)
+            assert verdict.verify(), (sorted(support), d)
+            checked += 1
+            excluded += verdict.excluded
+        assert (checked, excluded) == (28806, 26551)
 
-@st.composite
-def wide_cases(draw):
-    # Half the points come from a strip along one axis, so that blocks of
-    # four or more points and the transposed attempt both occur.
-    d = draw(st.integers(1, 20))
-    points = grid_points(d)
-    strips = [p for p in points if p[0] <= 2], [p for p in points if p[1] <= 2]
-    strip = draw(st.sampled_from(strips))
-    point = st.one_of(st.sampled_from(points), st.sampled_from(strip))
-    return d, draw(st.frozensets(point, min_size=1, max_size=7))
+    @given(wide_cases())
+    @settings(max_examples=300)
+    @example((9, frozenset({(0, 0), (0, 3), (0, 7), (1, 2), (2, 5)})))
+    @example((5, frozenset({(0, 0), (0, 5), (1, 2)})))
+    def test_equals_the_reference_walk_on_wide_supports(self, case):
+        d, points = case
+        verdict = invertibility_excludes(points, d)
+        assert verdict == reference_excludes(points, d)
+        assert verdict.verify()
 
 
 class TestPairingExcludes:
     def test_agrees_with_reference_on_small_supports(self):
-        # Every support of one to four points off the origin, with the
-        # origin added, as the census and the sweep query it.
         checked = 0
-        for d in range(1, 7):
-            points = [p for p in grid_points(d) if p != (0, 0)]
-            for size in range(1, 5):
-                for subset in combinations(points, size):
-                    support = frozenset(subset) | {(0, 0)}
-                    expected = invertibility_excludes(support, d).excluded
-                    assert pairing_excludes(support, d) == expected, (sorted(support), d)
-                    checked += 1
+        for d, support in census_queries():
+            expected = reference_excludes(support, d).excluded
+            assert pairing_excludes(support, d) == expected, (sorted(support), d)
+            checked += 1
         assert checked == 28806
 
     @given(wide_cases())
@@ -315,7 +342,7 @@ class TestPairingExcludes:
     @example((5, frozenset({(0, 0), (0, 5), (1, 2)})))
     def test_agrees_with_reference_on_wide_supports(self, case):
         d, points = case
-        assert pairing_excludes(points, d) == invertibility_excludes(points, d).excluded
+        assert pairing_excludes(points, d) == reference_excludes(points, d).excluded
 
     def test_on_d_plus_one_points_excludes_exactly_at_full_rank(self):
         # With the origin, d + 1 points give a square top-edge matrix.

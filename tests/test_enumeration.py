@@ -865,8 +865,8 @@ class TestSweep:
 
 def test_census_and_sweep_skip_the_certificate_path(monkeypatch):
     # Both only need a yes/no invertibility verdict, so neither builds a
-    # certificate or a pairing matrix. Counted calls, not timings.
-    calls = {"matrix": 0, "reference": 0}
+    # certificate or takes a block determinant. Counted calls, not timings.
+    calls = {"det": 0, "reference": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -875,7 +875,7 @@ def test_census_and_sweep_skip_the_certificate_path(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(criteria, "PairingMatrix", counted("matrix", criteria.PairingMatrix))
+    monkeypatch.setattr(criteria, "det", counted("det", criteria.det))
     monkeypatch.setattr(
         enumeration,
         "invertibility_excludes",
@@ -883,11 +883,11 @@ def test_census_and_sweep_skip_the_certificate_path(monkeypatch):
     )
     report = enumerate_fundamental(5, 3)
     sweep_no_valid_outcomes(5, [8, 9])
-    assert calls == {"matrix": 0, "reference": 0}
+    assert calls == {"det": 0, "reference": 0}
     # The counters do see the certificate path when it runs.
     for w in report.outcomes:
         classify_candidate(w.positive_support, w.degree)
-    assert calls["matrix"] > 0 and calls["reference"] == len(report.outcomes)
+    assert calls["det"] > 0 and calls["reference"] == len(report.outcomes)
 
 
 def test_census_builds_a_configuration_only_per_outcome(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chipsplit.criteria import PairingMatrix, construct_lambda, hexagon_check, pairing_excludes
+from chipsplit.criteria import PairingMatrix, hexagon_check, invertibility_excludes, pairing_excludes
 from chipsplit.grid import (
     PERMUTATIONS,
     ChipConfiguration,
@@ -335,13 +335,13 @@ SIGN_TOO_BIG = ChipConfiguration({(MIN_CONTRACTION_DEGREE + 1, 0): 1})
     "read",
     [
         lambda: PairingMatrix((0, 1), OUTSIDE, 2),
-        lambda: construct_lambda(set(OUTSIDE), 2),
+        lambda: invertibility_excludes(OUTSIDE, 2),
         lambda: pairing_excludes(OUTSIDE, 2),
         lambda: hyperfield_excludes(OUTSIDE, 2),
         lambda: fundamentality(OUTSIDE, 2),
         lambda: outcome_space(set(OUTSIDE), 2),
     ],
-    ids=["PairingMatrix", "construct_lambda", "pairing_excludes", "hyperfield_excludes", "fundamentality", "outcome_space"],
+    ids=["PairingMatrix", "invertibility_excludes", "pairing_excludes", "hyperfield_excludes", "fundamentality", "outcome_space"],
 )
 def test_point_sets_outside_the_triangle_raise_one_message(read):
     with pytest.raises(ValueError, match=re.escape("support must lie inside the degree-2 triangle")):
