@@ -46,12 +46,18 @@ table of top-edge coefficients per degree, ``pascal.top_edge_columns``.
 A census cell whose support plus origin holds at least d + 1 points,
 as many as the top-edge rows, settles by rank instead
 (``_rank_settler``): the invertibility test there excludes exactly the
-supports of full rank, and one ``linalg.PrefixKernel`` reads each
-support's kernel off the columns its listing prefix shares with the
-support before it.  The other census cells, and every sweep degree,
-have fewer columns than rows and settle through ``_resolve_survivor``,
-where the invertibility test excludes most survivors before any kernel
-is needed.
+supports of full rank.  A top point's column is the unit vector of its
+row, so the settler drops the top points and their rows, and one
+``linalg.PrefixKernel`` reads each support's kernel off the columns of
+the origin and the lower points on the rows left, sharing the columns
+its listing prefix shares with the support before it.  One call's
+columns share a length, the number of rows its top set leaves;
+successive calls differ in it when the top set changes, and a call of
+another length or another width keeps nothing of the one before.
+Each top entry is read back from its own row.  The other census cells,
+and every sweep degree, have fewer columns than rows and settle through
+``_resolve_survivor``, where the invertibility test excludes most
+survivors before any kernel is needed.
 ``classify_candidate`` decides one support with the certificate path
 and is the census's reference.
 ``sweep_summary`` digests a sweep's certificates per degree, the format
@@ -65,6 +71,7 @@ sweep spreads its degrees over a process pool.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Collection
@@ -252,9 +259,7 @@ def _rank_settler(points, d: int):
     resolution and outcome as ``_resolve_survivor`` for supports that,
     with the origin, hold at least d + 1 points, the top-edge rows'
     count.  The matrix's columns are the origin's and then the points'
-    in engine order, and one ``linalg.PrefixKernel`` serves every call,
-    so a cell fed in listing order eliminates one column per new
-    listing prefix.
+    in engine order.
 
     The pairing test never runs, because it excludes exactly when the
     matrix has full rank.  With more columns than rows the kernel is
@@ -268,17 +273,62 @@ def _rank_settler(points, d: int):
     columns with their rows reversed, so its walk cannot exclude a
     matrix that is not of full rank.  Any other support settles by its
     kernel, as in ``_resolve_survivor``.
+
+    The kernel is read off a smaller matrix, by block elimination on the
+    top points' unit columns: a Schur complement (F. Zhang, ed., The
+    Schur Complement and Its Applications, Springer 2005).  The column
+    of a top point (k, d - k) is the unit vector of row k.  So row k of
+    a kernel vector's equations says that the top point's entry is minus
+    the row's dot product with the other entries, and the rows of no top
+    point see no top column.  Dropping the top entries thus maps the
+    kernel of the whole matrix one to one onto the kernel of the matrix
+    left on the other rows, over the origin and the lower points, and
+    each top entry is read back from its row.  The dimension, and with
+    it the resolution, does not change.  Nor does the generator of a
+    one-dimensional kernel.  The reduced generator is primitive, so the
+    whole vector is too, for its top entries are integer combinations of
+    the reduced ones.  The reduced generator's first nonzero entry is
+    positive.  If a lower entry is not negative, no sign makes an
+    outcome of the whole vector, and the top entries are not read.
+    Otherwise that entry is the origin's, the whole vector's first, so
+    the whole vector has the sign ``fundamental_generator`` expects.
+    An index tuple comes in ascending order, and the engine places the
+    top points first, so the top set is a prefix of the tuple.  The
+    reduced columns are built, and the unit columns checked, once per
+    top set, and one ``linalg.PrefixKernel`` serves every call, so a
+    cell fed in listing order eliminates one column per new listing
+    prefix.
     """
     table = top_edge_columns(d)
     prefix = PrefixKernel()
+    reduced = {}
+
+    def columns_off(top):
+        """The origin's and the lower points' columns, without the top points' rows."""
+        for k in top:
+            if table[points[k]] != tuple(int(a == k) for a in range(d + 1)):
+                raise AssertionError(f"the column of {points[k]} is not the unit vector of row {k}")
+        rows = [a for a in range(d + 1) if a not in top]
+        return [tuple(table[p][a] for a in rows) for p in ((0, 0), *points[d + 1:])]
 
     def settle(combo):
-        support = [(0, 0), *(points[m] for m in combo)]
-        basis = prefix.kernel([table[p] for p in support])
+        split = bisect_right(combo, d)
+        top, lower = combo[:split], combo[split:]
+        columns = reduced.get(top)
+        if columns is None:
+            columns = reduced[top] = columns_off(top)
+        basis = prefix.kernel([columns[0], *(columns[m - d] for m in lower)])
         if not basis:
             return PRUNE_INVERTIBILITY, None
-        outcome = fundamental_generator(support, basis[0], d) if len(basis) == 1 else None
-        return _kernel_resolution(len(basis), outcome)
+        if len(basis) > 1:
+            return _kernel_resolution(len(basis), None)
+        vec = basis[0]
+        if any(v >= 0 for v in vec[1:]):
+            return REJECT_KERNEL, None
+        others = [(0, 0), *(points[m] for m in lower)]
+        tops = [-sum(table[p][k] * v for p, v in zip(others, vec)) for k in top]
+        outcome = fundamental_generator([(0, 0), *(points[m] for m in combo)], [vec[0], *tops, *vec[1:]], d)
+        return _kernel_resolution(1, outcome)
 
     return settle
 

@@ -94,8 +94,15 @@ def _echelon(m: list[list]) -> tuple[list[int], int]:
     return pivots, sign
 
 
+def _check_rows(rows: Sequence[Row]) -> None:
+    """Refuse a matrix whose rows differ in length."""
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("ragged matrix: its rows differ in length")
+
+
 def rank(rows: Sequence[Row]) -> int:
     """Rank of an integer matrix."""
+    _check_rows(rows)
     return len(_echelon([list(row) for row in rows])[0])
 
 
@@ -116,6 +123,7 @@ def kernel_basis(rows: Sequence[Row]) -> list[list[int]]:
     the reduced row echelon form, made primitive with its first nonzero
     entry positive. A fresh ``PrefixKernel`` computes it on the columns.
     """
+    _check_rows(rows)
     return PrefixKernel().kernel(list(zip(*rows)))
 
 
@@ -154,9 +162,14 @@ class PrefixKernel:
 
     A call cuts the stack back to the longest run of leading columns
     that the matrix shares with the previous call's, or to nothing if
-    the matrices differ in width, then adds the rest. Matrices met in
-    lexicographic order of their columns, as the census lists its
-    supports, thus pay one column's elimination per new listing prefix.
+    the matrices differ in width (their number of columns), then adds
+    the rest. Matrices met in lexicographic order of their columns, as
+    the census lists its supports, thus pay one column's elimination
+    per new listing prefix. One call's columns must share a length, and
+    each new column is checked against the first, so a ragged matrix
+    raises ValueError. Successive calls may differ in that length, as
+    the census's do when its top rows change; a column of another
+    length equals no kept column, so such a call keeps nothing.
     """
 
     def __init__(self):
@@ -173,7 +186,10 @@ class PrefixKernel:
                     break
                 keep += 1
         del self._columns[keep:], self._levels[keep:]
+        height = len(columns[0]) if columns else 0
         for column in columns[keep:]:
+            if len(column) != height:
+                raise ValueError("ragged matrix: its columns differ in length")
             self._levels.append(self._reduce(column, len(columns)))
             self._columns.append(column)
         return [_leading_positive(reduced[-len(columns):]) for row, reduced in self._levels if row is None]

@@ -24,7 +24,8 @@ def wide_census_run():
     by rank, in the point order the listing gives them.  The census
     lists one of each mirror pair of sign survivors, so each support's
     mirror is recorded too: the triples cover every survivor that
-    reaches the stage.
+    reaches the stage.  Last comes the number of columns that the
+    census's settling by rank reduces, over every cell it settles.
     """
     from chipsplit import enumeration
     from chipsplit.criteria import pairing_excludes
@@ -32,14 +33,22 @@ def wide_census_run():
 
     listed = []
     representatives = enumeration._census_representatives
+    reductions = 0
 
     def recording(points, combos, d):
         for entry in representatives(points, combos, d):
             listed.append((tuple(entry[1]), d))
             yield entry
 
+    class CountingKernel(enumeration.PrefixKernel):
+        def _reduce(self, column, width):
+            nonlocal reductions
+            reductions += 1
+            return super()._reduce(column, width)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(enumeration, "_census_representatives", recording)
+        patch.setattr(enumeration, "PrefixKernel", CountingKernel)
         report = enumeration.enumerate_fundamental(9, 5)
     calls = []
     for support, d in listed:
@@ -49,7 +58,7 @@ def wide_census_run():
         mirror = tuple(sorted((j, i) for i, j in support))
         if mirror != tuple(sorted(support)):
             calls.append((mirror, d, fundamentality(mirror, d)))
-    return report, calls
+    return report, calls, reductions
 
 
 @pytest.fixture(scope="session")

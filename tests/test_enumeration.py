@@ -35,6 +35,7 @@ from chipsplit.grid import ChipConfiguration, act, config_record, grid_points
 from chipsplit.hyperfield import hyperfield_excludes, sign_survivors
 from chipsplit.models import composite, decompose, fundamentality, is_fundamental, outcome_to_model
 from chipsplit.pascal import is_outcome, left_column_form, outcome_space, top_edge_columns, top_edge_form
+from reference_settle import full_rank_settler
 
 # The published census through five positive entries: cell (n, d) counts
 # fundamental outcomes with n + 1 positive points and degree d.
@@ -255,7 +256,7 @@ class TestKernelStage:
     def test_matches_the_reference_on_every_census_kernel_call(self, wide_census_run):
         # Every support the census cells n <= 5, d <= 9 hand to the
         # stage, with the mirrors of the ones it settles.
-        _, calls = wide_census_run
+        _, calls, _ = wide_census_run
         assert len(calls) == 9284
         assert len({(tuple(sorted(support)), d) for support, d, _ in calls}) == 9284
         found = 0
@@ -444,8 +445,9 @@ class TestRankSettling:
 
     def test_matches_settling_each_listed_support_alone(self):
         # Every listed support of the square and over-square cells with
-        # n <= 5 (so d <= n + 1), in listing order, against the pairing
-        # test and the kernel stage run on it alone.
+        # n <= 5 (so d <= n + 1), in listing order, against the settle
+        # on the whole top-edge matrix and against the pairing test and
+        # the kernel stage run on it alone.
         cells = supports = 0
         for n in range(1, 6):
             for d in range(1, n + 2):
@@ -453,8 +455,9 @@ class TestRankSettling:
                     continue
                 points, listed = enumeration._mirror_representatives(d, n + 1)
                 settle = enumeration._rank_settler(points, d)
+                whole = full_rank_settler(points, d)
                 for combo, support, _ in enumeration._census_representatives(points, listed, d):
-                    assert settle(combo) == _resolve_survivor(support, d), (n, d, support)
+                    assert settle(combo) == whole(combo) == _resolve_survivor(support, d), (n, d, support)
                     supports += 1
                 cells += 1
         assert (cells, supports) == (15, 8695)
@@ -470,15 +473,33 @@ class TestRankSettling:
         )
     ))
     @settings(max_examples=200, deadline=None)
+    # Engine indices 0..d are the top diagonal, (k, d - k) at k.  A
+    # support with no top point, one with a single top point, and at
+    # d = 2 one with every top point, (0, 2), (1, 1) and (2, 0), plus
+    # (0, 1) and (1, 0), so that no row is left; then, at d = 3, one
+    # stream of supports with four, two, one and no top points, so the
+    # reduced columns change length from call to call.
+    @example((3, [{4, 5, 6}]))
+    @example((3, [{1, 4, 7}]))
+    @example((2, [{0, 1, 2, 3, 4}]))
+    @example((3, [{4, 5, 6}, {1, 4, 7}, {0, 1, 2, 3, 4}, {0, 3, 4, 5}]))
     def test_matches_settling_alone_on_any_sorted_stream(self, case):
         # Supports that need not survive the sign test, of d to d + 2
         # points, fed as engine index tuples in lexicographic order.
         d, supports = case
         points = _sign_tables(d)[0]
         settle = enumeration._rank_settler(points, d)
+        whole = full_rank_settler(points, d)
         for combo in sorted(tuple(sorted(s)) for s in supports):
             support = [points[m] for m in combo]
-            assert settle(combo) == _resolve_survivor(support, d), (d, support)
+            assert settle(combo) == whole(combo) == _resolve_survivor(support, d), (d, support)
+
+    def test_census_column_reductions(self, wide_census_run):
+        # The rank path's columns reduced by the prefix stacks over the
+        # census n <= 5, d <= 9, which settles 8,695 listed supports by
+        # rank: 13,550 on the whole top-edge matrix, 13,356 with the top
+        # points and their rows dropped.
+        assert wide_census_run[2] == 13356
 
     @pytest.mark.parametrize(
         "d,counters,digest",

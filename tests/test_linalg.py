@@ -160,7 +160,7 @@ def test_kernel_matches_fraction_rref_on_census_kernel_matrices(wide_census_run)
     # The top-edge rows of every tenth support, in sorted order, that
     # the census cells n <= 5, d <= 6 hand to the kernel stage (with
     # the mirrors of the ones it settles), as the stage builds them.
-    _, calls = wide_census_run
+    _, calls, _ = wide_census_run
     supports = sorted((d, tuple(sorted(support))) for support, d, _ in calls if d <= 6)
     assert len(supports) == 6875
     for d, support in supports[::10]:
@@ -237,7 +237,7 @@ def assert_matches_gauss_jordan(rows):
 def test_kernel_matches_gauss_jordan_on_every_census_kernel_matrix(wide_census_run):
     # Every support the census cells n <= 5, d <= 6 hand to the kernel
     # stage, with the mirrors of the ones it settles.
-    _, calls = wide_census_run
+    _, calls, _ = wide_census_run
     count = 0
     for support, d, _ in calls:
         if d <= 6:
@@ -561,8 +561,20 @@ def test_integer_roots_match_brute_force(roots, cofactor, lo):
         (lambda: binomial(-1, 0), "n >= 0"),
         (lambda: integer_roots_at_or_above(Poly([]), 0), "zero polynomial"),
         (lambda: poly_det([[Poly([1]), 2], [3]]), "non-square"),
+        # A 2 x 3 matrix always has a kernel, but zip would drop the 3.
+        (lambda: kernel_basis([[1, 2, 3], [4, 5]]), "ragged"),
+        (lambda: PrefixKernel().kernel([[1, 2], [3], [4, 5]]), "ragged"),
+        (lambda: rank([[1, 2, 3], [4, 5]]), "ragged"),
     ],
-    ids=["det-non-square", "binomial-negative-n", "roots-of-zero", "poly-det-non-square"],
+    ids=[
+        "det-non-square",
+        "binomial-negative-n",
+        "roots-of-zero",
+        "poly-det-non-square",
+        "kernel-basis-ragged",
+        "prefix-kernel-ragged",
+        "rank-ragged",
+    ],
 )
 def test_malformed_arguments_are_refused(call, message):
     with pytest.raises(ValueError, match=message):
