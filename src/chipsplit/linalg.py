@@ -284,7 +284,7 @@ class Poly:
 
     def __mul__(self, other: Poly | int) -> Poly:
         if isinstance(other, int):
-            other = Poly.constant(other)
+            return Poly([c * other for c in self.coeffs])
         if not self or not other:
             return Poly([])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)

@@ -20,7 +20,7 @@ from math import lcm
 from typing import Iterable
 
 from .grid import MAX_INPUT_DEGREE, ChipConfiguration, Coord, _json_int, check_inside, degree_order
-from .linalg import binomial, kernel_basis
+from .linalg import PrefixKernel, binomial
 from .pascal import is_outcome, outcome_space, top_edge_columns
 
 Term = tuple[Fraction, int, int]
@@ -294,9 +294,9 @@ def fundamentality(support: Iterable[Coord], d: int) -> tuple[int, ChipConfigura
     the origin form a line whose generator, with the origin negative, is
     positive on every point of the set. Returns the dimension of that
     outcome space and the primitive integral generator, or None when the
-    set is not fundamental. ``linalg.kernel_basis`` solves the top-edge
-    conditions with the points in (degree, i) order, the origin first:
-    the elimination's cost depends on the column order.
+    set is not fundamental. A fresh ``linalg.PrefixKernel`` solves the
+    top-edge conditions on the points' columns in (degree, i) order, the
+    origin first: the elimination's cost depends on the column order.
     """
     points = set(support)
     if (0, 0) in points:
@@ -306,7 +306,7 @@ def fundamentality(support: Iterable[Coord], d: int) -> tuple[int, ChipConfigura
     check_inside(points, d)
     points = sorted(points | {(0, 0)}, key=degree_order)
     columns = top_edge_columns(d)
-    basis = kernel_basis(list(zip(*(columns[p] for p in points))))
+    basis = PrefixKernel().kernel([columns[p] for p in points])
     if len(basis) != 1:
         return len(basis), None
     return 1, fundamental_generator(points, basis[0], d)
@@ -316,7 +316,7 @@ def fundamental_generator(points: list[Coord], vec: list[int], d: int) -> ChipCo
     """The fundamental outcome a one-dimensional kernel gives, or None.
 
     points lists the origin first, and vec is the kernel's generator
-    over them in ``kernel_basis``'s form. Its first nonzero entry is
+    over them in ``PrefixKernel``'s form. Its first nonzero entry is
     positive, so the outcome is -vec exactly when every entry past the
     origin's is negative; that also rules out a zero origin entry.
     """

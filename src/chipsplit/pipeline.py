@@ -145,10 +145,15 @@ class Sym(NamedTuple):
         return Sym(self.dc + other.dc, self.c + other.c, terms)
 
     def __sub__(self, other: Sym) -> Sym:
+        if not other.terms:
+            return Sym(self.dc - other.dc, self.c - other.c, self.terms)
         return self + other.scaled(-1)
 
     def scaled(self, k: int) -> Sym:
-        return Sym(k * self.dc, k * self.c, _merge((n, k * c) for n, c in self.terms))
+        # Scaling by a nonzero k keeps merged terms sorted and nonzero.
+        if not k:
+            return Sym()
+        return Sym(k * self.dc, k * self.c, tuple((n, k * c) for n, c in self.terms))
 
     def shifted(self, n: int) -> Sym:
         return Sym(self.dc, self.c + n, self.terms)

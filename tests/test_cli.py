@@ -29,6 +29,7 @@ from chipsplit import cli
 from chipsplit.cli import _echo_json, _render, main
 from chipsplit.enumeration import ConjectureReport, sweep_no_valid_outcomes, sweep_start
 from chipsplit.grid import MAX_INPUT_DEGREE
+from artifacts import ARTIFACTS
 
 SRC = str(Path(chipsplit.__file__).resolve().parent.parent)
 ROOT = Path(__file__).resolve().parent.parent
@@ -310,30 +311,30 @@ class TestDecompose:
 
 
 @pytest.mark.parametrize(
-    "args,artifact",
-    [
-        ("enumerate --max-degree 3 --max-support 3 --json", "results/census-n2-d3.json"),
-        ("enumerate --max-degree 7 --max-support 5 --json", "tests/golden/census-n4-d7.json"),
-        ("sweep --support 4 --max-degree 11 --summary", "results/sweep-4-d11.json"),
-    ],
+    "artifact", [a for a in ARTIFACTS if a.tier1], ids=lambda a: f"{a.args}-{a.path}"
 )
-def test_cli_writes_the_committed_artifact(runner, args, artifact):
-    result = runner.invoke(main, args.split())
+def test_cli_writes_the_committed_artifact(runner, artifact):
+    result = runner.invoke(main, artifact.args.split())
     assert result.exit_code == 0
-    assert result.output == (ROOT / artifact).read_text()
+    assert result.output == (ROOT / artifact.path).read_text()
 
 
 def test_readme_experiments_parse():
-    # make_context parses and validates a command line without running it.
+    # The regeneration block lists exactly the table's commands, in its
+    # order; make_context parses and validates each without running it.
     block = (ROOT / "README.md").read_text().split("## Experiments", 1)[1].split("```")[1]
-    lines = [line for line in block.splitlines() if line.startswith("chipsplit ")]
-    assert len(lines) == 6
-    for line in lines:
+    listed = []
+    for line in block.strip().splitlines():
         words = shlex.split(line)
         redirect = words.index(">")
-        assert (ROOT / words[redirect + 1]).is_file(), line
-        group = main.make_context("chipsplit", words[1:redirect])
-        name, command, rest = main.resolve_command(group, words[1:redirect])
+        assert words[0] == "chipsplit", line
+        listed.append((" ".join(words[1:redirect]), words[redirect + 1]))
+    assert listed == [(a.args, a.path) for a in ARTIFACTS]
+    for artifact in ARTIFACTS:
+        assert (ROOT / artifact.path).is_file(), artifact.path
+        words = artifact.args.split()
+        group = main.make_context("chipsplit", words)
+        name, command, rest = main.resolve_command(group, words)
         command.make_context(name, rest, parent=group)
 
 
@@ -749,15 +750,22 @@ def test_bench_tracer_finds_every_name_it_patches(runner, args, span, calls):
     assert spans[span] == calls
 
 
-def _bench_workloads():
+def _bench_module():
     # bench/workloads.py is not a package module, so it is loaded by path.
     spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return module
 
 
-BENCH_WORKLOADS = _bench_workloads()
+BENCH = _bench_module()
+BENCH_WORKLOADS = BENCH.WORKLOADS
+
+
+def test_bench_references_are_committed_artifacts():
+    # The benchmark checks its samples against these files, so each must
+    # be one that the table lists and CI rebuilds.
+    assert set(BENCH.REFERENCES) <= {artifact.path for artifact in ARTIFACTS}
 
 
 @pytest.mark.parametrize("args, check", list(BENCH_WORKLOADS.values()), ids=list(BENCH_WORKLOADS))

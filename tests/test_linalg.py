@@ -407,6 +407,7 @@ def test_poly_ring_ops_agree_with_evaluation(a_coeffs, b_coeffs, x):
     assert (a + b)(x) == a(x) + b(x)
     assert (a * b)(x) == a(x) * b(x)
     assert (a - b)(x) == a(x) - b(x)
+    assert a * x == x * a == a * Poly.constant(x)
 
 
 def test_poly_is_unhashable():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from chipsplit import models, pascal
 from chipsplit.grid import ChipConfiguration, Game, apply_game, grid_points
-from chipsplit.linalg import Poly, kernel_basis
+from chipsplit.linalg import Poly, PrefixKernel, kernel_basis
 from chipsplit.models import (
     Decomposition,
     EmbeddingStep,
@@ -194,15 +194,20 @@ def test_fundamentality_of_the_binomial_support():
 
 def test_fundamentality_eliminates_in_degree_order(monkeypatch):
     # The elimination's cost depends on its column order, so the points
-    # go to kernel_basis in (degree, i) order, the origin first, in
+    # go to the kernel in (degree, i) order, the origin first, in
     # whatever order the support arrives.
     d = 5
     support = sorted(tightness_family(2).positive_support)
     columns = top_edge_columns(d)
-    expected = list(zip(*(columns[p] for p in [(0, 0), (2, 1), (1, 3), (0, 5), (5, 0)])))
+    expected = [columns[p] for p in [(0, 0), (2, 1), (1, 3), (0, 5), (5, 0)]]
     seen = []
-    real = models.kernel_basis
-    monkeypatch.setattr(models, "kernel_basis", lambda rows: seen.append(rows) or real(rows))
+
+    class Recording(PrefixKernel):
+        def kernel(self, columns):
+            seen.append(list(columns))
+            return super().kernel(columns)
+
+    monkeypatch.setattr(models, "PrefixKernel", Recording)
     arrivals = [*itertools.permutations(support), frozenset(support), iter(support[::-1])]
     for arrival in arrivals:
         assert fundamentality(arrival, d) == (1, tightness_family(2))
@@ -250,8 +255,13 @@ def test_decompose_asks_one_kernel_question_per_node(monkeypatch):
         calls.append(1)
         return kernel_basis(rows)
 
+    class Counting(PrefixKernel):
+        def kernel(self, columns):
+            calls.append(1)
+            return super().kernel(columns)
+
     monkeypatch.setattr(pascal, "kernel_basis", counting)
-    monkeypatch.setattr(models, "kernel_basis", counting)
+    monkeypatch.setattr(models, "PrefixKernel", Counting)
     for mixed in (BINOMIAL, composite(SEGMENT, composite(BINOMIAL, THIRD, Fraction(1, 2)), Fraction(1, 3))):
         calls.clear()
         dec = decompose(mixed)

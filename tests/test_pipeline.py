@@ -56,6 +56,7 @@ from chipsplit.pipeline import (
     _final_slice_patterns,
     _group_offsets,
     _hexagon_instances,
+    _merge,
     _pairing_det,
     _partitions,
     _placed_carrier,
@@ -161,6 +162,14 @@ class TestSym:
         assert evaluate(x - y, d, values) == evaluate(x, d, values) - evaluate(y, d, values)
         assert evaluate(x.scaled(k), d, values) == k * evaluate(x, d, values)
         assert evaluate(x.shifted(k), d, values) == evaluate(x, d, values) + k
+
+    @given(sym_exprs, sym_exprs, st.integers(-4, 4))
+    def test_shortcuts_match_the_merge_path(self, x, y, k):
+        # scaled maps merged terms without a merge, and a - b with a
+        # termless b skips scaled and the merge; both give what _merge does.
+        assert x.scaled(k) == Sym(k * x.dc, k * x.c, _merge((n, k * c) for n, c in x.terms))
+        negated = tuple((n, -c) for n, c in y.terms)
+        assert x - y == Sym(x.dc - y.dc, x.c - y.c, _merge(x.terms + negated))
 
     def test_substitution_replaces_and_keeps(self):
         x = Sym.var("m_a") + Sym.var("m_b").scaled(2) + Sym.dee(3)
