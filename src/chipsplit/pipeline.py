@@ -145,8 +145,6 @@ class Sym(NamedTuple):
         return Sym(self.dc + other.dc, self.c + other.c, terms)
 
     def __sub__(self, other: Sym) -> Sym:
-        if not other.terms:
-            return Sym(self.dc - other.dc, self.c - other.c, self.terms)
         return self + other.scaled(-1)
 
     def scaled(self, k: int) -> Sym:

@@ -166,7 +166,7 @@ class TestSym:
     @given(sym_exprs, sym_exprs, st.integers(-4, 4))
     def test_shortcuts_match_the_merge_path(self, x, y, k):
         # scaled maps merged terms without a merge, and a - b with a
-        # termless b skips scaled and the merge; both give what _merge does.
+        # termless side skips the merge in +; both give what _merge does.
         assert x.scaled(k) == Sym(k * x.dc, k * x.c, _merge((n, k * c) for n, c in x.terms))
         negated = tuple((n, -c) for n, c in y.terms)
         assert x - y == Sym(x.dc - y.dc, x.c - y.c, _merge(x.terms + negated))
